@@ -10,7 +10,9 @@ the fractional wave propagator in Fourier space.  Three regimes are used:
                        permits, otherwise the exact decomposition into a pair
                        of exponentially damped oscillations (residues of the
                        Laplace inversion, present for 1 < alpha <= 2) plus a
-                       completely monotone branch-cut integral;
+                       completely monotone branch-cut integral, whose
+                       quadrature rule is built once per (alpha, tol) and
+                       cached;
 * ``asymptotic``    -- optimally truncated inverse-power expansion, augmented
                        with the same exponential pair. Engaged only once its
                        truncation floor ~exp(-x^(1/alpha)) is below tolerance.
@@ -21,6 +23,7 @@ Every path returns an error estimate; a high-precision summation fallback
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,7 +64,7 @@ def asymptotic_cutoff(alpha: float, tol: float = DEFAULT_TOL) -> float:
     like log(1/tol)^alpha; the floor of 15 keeps the window conventional for
     loose tolerances.
     """
-    return max(15.0, math.log(20.0 / tol) ** alpha)
+    return max(15.0, (math.log(20.0) - math.log(tol)) ** alpha)
 
 
 def _check_ml_order(alpha: float) -> None:
@@ -117,25 +120,51 @@ def _exp_pair(alpha: float, x: float) -> float:
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# The branch-cut rule is built for x from half the series cutoff (so that it
+# also serves the overlap with the Taylor sum) up to the asymptotic cutoff;
+# panels are tested at this many geometric samples of tt = x^(1/alpha).
+_RULE_X_LO = 0.5 * SERIES_CUTOFF
+_RULE_TT_SAMPLES = 24
 
-def _adaptive_gauss(f, a: float, b: float, tol: float, max_depth: int = 26,
-                    max_panels: int = 4000) -> tuple[float, float]:
-    """Adaptive composite 16-point Gauss-Legendre on [a, b] for a vectorized f.
 
-    Error per interval estimated by comparison with its two-half refinement;
-    an interval is accepted once its delta fits its share of the budget.  The
-    panel budget bounds work for unreachable tolerances; the accumulated err
-    then reports the shortfall honestly.
+@dataclass(frozen=True)
+class _BranchCutRule:
+    """Fixed quadrature of the branch-cut integral for one (alpha, tol).
+
+    The integral is sum_ij w_ij exp(-tt g_ij).  Row i is one accepted panel:
+    columns 0-31 are the 16-point Gauss-Legendre nodes of its two halves (the
+    fine rule), columns 32-47 those of the whole panel with negated weights
+    (the coarse rule), so a row sum is the panel's fine-minus-coarse delta.
+    The r-range is cut at r_end; the neglected tail is at most
+    tail_scale * exp(-tt r_end).
+    """
+
+    g: np.ndarray
+    w: np.ndarray
+    r_end: float
+    tail_scale: float
+
+
+def _bisect_panels(kernel, expo, a: float, b: float, tts: np.ndarray, budget: float,
+                   max_depth: int = 26, max_panels: int = 4000) -> list[tuple]:
+    """Adaptive bisection of [a, b] into 16-point Gauss-Legendre panels for
+    int_a^b kernel(y) exp(-tt expo(y)) dy, valid at every tt in tts at once.
+
+    A panel is accepted once the delta between its two-half refinement and
+    itself fits its share of the budget at every sampled tt.  The depth and
+    panel caps bound the work for unreachable budgets; the per-x delta then
+    reports the shortfall.  Returns the accepted panels as (g, w) rows.
     """
     span = b - a
 
     def panel(lo, hi):
-        mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        return half * float(np.dot(_GL16_WEIGHTS, f(mid + half * _GL16_NODES)))
+        y = 0.5 * (lo + hi) + half * _GL16_NODES
+        g = expo(y)
+        w = half * _GL16_WEIGHTS * kernel(y)
+        return g, w, np.exp(-np.outer(tts, g)) @ w
 
-    total = 0.0
-    err = 0.0
+    rows = []
     used = 0
     stack = [(a, b, panel(a, b), 0)]
     while stack:
@@ -144,33 +173,28 @@ def _adaptive_gauss(f, a: float, b: float, tol: float, max_depth: int = 26,
         left = panel(lo, mid)
         right = panel(mid, hi)
         used += 2
-        fine = left + right
-        delta = abs(fine - coarse)
-        if delta <= tol * (hi - lo) / span or depth >= max_depth or used >= max_panels:
-            total += fine
-            err += delta
+        delta = float(np.max(np.abs(left[2] + right[2] - coarse[2])))
+        if delta <= budget * (hi - lo) / span or depth >= max_depth or used >= max_panels:
+            rows.append((np.concatenate((left[0], right[0], coarse[0])),
+                         np.concatenate((left[1], right[1], -coarse[1]))))
         else:
             stack.append((lo, mid, left, depth + 1))
             stack.append((mid, hi, right, depth + 1))
-    return total, err
+    return rows
 
 
-def _branch_cut_integral(alpha: float, x: float, tol: float) -> tuple[float, float]:
-    """Branch-cut part of E_alpha(-x): the completely monotone Laplace integral
-
-        sin(pi*alpha)/pi * int_0^inf e^{-r x^(1/alpha)} r^(alpha-1) / D(r) dr,
-        D(r) = (r^alpha + cos(pi*alpha))^2 + sin(pi*alpha)^2.
-
-    D has a Poisson-kernel spike at r0 = (-cos(pi*alpha))^(1/alpha) whose width
-    is |sin(pi*alpha)|; the spike zone is integrated after the substitution
-    v = r^alpha + cos(pi*alpha), v = |sin(pi*alpha)| tan(phi), which resolves
-    it exactly; the outer zones are smooth.
-    """
-    tt = x ** (1.0 / alpha)
+@functools.lru_cache(maxsize=16)
+def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
+    """Nodes and weights of the branch-cut integral at (alpha, tol); see
+    _branch_cut_integral.  Only exp(-tt g) depends on x, so the rule is
+    built once, lazily, and cached."""
     c_pi = math.cos(math.pi * alpha)
     s_pi = math.sin(math.pi * alpha)
     s_abs = abs(s_pi)
-    pieces: list[tuple[float, float]] = []
+    tt_lo = _RULE_X_LO ** (1.0 / alpha)
+    tt_hi = asymptotic_cutoff(alpha, tol) ** (1.0 / alpha)
+    tts = np.geomspace(tt_lo, tt_hi, _RULE_TT_SAMPLES)
+    rows = []
 
     # v-window around the spike (v = r^alpha + c_pi = 0 at the spike).
     V_HI = 0.3
@@ -188,65 +212,91 @@ def _branch_cut_integral(alpha: float, x: float, tol: float) -> tuple[float, flo
                           | {v for v in ladder if v_lo < v < V_HI}
                           | {-v for v in ladder if v_lo < -v < V_HI})
         phis = [math.atan2(v, s_abs) for v in v_points]
+        spike_w = math.copysign(1.0, s_pi) / (alpha * math.pi)
 
-        def f_spike(phi):
-            v = s_abs * np.tan(phi)
-            w = np.maximum(v - c_pi, 0.0)
-            e = tt * w ** (1.0 / alpha)
-            return np.exp(-np.minimum(e, 745.0)) * (e < 745.0)
+        def spike_expo(phi):
+            return np.maximum(s_abs * np.tan(phi) - c_pi, 0.0) ** (1.0 / alpha)
 
-        val = 0.0
-        err = 0.0
-        sub_tol = tol * 0.05 / max(len(phis) - 1, 1)
+        sub_budget = tol * 0.05 / max(len(phis) - 1, 1)
         for lo, hi in zip(phis[:-1], phis[1:]):
-            v_i, e_i = _adaptive_gauss(f_spike, lo, hi, sub_tol)
-            val += v_i
-            err += e_i
-        pieces.append((math.copysign(1.0, s_pi) / (alpha * math.pi) * val,
-                       err / (alpha * math.pi)))
+            rows.extend(_bisect_panels(lambda phi: spike_w, spike_expo, lo, hi, tts,
+                                       sub_budget))
 
     pref = s_pi / math.pi
 
     def add_r_piece(r_a, r_b):
         if alpha >= 1.0:
-            def f_r(r):
-                d = (r ** alpha + c_pi) ** 2 + s_pi ** 2
-                return np.exp(-np.minimum(tt * r, 745.0)) * r ** (alpha - 1.0) / d
-            val, err = _adaptive_gauss(f_r, r_a, r_b, tol * 0.05 / max(abs(pref), 1e-300))
+            def kernel(r):
+                return pref * r ** (alpha - 1.0) / ((r ** alpha + c_pi) ** 2 + s_pi ** 2)
+            rows.extend(_bisect_panels(kernel, lambda r: r, r_a, r_b, tts, tol * 0.05))
         else:
             # u = r^alpha removes the endpoint singularity for alpha < 1.
-            def f_u(u):
-                d = (u + c_pi) ** 2 + s_pi ** 2
-                return np.exp(-np.minimum(tt * u ** (1.0 / alpha), 745.0)) / (alpha * d)
-            val, err = _adaptive_gauss(f_u, r_a ** alpha, r_b ** alpha,
-                                       tol * 0.05 / max(abs(pref), 1e-300))
-        pieces.append((pref * val, abs(pref) * err))
+            def kernel(u):
+                return pref / (alpha * ((u + c_pi) ** 2 + s_pi ** 2))
+            rows.extend(_bisect_panels(kernel, lambda u: u ** (1.0 / alpha),
+                                       r_a ** alpha, r_b ** alpha, tts, tol * 0.05))
 
-    # Decay length of the exponential factor bounds the useful range.
-    r_cut = (745.0 + 5.0 * math.log1p(tt)) / tt if tt > 0 else math.inf
+    # Cut the range where exp(-tt r) is far below tol for every x the rule
+    # serves.  r_end^alpha >= 10^alpha * 2 >= 2|c_pi|, so beyond it
+    # r^alpha + c_pi >= r^alpha / 2 and the neglected tail is at most
+    # 4 |pref| exp(-tt r_end) / (alpha r_end^alpha).
+    r_end = (max(-math.log(tol), 0.0) + 10.0) / tt_lo
 
     if c_pi < -V_HI:
-        r_a_end = (-V_HI - c_pi) ** (1.0 / alpha)
-        if r_a_end > 0:
-            add_r_piece(0.0, min(r_a_end, r_cut))
-    if c_pi < V_HI:
-        r_b_start = (V_HI - c_pi) ** (1.0 / alpha)
-    else:
-        r_b_start = 0.0
-    if r_b_start < r_cut:
-        add_r_piece(r_b_start, r_cut)
+        add_r_piece(0.0, (-V_HI - c_pi) ** (1.0 / alpha))
+    r_b_start = (V_HI - c_pi) ** (1.0 / alpha) if c_pi < V_HI else 0.0
+    add_r_piece(r_b_start, r_end)
 
-    value = sum(p[0] for p in pieces)
-    err = sum(p[1] for p in pieces) + 4.0 * _EPS * sum(abs(p[0]) for p in pieces)
+    g = np.array([row[0] for row in rows])
+    w = np.array([row[1] for row in rows])
+    g.flags.writeable = False
+    w.flags.writeable = False
+    return _BranchCutRule(g, w, r_end, 4.0 * abs(pref) / (alpha * r_end ** alpha))
+
+
+def _branch_cut_integral(alpha: float, x: float, tol: float) -> tuple[float, float]:
+    """Branch-cut part of E_alpha(-x): the completely monotone Laplace integral
+
+        sin(pi*alpha)/pi * int_0^inf e^{-r x^(1/alpha)} r^(alpha-1) / D(r) dr,
+        D(r) = (r^alpha + cos(pi*alpha))^2 + sin(pi*alpha)^2.
+
+    D has a Poisson-kernel spike at r0 = (-cos(pi*alpha))^(1/alpha) whose width
+    is |sin(pi*alpha)|; the spike zone is integrated after the substitution
+    v = r^alpha + cos(pi*alpha), v = |sin(pi*alpha)| tan(phi), which resolves
+    it exactly; the outer zones are smooth.
+
+    The quadrature rule depends on (alpha, tol) only (_branch_cut_rule); the
+    error estimate sums the per-panel fine-minus-coarse deltas at this x, the
+    bound on the truncated tail, and the roundoff.
+    """
+    rule = _branch_cut_rule(alpha, tol)
+    tt = x ** (1.0 / alpha)
+    terms = np.exp(-tt * rule.g) * rule.w
+    # Every fine weight carries the sign of sin(pi alpha), so |value| also
+    # bounds the sum of the magnitudes.
+    value = float(terms[:, :32].sum())
+    err = float(np.abs(terms.sum(axis=1)).sum()) \
+        + rule.tail_scale * math.exp(-tt * rule.r_end) + 4.0 * _EPS * abs(value)
     return value, err
 
 
 def _ml_intermediate(alpha: float, x: float, tol: float) -> tuple[float, float]:
-    """Exact exponential-pair + branch-cut evaluation (any x > 0)."""
+    """Exact exponential-pair + branch-cut evaluation (any x > 0).
+
+    The pair's phase and damping, s sin(pi/alpha) and s cos(pi/alpha) with
+    s = x^(1/alpha), carry an absolute rounding error of about
+    s (4 + |ln x|/alpha) eps, which the pair's amplitude scales into the
+    estimate; near alpha = 2, where the pair is barely damped, it dominates.
+    """
     pair = _exp_pair(alpha, x)
     bc, err = _branch_cut_integral(alpha, x, tol)
     value = pair + bc
-    return value, err + 4.0 * _EPS * (abs(pair) + abs(bc))
+    err += 4.0 * _EPS * (abs(pair) + abs(bc))
+    if alpha > 1.0:
+        s = x ** (1.0 / alpha)
+        amp = (2.0 / alpha) * math.exp(max(s * math.cos(math.pi / alpha), -745.0))
+        err += amp * _EPS * s * (4.0 + abs(math.log(x)) / alpha)
+    return value, err
 
 
 def _ml_asymptotic(alpha: float, x: float, tol: float) -> tuple[float, float]:
@@ -275,14 +325,19 @@ def _ml_asymptotic(alpha: float, x: float, tol: float) -> tuple[float, float]:
     return pair + total, est
 
 
+def _log10_max_term(alpha: float, x: float) -> float:
+    """Stirling estimate of log10 of the largest Taylor term of E_alpha(-x),
+    x^k / Gamma(1 + alpha k) at alpha k = x^(1/alpha): the digits that
+    cancellation costs a Taylor sum."""
+    k_star = max(1.0, x ** (1.0 / alpha) / alpha)
+    return (k_star * math.log(max(x, 1.0)) - gammaln(1.0 + alpha * k_star)) / math.log(10.0)
+
+
 def _ml_mpmath(alpha: float, x: float, tol: float) -> tuple[float, float]:
     """Arbitrary-precision Taylor summation fallback."""
     import mpmath as mp
 
-    # Stirling estimate of the largest term fixes the digits lost to cancellation.
-    s = x ** (1.0 / alpha)
-    k_star = max(1.0, s / alpha)
-    log10_max = (k_star * math.log(max(x, 1.0)) - gammaln(1.0 + alpha * k_star)) / math.log(10.0)
+    log10_max = _log10_max_term(alpha, x)
     lost = max(0.0, log10_max)
     dps = int(min(300, 25 + lost - math.log10(tol)))
     with mp.workdps(dps):
@@ -306,8 +361,10 @@ def _ml_mpmath(alpha: float, x: float, tol: float) -> tuple[float, float]:
 def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
     """Evaluate E_alpha(-x) for x >= 0 and 0 < alpha <= 2 to absolute error <= tol.
 
-    Raises InvalidOrder for alpha outside (0, 2] and NonConvergence if no
-    regime can attain the requested tolerance.
+    E_alpha(-inf) = 0 for alpha < 2; at alpha = 2, E_2(-x) = cos(sqrt(x)) has
+    no limit and x = inf raises ValueError, as do NaN and x < 0.  Raises
+    InvalidOrder for alpha outside (0, 2] and NonConvergence if no regime can
+    attain the requested tolerance.
     """
     _check_ml_order(alpha)
     if not (x >= 0.0):
@@ -317,6 +374,10 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
 
     if x == 0.0:
         return MLResult(1.0, REGIME_SERIES, 0.0)
+    if math.isinf(x):
+        if alpha == 2.0:
+            raise ValueError("ml_neg(2, inf) has no limit: E_2(-x) = cos(sqrt(x)) oscillates")
+        return MLResult(0.0, REGIME_ASYMPTOTIC, 0.0)
 
     if x <= SERIES_CUTOFF:
         regime = REGIME_SERIES
@@ -346,10 +407,12 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
             return MLResult(value, regime, est)
         regime = REGIME_INTERMEDIATE  # truncation floor too high; fall through
 
-    # Intermediate: fast compensated summation when roundoff allows it.
-    value, est = _taylor_kahan(alpha, x, tol)
-    if est <= 0.25 * tol:
-        return MLResult(value, REGIME_INTERMEDIATE, est)
+    # Intermediate: fast compensated summation when roundoff allows it.  Its
+    # floor 4 eps max|term| is known in advance; skip the sum when hopeless.
+    if _log10_max_term(alpha, x) <= math.log10(0.25 * tol / (4.0 * _EPS)):
+        value, est = _taylor_kahan(alpha, x, tol)
+        if est <= 0.25 * tol:
+            return MLResult(value, REGIME_INTERMEDIATE, est)
     value, est = _ml_intermediate(alpha, x, tol)
     if est <= tol:
         return MLResult(value, REGIME_INTERMEDIATE, est)

@@ -16,7 +16,12 @@ from fracwave.special import (
     log_gamma_complex,
     ml_neg,
 )
-from fracwave.special import _ml_asymptotic, _ml_intermediate, _taylor_kahan
+from fracwave.special import (
+    _branch_cut_rule,
+    _ml_asymptotic,
+    _ml_intermediate,
+    _taylor_kahan,
+)
 
 
 def ml_series_oracle(alpha, x, dps=200):
@@ -102,6 +107,15 @@ class TestMlNeg:
         with pytest.raises(NonConvergence):
             ml_neg(1.5, 2.0, tol=1e-320)
 
+    def test_limit_at_infinity(self):
+        for alpha in (0.5, 1.0, 1.5, 1.9):
+            assert ml_neg(alpha, math.inf) == MLResult(0.0, "asymptotic", 0.0)
+
+    def test_no_limit_at_infinity_for_alpha_two(self):
+        # E_2(-x) = cos(sqrt(x)) oscillates without decay
+        with pytest.raises(ValueError):
+            ml_neg(2.0, math.inf)
+
 
 class TestRegimes:
     def test_series_regime_below_cutoff(self):
@@ -138,6 +152,33 @@ class TestRegimes:
             for x in np.geomspace(50.0, 1e4, 25):
                 v = ml_neg(alpha, float(x)).value
                 assert abs(x * v - lim) <= 5.0 / x
+
+
+class TestBranchCutRule:
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.05, 1.25, 1.5, 1.6, 1.75, 1.9, 1.98])
+    def test_error_estimate_is_honest(self, alpha):
+        # the whole x-range the cached rule serves, from the series overlap
+        # to the asymptotic cutoff
+        tol = 1e-13
+        for x in np.geomspace(0.5, asymptotic_cutoff(alpha, tol), 40):
+            value, est = _ml_intermediate(alpha, float(x), tol)
+            assert est <= tol
+            assert abs(value - ml_series_oracle(alpha, float(x))) <= est + 1e-15
+
+    def test_rule_is_built_once_per_alpha_and_tol(self):
+        _ml_intermediate(1.37, 3.0, 1e-13)
+        before = _branch_cut_rule.cache_info()
+        _ml_intermediate(1.37, 7.5, 1e-13)
+        after = _branch_cut_rule.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
+
+    def test_cache_is_bounded(self):
+        maxsize = _branch_cut_rule.cache_info().maxsize
+        assert maxsize is not None
+        for tol in np.geomspace(1e-13, 1e-10, maxsize + 3):
+            _ml_intermediate(1.5, 3.0, float(tol))
+        assert _branch_cut_rule.cache_info().currsize <= maxsize
 
 
 class TestLogGammaComplex:
