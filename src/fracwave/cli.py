@@ -3,19 +3,14 @@ cross-route checks, moments, and the 1D initial-value solver.
 
 Exit codes: 0 success, 1 cross-check tolerance breach, 2 usage/domain error,
 3 numerical failure.  CSV output is UTF-8 with LF line endings, a mandatory
-header row, and shortest-roundtrip floats (%.17g).  The environment variable
-FRACWAVE_THREADS caps the thread pool used for grid evaluation; output
-ordering is deterministic regardless of parallelism.
+header row, and shortest-roundtrip floats (%.17g).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,37 +47,8 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Profile payload behind the CSV output: ordered (r, value, est_error)."""
-
-    alpha: float
-    n: int
-    t: float
-    method: str
-    rows: list[tuple[float, float, float]]
-
-
 def _fmt17(x: float) -> str:
     return format(x, ".17g")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FRACWAVE_THREADS", "")
-    try:
-        k = int(raw) if raw else 1
-    except ValueError:
-        raise CliError(f"FRACWAVE_THREADS must be an integer, got {raw!r}", EXIT_USAGE)
-    return max(1, k)
-
-
-def _grid_map(fn, items):
-    """Map preserving order, optionally threaded per FRACWAVE_THREADS."""
-    k = _thread_count()
-    if k == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_config(path: str | None) -> tuple[quadrature.QuadratureConfig,
@@ -92,7 +58,7 @@ def _load_config(path: str | None) -> tuple[quadrature.QuadratureConfig,
     if path is None:
         return qcfg, ccfg
     q_fields = {"abs_tol": float, "rel_tol": float, "max_lobes": int,
-                "accel_order": int, "panel_rule": str}
+                "accel_order": int}
     c_fields = {"sigma": float, "y_max": float, "step_tol": float}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -124,11 +90,14 @@ def _note_extrapolated(alpha: float, n: int) -> None:
               "value extrapolated from the closed formula", file=sys.stderr)
 
 
-def _eval_one(alpha: float, n: int, r: float, t: float, method: str,
-              qcfg, ccfg) -> tuple[float, float]:
-    """Evaluate one point; returns (value, est_error); est_error = 0 for closed."""
+def _evaluate(alpha: float, n: int, r, t, method: str,
+              qcfg, ccfg) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate G_{alpha,n} on r and t, scalars or arrays that broadcast
+    together; returns (value, est_error) arrays of the broadcast shape, with
+    est_error = 0 for closed.  The closed forms take the whole grid in one
+    call; the integral and contour routes are scalar and go point by point."""
     if n == 1:
-        r = abs(r)  # the 1D solution is even in x; profiles may be mirrored
+        r = np.abs(r)  # the 1D solution is even in x; profiles may be mirrored
     if method == "closed":
         if n == 2:
             raise CliError(
@@ -136,17 +105,24 @@ def _eval_one(alpha: float, n: int, r: float, t: float, method: str,
                 "(--method integral) or the Mellin-Barnes contour (--method mellin)",
                 EXIT_USAGE)
         _note_extrapolated(alpha, n)
-        value = closed_form.g1(alpha, r, t) if n == 1 else closed_form.g3(alpha, r, t)
-        return float(value), 0.0
+        value = np.asarray(closed_form.g1(alpha, r, t) if n == 1
+                           else closed_form.g3(alpha, r, t))
+        return value, np.zeros_like(value)
     if method == "integral":
-        res = quadrature.g_integral(alpha, n, r, t, qcfg)
-        return res.value, res.est_error
-    if method == "mellin":
-        if r == 0.0:
+        def route(ri, ti):
+            return quadrature.g_integral(alpha, n, ri, ti, qcfg)
+    elif method == "mellin":
+        if np.any(r == 0.0):
             raise CliError("the Mellin-Barnes route requires r > 0", EXIT_USAGE)
-        res = mellin_barnes.g_mellin_barnes(alpha, n, r, t, ccfg)
-        return res.value, res.est_error
-    raise CliError(f"unknown method {method!r}", EXIT_USAGE)
+
+        def route(ri, ti):
+            return mellin_barnes.g_mellin_barnes(alpha, n, ri, ti, ccfg)
+    else:
+        raise CliError(f"unknown method {method!r}", EXIT_USAGE)
+    grid = np.broadcast(r, t)
+    results = [route(float(ri), float(ti)) for ri, ti in grid]
+    return (np.reshape([res.value for res in results], grid.shape),
+            np.reshape([res.est_error for res in results], grid.shape))
 
 
 def _default_method(n: int) -> str:
@@ -166,7 +142,8 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def cmd_eval(args, qcfg, ccfg) -> int:
     method = args.method or _default_method(args.dim)
-    value, est = _eval_one(args.alpha, args.dim, args.r, args.t, method, qcfg, ccfg)
+    value, est = map(float, _evaluate(args.alpha, args.dim, args.r, args.t,
+                                      method, qcfg, ccfg))
     if method == "closed":
         print(format(value, ".15g"))
     else:
@@ -179,21 +156,20 @@ def cmd_profile(args, qcfg, ccfg) -> int:
     if args.fixed_r is not None:
         if args.tmin is None or args.tmax is None:
             raise CliError("--fixed-r requires --tmin and --tmax", EXIT_USAGE)
-        ts = np.linspace(args.tmin, args.tmax, args.points)
-        rows = _grid_map(
-            lambda t: (t, *_eval_one(args.alpha, args.dim, args.fixed_r, float(t),
-                                     method, qcfg, ccfg)), ts)
-        _write_csv(args.out, "t,value,est_error", rows)
-        return EXIT_OK
-    if args.rmin is None or args.rmax is None:
-        raise CliError("radial profile requires --rmin and --rmax", EXIT_USAGE)
-    if args.t is None:
-        raise CliError("radial profile requires --t", EXIT_USAGE)
-    rs = np.linspace(args.rmin, args.rmax, args.points)
-    rows = _grid_map(
-        lambda r: (r, *_eval_one(args.alpha, args.dim, float(r), args.t,
-                                 method, qcfg, ccfg)), rs)
-    _write_csv(args.out, "r,value,est_error", rows)
+        header = "t,value,est_error"
+        grid = np.linspace(args.tmin, args.tmax, args.points)
+        values, errs = _evaluate(args.alpha, args.dim, args.fixed_r, grid,
+                                 method, qcfg, ccfg)
+    else:
+        if args.rmin is None or args.rmax is None:
+            raise CliError("radial profile requires --rmin and --rmax", EXIT_USAGE)
+        if args.t is None:
+            raise CliError("radial profile requires --t", EXIT_USAGE)
+        header = "r,value,est_error"
+        grid = np.linspace(args.rmin, args.rmax, args.points)
+        values, errs = _evaluate(args.alpha, args.dim, grid, args.t,
+                                 method, qcfg, ccfg)
+    _write_csv(args.out, header, zip(grid, values, errs))
     return EXIT_OK
 
 
@@ -202,37 +178,32 @@ def cmd_velocity(args, qcfg, ccfg) -> int:
         raise CliError("gravity-center velocity is defined for dim=1 only", EXIT_USAGE)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     if args.which == "phase":
-        rows = _grid_map(lambda a: (a, analysis.phase_velocity(float(a), args.dim)),
-                         alphas)
+        rows = [(a, analysis.phase_velocity(float(a), args.dim)) for a in alphas]
     else:
-        rows = _grid_map(lambda a: (a, analysis.gravity_center_velocity(float(a))),
-                         alphas)
+        rows = [(a, analysis.gravity_center_velocity(float(a))) for a in alphas]
     _write_csv(args.out, "alpha,v", rows)
     return EXIT_OK
 
 
 def cmd_crosscheck(args, qcfg, ccfg) -> int:
     rs = np.geomspace(0.3 * args.t, 3.0 * args.t, args.points)
-    max_abs = 0.0
-    max_rel = 0.0
-    combined_ok = True
-    for r in rs:
-        r = float(r)
-        if args.dim in (1, 3):
-            closed, _ = _eval_one(args.alpha, args.dim, r, args.t, "closed", qcfg, ccfg)
-            integ = quadrature.g_integral(args.alpha, args.dim, r, args.t, qcfg)
-            mb = mellin_barnes.g_mellin_barnes(args.alpha, args.dim, r, args.t, ccfg)
-            for other in (integ.value, mb.value):
-                max_abs = max(max_abs, abs(other - closed))
-                max_rel = max(max_rel, abs(other - closed) / max(abs(closed), 1e-300))
-        else:
-            integ = quadrature.g_integral(args.alpha, 2, r, args.t, qcfg)
-            mb = mellin_barnes.g_mellin_barnes(args.alpha, 2, r, args.t, ccfg)
-            d = abs(integ.value - mb.value)
-            max_abs = max(max_abs, d)
-            max_rel = max(max_rel, d / max(abs(mb.value), 1e-300))
-            if d > integ.est_error + mb.est_error:
-                combined_ok = False
+
+    def route(method):
+        return _evaluate(args.alpha, args.dim, rs, args.t, method, qcfg, ccfg)
+
+    if args.dim in (1, 3):
+        closed, _ = route("closed")
+        integ, _ = route("integral")
+        mb, _ = route("mellin")
+        diff = np.abs(np.concatenate((integ - closed, mb - closed)))
+        scale = np.tile(np.maximum(np.abs(closed), 1e-300), 2)
+    else:
+        integ, integ_err = route("integral")
+        mb, mb_err = route("mellin")
+        diff = np.abs(integ - mb)
+        scale = np.maximum(np.abs(mb), 1e-300)
+    max_abs = float(np.max(diff, initial=0.0))
+    max_rel = float(np.max(diff / scale, initial=0.0))
     print(f"alpha={args.alpha} dim={args.dim} t={args.t} points={args.points}")
     print(f"max_abs_discrepancy={max_abs:.6e}")
     print(f"max_rel_discrepancy={max_rel:.6e}")
@@ -240,7 +211,7 @@ def cmd_crosscheck(args, qcfg, ccfg) -> int:
         ok = max_abs <= args.tol
         print(f"tolerance={args.tol:.6e} -> {'PASS' if ok else 'FAIL'}")
     else:
-        ok = combined_ok
+        ok = bool(np.all(diff <= integ_err + mb_err))
         print(f"combined-estimate check -> {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -29,11 +29,10 @@ import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from .errors import ContourFailure, InvalidContour, InvalidOrder, PoleError
-from .quadrature import QuadResult
+from .quadrature import QuadResult, _check_dimension
+from .special import _GL16_NODES, _GL16_WEIGHTS
 
 _LN2 = math.log(2.0)
-
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,7 @@ def _resolve_sigma(alpha: float, n: int, cfg: ContourConfig) -> float:
 
 
 def _check_inputs(alpha: float, n: int) -> None:
-    if n not in (1, 2, 3):
-        raise InvalidOrder(f"dimension must be 1, 2, or 3, got {n}")
+    _check_dimension(n)
     if not (1.0 < alpha < 2.0):
         raise InvalidOrder(f"Mellin-Barnes route requires 1 < alpha < 2, got {alpha}")
 

@@ -40,9 +40,6 @@ from scipy.special import rgamma as _rgamma
 
 from .special import asymptotic_cutoff, ml_neg
 
-GAUSS_LEGENDRE_16 = "gauss_legendre_16"
-GAUSS_KRONROD_15 = "gauss_kronrod_15"
-
 # Classical 15-point Kronrod extension of 7-point Gauss (QUADPACK constants).
 _GK15_NODES = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
@@ -67,9 +64,6 @@ _G7_WEIGHTS = np.array([
 ])
 _G7_INDEX = np.array([1, 3, 5, 7, 9, 11, 13])
 
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -79,7 +73,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
     max_lobes: int = 10_000
     accel_order: int = 8
-    panel_rule: str = GAUSS_KRONROD_15
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
@@ -88,8 +81,6 @@ class QuadratureConfig:
             raise ValueError("max_lobes must be at least 8")
         if self.accel_order < 4:
             raise ValueError("accel_order must be at least 4")
-        if self.panel_rule not in (GAUSS_LEGENDRE_16, GAUSS_KRONROD_15):
-            raise ValueError(f"unknown panel rule {self.panel_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -128,20 +119,14 @@ def _lobe_edge(n: int, r: float, k: int) -> float:
     return _j0_zero(k + 1) / r
 
 
-def _panel(f, a: float, b: float, rule: str) -> tuple[float, float]:
-    """Integrate f over [a, b] with the configured rule; returns (value, err)."""
+def _panel(f, a: float, b: float) -> tuple[float, float]:
+    """Integrate f over [a, b] by Gauss-Kronrod 15; returns (value, |K15 - G7|)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    if rule == GAUSS_KRONROD_15:
-        fv = f(mid + half * _GK15_NODES)
-        k15 = half * float(np.dot(_GK15_WEIGHTS, fv))
-        g7 = half * float(np.dot(_G7_WEIGHTS, fv[_G7_INDEX]))
-        return k15, abs(k15 - g7)
-    f16 = f(mid + half * _GL16_NODES)
-    f8 = f(mid + half * _GL8_NODES)
-    v16 = half * float(np.dot(_GL16_WEIGHTS, f16))
-    v8 = half * float(np.dot(_GL8_WEIGHTS, f8))
-    return v16, abs(v16 - v8)
+    fv = f(mid + half * _GK15_NODES)
+    k15 = half * float(np.dot(_GK15_WEIGHTS, fv))
+    g7 = half * float(np.dot(_G7_WEIGHTS, fv[_G7_INDEX]))
+    return k15, abs(k15 - g7)
 
 
 def _wynn_epsilon(sums: list[float]) -> list[float]:
@@ -252,7 +237,7 @@ def g_integral(alpha: float, n: int, r: float, t: float,
                 m = max(1, math.ceil((hi - lo) / ml_scale))
             edges = np.linspace(lo, hi, m + 1)
             for p_lo, p_hi in zip(edges[:-1], edges[1:]):
-                v, e = _panel(f, p_lo, p_hi, cfg.panel_rule)
+                v, e = _panel(f, p_lo, p_hi)
                 val += v
                 err += e
         return val, err
@@ -326,13 +311,7 @@ def _integral_origin_1d(alpha: float, t: float, cfg: QuadratureConfig) -> QuadRe
     ml_tol = min(1e-13, 0.01 * cfg.abs_tol)
     x_a = asymptotic_cutoff(alpha, 1e-10)
     tau_cut = x_a ** (1.0 / alpha) / t
-
-    def f(taus: np.ndarray) -> np.ndarray:
-        taus = np.atleast_1d(taus)
-        out = np.empty_like(taus)
-        for i, tau in enumerate(taus):
-            out[i] = ml_neg(alpha, (tau * t) ** alpha, ml_tol).value if tau > 0 else 1.0
-        return out / math.pi
+    f = _make_integrand(alpha, 1, 0.0, t, ml_tol)
 
     period = 2.0 * math.pi / (t * math.sin(math.pi / alpha)) if alpha > 1.0 else 1.0 / t
     decay = t * abs(math.cos(math.pi / alpha)) if alpha > 1.0 else t
@@ -347,7 +326,7 @@ def _integral_origin_1d(alpha: float, t: float, cfg: QuadratureConfig) -> QuadRe
     val = 0.0
     err = 0.0
     for lo, hi in zip(all_edges[:-1], all_edges[1:]):
-        v, e = _panel(f, lo, hi, cfg.panel_rule)
+        v, e = _panel(f, lo, hi)
         val += v
         err += e
 

@@ -1,13 +1,13 @@
 """Command-line interface: output formats, exit codes, CSV round-trips."""
 
 import math
-import os
 
 import numpy as np
 import pytest
 
 from fracwave.cli import main
-from fracwave.closed_form import g1
+from fracwave.closed_form import g1, g3
+from fracwave.quadrature import g_integral
 
 
 def run(capsys, *argv):
@@ -62,6 +62,13 @@ class TestEval:
         assert code == 0
         assert "extrapolated" in err
 
+    def test_extrapolation_note_once_per_profile(self, capsys):
+        code, _, err = run(capsys, "profile", "--alpha", "1.0", "--dim", "3",
+                           "--t", "1", "--rmin", "0.5", "--rmax", "2.0",
+                           "--points", "7", "--method", "closed", "--out", "-")
+        assert code == 0
+        assert err.count("extrapolated") == 1
+
 
 class TestProfile:
     def test_radial_csv_roundtrip(self, capsys, tmp_path):
@@ -77,11 +84,11 @@ class TestProfile:
         assert lines[0] == "r,value,est_error"
         assert len(lines) == 21
         rs = np.linspace(0.1, 3.0, 20)
-        for line, r in zip(lines[1:], rs):
+        for line, r, v in zip(lines[1:], rs, g1(1.5, rs, 1.0)):
             r_s, v_s, e_s = line.split(",")
             # 17 significant digits round-trip bit-for-bit
             assert float(r_s) == r
-            assert float(v_s) == g1(1.5, float(r_s), 1.0)
+            assert float(v_s) == v
             assert float(e_s) == 0.0
 
     def test_mirrored_1d_profile(self, capsys, tmp_path):
@@ -127,23 +134,32 @@ class TestProfile:
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "t,value,est_error"
         assert len(lines) == 10
+        rows = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
+        ts = np.linspace(0.2, 1.0, 9)
+        assert np.array_equal(rows[:, 0], ts)
+        assert np.array_equal(rows[:, 1], g3(1.5, 0.5, ts))
+        assert np.all(rows[:, 2] == 0.0)
+
+    def test_integral_time_profile(self, capsys, tmp_path):
+        out_file = tmp_path / "tpi.csv"
+        code, _, _ = run(capsys, "profile", "--alpha", "1.5", "--dim", "3",
+                         "--fixed-r", "0.5", "--tmin", "0.4", "--tmax", "1.0",
+                         "--points", "3", "--method", "integral",
+                         "--out", str(out_file))
+        assert code == 0
+        lines = out_file.read_text().strip().split("\n")
+        assert lines[0] == "t,value,est_error"
+        assert len(lines) == 4
+        for line in lines[1:]:
+            t, v, e = (float(x) for x in line.split(","))
+            ref = g_integral(1.5, 3, 0.5, t)
+            assert abs(v - ref.value) <= ref.est_error
+            assert e == ref.est_error
 
     def test_missing_bounds_exit_2(self, capsys):
         code, _, _ = run(capsys, "profile", "--alpha", "1.5", "--dim", "1",
                          "--t", "1", "--out", "-")
         assert code == 2
-
-    def test_threads_deterministic(self, capsys, tmp_path, monkeypatch):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        run(capsys, "profile", "--alpha", "1.3", "--dim", "1", "--t", "1",
-            "--rmin", "0.1", "--rmax", "2.0", "--points", "16",
-            "--method", "integral", "--out", str(a))
-        monkeypatch.setenv("FRACWAVE_THREADS", "4")
-        run(capsys, "profile", "--alpha", "1.3", "--dim", "1", "--t", "1",
-            "--rmin", "0.1", "--rmax", "2.0", "--points", "16",
-            "--method", "integral", "--out", str(b))
-        assert a.read_text() == b.read_text()
 
 
 class TestVelocity:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from fracwave.closed_form import g1, g3
-from fracwave.errors import ContourFailure, InvalidContour, InvalidOrder, PoleError
+from fracwave.errors import (
+    ContourFailure,
+    InvalidContour,
+    InvalidOrder,
+    PoleError,
+    UnsupportedDimension,
+)
 from fracwave.mellin_barnes import (
     ContourConfig,
     _mb_unsymmetrized,
@@ -115,7 +121,7 @@ class TestContour:
     def test_invalid_order_and_point(self):
         with pytest.raises(InvalidOrder):
             g_mellin_barnes(1.0, 1, 1.0, 1.0)
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(UnsupportedDimension):
             g_mellin_barnes(1.5, 4, 1.0, 1.0)
         with pytest.raises(ValueError):
             g_mellin_barnes(1.5, 1, 0.0, 1.0)
