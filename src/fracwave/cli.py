@@ -94,8 +94,9 @@ def _evaluate(alpha: float, n: int, r, t, method: str,
               qcfg, ccfg) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate G_{alpha,n} on r and t, scalars or arrays that broadcast
     together; returns (value, est_error) arrays of the broadcast shape, with
-    est_error = 0 for closed.  The closed forms take the whole grid in one
-    call; the integral and contour routes are scalar and go point by point."""
+    est_error = 0 for closed.  The closed forms and the contour take the
+    whole grid in one call; the integral route is scalar and goes point by
+    point."""
     if n == 1:
         r = np.abs(r)  # the 1D solution is even in x; profiles may be mirrored
     if method == "closed":
@@ -108,19 +109,15 @@ def _evaluate(alpha: float, n: int, r, t, method: str,
         value = np.asarray(closed_form.g1(alpha, r, t) if n == 1
                            else closed_form.g3(alpha, r, t))
         return value, np.zeros_like(value)
-    if method == "integral":
-        def route(ri, ti):
-            return quadrature.g_integral(alpha, n, ri, ti, qcfg)
-    elif method == "mellin":
+    if method == "mellin":
         if np.any(r == 0.0):
             raise CliError("the Mellin-Barnes route requires r > 0", EXIT_USAGE)
-
-        def route(ri, ti):
-            return mellin_barnes.g_mellin_barnes(alpha, n, ri, ti, ccfg)
-    else:
+        res = mellin_barnes.g_mellin_barnes(alpha, n, r, t, ccfg)
+        return np.asarray(res.value), np.asarray(res.est_error)
+    if method != "integral":
         raise CliError(f"unknown method {method!r}", EXIT_USAGE)
     grid = np.broadcast(r, t)
-    results = [route(float(ri), float(ti)) for ri, ti in grid]
+    results = [quadrature.g_integral(alpha, n, float(ri), float(ti), qcfg) for ri, ti in grid]
     return (np.reshape([res.value for res in results], grid.shape),
             np.reshape([res.est_error for res in results], grid.shape))
 

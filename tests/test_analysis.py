@@ -213,7 +213,7 @@ class TestTwoDimensionalExtrema:
         # local extremum (clearest near alpha -> 2 where damping is weak)
         from fracwave.mellin_barnes import g_mellin_barnes
         rs = np.linspace(0.3, 3.0, 120)
-        vals = np.array([g_mellin_barnes(1.9, 2, float(r), 1.0).value for r in rs])
+        vals = g_mellin_barnes(1.9, 2, rs, 1.0).value
         d = np.sign(np.diff(vals))
         extrema = int(np.sum(np.abs(np.diff(d)) > 0))
         assert extrema >= 2

@@ -7,6 +7,7 @@ import pytest
 
 from fracwave.cli import main
 from fracwave.closed_form import g1, g3
+from fracwave.mellin_barnes import g_mellin_barnes
 from fracwave.quadrature import g_integral
 
 
@@ -155,6 +156,35 @@ class TestProfile:
             ref = g_integral(1.5, 3, 0.5, t)
             assert abs(v - ref.value) <= ref.est_error
             assert e == ref.est_error
+
+    def test_mellin_radial_profile(self, capsys, tmp_path):
+        out_file = tmp_path / "mb.csv"
+        code, _, _ = run(capsys, "profile", "--alpha", "1.7", "--dim", "2",
+                         "--t", "0.9", "--rmin", "0.1", "--rmax", "4.0",
+                         "--points", "12", "--method", "mellin",
+                         "--out", str(out_file))
+        assert code == 0
+        rows = np.loadtxt(out_file, delimiter=",", skiprows=1)
+        rs = np.linspace(0.1, 4.0, 12)
+        ref = g_mellin_barnes(1.7, 2, rs, 0.9)
+        assert np.array_equal(rows[:, 0], rs)
+        assert np.array_equal(rows[:, 1], ref.value)
+        assert np.array_equal(rows[:, 2], ref.est_error)
+
+    def test_mellin_time_profile(self, capsys, tmp_path):
+        out_file = tmp_path / "mbt.csv"
+        code, _, _ = run(capsys, "profile", "--alpha", "1.4", "--dim", "3",
+                         "--fixed-r", "0.6", "--tmin", "0.3", "--tmax", "2.0",
+                         "--points", "8", "--method", "mellin",
+                         "--out", str(out_file))
+        assert code == 0
+        rows = np.loadtxt(out_file, delimiter=",", skiprows=1)
+        ts = np.linspace(0.3, 2.0, 8)
+        ref = g_mellin_barnes(1.4, 3, 0.6, ts)
+        assert np.array_equal(rows[:, 0], ts)
+        assert np.array_equal(rows[:, 1], ref.value)
+        assert np.array_equal(rows[:, 2], ref.est_error)
+        assert np.all(np.abs(rows[:, 1] - g3(1.4, 0.6, ts)) <= rows[:, 2])
 
     def test_missing_bounds_exit_2(self, capsys):
         code, _, _ = run(capsys, "profile", "--alpha", "1.5", "--dim", "1",

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave.closed_form import g1, g3
 from fracwave.errors import (
@@ -22,8 +24,15 @@ from fracwave.mellin_barnes import (
     mb_kernel,
 )
 from fracwave.quadrature import g_integral
+from inverse_abel import g2_abel
 
 Z_15 = 0.87036519258771611936
+
+# Dense est_error-honesty grid: r/t over [0.01, 100], with 1 itself and the
+# points either side of it, where rho^(iy) hardly oscillates and the tail
+# bound is at its tightest.
+HONESTY_ALPHAS = (1.05, 1.3, 1.6, 1.9)
+HONESTY_RHOS = np.concatenate((np.geomspace(0.01, 100.0, 25), [0.99, 1.01]))
 
 # Frozen from 40-digit Gamma-quotient evaluation.
 KERNEL_ORACLE = {
@@ -160,3 +169,84 @@ class TestProfileFunction:
     def test_rho_validation(self):
         with pytest.raises(ValueError):
             l_aux(1.5, 1, 0.0)
+
+
+class TestErrorHonesty:
+    """|value - oracle| <= est_error + the oracle's own tolerance on a dense
+    grid: the inverse Abel transform for n = 2, the closed forms for n = 1, 3."""
+
+    @pytest.mark.parametrize("alpha", HONESTY_ALPHAS)
+    def test_two_dimensional_against_inverse_abel(self, alpha):
+        res = g_mellin_barnes(alpha, 2, HONESTY_RHOS, 1.0)
+        for rho, value, est in zip(HONESTY_RHOS, res.value, res.est_error):
+            ref, ref_tol = g2_abel(alpha, float(rho), 1.0)
+            assert abs(value - ref) <= est + ref_tol, (alpha, rho)
+
+    # At alpha = 1.95 the line is long and the terms far larger than G, so
+    # the rounding part of est_error carries the bound there.
+    @pytest.mark.parametrize("alpha", HONESTY_ALPHAS + (1.95,))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_closed_forms(self, alpha, n):
+        res = g_mellin_barnes(alpha, n, HONESTY_RHOS, 1.0)
+        ref = (g1 if n == 1 else g3)(alpha, HONESTY_RHOS, 1.0)
+        assert np.all(np.abs(res.value - ref) <= res.est_error + 1e-13 * np.abs(ref))
+
+
+class TestArrayInput:
+    def test_array_matches_scalar_calls(self):
+        r = np.array([[0.05, 0.4, 0.9], [1.0, 2.5, 30.0]])
+        for alpha, n in [(1.3, 1), (1.6, 2), (1.9, 3)]:
+            res = g_mellin_barnes(alpha, n, r, 0.8)
+            assert res.value.shape == r.shape and res.est_error.shape == r.shape
+            for idx in np.ndindex(r.shape):
+                one = g_mellin_barnes(alpha, n, float(r[idx]), 0.8)
+                assert abs(res.value[idx] - one.value) <= res.est_error[idx] + one.est_error
+
+    def test_r_and_t_broadcast(self):
+        r = np.array([[0.5], [1.5]])
+        t = np.array([0.7, 1.0, 1.4])
+        res = g_mellin_barnes(1.5, 3, r, t)
+        assert res.value.shape == (2, 3)
+        assert np.all(np.abs(res.value - g3(1.5, r, t)) <= res.est_error)
+
+    def test_scalar_call_returns_floats(self):
+        res = g_mellin_barnes(1.5, 2, 0.7, 1.0)
+        assert type(res.value) is float and type(res.est_error) is float
+
+    def test_empty_grid(self):
+        res = g_mellin_barnes(1.5, 1, np.array([]), 1.0)
+        assert res.value.shape == (0,) and res.est_error.shape == (0,)
+
+    def test_any_nonpositive_r_rejected(self):
+        with pytest.raises(ValueError):
+            g_mellin_barnes(1.5, 1, np.array([0.5, 0.0]), 1.0)
+
+
+class TestNearAlphaTwo:
+    """Near alpha = 2 the kernel decays slowly and the line integral is
+    ill-conditioned; the step halving is bounded, so the call ends quickly
+    either way."""
+
+    def test_three_dimensional_corner_raises(self):
+        with pytest.raises(ContourFailure):
+            g_mellin_barnes(1.99, 3, 30.0, 1.0)
+
+    def test_two_dimensional_corner_converges(self):
+        res = g_mellin_barnes(1.99, 2, 30.0, 1.0)
+        assert math.isfinite(res.value) and math.isfinite(res.est_error)
+        ref, ref_tol = g2_abel(1.99, 30.0, 1.0)
+        assert abs(res.value - ref) <= res.est_error + ref_tol
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(alpha=st.floats(1.05, 1.95), n=st.sampled_from([1, 2, 3]),
+       log10_rho=st.floats(-2.0, 2.0))
+def test_finite_result_or_contour_failure(alpha, n, log10_rho):
+    """Every call returns a finite value with a finite, nonnegative
+    est_error, or raises ContourFailure."""
+    try:
+        res = g_mellin_barnes(alpha, n, 10.0 ** log10_rho, 1.0)
+    except ContourFailure:
+        return
+    assert math.isfinite(res.value)
+    assert math.isfinite(res.est_error) and res.est_error >= 0.0
