@@ -11,9 +11,9 @@ Key closed forms:
 * 3D "moments"   I_{a,b}(t) = t^(b-2)(b-1)/(2 a pi) * sin(pi b/2)/sin(pi(2-b)/a),
   finite for 2-a < b < 2+a (plain integrals; the 3D solution is signed).
 
-The 3D maximum location has no closed form; it is bracketed right of the zero
-crossing and refined by golden-section search at t = 1, then scaled by t
-(legitimate because all time dependence enters through r/t).
+The 3D maximum location at t = 1 solves d/dw log G_{a,3}(w, 1) = 0, a quartic
+in q = w^a whose one real root right of z_alpha^a is taken; it is then scaled
+by t (legitimate because all time dependence enters through r/t).
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polymul, polyroots
 from scipy.integrate import IntegrationWarning
 from scipy.integrate import quad as _quad
 
 from .closed_form import g1, g3
 from .errors import InvalidOrder, MomentOutOfRange, UnsupportedDimension
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 KIND_MAXIMUM = "maximum"
 KIND_MINIMUM = "minimum"
@@ -58,29 +57,12 @@ def zero_crossing_z(alpha: float) -> float:
     return (num / (alpha + 1.0)) ** (1.0 / alpha)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer for a unimodal f on [lo, hi]."""
-    m1 = hi - _INV_PHI * (hi - lo)
-    m2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(m1), f(m2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, m1, f1 = m1, m2, f2
-            m2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(m2)
-        else:
-            hi, m2, f2 = m2, m1, f1
-            m1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(m1)
-    return 0.5 * (lo + hi)
-
-
 def max_location(alpha: float, n: int, t: float) -> ExtremumReport:
     """Location and value of the unique maximum of G_{alpha,n}(., t), n in {1, 3}.
 
-    The location is c(alpha, n) * t: z_alpha * t for n = 1 (closed form);
-    for n = 3 found by golden-section refinement on [z_alpha, 10 z_alpha] at
-    t = 1 and scaled.  n = 2 is refused: that profile has multiple extrema.
+    The location is c(alpha, n) * t: z_alpha * t for n = 1; for n = 3, c is
+    the root right of z_alpha of d/dw log G_{alpha,3}(w, 1) = 0, a quartic in
+    w^alpha.  n = 2 is refused: that profile has multiple extrema.
     """
     if n == 2:
         raise UnsupportedDimension("the 2D solution has multiple local extrema")
@@ -97,8 +79,18 @@ def max_location(alpha: float, n: int, t: float) -> ExtremumReport:
     if n == 1:
         loc = z * t
         return ExtremumReport(loc, float(g1(alpha, loc, t)), KIND_MAXIMUM)
-    c = _golden_max(lambda rr: g3(alpha, rr, 1.0), z, 10.0 * z, 1e-10)
-    return ExtremumReport(c * t, float(g3(alpha, c * t, t)), KIND_MAXIMUM)
+    # G3(w, 1) ~ w^(alpha-3) m(q) / p(q)^2 with p = D, m = M of closed_form;
+    # w d/dw log G3 = 0 reads (alpha-3) m p + (w m') p - 2 (w p') m = 0, and
+    # w d/dw q^k = alpha k q^k keeps every factor a quadratic in q.
+    c = math.cos(math.pi * alpha / 2.0)
+    p = np.array([1.0, 2.0 * c, 1.0])
+    m = np.array([1.0 - alpha, 2.0 * c, alpha + 1.0])
+    wp = 2.0 * alpha * np.array([0.0, c, 1.0])
+    wm = 2.0 * alpha * np.array([0.0, c, alpha + 1.0])
+    roots = polyroots(polymul((alpha - 3.0) * m + wm, p) - 2.0 * polymul(wp, m))
+    q = roots.real[(roots.imag == 0.0) & (roots.real > z ** alpha)].min()
+    loc = q ** (1.0 / alpha) * t
+    return ExtremumReport(loc, float(g3(alpha, loc, t)), KIND_MAXIMUM)
 
 
 def phase_velocity(alpha: float, n: int) -> float:
@@ -237,15 +229,15 @@ def sign_profile_3d(alpha: float, t: float, r_grid, zero_tol: float = 1e-9) -> l
         raise InvalidOrder(f"order must lie in (1, 2), got {alpha}")
     if not (t > 0.0):
         raise ValueError("t must be positive")
-    r_star = zero_crossing_z(alpha) * t
-    signs: list[int] = []
-    for r in r_grid:
-        v = float(g3(alpha, float(r), t))
-        sign = 0 if abs(v) <= zero_tol else (1 if v > 0.0 else -1)
-        expected = 0 if abs(r - r_star) <= zero_tol else (1 if r > r_star else -1)
-        if sign != 0 and expected != 0 and sign != expected:
-            raise RuntimeError(
-                f"sign structure violated at r={r}: got {sign}, expected {expected}"
-            )
-        signs.append(sign)
-    return signs
+    r = np.atleast_1d(r_grid).astype(float)
+    v = g3(alpha, r, t)
+    d = r - zero_crossing_z(alpha) * t
+    sign = np.where(np.abs(v) <= zero_tol, 0, np.where(v > 0.0, 1, -1))
+    expected = np.where(np.abs(d) <= zero_tol, 0, np.where(d > 0.0, 1, -1))
+    bad = np.flatnonzero((sign != 0) & (expected != 0) & (sign != expected))
+    if bad.size:
+        i = bad[0]
+        raise RuntimeError(
+            f"sign structure violated at r={r[i]}: got {sign[i]}, expected {expected[i]}"
+        )
+    return sign.tolist()

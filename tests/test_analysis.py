@@ -96,6 +96,31 @@ class TestPhaseVelocity:
         assert int(np.sum(np.abs(np.diff(d)) > 0)) == 1  # single interior peak
         assert abs(alphas[int(np.argmax(vs))] - 1.575) <= 0.02
 
+    def test_3d_is_the_root_of_the_log_derivative(self):
+        # independent check: Brent's method on d/dw log G3(w, 1), written from
+        # G3 ~ w^(a-3) M(q) / D(q)^2 with q = w^a
+        from scipy.optimize import brentq
+
+        for a in np.linspace(1.01, 1.99, 99):
+            a = float(a)
+            c = math.cos(math.pi * a / 2.0)
+
+            def dlog(w):
+                q = w ** a
+                dq = a * q / w
+                m = (a + 1.0) * q * q + 2.0 * c * q - (a - 1.0)
+                d = q * q + 2.0 * c * q + 1.0
+                return ((a - 3.0) / w + (2.0 * (a + 1.0) * q + 2.0 * c) * dq / m
+                        - 2.0 * (2.0 * q + 2.0 * c) * dq / d)
+
+            z = zero_crossing_z(a)
+            root = brentq(dlog, z * (1.0 + 1e-9), 10.0 * z, xtol=1e-15, rtol=1e-15)
+            v = phase_velocity(a, 3)
+            assert abs(v - root) <= 1e-13
+            peak = g3(a, v, 1.0)
+            assert peak >= g3(a, v * (1.0 - 1e-6), 1.0)
+            assert peak >= g3(a, v * (1.0 + 1e-6), 1.0)
+
     def test_3d_approaches_one(self):
         assert phase_velocity(1.999, 3) == pytest.approx(1.0, abs=1e-3)
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import voigt_profile
 
 from fracwave.closed_form import g1, g3
 from fracwave.errors import (
@@ -198,6 +199,43 @@ class TestSolveIvp1d:
         u = solve_ivp_1d(1.0, xs, phis, t, out)
         ref = ((s + t) / math.pi) / ((s + t) ** 2 + out ** 2)
         assert np.max(np.abs(u - ref)) <= 1e-4
+
+    @staticmethod
+    def _direct_sum(alpha, xs, phis, t, out):
+        # the trapezoidal Green sum written out, one output point at a time
+        w = np.full_like(phis, xs[1] - xs[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return np.array([float(np.dot(w * phis, g1(alpha, np.abs(x - xs), t)))
+                         for x in out])
+
+    @pytest.mark.parametrize("n", [400, 401])
+    @pytest.mark.parametrize("alpha", [1.0, 1.3, 1.6, 1.9])
+    def test_sample_grid_convolution_matches_direct_sum(self, alpha, n):
+        xs = np.linspace(-6.0, 9.0, n)
+        phis = np.exp(-0.5 * (xs - 1.0) ** 2) * (1.0 + 0.3 * np.tanh(xs))  # asymmetric
+        u = solve_ivp_1d(alpha, xs, phis, 0.7, xs)
+        ref = self._direct_sum(alpha, xs, phis, 0.7, xs)
+        assert u.shape == xs.shape
+        assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(u))
+
+    def test_gaussian_at_alpha_one_is_voigt(self):
+        sigma, t = 1.0, 1.1
+        xs = np.linspace(-12.0 * sigma, 12.0 * sigma, 2001)
+        phis = np.exp(-0.5 * (xs / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        u = solve_ivp_1d(1.0, xs, phis, t, xs)
+        assert np.max(np.abs(u - voigt_profile(xs, sigma, t))) <= 1e-12 * np.max(np.abs(u))
+
+    def test_off_grid_output_is_the_direct_sum(self):
+        xs = np.linspace(-5.0, 5.0, 1001)
+        phis = np.exp(-xs ** 2) * (2.0 + np.sin(xs))
+        out = np.array([-4.0051, -0.3, 0.0, 0.0123, 2.5])
+        u = solve_ivp_1d(1.4, xs, phis, 0.8, out)
+        assert np.array_equal(u, self._direct_sum(1.4, xs, phis, 0.8, out))
+        # a strict subset of the sample grid also takes the direct sum
+        sub = xs[::50]
+        assert np.array_equal(solve_ivp_1d(1.4, xs, phis, 0.8, sub),
+                              self._direct_sum(1.4, xs, phis, 0.8, sub))
 
     def test_grid_validation(self):
         with pytest.raises(InvalidGrid):
