@@ -5,8 +5,9 @@
 
 the only evaluation route available for n = 2.  The semi-infinite integral is
 split at the zeros of the oscillatory kernel (cos for n=1, J_0 for n=2, sin
-for n=3), each lobe is integrated with a fixed panel rule, and the resulting
-alternating lobe series is summed in two phases:
+for n=3), each lobe is integrated by the GK15 rule on a mesh of cells that
+resolves the branch point at tau = 0 and the Mittag-Leffler oscillation, and
+the resulting alternating lobe series is summed in two phases:
 
 * while the damped oscillation of E_alpha itself (decay rate t|cos(pi/alpha)|)
   is still visible, lobes are accumulated directly -- the lobe signs are not
@@ -38,31 +39,7 @@ from scipy.special import j0 as _bessel_j0
 from scipy.special import j1 as _bessel_j1
 from scipy.special import rgamma as _rgamma
 
-from .special import asymptotic_cutoff, ml_neg
-
-# Classical 15-point Kronrod extension of 7-point Gauss (QUADPACK constants).
-_GK15_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_GK15_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_G7_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-_G7_INDEX = np.array([1, 3, 5, 7, 9, 11, 13])
+from .special import _gk15_cells, asymptotic_cutoff, ml_neg
 
 
 @dataclass(frozen=True)
@@ -119,16 +96,6 @@ def _lobe_edge(n: int, r: float, k: int) -> float:
     return _j0_zero(k + 1) / r
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    """Integrate f over [a, b] by Gauss-Kronrod 15; returns (value, |K15 - G7|)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fv = f(mid + half * _GK15_NODES)
-    k15 = half * float(np.dot(_GK15_WEIGHTS, fv))
-    g7 = half * float(np.dot(_G7_WEIGHTS, fv[_G7_INDEX]))
-    return k15, abs(k15 - g7)
-
-
 def _wynn_epsilon(sums: list[float]) -> list[float]:
     """Even-column tail of Wynn's epsilon table: successive accelerations of
     the partial-sum sequence, lowest order first."""
@@ -160,6 +127,38 @@ def _ml_osc_amplitude(alpha: float, tau_t: float) -> float:
         return math.exp(-min(tau_t, 745.0))
     damp = tau_t * math.cos(math.pi / alpha)
     return (2.0 / alpha) * math.exp(max(min(damp, 50.0), -745.0))
+
+
+def _cells(alpha: float, t: float, a: float, b: float) -> np.ndarray:
+    """Edges of the GK15 cells covering [a, b] in the tau variable.
+
+    The integrand has a tau^alpha branch point at tau = 0 (singular higher
+    derivatives), cured by a mesh graded geometrically towards it when a = 0.
+    While the Mittag-Leffler oscillation is above 1e-18, no cell is wider
+    than a third of its period or twice its decay length 1/(t |cos(pi/alpha)|)
+    (1/t, with no period, at alpha = 1).
+    """
+    if alpha > 1.0:
+        scale = min(2.0 * math.pi / (3.0 * t * math.sin(math.pi / alpha)),
+                    2.0 / (t * abs(math.cos(math.pi / alpha))))
+    else:
+        scale = 2.0 / t
+    base = [0.0] + [b * 0.25 ** j for j in range(14, -1, -1)] if a == 0.0 else [a, b]
+    edges = [base[0]]
+    for lo, hi in zip(base[:-1], base[1:]):
+        m = 1
+        if _ml_osc_amplitude(alpha, lo * t) > 1e-18:
+            m = max(1, math.ceil((hi - lo) / scale))
+        edges.extend(np.linspace(lo, hi, m + 1)[1:])
+    return np.array(edges)
+
+
+def _integrate(f, edges: np.ndarray) -> tuple[float, float]:
+    """GK15 over every cell of a mesh, with one call of the vectorized f on
+    all nodes; returns (value, sum over the cells of |K15 - G7|)."""
+    x, w, d = _gk15_cells(edges)
+    fx = f(x.ravel()).reshape(x.shape)
+    return float(np.vdot(w, fx)), float(np.abs((d * fx).sum(axis=1)).sum())
 
 
 def _make_integrand(alpha: float, n: int, r: float, t: float, ml_tol: float):
@@ -213,71 +212,33 @@ def g_integral(alpha: float, n: int, r: float, t: float,
     ml_tol = min(1e-13, 0.01 * cfg.abs_tol)
     f = _make_integrand(alpha, n, r, t, ml_tol)
 
-    osc_period = 2.0 * math.pi / (t * math.sin(math.pi / alpha)) if alpha > 1.0 else math.inf
     kernel_env = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi),
                   3: 1.0 / (2.0 * math.pi ** 2 * r)}[n]
 
-    decay_rate = t * abs(math.cos(math.pi / alpha)) if alpha > 1.0 else t
-    ml_scale = min(osc_period / 3.0, 2.0 / decay_rate) if decay_rate > 0 else osc_period / 3.0
-
-    def lobe_integral(a: float, b: float) -> tuple[float, float]:
-        # The integrand has a tau^alpha branch point at tau = 0 (singular
-        # higher derivatives), cured by a geometrically graded mesh; while the
-        # Mittag-Leffler oscillation is alive, panels must also resolve its
-        # period and its exponential decay scale 1/decay_rate.
-        if a == 0.0:
-            base = [0.0] + [b * 0.25 ** j for j in range(14, -1, -1)]
-        else:
-            base = [a, b]
-        val = 0.0
-        err = 0.0
-        for lo, hi in zip(base[:-1], base[1:]):
-            m = 1
-            if _ml_osc_amplitude(alpha, lo * t) > 1e-18:
-                m = max(1, math.ceil((hi - lo) / ml_scale))
-            edges = np.linspace(lo, hi, m + 1)
-            for p_lo, p_hi in zip(edges[:-1], edges[1:]):
-                v, e = _panel(f, p_lo, p_hi)
-                val += v
-                err += e
-        return val, err
-
+    # Lobes are summed directly while the damped oscillation of E_alpha can
+    # still flip their signs, then by Wynn acceleration of the partial sums.
+    # The residual Mittag-Leffler oscillation is integrated by the cells in
+    # both phases; only the lobe SIGN pattern needs the direct phase.
+    direct = True
     direct_sum = 0.0
     panel_err = 0.0
-    lobe_sums: list[float] = []
     partials: list[float] = []
-    lobes = 0
+    accel_hist: list[float] = []
     a = 0.0
     window = 2 * cfg.accel_order + 1
-
-    # Phase 1: direct summation through the damped-oscillation region.
-    while lobes < cfg.max_lobes:
-        b = _lobe_edge(n, r, lobes)
-        amp = _ml_osc_amplitude(alpha, b * t)
-        tau_pow = b if n >= 2 else 1.0
-        osc_bound = amp * kernel_env * tau_pow * (b - a)
-        if osc_bound <= 0.02 * cfg.abs_tol or lobes >= cfg.max_lobes // 2:
-            break
-        v, e = lobe_integral(a, b)
-        direct_sum += v
+    for k in range(cfg.max_lobes):
+        b = _lobe_edge(n, r, k)
+        if direct:
+            tau_pow = b if n >= 2 else 1.0
+            osc_bound = _ml_osc_amplitude(alpha, b * t) * kernel_env * tau_pow * (b - a)
+            direct = osc_bound > 0.02 * cfg.abs_tol and k < cfg.max_lobes // 2
+        v, e = _integrate(f, _cells(alpha, t, a, b))
         panel_err += e
         a = b
-        lobes += 1
-    else:
-        raise NonConvergence("phase-1 lobe budget exhausted")
-
-    # Phase 2: accelerated summation of the alternating algebraic tail.  The
-    # residual Mittag-Leffler oscillation is still integrated exactly by the
-    # subdivided panels; only the lobe SIGN pattern needed phase 1.
-    accel_hist: list[float] = []
-    while lobes < cfg.max_lobes:
-        b = _lobe_edge(n, r, lobes)
-        v, e = lobe_integral(a, b)
-        lobe_sums.append(v)
+        if direct:
+            direct_sum += v
+            continue
         partials.append((partials[-1] if partials else 0.0) + v)
-        panel_err += e
-        a = b
-        lobes += 1
         if len(partials) < max(6, window // 2):
             continue
         evens = _wynn_epsilon(partials[-window:])
@@ -293,7 +254,7 @@ def g_integral(alpha: float, n: int, r: float, t: float,
         est = 3.0 * accel_est + panel_err + 1e-16 * abs(value)
         target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         if est <= target:
-            return QuadResult(value, est, lobes, True)
+            return QuadResult(value, est, k + 1, True)
 
     raise NonConvergence(
         f"lobe acceleration did not stabilize within {cfg.max_lobes} lobes "
@@ -311,24 +272,8 @@ def _integral_origin_1d(alpha: float, t: float, cfg: QuadratureConfig) -> QuadRe
     ml_tol = min(1e-13, 0.01 * cfg.abs_tol)
     x_a = asymptotic_cutoff(alpha, 1e-10)
     tau_cut = x_a ** (1.0 / alpha) / t
-    f = _make_integrand(alpha, 1, 0.0, t, ml_tol)
-
-    period = 2.0 * math.pi / (t * math.sin(math.pi / alpha)) if alpha > 1.0 else 1.0 / t
-    decay = t * abs(math.cos(math.pi / alpha)) if alpha > 1.0 else t
-    step = min(period / 3.0, 2.0 / decay) if decay > 0 else period / 3.0
-    m = max(8, math.ceil(tau_cut / step))
-    if m > 100 * cfg.max_lobes:
-        raise NonConvergence("origin integral needs too many panels (alpha too close to 2)")
-    edges = np.linspace(0.0, tau_cut, m + 1)
-    # graded refinement of the first cell: tau^alpha branch point at tau = 0
-    first = [edges[1] * 0.25 ** j for j in range(14, -1, -1)]
-    all_edges = np.concatenate(([0.0], first, edges[2:]))
-    val = 0.0
-    err = 0.0
-    for lo, hi in zip(all_edges[:-1], all_edges[1:]):
-        v, e = _panel(f, lo, hi)
-        val += v
-        err += e
+    edges = _cells(alpha, t, 0.0, tau_cut)
+    val, err = _integrate(_make_integrand(alpha, 1, 0.0, t, ml_tol), edges)
 
     # Analytic tail: inverse-power part, optimally truncated.
     tail = 0.0
@@ -350,18 +295,19 @@ def _integral_origin_1d(alpha: float, t: float, cfg: QuadratureConfig) -> QuadRe
             best = mag
             tail += term
         k += 1
-    # Damped-oscillation pair integrates in closed form.
+    # Damped-oscillation pair integrates in closed form; at alpha = 1 its two
+    # poles merge into the one of E_1(-x) = exp(-x), which has no power part.
     if alpha > 1.0:
         th = math.pi / alpha
         zpole = complex(math.cos(th), math.sin(th))
         pair_tail = -(2.0 / alpha) * (np.exp(tau_cut * t * zpole) / (t * zpole)).real
     else:
-        pair_tail = 0.0
+        pair_tail = math.exp(-tau_cut * t) / t
     value = val + (tail + pair_tail) / math.pi
     est = err + (best if math.isfinite(best) else 0.0) / math.pi + 1e-15
     if est > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
         raise NonConvergence("origin integral tail estimate above tolerance")
-    return QuadResult(value, est, m, True)
+    return QuadResult(value, est, edges.size - 1, True)
 
 
 def g_origin(alpha: float, n: int, t: float) -> float:

@@ -105,20 +105,81 @@ def _taylor_kahan(alpha: float, x: float, tol: float) -> tuple[float, float]:
     return total, est
 
 
-def _exp_pair(alpha: float, x: float) -> float:
+def _exp_pair(alpha: float, x: float, tol: float) -> tuple[float, float]:
     """Oscillatory residue contribution (2/alpha) e^{s cos(pi/a)} cos(s sin(pi/a)),
-    s = x^(1/alpha).  Exact for 1 < alpha <= 2; absent below alpha = 1."""
+    s = x^(1/alpha), and its rounding error.  Exact for 1 < alpha <= 2; absent
+    below alpha = 1.
+
+    In double precision the phase and damping, s sin(pi/alpha) and
+    s cos(pi/alpha), carry an absolute rounding error of about
+    s (4 + |ln x|/alpha) eps, which the pair's amplitude scales.  Near
+    alpha = 2, where the pair is barely damped while s grows, that error can
+    approach tol, which no double-precision regime could then meet; above
+    0.1 tol the pair is evaluated at 30 digits instead (~0.1 ms).
+    """
     if alpha <= 1.0:
-        return 0.0
+        return 0.0, 0.0
     s = x ** (1.0 / alpha)
     th = math.pi / alpha
     damp = s * math.cos(th)
     if damp < -745.0:
-        return 0.0
-    return (2.0 / alpha) * math.exp(damp) * math.cos(s * math.sin(th))
+        return 0.0, 0.0
+    amp = (2.0 / alpha) * math.exp(damp)
+    err = amp * _EPS * s * (4.0 + abs(math.log(x)) / alpha)
+    if err <= 0.1 * tol:
+        return amp * math.cos(s * math.sin(th)), err
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        s = mp.mpf(x) ** (1 / a)
+        value = 2 / a * mp.exp(s * mp.cos(mp.pi / a)) * mp.cos(s * mp.sin(mp.pi / a))
+        return float(value), _EPS * amp
 
 
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk15): the one panel
+# rule of the package.  A panel's value is its K15 sum and |K15 - G7| its
+# error estimate.  Listed for x >= 0, outermost node first; the 7-point Gauss
+# nodes are the 2nd, 4th, 6th and 8th.
+_GK15_HALF_NODES = (
+    0.991455371120812639206854697526, 0.949107912342758524526189684048,
+    0.864864423359769072789712788641, 0.741531185599394439863864773281,
+    0.586087235467691130294144838259, 0.405845151377397166906606412077,
+    0.207784955007898467600689403773, 0.0,
+)
+_K15_HALF_WEIGHTS = (
+    0.022935322010529224963732008059, 0.0630920926299785532907006631892,
+    0.104790010322250183839876322542, 0.140653259715525918745189590510,
+    0.169004726639267902826583426599, 0.190350578064785409913256402421,
+    0.204432940075298892414161999235, 0.209482141084727828012999174892,
+)
+_G7_HALF_WEIGHTS = (
+    0.0, 0.129484966168869693270611432679, 0.0, 0.279705391489276667901467771424,
+    0.0, 0.381830050505118944950369775489, 0.0, 0.417959183673469387755102040816,
+)
+
+
+def _mirror(half, sign: float = 1.0) -> np.ndarray:
+    """The 15 entries of a symmetric (sign 1) or odd (sign -1) table from its
+    8 entries for x >= 0."""
+    half = np.asarray(half)
+    return np.concatenate((sign * half[:-1], half[::-1]))
+
+
+_GK15_X = _mirror(_GK15_HALF_NODES, -1.0)
+_GK15_W = _mirror(_K15_HALF_WEIGHTS)
+_GK15_D = _GK15_W - _mirror(_G7_HALF_WEIGHTS)
+
+
+def _gk15_cells(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GK15 on every cell [edges[i], edges[i+1]]: the nodes x, the K15
+    weights w and the K15 - G7 weights d, each of shape (cells, 15).  Over
+    row i, sum w f(x) is cell i's integral and |sum d f(x)| its error estimate."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return mid + half * _GK15_X, half * _GK15_W, half * _GK15_D
+
 
 # The branch-cut rule is built for x from half the series cutoff (so that it
 # also serves the overlap with the Taylor sum) up to the asymptotic cutoff;
@@ -131,55 +192,47 @@ _RULE_TT_SAMPLES = 24
 class _BranchCutRule:
     """Fixed quadrature of the branch-cut integral for one (alpha, tol).
 
-    The integral is sum_ij w_ij exp(-tt g_ij).  Row i is one accepted panel:
-    columns 0-31 are the 16-point Gauss-Legendre nodes of its two halves (the
-    fine rule), columns 32-47 those of the whole panel with negated weights
-    (the coarse rule), so a row sum is the panel's fine-minus-coarse delta.
-    The r-range is cut at r_end; the neglected tail is at most
-    tail_scale * exp(-tt r_end).
+    Row i is one accepted GK15 panel: its 15 exponents g, its K15 weights w
+    and its K15 - G7 weights d, both times the kernel.  The integral is
+    sum_ij w_ij exp(-tt g_ij), and |sum_j d_ij exp(-tt g_ij)| is panel i's
+    error estimate.  The r-range is cut at r_end; the neglected tail is at
+    most tail_scale * exp(-tt r_end).
     """
 
     g: np.ndarray
     w: np.ndarray
+    d: np.ndarray
     r_end: float
     tail_scale: float
 
 
 def _bisect_panels(kernel, expo, a: float, b: float, tts: np.ndarray, budget: float,
                    max_depth: int = 26, max_panels: int = 4000) -> list[tuple]:
-    """Adaptive bisection of [a, b] into 16-point Gauss-Legendre panels for
+    """Adaptive bisection of [a, b] into GK15 panels for
     int_a^b kernel(y) exp(-tt expo(y)) dy, valid at every tt in tts at once.
 
-    A panel is accepted once the delta between its two-half refinement and
-    itself fits its share of the budget at every sampled tt.  The depth and
-    panel caps bound the work for unreachable budgets; the per-x delta then
-    reports the shortfall.  Returns the accepted panels as (g, w) rows.
+    A panel is accepted once its |K15 - G7| fits its share of the budget at
+    every sampled tt.  The depth and panel caps bound the work for
+    unreachable budgets; the per-x estimate then reports the shortfall.
+    Returns the accepted panels as (g, w, d) rows (see _BranchCutRule).
     """
     span = b - a
-
-    def panel(lo, hi):
-        half = 0.5 * (hi - lo)
-        y = 0.5 * (lo + hi) + half * _GL16_NODES
-        g = expo(y)
-        w = half * _GL16_WEIGHTS * kernel(y)
-        return g, w, np.exp(-np.outer(tts, g)) @ w
-
     rows = []
     used = 0
-    stack = [(a, b, panel(a, b), 0)]
+    stack = [(a, b, 0)]
     while stack:
-        lo, hi, coarse, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        used += 2
-        delta = float(np.max(np.abs(left[2] + right[2] - coarse[2])))
+        lo, hi, depth = stack.pop()
+        y, wk, wd = _gk15_cells([lo, hi])
+        kern = kernel(y[0])
+        g, w, d = expo(y[0]), wk[0] * kern, wd[0] * kern
+        used += 1
+        delta = float(np.max(np.abs(np.exp(-np.outer(tts, g)) @ d)))
         if delta <= budget * (hi - lo) / span or depth >= max_depth or used >= max_panels:
-            rows.append((np.concatenate((left[0], right[0], coarse[0])),
-                         np.concatenate((left[1], right[1], -coarse[1]))))
+            rows.append((g, w, d))
         else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
+            mid = 0.5 * (lo + hi)
+            stack.append((lo, mid, depth + 1))
+            stack.append((mid, hi, depth + 1))
     return rows
 
 
@@ -247,11 +300,10 @@ def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
     r_b_start = (V_HI - c_pi) ** (1.0 / alpha) if c_pi < V_HI else 0.0
     add_r_piece(r_b_start, r_end)
 
-    g = np.array([row[0] for row in rows])
-    w = np.array([row[1] for row in rows])
-    g.flags.writeable = False
-    w.flags.writeable = False
-    return _BranchCutRule(g, w, r_end, 4.0 * abs(pref) / (alpha * r_end ** alpha))
+    g, w, d = (np.array(col) for col in zip(*rows))
+    for arr in (g, w, d):
+        arr.flags.writeable = False
+    return _BranchCutRule(g, w, d, r_end, 4.0 * abs(pref) / (alpha * r_end ** alpha))
 
 
 def _branch_cut_integral(alpha: float, x: float, tol: float) -> tuple[float, float]:
@@ -266,36 +318,26 @@ def _branch_cut_integral(alpha: float, x: float, tol: float) -> tuple[float, flo
     it exactly; the outer zones are smooth.
 
     The quadrature rule depends on (alpha, tol) only (_branch_cut_rule); the
-    error estimate sums the per-panel fine-minus-coarse deltas at this x, the
-    bound on the truncated tail, and the roundoff.
+    error estimate sums the per-panel |K15 - G7| at this x, the bound on the
+    truncated tail, and the roundoff.
     """
     rule = _branch_cut_rule(alpha, tol)
     tt = x ** (1.0 / alpha)
-    terms = np.exp(-tt * rule.g) * rule.w
-    # Every fine weight carries the sign of sin(pi alpha), so |value| also
+    decay = np.exp(-tt * rule.g)
+    # Every K15 weight carries the sign of sin(pi alpha), so |value| also
     # bounds the sum of the magnitudes.
-    value = float(terms[:, :32].sum())
-    err = float(np.abs(terms.sum(axis=1)).sum()) \
+    value = float(np.vdot(decay, rule.w))
+    err = float(np.abs((decay * rule.d).sum(axis=1)).sum()) \
         + rule.tail_scale * math.exp(-tt * rule.r_end) + 4.0 * _EPS * abs(value)
     return value, err
 
 
 def _ml_intermediate(alpha: float, x: float, tol: float) -> tuple[float, float]:
-    """Exact exponential-pair + branch-cut evaluation (any x > 0).
-
-    The pair's phase and damping, s sin(pi/alpha) and s cos(pi/alpha) with
-    s = x^(1/alpha), carry an absolute rounding error of about
-    s (4 + |ln x|/alpha) eps, which the pair's amplitude scales into the
-    estimate; near alpha = 2, where the pair is barely damped, it dominates.
-    """
-    pair = _exp_pair(alpha, x)
+    """Exact exponential-pair + branch-cut evaluation (any x > 0)."""
+    pair, pair_err = _exp_pair(alpha, x, tol)
     bc, err = _branch_cut_integral(alpha, x, tol)
     value = pair + bc
-    err += 4.0 * _EPS * (abs(pair) + abs(bc))
-    if alpha > 1.0:
-        s = x ** (1.0 / alpha)
-        amp = (2.0 / alpha) * math.exp(max(s * math.cos(math.pi / alpha), -745.0))
-        err += amp * _EPS * s * (4.0 + abs(math.log(x)) / alpha)
+    err += 4.0 * _EPS * (abs(pair) + abs(bc)) + pair_err
     return value, err
 
 
@@ -309,7 +351,7 @@ def _ml_asymptotic(alpha: float, x: float, tol: float) -> tuple[float, float]:
     at the first raw-magnitude uptick would quit at a sin dip with an error
     far above the envelope floor.
     """
-    pair = _exp_pair(alpha, x)
+    pair, pair_err = _exp_pair(alpha, x, tol)
     s = x ** (1.0 / alpha)
     k_opt = max(1, int(s / alpha))
     log_x = math.log(x)
@@ -321,7 +363,8 @@ def _ml_asymptotic(alpha: float, x: float, tol: float) -> tuple[float, float]:
     log_env = gammaln(alpha * (k_opt + 1)) - (k_opt + 1) * log_x - math.log(math.pi)
     est = 2.0 * math.exp(min(log_env, 700.0))
     first_term_scale = abs(float(_scipy_rgamma(1.0 - alpha))) / x
-    est += 4.0 * _EPS * (abs(total) + abs(pair) + first_term_scale)
+    est += 4.0 * _EPS * (abs(total) + abs(pair) + first_term_scale) \
+        + pair_err
     return pair + total, est
 
 

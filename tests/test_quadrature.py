@@ -17,10 +17,10 @@ from fracwave.errors import (
 from fracwave.quadrature import (
     QuadratureConfig,
     QuadResult,
+    _integrate,
     _j0_zero,
     _lobe_edge,
     _make_integrand,
-    _panel,
     g_integral,
     g_origin,
     solve_ivp_1d,
@@ -97,10 +97,7 @@ class TestLobeStructure:
         a = 0.0
         for k in range(30):
             b = _lobe_edge(n, r, k)
-            acc = 0.0
-            for lo, hi in zip(np.linspace(a, b, 9)[:-1], np.linspace(a, b, 9)[1:]):
-                acc += _panel(f, lo, hi)[0]
-            sums.append(acc)
+            sums.append(_integrate(f, np.linspace(a, b, 9))[0])
             a = b
         for k in range(5, 29):
             assert sums[k] * sums[k + 1] < 0.0
@@ -160,14 +157,14 @@ class TestOrigin:
     def test_divergence_above_1d(self, n):
         with pytest.raises(OriginDivergence):
             g_origin(1.5, n, 1.0)
-
-    def test_integral_route_at_origin(self):
-        res = g_integral(1.5, 1, 0.0, 1.0)
-        assert abs(res.value) <= max(1e-8, res.est_error)
-        res = g_integral(1.0, 1, 0.0, 2.0)
-        assert abs(res.value - 1.0 / (2.0 * math.pi)) <= 1e-8
         with pytest.raises(OriginDivergence):
-            g_integral(1.5, 2, 0.0, 1.0)
+            g_integral(1.5, n, 0.0, 1.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.1, 1.5, 1.9, 1.99])
+    def test_integral_route_at_origin(self, alpha):
+        for t in (1.0, 2.0):
+            res = g_integral(alpha, 1, 0.0, t)
+            assert abs(res.value - g_origin(alpha, 1, t)) <= res.est_error <= 1e-8
 
 
 class TestSolveIvp1d:

@@ -39,6 +39,24 @@ def ml_series_oracle(alpha, x, dps=200):
     raise RuntimeError("oracle did not converge")
 
 
+def ml_asymptotic_oracle(alpha, x, dps=60):
+    """Inverse-power series of E_alpha(-x) cut at its envelope minimum
+    alpha k = x^(1/alpha), plus the exponential pair, at dps digits: the
+    asymptotic regime's sum without its rounding."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        xm = mp.mpf(x)
+        s = xm ** (1 / a)
+        total = mp.mpf(0)
+        for k in range(1, max(1, int(s / a)) + 1):
+            if mp.gamma(a * k) / (mp.pi * xm ** k) < mp.mpf(10) ** (-40):
+                break  # the envelope falls until the cut: the rest is smaller
+            total += (-1) ** (k + 1) * mp.rgamma(1 - a * k) / xm ** k
+        th = mp.pi / a
+        pair = 2 / a * mp.exp(s * mp.cos(th)) * mp.cos(s * mp.sin(th))
+        return float(total + pair)
+
+
 # Values frozen from ml_series_oracle (dps=220).
 ML_ORACLE = {
     (1.5, 50.0): -0.0045783851058392779913,
@@ -179,6 +197,19 @@ class TestBranchCutRule:
         for tol in np.geomspace(1e-13, 1e-10, maxsize + 3):
             _ml_intermediate(1.5, 3.0, float(tol))
         assert _branch_cut_rule.cache_info().currsize <= maxsize
+
+
+class TestAsymptoticRegime:
+    @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 1.8, 1.9, 1.95, 1.98, 1.99, 1.995])
+    def test_error_estimate_is_honest(self, alpha):
+        # near alpha = 2 the barely damped pair's phase rounding dominates;
+        # at 1.995 only the 30-digit pair keeps the regime within tol
+        tol = 1e-13
+        for x in np.geomspace(asymptotic_cutoff(alpha, tol), 1e5, 60):
+            r = ml_neg(alpha, float(x), tol)
+            assert r.regime == "asymptotic"
+            assert r.est_error <= tol
+            assert abs(r.value - ml_asymptotic_oracle(alpha, float(x))) <= r.est_error
 
 
 class TestLogGammaComplex:
