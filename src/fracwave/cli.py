@@ -57,8 +57,7 @@ def _load_config(path: str | None) -> tuple[quadrature.QuadratureConfig,
     ccfg = mellin_barnes.ContourConfig()
     if path is None:
         return qcfg, ccfg
-    q_fields = {"abs_tol": float, "rel_tol": float, "max_lobes": int,
-                "accel_order": int}
+    q_fields = {"abs_tol": float, "rel_tol": float, "max_lobes": int}
     c_fields = {"sigma": float, "y_max": float, "step_tol": float}
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidOrder, OriginDivergence, OriginSingularity
+from .errors import InvalidOrder, OriginDivergence
 from .special import DEFAULT_TOL, ml_neg
 
 

@@ -255,8 +255,8 @@ def g_mellin_barnes(alpha: float, n: int, r, t,
     value = pref * core.real.reshape(r.shape)
     est = pref * est.reshape(r.shape) + 1e-16 * np.abs(value)
     if value.ndim == 0:
-        return QuadResult(float(value), float(est), 0, True)
-    return QuadResult(value, est, 0, True)
+        return QuadResult(float(value), float(est), 0)
+    return QuadResult(value, est, 0)
 
 
 def l_aux(alpha: float, n: int, rho: float, cfg: ContourConfig | None = None) -> float:

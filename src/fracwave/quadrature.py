@@ -37,27 +37,27 @@ from .errors import (
 )
 from scipy.special import j0 as _bessel_j0
 from scipy.special import j1 as _bessel_j1
-from scipy.special import rgamma as _rgamma
 
-from .special import _gk15_cells, asymptotic_cutoff, ml_neg
+from .special import _gk15_cells, _inverse_power_terms, asymptotic_cutoff, ml_neg
+
+# Order of the Wynn epsilon acceleration: each estimate uses the last
+# 2 * _ACCEL_ORDER + 1 partial sums of the lobe series.
+_ACCEL_ORDER = 8
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances, truncation, and acceleration policy for the lobe sums."""
+    """Tolerances and the lobe budget of g_integral."""
 
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     max_lobes: int = 10_000
-    accel_order: int = 8
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("abs_tol and rel_tol must be positive")
         if self.max_lobes < 8:
             raise ValueError("max_lobes must be at least 8")
-        if self.accel_order < 4:
-            raise ValueError("accel_order must be at least 4")
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ class QuadResult:
     value: float
     est_error: float
     lobes_used: int
-    converged: bool
 
 
 def _check_dimension(n: int) -> None:
@@ -225,7 +224,7 @@ def g_integral(alpha: float, n: int, r: float, t: float,
     partials: list[float] = []
     accel_hist: list[float] = []
     a = 0.0
-    window = 2 * cfg.accel_order + 1
+    window = 2 * _ACCEL_ORDER + 1
     for k in range(cfg.max_lobes):
         b = _lobe_edge(n, r, k)
         if direct:
@@ -254,7 +253,7 @@ def g_integral(alpha: float, n: int, r: float, t: float,
         est = 3.0 * accel_est + panel_err + 1e-16 * abs(value)
         target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         if est <= target:
-            return QuadResult(value, est, k + 1, True)
+            return QuadResult(value, est, k + 1)
 
     raise NonConvergence(
         f"lobe acceleration did not stabilize within {cfg.max_lobes} lobes "
@@ -275,39 +274,25 @@ def _integral_origin_1d(alpha: float, t: float, cfg: QuadratureConfig) -> QuadRe
     edges = _cells(alpha, t, 0.0, tau_cut)
     val, err = _integrate(_make_integrand(alpha, 1, 0.0, t, ml_tol), edges)
 
-    # Analytic tail: inverse-power part, optimally truncated.
-    tail = 0.0
-    best = math.inf
-    k = 1
-    while k <= 60:
-        g = float(_rgamma(1.0 - alpha * k))
-        coeff = (1.0 if k % 2 == 1 else -1.0) * g * t ** (-alpha * k)
-        if coeff == 0.0 or not math.isfinite(coeff):
-            k += 1
-            continue
-        term = coeff * tau_cut ** (1.0 - alpha * k) / (alpha * k - 1.0)
-        if not math.isfinite(term):
-            break
-        mag = abs(term)
-        if mag > 0.0:
-            if mag > best:
-                break
-            best = mag
-            tail += term
-        k += 1
-    # Damped-oscillation pair integrates in closed form; at alpha = 1 its two
-    # poles merge into the one of E_1(-x) = exp(-x), which has no power part.
+    # Analytic tail.  Term k of the inverse-power series at x_a integrates
+    # over [tau_cut, inf) to term_k * tau_cut / (alpha k - 1), and the
+    # truncation bound 2 * envelope likewise.  The damped-oscillation pair
+    # integrates in closed form; at alpha = 1 its two poles merge into the one
+    # of E_1(-x) = exp(-x), which has no power part.
     if alpha > 1.0:
+        ks, terms, k_end, envelope = _inverse_power_terms(alpha, x_a)
+        tail = tau_cut * float(np.sum(terms / (alpha * ks - 1.0)))
+        tail_err = 2.0 * envelope * tau_cut / (alpha * (k_end + 1) - 1.0)
         th = math.pi / alpha
         zpole = complex(math.cos(th), math.sin(th))
-        pair_tail = -(2.0 / alpha) * (np.exp(tau_cut * t * zpole) / (t * zpole)).real
+        tail -= (2.0 / alpha) * (np.exp(tau_cut * t * zpole) / (t * zpole)).real
     else:
-        pair_tail = math.exp(-tau_cut * t) / t
-    value = val + (tail + pair_tail) / math.pi
-    est = err + (best if math.isfinite(best) else 0.0) / math.pi + 1e-15
+        tail, tail_err = math.exp(-tau_cut * t) / t, 0.0
+    value = val + tail / math.pi
+    est = err + tail_err / math.pi + 1e-15
     if est > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
         raise NonConvergence("origin integral tail estimate above tolerance")
-    return QuadResult(value, est, edges.size - 1, True)
+    return QuadResult(value, est, edges.size - 1)
 
 
 def g_origin(alpha: float, n: int, t: float) -> float:

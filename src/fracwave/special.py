@@ -5,16 +5,16 @@ The central object is ``ml_neg(alpha, x)`` = E_alpha(-x), the Mittag-Leffler
 function evaluated on the negative axis, which carries all time dependence of
 the fractional wave propagator in Fourier space.  Three regimes are used:
 
-* ``series``        -- Taylor sum, x <= 1;
-* ``intermediate``  -- compensated double-precision Taylor sum when roundoff
-                       permits, otherwise the exact decomposition into a pair
-                       of exponentially damped oscillations (residues of the
-                       Laplace inversion, present for 1 < alpha <= 2) plus a
+* ``series``        -- compensated Taylor sum, x <= 1;
+* ``intermediate``  -- the exact decomposition into a pair of exponentially
+                       damped oscillations (residues of the Laplace
+                       inversion, present for 1 < alpha <= 2) plus a
                        completely monotone branch-cut integral, whose
                        quadrature rule is built once per (alpha, tol) and
                        cached;
-* ``asymptotic``    -- optimally truncated inverse-power expansion, augmented
-                       with the same exponential pair. Engaged only once its
+* ``asymptotic``    -- inverse-power expansion truncated at its envelope
+                       minimum, capped at a constant number of terms, plus
+                       the same exponential pair. Engaged only once its
                        truncation floor ~exp(-x^(1/alpha)) is below tolerance.
 
 Every path returns an error estimate; a high-precision summation fallback
@@ -72,7 +72,7 @@ def _check_ml_order(alpha: float) -> None:
         raise InvalidOrder(f"Mittag-Leffler order must lie in (0, 2], got {alpha}")
 
 
-def _taylor_kahan(alpha: float, x: float, tol: float) -> tuple[float, float]:
+def _taylor_kahan(alpha: float, x: float) -> tuple[float, float]:
     """Compensated Taylor summation of E_alpha(-x).
 
     Returns (value, est_error); est_error includes the roundoff bound
@@ -341,27 +341,42 @@ def _ml_intermediate(alpha: float, x: float, tol: float) -> tuple[float, float]:
     return value, err
 
 
-def _ml_asymptotic(alpha: float, x: float, tol: float) -> tuple[float, float]:
-    """Optimally truncated inverse-power expansion plus the exponential pair.
+# Cap on the length of the inverse-power series.  Short of the envelope
+# minimum, the envelope at k is below about exp(-alpha k).
+_INV_POWER_MAX_TERMS = 2000
+
+
+def _inverse_power_terms(alpha: float, x: float) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Inverse-power series of E_alpha(-x), x > 1: (ks, terms, K, envelope).
 
     Terms (-1)^(k+1) x^(-k) / Gamma(1 - alpha k).  Their magnitudes are
     modulated by sin(pi alpha k) through the reflection formula, so the
     truncation point must come from the smooth envelope
     Gamma(alpha k) x^(-k) / pi, minimized at alpha k = x^(1/alpha); stopping
     at the first raw-magnitude uptick would quit at a sin dip with an error
-    far above the envelope floor.
+    far above the envelope floor.  K is that minimum, at most
+    _INV_POWER_MAX_TERMS; twice the envelope at K + 1 bounds the truncation.
+    Terms whose factors over- and underflow lie below exp(-171): left out.
     """
-    pair, pair_err = _exp_pair(alpha, x, tol)
-    s = x ** (1.0 / alpha)
-    k_opt = max(1, int(s / alpha))
     log_x = math.log(x)
-    ks = np.arange(1, k_opt + 1, dtype=float)
+    k_end = _INV_POWER_MAX_TERMS  # also where x^(1/alpha) would overflow
+    if log_x <= 700.0 * alpha:
+        k_end = min(k_end, max(1, int(x ** (1.0 / alpha) / alpha)))
+    ks = np.arange(1, k_end + 1, dtype=float)
     with np.errstate(under="ignore", invalid="ignore", over="ignore"):
         terms = np.where(ks % 2 == 1, 1.0, -1.0) \
             * np.exp(-ks * log_x) * _scipy_rgamma(1.0 - alpha * ks)
-    total = float(np.sum(terms[np.isfinite(terms)]))
-    log_env = gammaln(alpha * (k_opt + 1)) - (k_opt + 1) * log_x - math.log(math.pi)
-    est = 2.0 * math.exp(min(log_env, 700.0))
+    finite = np.isfinite(terms)
+    log_env = gammaln(alpha * (k_end + 1)) - (k_end + 1) * log_x - math.log(math.pi)
+    return ks[finite], terms[finite], k_end, math.exp(min(log_env, 700.0))
+
+
+def _ml_asymptotic(alpha: float, x: float, tol: float) -> tuple[float, float]:
+    """Inverse-power expansion (_inverse_power_terms) plus the exponential pair."""
+    pair, pair_err = _exp_pair(alpha, x, tol)
+    _, terms, _, envelope = _inverse_power_terms(alpha, x)
+    total = float(np.sum(terms))
+    est = 2.0 * envelope
     first_term_scale = abs(float(_scipy_rgamma(1.0 - alpha))) / x
     est += 4.0 * _EPS * (abs(total) + abs(pair) + first_term_scale) \
         + pair_err
@@ -436,7 +451,7 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
         return MLResult(v, regime, 4.0 * _EPS * (1.0 + v))
 
     if regime == REGIME_SERIES:
-        value, est = _taylor_kahan(alpha, x, tol)
+        value, est = _taylor_kahan(alpha, x)
         if est <= tol:
             return MLResult(value, regime, est)
         value, est = _ml_mpmath(alpha, x, tol)
@@ -448,14 +463,8 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
         value, est = _ml_asymptotic(alpha, x, tol)
         if est <= tol:
             return MLResult(value, regime, est)
-        regime = REGIME_INTERMEDIATE  # truncation floor too high; fall through
+        # truncation floor too high: fall through to the intermediate regime
 
-    # Intermediate: fast compensated summation when roundoff allows it.  Its
-    # floor 4 eps max|term| is known in advance; skip the sum when hopeless.
-    if _log10_max_term(alpha, x) <= math.log10(0.25 * tol / (4.0 * _EPS)):
-        value, est = _taylor_kahan(alpha, x, tol)
-        if est <= 0.25 * tol:
-            return MLResult(value, REGIME_INTERMEDIATE, est)
     value, est = _ml_intermediate(alpha, x, tol)
     if est <= tol:
         return MLResult(value, REGIME_INTERMEDIATE, est)

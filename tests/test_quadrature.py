@@ -43,7 +43,6 @@ class TestRouteAgreement:
             ref = g1(alpha, ratio, 1.0) if n == 1 else g3(alpha, ratio, 1.0)
             assert abs(res.value - ref) <= 1e-6
             assert abs(res.value - ref) <= res.est_error
-            assert res.converged
 
     def test_scaled_time(self):
         res = g_integral(1.5, 3, 0.6, 2.0)
@@ -132,8 +131,6 @@ class TestConfigValidation:
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_lobes=4)
-        with pytest.raises(ValueError):
-            QuadratureConfig(accel_order=2)
 
     def test_rejects_bad_domain(self):
         with pytest.raises(InvalidOrder):
@@ -160,7 +157,7 @@ class TestOrigin:
         with pytest.raises(OriginDivergence):
             g_integral(1.5, n, 0.0, 1.0)
 
-    @pytest.mark.parametrize("alpha", [1.0, 1.1, 1.5, 1.9, 1.99])
+    @pytest.mark.parametrize("alpha", [1.0, 1.1, 1.11, 1.17, 1.33, 1.5, 1.67, 1.9, 1.99])
     def test_integral_route_at_origin(self, alpha):
         for t in (1.0, 2.0):
             res = g_integral(alpha, 1, 0.0, t)
@@ -248,5 +245,4 @@ class TestQuadResultContract:
         res = g_integral(1.5, 1, 1.0, 1.0)
         assert isinstance(res, QuadResult)
         assert res.lobes_used > 0
-        assert res.converged
         assert res.est_error <= max(1e-8, 1e-8 * abs(res.value))

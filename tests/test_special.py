@@ -1,13 +1,22 @@
 """Mittag-Leffler evaluator, complex log-Gamma, and Bessel kernels."""
 
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as scipy_gamma
 
-from fracwave.errors import InvalidOrder, NonConvergence, PoleError, UnsupportedOrder
+from fracwave.errors import (
+    FracWaveError,
+    InvalidOrder,
+    NonConvergence,
+    PoleError,
+    UnsupportedOrder,
+)
 from fracwave.special import (
     DEFAULT_TOL,
     MLResult,
@@ -148,7 +157,7 @@ class TestRegimes:
     def test_continuity_at_series_boundary(self, alpha):
         tol = DEFAULT_TOL
         for x in np.geomspace(0.5, 2.0, 1000):
-            v1, e1 = _taylor_kahan(alpha, float(x), tol)
+            v1, e1 = _taylor_kahan(alpha, float(x))
             v2, e2 = _ml_intermediate(alpha, float(x), tol)
             assert abs(v1 - v2) <= 2.0 * tol + e1 + e2
 
@@ -199,6 +208,28 @@ class TestBranchCutRule:
         assert _branch_cut_rule.cache_info().currsize <= maxsize
 
 
+class TestIntermediateRegime:
+    # x between the series and asymptotic cutoffs, with (1.02, 17.92), where
+    # a double-precision Taylor sum is 4e-8 off: its terms each carry about
+    # eps |log Gamma| of relative error, above its eps max|term| bound
+    ALPHAS = (1.02, 1.1, 1.34, 1.58, 1.82, 1.98)
+    XS = np.geomspace(1.001, 25.0, 30)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def oracle(alpha, x):
+        return ml_series_oracle(alpha, x, dps=80)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
+    def test_error_estimate_is_honest(self, tol):
+        for alpha in self.ALPHAS:
+            for x in self.XS[self.XS < asymptotic_cutoff(alpha, tol)]:
+                r = ml_neg(alpha, float(x), tol)
+                assert r.regime == "intermediate"
+                assert r.est_error <= tol
+                assert abs(r.value - self.oracle(alpha, float(x))) <= r.est_error
+
+
 class TestAsymptoticRegime:
     @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 1.8, 1.9, 1.95, 1.98, 1.99, 1.995])
     def test_error_estimate_is_honest(self, alpha):
@@ -210,6 +241,40 @@ class TestAsymptoticRegime:
             assert r.regime == "asymptotic"
             assert r.est_error <= tol
             assert abs(r.value - ml_asymptotic_oracle(alpha, float(x))) <= r.est_error
+
+    def test_half_order_closed_form(self):
+        # E_{1/2}(-x) = exp(x^2) erfc(x); the envelope minimum lies at
+        # k = 2 x^2, up to 2e12 terms here, far past the term cap
+        for x in np.geomspace(15.0, 1e6, 30):
+            r = ml_neg(0.5, float(x))
+            with mp.workdps(50):
+                ref = float(mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x)))
+            assert r.regime == "asymptotic"
+            assert r.est_error <= DEFAULT_TOL
+            assert abs(r.value - ref) <= r.est_error
+
+    @pytest.mark.parametrize("x", [15.0, 1e3])
+    def test_small_order_is_bounded(self, x):
+        # x^(1/alpha)/alpha is 5.8e12 and 1e31 terms at alpha = 0.1
+        r = ml_neg(0.1, x)
+        assert math.isfinite(r.value)
+        assert r.est_error <= DEFAULT_TOL
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(alpha=st.floats(0.1, 2.0),
+       x=st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e)),
+       log10_tol=st.floats(-13.0, -6.0))
+def test_finite_result_or_fracwave_error(alpha, x, log10_tol):
+    """Every call returns a finite value with est_error <= tol, or raises a
+    FracWaveError."""
+    tol = 10.0 ** log10_tol
+    try:
+        r = ml_neg(alpha, x, tol)
+    except FracWaveError:
+        return
+    assert math.isfinite(r.value)
+    assert r.est_error <= tol
 
 
 class TestLogGammaComplex:
