@@ -12,10 +12,14 @@ the fractional wave propagator in Fourier space.  Three regimes are used:
                        completely monotone branch-cut integral, whose
                        quadrature rule is built once per (alpha, tol) and
                        cached;
-* ``asymptotic``    -- inverse-power expansion truncated at its envelope
-                       minimum, capped at a constant number of terms, plus
-                       the same exponential pair. Engaged only once its
-                       truncation floor ~exp(-x^(1/alpha)) is below tolerance.
+* ``asymptotic``    -- inverse-power expansion plus the same exponential
+                       pair, summed from a cached per-alpha coefficient table
+                       only until the omitted part is below 1e-3 tol: the
+                       terms still short of the envelope minimum, each at
+                       most the envelope at the first omitted term, plus
+                       twice the envelope past the minimum.  Engaged only
+                       once that truncation floor ~exp(-x^(1/alpha)) is
+                       below tolerance.
 
 Every path returns an error estimate; a high-precision summation fallback
 (mpmath) guards pathological tolerances.
@@ -344,43 +348,115 @@ def _ml_intermediate(alpha: float, x: float, tol: float) -> tuple[float, float]:
 # Cap on the length of the inverse-power series.  Short of the envelope
 # minimum, the envelope at k is below about exp(-alpha k).
 _INV_POWER_MAX_TERMS = 2000
+_LOG_PI = math.log(math.pi)
+
+
+@dataclass(frozen=True)
+class _InversePowerTable:
+    """The x-independent factors of the inverse-power series of E_alpha(-x)
+    for one alpha, at k = 1 .. _INV_POWER_MAX_TERMS + 1 (entry k - 1):
+    coef, the signed coefficients (-1)^(k+1) / Gamma(1 - alpha k) of x^(-k),
+    and log_gamma, log Gamma(alpha k), the x-independent part of the
+    envelope Gamma(alpha k) x^(-k) / pi.  Tuples of floats, because the
+    asymptotic regime reads a few entries at a time."""
+
+    coef: tuple
+    log_gamma: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _inverse_power_table(alpha: float) -> _InversePowerTable:
+    """The inverse-power table of one alpha, built once, lazily, and cached."""
+    ks = np.arange(1, _INV_POWER_MAX_TERMS + 2, dtype=float)
+    coef = np.where(ks % 2 == 1, 1.0, -1.0) * _scipy_rgamma(1.0 - alpha * ks)
+    return _InversePowerTable(tuple(coef.tolist()), tuple(gammaln(alpha * ks).tolist()))
+
+
+def _envelope_minimum(alpha: float, x: float) -> int:
+    """Where the inverse-power envelope is least, alpha k = x^(1/alpha), at
+    most _INV_POWER_MAX_TERMS (also where x^(1/alpha) would overflow)."""
+    if math.log(x) <= 700.0 * alpha:
+        return min(_INV_POWER_MAX_TERMS, max(1, int(x ** (1.0 / alpha) / alpha)))
+    return _INV_POWER_MAX_TERMS
+
+
+def _envelope(log_gamma: float, k: int, log_x: float) -> float:
+    """The envelope Gamma(alpha k) x^(-k) / pi at k, given log Gamma(alpha k)."""
+    return math.exp(min(log_gamma - k * log_x - _LOG_PI, 700.0))
 
 
 def _inverse_power_terms(alpha: float, x: float) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Inverse-power series of E_alpha(-x), x > 1: (ks, terms, K, envelope).
+    """Inverse-power series of E_alpha(-x), x > 1, cut at its envelope
+    minimum: (ks, terms, k_end, envelope).
 
     Terms (-1)^(k+1) x^(-k) / Gamma(1 - alpha k).  Their magnitudes are
     modulated by sin(pi alpha k) through the reflection formula, so the
     truncation point must come from the smooth envelope
     Gamma(alpha k) x^(-k) / pi, minimized at alpha k = x^(1/alpha); stopping
     at the first raw-magnitude uptick would quit at a sin dip with an error
-    far above the envelope floor.  K is that minimum, at most
-    _INV_POWER_MAX_TERMS; twice the envelope at K + 1 bounds the truncation.
-    Terms whose factors over- and underflow lie below exp(-171): left out.
+    far above the envelope floor.  k_end is that minimum, at most
+    _INV_POWER_MAX_TERMS; twice the envelope at k_end + 1 bounds the
+    truncation.  Terms whose factors over- and underflow lie below
+    exp(-171): left out.  _ml_asymptotic sums the same table only as far as
+    its tolerance needs.
     """
+    table = _inverse_power_table(alpha)
     log_x = math.log(x)
-    k_end = _INV_POWER_MAX_TERMS  # also where x^(1/alpha) would overflow
-    if log_x <= 700.0 * alpha:
-        k_end = min(k_end, max(1, int(x ** (1.0 / alpha) / alpha)))
+    k_end = _envelope_minimum(alpha, x)
     ks = np.arange(1, k_end + 1, dtype=float)
     with np.errstate(under="ignore", invalid="ignore", over="ignore"):
-        terms = np.where(ks % 2 == 1, 1.0, -1.0) \
-            * np.exp(-ks * log_x) * _scipy_rgamma(1.0 - alpha * ks)
+        terms = np.array(table.coef[:k_end]) * np.exp(-ks * log_x)
     finite = np.isfinite(terms)
-    log_env = gammaln(alpha * (k_end + 1)) - (k_end + 1) * log_x - math.log(math.pi)
-    return ks[finite], terms[finite], k_end, math.exp(min(log_env, 700.0))
+    return ks[finite], terms[finite], k_end, _envelope(table.log_gamma[k_end], k_end + 1, log_x)
 
 
 def _ml_asymptotic(alpha: float, x: float, tol: float) -> tuple[float, float]:
-    """Inverse-power expansion (_inverse_power_terms) plus the exponential pair."""
+    """Inverse-power expansion plus the exponential pair.
+
+    The terms of _inverse_power_terms are summed, from the cached table, only
+    until the omitted part is below 1e-3 tol.  After term K that part is at
+    most (k_end - K) env(K + 1) + 2 env(k_end + 1): the envelope decreases on
+    [1, k_end], so it bounds each omitted term by env(K + 1), and twice its
+    value past the minimum bounds the optimal remainder.  Near the
+    asymptotic cutoff the envelope ratio is close to 1, so the omitted terms
+    are not a geometric tail.  If the bound stays above 1e-3 tol, the sum
+    runs to k_end and the bound is 2 env(k_end + 1).
+    """
     pair, pair_err = _exp_pair(alpha, x, tol)
-    _, terms, _, envelope = _inverse_power_terms(alpha, x)
-    total = float(np.sum(terms))
-    est = 2.0 * envelope
-    first_term_scale = abs(float(_scipy_rgamma(1.0 - alpha))) / x
-    est += 4.0 * _EPS * (abs(total) + abs(pair) + first_term_scale) \
-        + pair_err
+    table = _inverse_power_table(alpha)
+    coef, log_gamma = table.coef, table.log_gamma
+    log_x = math.log(x)
+    k_end = _envelope_minimum(alpha, x)
+    floor = 2.0 * _envelope(log_gamma[k_end], k_end + 1, log_x)
+    goal = 1e-3 * tol
+    total = 0.0
+    for k in range(1, k_end + 1):
+        term = coef[k - 1] * math.exp(-k * log_x)
+        if math.isfinite(term):
+            total += term
+        omitted = (k_end - k) * _envelope(log_gamma[k], k + 1, log_x) + floor
+        if omitted <= goal:
+            break
+    est = omitted + 4.0 * _EPS * (abs(total) + abs(pair) + abs(coef[0]) / x) + pair_err
     return pair + total, est
+
+
+def _cos_sqrt(x: float, tol: float) -> tuple[float, float]:
+    """E_2(-x) = cos(sqrt(x)) and its error.
+
+    In double precision the phase s = sqrt(x) carries an absolute rounding
+    error of up to s eps / 2.  Above 0.1 tol the phase is evaluated with
+    mpmath at 30 + log10(s) digits instead, 30 digits after the point.
+    """
+    s = math.sqrt(x)
+    err = _EPS * (0.5 * s + 1.0)
+    if err <= 0.1 * tol:
+        return math.cos(s), err
+    import mpmath as mp
+
+    with mp.workdps(31 + max(0, int(math.log10(s)))):
+        value = float(mp.cos(mp.sqrt(mp.mpf(x))))
+    return value, _EPS * abs(value) + 1e-30
 
 
 def _log10_max_term(alpha: float, x: float) -> float:
@@ -449,6 +525,11 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
         # branch-cut decomposition both degenerate at alpha = 1.
         v = math.exp(-x)
         return MLResult(v, regime, 4.0 * _EPS * (1.0 + v))
+    if alpha == 2.0:
+        # exact identity E_2(-x) = cos(sqrt(x)); the exponential pair's
+        # damping s cos(pi/2) rounds to 6e-17 s, not 0, and overflows.
+        value, est = _cos_sqrt(x, tol)
+        return MLResult(value, regime, est)
 
     if regime == REGIME_SERIES:
         value, est = _taylor_kahan(alpha, x)

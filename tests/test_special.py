@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as scipy_gamma
 
+from fracwave import special
 from fracwave.errors import (
     FracWaveError,
     InvalidOrder,
@@ -26,7 +28,11 @@ from fracwave.special import (
     ml_neg,
 )
 from fracwave.special import (
+    _EPS,
     _branch_cut_rule,
+    _exp_pair,
+    _inverse_power_table,
+    _inverse_power_terms,
     _ml_asymptotic,
     _ml_intermediate,
     _taylor_kahan,
@@ -50,8 +56,9 @@ def ml_series_oracle(alpha, x, dps=200):
 
 def ml_asymptotic_oracle(alpha, x, dps=60):
     """Inverse-power series of E_alpha(-x) cut at its envelope minimum
-    alpha k = x^(1/alpha), plus the exponential pair, at dps digits: the
-    asymptotic regime's sum without its rounding."""
+    alpha k = x^(1/alpha), plus the exponential pair (present for
+    alpha > 1), at dps digits: the asymptotic regime's sum without its
+    rounding."""
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         xm = mp.mpf(x)
@@ -62,8 +69,20 @@ def ml_asymptotic_oracle(alpha, x, dps=60):
                 break  # the envelope falls until the cut: the rest is smaller
             total += (-1) ** (k + 1) * mp.rgamma(1 - a * k) / xm ** k
         th = mp.pi / a
-        pair = 2 / a * mp.exp(s * mp.cos(th)) * mp.cos(s * mp.sin(th))
+        pair = 2 / a * mp.exp(s * mp.cos(th)) * mp.cos(s * mp.sin(th)) if a > 1 else 0
         return float(total + pair)
+
+
+def full_sum_asymptotic(alpha, x, tol):
+    """The asymptotic regime with the inverse-power series summed all the way
+    to its envelope minimum, bounded by twice the envelope past it: the
+    reference for the regime's tolerance-driven stop."""
+    pair, pair_err = _exp_pair(alpha, x, tol)
+    _, terms, _, envelope = _inverse_power_terms(alpha, x)
+    total = float(np.sum(terms))
+    first_term_scale = abs(_inverse_power_table(alpha).coef[0]) / x
+    est = 2.0 * envelope + 4.0 * _EPS * (abs(total) + abs(pair) + first_term_scale) + pair_err
+    return pair + total, est
 
 
 # Values frozen from ml_series_oracle (dps=220).
@@ -258,6 +277,71 @@ class TestAsymptoticRegime:
         # x^(1/alpha)/alpha is 5.8e12 and 1e31 terms at alpha = 0.1
         r = ml_neg(0.1, x)
         assert math.isfinite(r.value)
+        assert r.est_error <= DEFAULT_TOL
+
+
+class TestTolDrivenSum:
+    """The asymptotic regime sums its inverse-power series only until the
+    omitted part, (k_end - K) env(K + 1) + 2 env(k_end + 1), is below
+    1e-3 tol."""
+
+    ALPHAS = (0.5, 0.8, 1.05, 1.3, 1.6, 1.9, 1.99)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_error_estimate_is_honest(self, alpha, tol):
+        xs = list(np.geomspace(asymptotic_cutoff(alpha, tol), 1e8, 25))
+        if (alpha, tol) == (1.05, 1e-13):
+            # the envelope ratio is near 1 here: 2 env(K + 1) alone
+            # under-reports the omitted terms
+            xs.append(44.79)
+        for x in xs:
+            r = ml_neg(alpha, float(x), tol)
+            assert r.regime == "asymptotic"
+            assert r.est_error <= tol
+            assert abs(r.value - ml_asymptotic_oracle(alpha, float(x))) <= r.est_error
+
+    def test_regime_labels_match_the_full_sum(self, monkeypatch):
+        rng = np.random.default_rng(20151)
+        for _ in range(300):
+            alpha = float(rng.uniform(0.1, 2.0))
+            tol = float(10.0 ** rng.uniform(-13.0, -6.0))
+            x = float(asymptotic_cutoff(alpha, tol) * 10.0 ** rng.uniform(-0.2, 4.0))
+            with monkeypatch.context() as m:
+                m.setattr(special, "_ml_asymptotic", full_sum_asymptotic)
+                ref = ml_neg(alpha, x, tol)
+            got = ml_neg(alpha, x, tol)
+            assert got.regime == ref.regime
+            assert abs(got.value - ref.value) <= got.est_error + ref.est_error
+
+    def test_table_is_built_once_per_alpha(self):
+        _ml_asymptotic(1.37, 200.0, 1e-13)
+        before = _inverse_power_table.cache_info()
+        _ml_asymptotic(1.37, 900.0, 1e-10)
+        _inverse_power_terms(1.37, 300.0)
+        after = _inverse_power_table.cache_info()
+        assert after.hits == before.hits + 2
+        assert after.misses == before.misses
+
+    def test_cache_is_bounded(self):
+        maxsize = _inverse_power_table.cache_info().maxsize
+        assert maxsize is not None
+        for alpha in np.linspace(1.1, 1.9, maxsize + 3):
+            _ml_asymptotic(float(alpha), 500.0, 1e-13)
+        assert _inverse_power_table.cache_info().currsize <= maxsize
+
+
+class TestOrderTwo:
+    @pytest.mark.parametrize("x", [1e30, 1e36, 1e38, 1e40, 1e300])
+    def test_large_argument_is_bounded_and_honest(self, x):
+        # E_2(-x) = cos(sqrt(x)); the phase needs log10(sqrt(x)) digits
+        # before the point
+        start = time.perf_counter()
+        r = ml_neg(2.0, x)
+        assert time.perf_counter() - start < 1.0
+        with mp.workdps(80 + int(math.log10(x) / 2)):
+            ref = mp.cos(mp.sqrt(mp.mpf(x)))
+            assert abs(mp.mpf(r.value) - ref) <= r.est_error
         assert r.est_error <= DEFAULT_TOL
 
 
