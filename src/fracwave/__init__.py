@@ -43,7 +43,6 @@ from .errors import (
     MomentOutOfRange,
     NonConvergence,
     OriginDivergence,
-    OriginSingularity,
     PoleError,
     UnsupportedDimension,
     UnsupportedOrder,
@@ -63,13 +62,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ContourConfig", "ContourFailure", "ExtremumReport", "FracWaveError",
     "InvalidContour", "InvalidGrid", "InvalidOrder", "MLResult",
-    "MomentOutOfRange", "NonConvergence", "OriginDivergence",
-    "OriginSingularity", "PoleError", "QuadResult", "QuadratureConfig",
-    "UnsupportedDimension", "UnsupportedOrder", "bessel_kernel", "g1",
-    "g1_dr", "g1_dt", "g3", "g3_via_g1_spatial", "g3_via_g1_temporal",
-    "g_hat", "g_integral", "g_mellin_barnes", "g_origin",
-    "gravity_center_velocity", "l_aux", "log_gamma_complex", "max_location",
-    "mb_kernel", "ml_neg", "moment_1d", "moment_3d", "moment_numeric",
-    "phase_velocity", "sign_profile_3d", "solve_ivp_1d", "velocity_curve",
-    "zero_crossing_z",
+    "MomentOutOfRange", "NonConvergence", "OriginDivergence", "PoleError",
+    "QuadResult", "QuadratureConfig", "UnsupportedDimension",
+    "UnsupportedOrder", "bessel_kernel", "g1", "g1_dr", "g1_dt", "g3",
+    "g3_via_g1_spatial", "g3_via_g1_temporal", "g_hat", "g_integral",
+    "g_mellin_barnes", "g_origin", "gravity_center_velocity", "l_aux",
+    "log_gamma_complex", "max_location", "mb_kernel", "ml_neg", "moment_1d",
+    "moment_3d", "moment_numeric", "phase_velocity", "sign_profile_3d",
+    "solve_ivp_1d", "velocity_curve", "zero_crossing_z",
 ]

@@ -24,7 +24,6 @@ from .errors import (
     MomentOutOfRange,
     NonConvergence,
     OriginDivergence,
-    OriginSingularity,
     PoleError,
     UnsupportedDimension,
     UnsupportedOrder,
@@ -37,8 +36,7 @@ EXIT_NUMERICAL = 3
 
 _USAGE_ERRORS = (InvalidOrder, MomentOutOfRange, UnsupportedDimension,
                  InvalidGrid, InvalidContour, UnsupportedOrder, ValueError)
-_NUMERICAL_ERRORS = (NonConvergence, ContourFailure, OriginDivergence,
-                     OriginSingularity, PoleError)
+_NUMERICAL_ERRORS = (NonConvergence, ContourFailure, OriginDivergence, PoleError)
 
 
 class CliError(Exception):
@@ -170,14 +168,8 @@ def cmd_profile(args, qcfg, ccfg) -> int:
 
 
 def cmd_velocity(args, qcfg, ccfg) -> int:
-    if args.which == "gravity" and args.dim != 1:
-        raise CliError("gravity-center velocity is defined for dim=1 only", EXIT_USAGE)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    if args.which == "phase":
-        rows = [(a, analysis.phase_velocity(float(a), args.dim)) for a in alphas]
-    else:
-        rows = [(a, analysis.gravity_center_velocity(float(a))) for a in alphas]
-    _write_csv(args.out, "alpha,v", rows)
+    _write_csv(args.out, "alpha,v", analysis.velocity_curve(args.dim, alphas, args.which))
     return EXIT_OK
 
 

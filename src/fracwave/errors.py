@@ -21,10 +21,6 @@ class UnsupportedOrder(FracWaveError):
     """Bessel kernel requested for an order outside {-1/2, 0, +1/2}."""
 
 
-class OriginSingularity(FracWaveError):
-    """Radial derivative requested at r = 0 where it is not defined."""
-
-
 class OriginDivergence(FracWaveError):
     """Fundamental solution unbounded at the spatial origin for n >= 2."""
 

@@ -21,8 +21,9 @@ the fractional wave propagator in Fourier space.  Three regimes are used:
                        once that truncation floor ~exp(-x^(1/alpha)) is
                        below tolerance.
 
-Every path returns an error estimate; a high-precision summation fallback
-(mpmath) guards pathological tolerances.
+Every path works in double precision and returns an error estimate.  A
+tolerance that the regimes cannot meet raises NonConvergence: below 1e-13 for
+some inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ DEFAULT_TOL = 1e-12
 SERIES_CUTOFF = 1.0
 
 _EPS = np.finfo(float).eps
+# Largest exponent that is safely a finite double under exp.
+_LOG_MAX = 700.0
 
 REGIME_SERIES = "series"
 REGIME_INTERMEDIATE = "intermediate"
@@ -99,7 +102,7 @@ def _taylor_kahan(alpha: float, x: float) -> tuple[float, float]:
             return total, math.inf
         lg_next = gammaln(1.0 + alpha * k)
         log_ratio = math.log(x) + lg_prev - lg_next if x > 0 else -math.inf
-        if log_ratio > 700.0:
+        if log_ratio > _LOG_MAX:
             return total, math.inf  # term overflow imminent
         term = -term * math.exp(log_ratio)
         lg_prev = lg_next
@@ -245,6 +248,12 @@ def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
     """Nodes and weights of the branch-cut integral at (alpha, tol); see
     _branch_cut_integral.  Only exp(-tt g) depends on x, so the rule is
     built once, lazily, and cached."""
+    # The rule samples exp(-tt r) for tt = x^(1/alpha) up to tt_hi and r up
+    # to r_end = r_scale / tt_lo (below); at small alpha their product,
+    # (x_a / _RULE_X_LO)^(1/alpha) r_scale, is no double.
+    r_scale = max(-math.log(tol), 0.0) + 10.0
+    if math.log(asymptotic_cutoff(alpha, tol) / _RULE_X_LO) / alpha + math.log(r_scale) > _LOG_MAX:
+        raise NonConvergence(f"branch-cut rule exceeds the double range at alpha={alpha}")
     c_pi = math.cos(math.pi * alpha)
     s_pi = math.sin(math.pi * alpha)
     s_abs = abs(s_pi)
@@ -297,7 +306,7 @@ def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
     # serves.  r_end^alpha >= 10^alpha * 2 >= 2|c_pi|, so beyond it
     # r^alpha + c_pi >= r^alpha / 2 and the neglected tail is at most
     # 4 |pref| exp(-tt r_end) / (alpha r_end^alpha).
-    r_end = (max(-math.log(tol), 0.0) + 10.0) / tt_lo
+    r_end = r_scale / tt_lo
 
     if c_pi < -V_HI:
         add_r_piece(0.0, (-V_HI - c_pi) ** (1.0 / alpha))
@@ -326,6 +335,8 @@ def _branch_cut_integral(alpha: float, x: float, tol: float) -> tuple[float, flo
     truncated tail, and the roundoff.
     """
     rule = _branch_cut_rule(alpha, tol)
+    if math.log(x) / alpha + math.log(rule.r_end) > _LOG_MAX:
+        raise NonConvergence(f"x^(1/alpha) r_end exceeds the double range at alpha={alpha}, x={x}")
     tt = x ** (1.0 / alpha)
     decay = np.exp(-tt * rule.g)
     # Every K15 weight carries the sign of sin(pi alpha), so |value| also
@@ -375,14 +386,14 @@ def _inverse_power_table(alpha: float) -> _InversePowerTable:
 def _envelope_minimum(alpha: float, x: float) -> int:
     """Where the inverse-power envelope is least, alpha k = x^(1/alpha), at
     most _INV_POWER_MAX_TERMS (also where x^(1/alpha) would overflow)."""
-    if math.log(x) <= 700.0 * alpha:
+    if math.log(x) <= _LOG_MAX * alpha:
         return min(_INV_POWER_MAX_TERMS, max(1, int(x ** (1.0 / alpha) / alpha)))
     return _INV_POWER_MAX_TERMS
 
 
 def _envelope(log_gamma: float, k: int, log_x: float) -> float:
     """The envelope Gamma(alpha k) x^(-k) / pi at k, given log Gamma(alpha k)."""
-    return math.exp(min(log_gamma - k * log_x - _LOG_PI, 700.0))
+    return math.exp(min(log_gamma - k * log_x - _LOG_PI, _LOG_MAX))
 
 
 def _inverse_power_terms(alpha: float, x: float) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -459,46 +470,16 @@ def _cos_sqrt(x: float, tol: float) -> tuple[float, float]:
     return value, _EPS * abs(value) + 1e-30
 
 
-def _log10_max_term(alpha: float, x: float) -> float:
-    """Stirling estimate of log10 of the largest Taylor term of E_alpha(-x),
-    x^k / Gamma(1 + alpha k) at alpha k = x^(1/alpha): the digits that
-    cancellation costs a Taylor sum."""
-    k_star = max(1.0, x ** (1.0 / alpha) / alpha)
-    return (k_star * math.log(max(x, 1.0)) - gammaln(1.0 + alpha * k_star)) / math.log(10.0)
-
-
-def _ml_mpmath(alpha: float, x: float, tol: float) -> tuple[float, float]:
-    """Arbitrary-precision Taylor summation fallback."""
-    import mpmath as mp
-
-    log10_max = _log10_max_term(alpha, x)
-    lost = max(0.0, log10_max)
-    dps = int(min(300, 25 + lost - math.log10(tol)))
-    with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        z = -mp.mpf(x)
-        total = mp.mpf(0)
-        k = 0
-        while k < 200000:
-            term = z ** k / mp.gamma(1 + a * k)
-            total += term
-            if k > 4 and abs(term) < mp.mpf(10) ** (-dps + 5) * (1 + abs(total)):
-                value = float(total)
-                est = abs(float(term)) + 10.0 ** (-dps + 6) * (1.0 + 10.0 ** log10_max)
-                return value, est
-            k += 1
-    raise NonConvergence(
-        f"high-precision series for E_alpha(-x) did not converge (alpha={alpha}, x={x})"
-    )
-
-
 def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
     """Evaluate E_alpha(-x) for x >= 0 and 0 < alpha <= 2 to absolute error <= tol.
 
     E_alpha(-inf) = 0 for alpha < 2; at alpha = 2, E_2(-x) = cos(sqrt(x)) has
     no limit and x = inf raises ValueError, as do NaN and x < 0.  Raises
     InvalidOrder for alpha outside (0, 2] and NonConvergence if no regime can
-    attain the requested tolerance.
+    attain the requested tolerance.  Every regime works in double precision:
+    a tol below 1e-13 fails for some inputs, and below ~1e-15 (4 eps) for
+    every 0 < x <= 1 at alpha < 2.  Below alpha ~0.005 no intermediate x
+    converges: x^(1/alpha) leaves the double range.
     """
     _check_ml_order(alpha)
     if not (x >= 0.0):
@@ -523,36 +504,24 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
     if alpha == 1.0:
         # exact identity E_1(-x) = exp(-x); the power asymptotics and the
         # branch-cut decomposition both degenerate at alpha = 1.
-        v = math.exp(-x)
-        return MLResult(v, regime, 4.0 * _EPS * (1.0 + v))
-    if alpha == 2.0:
+        value = math.exp(-x)
+        est = 4.0 * _EPS * (1.0 + value)
+    elif alpha == 2.0:
         # exact identity E_2(-x) = cos(sqrt(x)); the exponential pair's
         # damping s cos(pi/2) rounds to 6e-17 s, not 0, and overflows.
         value, est = _cos_sqrt(x, tol)
-        return MLResult(value, regime, est)
-
-    if regime == REGIME_SERIES:
+    elif regime == REGIME_SERIES:
         value, est = _taylor_kahan(alpha, x)
-        if est <= tol:
-            return MLResult(value, regime, est)
-        value, est = _ml_mpmath(alpha, x, tol)
-        if est <= tol:
-            return MLResult(value, regime, est)
-        raise NonConvergence(f"series regime cannot reach tol={tol} at alpha={alpha}, x={x}")
-
-    if regime == REGIME_ASYMPTOTIC:
-        value, est = _ml_asymptotic(alpha, x, tol)
-        if est <= tol:
-            return MLResult(value, regime, est)
-        # truncation floor too high: fall through to the intermediate regime
-
-    value, est = _ml_intermediate(alpha, x, tol)
-    if est <= tol:
-        return MLResult(value, REGIME_INTERMEDIATE, est)
-    value, est = _ml_mpmath(alpha, x, tol)
-    if est <= tol:
-        return MLResult(value, REGIME_INTERMEDIATE, est)
-    raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, x={x}")
+    else:
+        if regime == REGIME_ASYMPTOTIC:
+            value, est = _ml_asymptotic(alpha, x, tol)
+        if regime == REGIME_INTERMEDIATE or est > tol:
+            # the asymptotic truncation floor is too high: fall through
+            regime = REGIME_INTERMEDIATE
+            value, est = _ml_intermediate(alpha, x, tol)
+    if est > tol:
+        raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, x={x}")
+    return MLResult(value, regime, est)
 
 
 def log_gamma_complex(z: complex) -> complex:

@@ -223,6 +223,12 @@ class TestVelocity:
         v = float(out.strip().split("\n")[1].split(",")[1])
         assert abs(v - 1.5396007178) <= 1e-9
 
+    def test_decreasing_alpha_range_exit_2(self, capsys):
+        code, _, err = run(capsys, "velocity", "--dim", "3",
+                           "--alpha-min", "1.9", "--alpha-max", "1.1")
+        assert code == 2
+        assert "increasing" in err
+
     def test_gravity_requires_dim_1(self, capsys):
         code, _, _ = run(capsys, "velocity", "--dim", "3",
                          "--alpha-min", "1.1", "--alpha-max", "1.9",

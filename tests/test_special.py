@@ -153,6 +153,22 @@ class TestMlNeg:
         with pytest.raises(NonConvergence):
             ml_neg(1.5, 2.0, tol=1e-320)
 
+    @pytest.mark.parametrize("alpha,x,tol", [
+        (0.2, 5.0, 1e-15), (0.107, 3.89, 1e-15), (1.5, 0.5, 1e-15),
+        (0.001, 3.0, DEFAULT_TOL)])
+    def test_unmet_tolerance_raises_at_once(self, alpha, x, tol):
+        # no double-precision regime meets these tolerances
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence):
+            ml_neg(alpha, x, tol)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_exact_identities_respect_tol(self, alpha):
+        # exp(-x) and cos(sqrt(x)) carry a few eps of rounding
+        with pytest.raises(NonConvergence):
+            ml_neg(alpha, 0.5, tol=1e-17)
+
     def test_limit_at_infinity(self):
         for alpha in (0.5, 1.0, 1.5, 1.9):
             assert ml_neg(alpha, math.inf) == MLResult(0.0, "asymptotic", 0.0)
@@ -345,20 +361,34 @@ class TestOrderTwo:
         assert r.est_error <= DEFAULT_TOL
 
 
-@settings(max_examples=50, deadline=None, database=None)
-@given(alpha=st.floats(0.1, 2.0),
-       x=st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e)),
-       log10_tol=st.floats(-13.0, -6.0))
-def test_finite_result_or_fracwave_error(alpha, x, log10_tol):
-    """Every call returns a finite value with est_error <= tol, or raises a
-    FracWaveError."""
-    tol = 10.0 ** log10_tol
+def assert_finite_result_or_fracwave_error(alpha, x, tol, seconds):
+    """The call returns a finite value with est_error <= tol, or raises a
+    FracWaveError, within the given wall time."""
+    start = time.perf_counter()
     try:
         r = ml_neg(alpha, x, tol)
     except FracWaveError:
-        return
-    assert math.isfinite(r.value)
-    assert r.est_error <= tol
+        pass
+    else:
+        assert math.isfinite(r.value)
+        assert r.est_error <= tol
+    assert time.perf_counter() - start < seconds
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(alpha=st.floats(1e-4, 2.0),
+       x=st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e)),
+       log10_tol=st.floats(-16.0, -6.0))
+def test_finite_result_or_fracwave_error(alpha, x, log10_tol):
+    assert_finite_result_or_fracwave_error(alpha, x, 10.0 ** log10_tol, 3.0)
+
+
+@pytest.mark.parametrize("x", [1.5, 5.0, 100.0])
+@pytest.mark.parametrize("alpha", [1e-4, 1e-3, 3e-3, 0.01])
+def test_tiny_order_is_bounded(alpha, x):
+    # below alpha ~ 0.005, x^(1/alpha) and the branch-cut rule's range
+    # leave the double range
+    assert_finite_result_or_fracwave_error(alpha, x, DEFAULT_TOL, 1.0)
 
 
 class TestLogGammaComplex:
