@@ -26,13 +26,13 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="\n") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows(np.asarray(rows).tolist())
     print(f"wrote {path}")
 
 
 # 1D: bell-shaped density, maximum moving right with constant velocity
 xs = np.linspace(-3.0, 3.0, 601)
-rows = [[x, *(g1(ALPHA, abs(x), t) for t in (0.5, 1.0, 1.5))] for x in xs]
+rows = np.column_stack([xs] + [g1(ALPHA, np.abs(xs), t) for t in (0.5, 1.0, 1.5)])
 write_csv("profiles_g1.csv", ["x", "t=0.5", "t=1.0", "t=1.5"], rows)
 
 # 2D: quadrature is the only route; negative dip below the wavefront
@@ -47,10 +47,10 @@ print(f"  ({neg} of {len(rows)} sample points are negative)")
 
 # 3D: sharpening pulse at r* = c(alpha) t
 rs3 = np.linspace(0.02, 1.2, 400)
-rows = [[r, *(g3(ALPHA, float(r), t) for t in (0.2, 0.3, 0.4))] for r in rs3]
+rows = np.column_stack([rs3] + [g3(ALPHA, rs3, t) for t in (0.2, 0.3, 0.4)])
 write_csv("profiles_g3.csv", ["r", "t=0.2", "t=0.3", "t=0.4"], rows)
 
 # 3D at fixed radii: damped oscillation in time
 ts = np.linspace(0.05, 2.0, 400)
-rows = [[t, *(g3(ALPHA, r, float(t)) for r in (0.3, 0.5, 0.7))] for t in ts]
+rows = np.column_stack([ts] + [g3(ALPHA, r, ts) for r in (0.3, 0.5, 0.7)])
 write_csv("time_profiles_g3.csv", ["t", "r=0.3", "r=0.5", "r=0.7"], rows)

@@ -39,6 +39,7 @@ from .errors import (
     FracWaveError,
     InvalidContour,
     InvalidGrid,
+    InvalidInput,
     InvalidOrder,
     MomentOutOfRange,
     NonConvergence,
@@ -61,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContourConfig", "ContourFailure", "ExtremumReport", "FracWaveError",
-    "InvalidContour", "InvalidGrid", "InvalidOrder", "MLResult",
+    "InvalidContour", "InvalidGrid", "InvalidInput", "InvalidOrder", "MLResult",
     "MomentOutOfRange", "NonConvergence", "OriginDivergence", "PoleError",
     "QuadResult", "QuadratureConfig", "UnsupportedDimension",
     "UnsupportedOrder", "bessel_kernel", "g1", "g1_dr", "g1_dt", "g3",

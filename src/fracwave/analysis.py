@@ -28,11 +28,10 @@ from scipy.integrate import IntegrationWarning
 from scipy.integrate import quad as _quad
 
 from .closed_form import g1, g3
-from .errors import InvalidOrder, MomentOutOfRange, UnsupportedDimension
+from .errors import (InvalidInput, MomentOutOfRange, NonConvergence, UnsupportedDimension,
+                     check_dimension, check_finite, check_positive, check_window)
 
 KIND_MAXIMUM = "maximum"
-KIND_MINIMUM = "minimum"
-KIND_ZERO_CROSSING = "zero_crossing"
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,7 @@ def zero_crossing_z(alpha: float) -> float:
     Rises monotonically from 0 at alpha = 1 to 1 at alpha = 2 (alpha = 2 is
     admitted for this limit check only).
     """
-    if not (1.0 <= alpha <= 2.0):
-        raise InvalidOrder(f"zero_crossing_z requires 1 <= alpha <= 2, got {alpha}")
+    check_window(alpha, 1.0, 2.0, hi_open=False)
     c = math.cos(math.pi * alpha / 2.0)
     s = math.sin(math.pi * alpha / 2.0)
     num = -c + math.sqrt(max(alpha * alpha - s * s, 0.0))
@@ -66,15 +64,10 @@ def max_location(alpha: float, n: int, t: float) -> ExtremumReport:
     """
     if n == 2:
         raise UnsupportedDimension("the 2D solution has multiple local extrema")
-    if n not in (1, 3):
-        raise UnsupportedDimension(f"dimension must be 1 or 3, got {n}")
-    if not (1.0 < alpha < 2.0):
-        raise InvalidOrder(
-            f"max_location requires 1 < alpha < 2 (the maximum degenerates to the "
-            f"origin at alpha = 1), got {alpha}"
-        )
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
+    check_dimension(n, (1, 3))
+    # at alpha = 1 the maximum degenerates to the origin
+    check_window(alpha, 1.0, 2.0, lo_open=True)
+    check_positive("t", t)
     z = zero_crossing_z(alpha)
     if n == 1:
         loc = z * t
@@ -101,11 +94,9 @@ def phase_velocity(alpha: float, n: int) -> float:
     """
     if n == 2:
         raise UnsupportedDimension("no single phase velocity for the 2D solution")
-    if n not in (1, 3):
-        raise UnsupportedDimension(f"dimension must be 1 or 3, got {n}")
+    check_dimension(n, (1, 3))
     if n == 1:
-        if not (1.0 <= alpha < 2.0):
-            raise InvalidOrder(f"order must lie in [1, 2), got {alpha}")
+        check_window(alpha, 1.0, 2.0)
         return zero_crossing_z(alpha)
     return max_location(alpha, 3, 1.0).location
 
@@ -114,14 +105,14 @@ def velocity_curve(n: int, alphas, which: str = "phase") -> list[tuple[float, fl
     """Velocity samples (alpha, v) over strictly increasing alphas in [1, 2)."""
     alphas = [float(a) for a in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly increasing")
+        raise InvalidInput("alphas must be strictly increasing")
     if which == "phase":
         return [(a, phase_velocity(a, n)) for a in alphas]
     if which == "gravity":
         if n != 1:
             raise UnsupportedDimension("gravity-center velocity is a 1D quantity")
         return [(a, gravity_center_velocity(a)) for a in alphas]
-    raise ValueError(f"unknown velocity kind {which!r}")
+    raise InvalidInput(f"unknown velocity kind {which!r}")
 
 
 def moment_1d(alpha: float, beta: float, t: float) -> float:
@@ -130,14 +121,9 @@ def moment_1d(alpha: float, beta: float, t: float) -> float:
     beta = 0 returns the half-line mass 1/2 (the solution is an even unit-mass
     density); other removable points do not occur inside the window.
     """
-    if not (1.0 <= alpha < 2.0):
-        raise InvalidOrder(f"order must lie in [1, 2), got {alpha}")
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
-    if not (-1.0 < beta < alpha):
-        raise MomentOutOfRange(
-            f"1D moment of order {beta} is outside the window (-1, {alpha})"
-        )
+    check_window(alpha, 1.0, 2.0)
+    check_positive("t", t)
+    check_window(beta, -1.0, alpha, lo_open=True, what="1D moment order", exc=MomentOutOfRange)
     if beta == 0.0:
         return 0.5
     return t ** beta * math.sin(math.pi * beta / 2.0) / (alpha * math.sin(math.pi * beta / alpha))
@@ -151,15 +137,10 @@ def moment_3d(alpha: float, beta: float, t: float) -> float:
     I_{alpha,3}(t) = t/(alpha pi sin(pi/alpha)); beta = 2 is the removable
     0/0 point of the general formula and is handled by its limit.
     """
-    if not (1.0 < alpha < 2.0):
-        raise InvalidOrder(f"order must lie in (1, 2), got {alpha}")
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
-    if not (2.0 - alpha < beta < 2.0 + alpha):
-        raise MomentOutOfRange(
-            f"3D moment of order {beta} is outside the window "
-            f"({2.0 - alpha}, {2.0 + alpha})"
-        )
+    check_window(alpha, 1.0, 2.0, lo_open=True)
+    check_positive("t", t)
+    check_window(beta, 2.0 - alpha, 2.0 + alpha, lo_open=True, what="3D moment order",
+                 exc=MomentOutOfRange)
     if beta == 2.0:
         return 1.0 / (4.0 * math.pi)
     return (t ** (beta - 2.0) * (beta - 1.0) / (2.0 * alpha * math.pi)
@@ -171,9 +152,11 @@ def moment_numeric(alpha: float, n: int, beta: float, t: float,
                    r_max_factor: float = 1e6) -> float:
     """Independent numerical moment: quadrature of the closed form on a log
     grid truncated at R = r_max_factor * t, plus the analytic power-law tail
-    (integrand ~ r^(beta - alpha - n) for large r)."""
-    if n not in (1, 3):
-        raise UnsupportedDimension(f"numerical moments support n in {{1, 3}}, got {n}")
+    (integrand ~ r^(beta - alpha - n) for large r).  Takes the orders and
+    times of moment_1d (n = 1) and moment_3d (n = 3)."""
+    check_dimension(n, (1, 3))
+    check_positive("r_max_factor", r_max_factor)
+    (moment_1d if n == 1 else moment_3d)(alpha, beta, t)  # raises outside its windows
     fn = g1 if n == 1 else g3
     r_hi = r_max_factor * t
 
@@ -208,27 +191,23 @@ def moment_numeric(alpha: float, n: int, beta: float, t: float,
         c_tail = s * (alpha + 1.0) / (2.0 * math.pi ** 2) * t ** alpha
         expo = beta - alpha - 2.0
     tail = -c_tail * r_hi ** expo / expo  # expo < 0 inside the moment window
+    check_finite("the numerical moment", val + tail)
     return val + tail
 
 
 def gravity_center_velocity(alpha: float) -> float:
     """Velocity 2/(alpha sin(pi/alpha)) of the half-line gravity center
     moment_1d(alpha,1,t)/moment_1d(alpha,0,t); diverges as alpha -> 1."""
-    if not (1.0 < alpha < 2.0):
-        raise InvalidOrder(
-            f"gravity-center velocity requires 1 < alpha < 2 (the mean does not "
-            f"exist at alpha = 1), got {alpha}"
-        )
+    check_window(alpha, 1.0, 2.0, lo_open=True)  # no mean at alpha = 1
     return 2.0 / (alpha * math.sin(math.pi / alpha))
 
 
 def sign_profile_3d(alpha: float, t: float, r_grid, zero_tol: float = 1e-9) -> list[int]:
     """Sign of G_{alpha,3}(r, t) at each grid point (-1, 0, +1), checked for
     consistency against the zero-crossing threshold z_alpha * t."""
-    if not (1.0 < alpha < 2.0):
-        raise InvalidOrder(f"order must lie in (1, 2), got {alpha}")
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
+    check_window(alpha, 1.0, 2.0, lo_open=True)
+    check_positive("t", t)
+    check_positive("zero_tol", zero_tol, zero_ok=True)
     r = np.atleast_1d(r_grid).astype(float)
     v = g3(alpha, r, t)
     d = r - zero_crossing_z(alpha) * t
@@ -237,7 +216,7 @@ def sign_profile_3d(alpha: float, t: float, r_grid, zero_tol: float = 1e-9) -> l
     bad = np.flatnonzero((sign != 0) & (expected != 0) & (sign != expected))
     if bad.size:
         i = bad[0]
-        raise RuntimeError(
+        raise NonConvergence(
             f"sign structure violated at r={r[i]}: got {sign[i]}, expected {expected[i]}"
         )
     return sign.tolist()

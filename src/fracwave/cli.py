@@ -15,27 +15,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import analysis, closed_form, mellin_barnes, quadrature
-from .errors import (
-    ContourFailure,
-    FracWaveError,
-    InvalidContour,
-    InvalidGrid,
-    InvalidOrder,
-    MomentOutOfRange,
-    NonConvergence,
-    OriginDivergence,
-    PoleError,
-    UnsupportedDimension,
-    UnsupportedOrder,
-)
+from .errors import (ContourFailure, FracWaveError, NonConvergence, OriginDivergence,
+                     PoleError)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_USAGE_ERRORS = (InvalidOrder, MomentOutOfRange, UnsupportedDimension,
-                 InvalidGrid, InvalidContour, UnsupportedOrder, ValueError)
+# exit 3; every other FracWaveError (or ValueError) is a usage/domain error
 _NUMERICAL_ERRORS = (NonConvergence, ContourFailure, OriginDivergence, PoleError)
 
 
@@ -43,10 +31,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _fmt17(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _load_config(path: str | None) -> tuple[quadrature.QuadratureConfig,
@@ -107,12 +91,8 @@ def _evaluate(alpha: float, n: int, r, t, method: str,
                            else closed_form.g3(alpha, r, t))
         return value, np.zeros_like(value)
     if method == "mellin":
-        if np.any(r == 0.0):
-            raise CliError("the Mellin-Barnes route requires r > 0", EXIT_USAGE)
         res = mellin_barnes.g_mellin_barnes(alpha, n, r, t, ccfg)
         return np.asarray(res.value), np.asarray(res.est_error)
-    if method != "integral":
-        raise CliError(f"unknown method {method!r}", EXIT_USAGE)
     grid = np.broadcast(r, t)
     results = [quadrature.g_integral(alpha, n, float(ri), float(ti), qcfg) for ri, ti in grid]
     return (np.reshape([res.value for res in results], grid.shape),
@@ -123,12 +103,14 @@ def _default_method(n: int) -> str:
     return "closed" if n in (1, 3) else "integral"
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _write_csv(path: str, header: str, *columns) -> None:
+    """One CSV row per index of the equal-length columns, floats as %.17g."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     out = sys.stdout if path == "-" else open(path, "w", encoding="utf-8", newline="\n")
     try:
         out.write(header + "\n")
-        for row in rows:
-            out.write(",".join(_fmt17(x) for x in row) + "\n")
+        out.writelines(row % values
+                       for values in zip(*(np.asarray(c).tolist() for c in columns)))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -163,13 +145,13 @@ def cmd_profile(args, qcfg, ccfg) -> int:
         grid = np.linspace(args.rmin, args.rmax, args.points)
         values, errs = _evaluate(args.alpha, args.dim, grid, args.t,
                                  method, qcfg, ccfg)
-    _write_csv(args.out, header, zip(grid, values, errs))
+    _write_csv(args.out, header, grid, values, errs)
     return EXIT_OK
 
 
 def cmd_velocity(args, qcfg, ccfg) -> int:
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    _write_csv(args.out, "alpha,v", analysis.velocity_curve(args.dim, alphas, args.which))
+    _write_csv(args.out, "alpha,v", *zip(*analysis.velocity_curve(args.dim, alphas, args.which)))
     return EXIT_OK
 
 
@@ -205,12 +187,8 @@ def cmd_crosscheck(args, qcfg, ccfg) -> int:
 
 
 def cmd_moments(args, qcfg, ccfg) -> int:
-    if args.dim == 1:
-        value = analysis.moment_1d(args.alpha, args.beta, args.t)
-    elif args.dim == 3:
-        value = analysis.moment_3d(args.alpha, args.beta, args.t)
-    else:
-        raise CliError("moments are available for dim 1 and 3", EXIT_USAGE)
+    moment = analysis.moment_1d if args.dim == 1 else analysis.moment_3d
+    value = moment(args.alpha, args.beta, args.t)
     print(f"formula {value:.15g}")
     if args.check_numeric:
         num = analysis.moment_numeric(args.alpha, args.dim, args.beta, args.t)
@@ -229,10 +207,7 @@ def cmd_solve1d(args, qcfg, ccfg) -> int:
         raise CliError("phi file must be a CSV with header x,phi", EXIT_USAGE)
     xs = np.atleast_1d(data[data.dtype.names[0]]).astype(float)
     phis = np.atleast_1d(data[data.dtype.names[1]]).astype(float)
-    if xs.size < 2 or np.any(np.isnan(xs)) or np.any(np.isnan(phis)):
-        raise CliError("phi file is malformed (need >= 2 numeric rows)", EXIT_USAGE)
-    u = quadrature.solve_ivp_1d(args.alpha, xs, phis, args.t, xs)
-    _write_csv(args.out, "x,u", zip(xs, u))
+    _write_csv(args.out, "x,u", xs, quadrature.solve_ivp_1d(args.alpha, xs, phis, args.t, xs))
     return EXIT_OK
 
 
@@ -318,7 +293,7 @@ def main(argv=None) -> int:
             msg = f"diverges at origin: {msg}"
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _USAGE_ERRORS as exc:
+    except (FracWaveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

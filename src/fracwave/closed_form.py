@@ -14,7 +14,7 @@ formulas are stable from r/t ~ 1e-300 out to overflow.  M vanishes exactly at
 q = z_alpha^alpha, reproducing the sign change of the 3D solution and the
 maximum of the 1D solution.
 
-All functions broadcast over numpy arrays in r and t.
+All functions broadcast over numpy arrays in r and t, which must be finite.
 """
 
 from __future__ import annotations
@@ -23,28 +23,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidOrder, OriginDivergence
+from .errors import OriginDivergence, check_finite, check_positive, check_window
 from .special import DEFAULT_TOL, ml_neg
-
-
-def _check_order(alpha: float, *, lo_open: bool = False) -> None:
-    if lo_open:
-        if not (1.0 < alpha < 2.0):
-            raise InvalidOrder(f"order must lie in (1, 2), got {alpha}")
-    elif not (1.0 <= alpha < 2.0):
-        raise InvalidOrder(f"order must lie in [1, 2), got {alpha}")
-
-
-def _check_point(r, t, *, r_positive: bool = False) -> None:
-    r = np.asarray(r)
-    t = np.asarray(t)
-    if not np.all(t > 0.0):
-        raise ValueError("time t must be strictly positive")
-    if r_positive:
-        if not np.all(r > 0.0):
-            raise ValueError("radial coordinate r must be strictly positive here")
-    elif not np.all(r >= 0.0):
-        raise ValueError("radial coordinate r must be nonnegative")
 
 
 def _scaled_pieces(alpha: float, r, t):
@@ -65,8 +45,9 @@ def g1(alpha: float, r, t) -> float | np.ndarray:
     Finite and nonnegative for all r >= 0, t > 0; reduces to the Cauchy kernel
     t/(pi (t^2 + r^2)) at alpha = 1.
     """
-    _check_order(alpha)
-    _check_point(r, t)
+    check_window(alpha, 1.0, 2.0)
+    check_positive("t", t)
+    check_positive("r", r, zero_ok=True)
     q, u, d_u, c, s = _scaled_pieces(alpha, r, t)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # q <= 1: q^(1-1/alpha)/D(q); q > 1: q^(-1-1/alpha)/D(1/q) = u^(1+1/alpha)/D(u)
@@ -79,8 +60,9 @@ def g1(alpha: float, r, t) -> float | np.ndarray:
 
 def g1_dr(alpha: float, r, t) -> float | np.ndarray:
     """Exact radial derivative of G_{alpha,1}; vanishes only at r = z_alpha t."""
-    _check_order(alpha)
-    _check_point(r, t, r_positive=True)
+    check_window(alpha, 1.0, 2.0)
+    check_positive("t", t)
+    check_positive("r", r)
     q, u, d_u, c, s = _scaled_pieces(alpha, r, t)
     w = np.asarray(r, dtype=float) / np.asarray(t, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -91,13 +73,15 @@ def g1_dr(alpha: float, r, t) -> float | np.ndarray:
         num = np.where(q <= 1.0, n_small, n_large)
         val = (s / math.pi) * np.asarray(t, dtype=float) ** (-2.0) \
             * w ** (alpha - 2.0) * num / d_u ** 2
+    check_finite("dG_{alpha,1}/dr", val)
     return float(val) if np.ndim(val) == 0 else val
 
 
 def g1_dt(alpha: float, r, t) -> float | np.ndarray:
     """Exact time derivative of G_{alpha,1}."""
-    _check_order(alpha)
-    _check_point(r, t)
+    check_window(alpha, 1.0, 2.0)
+    check_positive("t", t)
+    check_positive("r", r, zero_ok=True)
     q, u, d_u, c, s = _scaled_pieces(alpha, r, t)
     w = np.asarray(r, dtype=float) / np.asarray(t, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -119,8 +103,9 @@ def g3(alpha: float, r, t) -> float | np.ndarray:
     unbounded at the origin.  alpha = 1 is accepted (the formula remains
     finite) but lies outside the range established for the 3D solution.
     """
-    _check_order(alpha)
-    _check_point(r, t, r_positive=False)
+    check_window(alpha, 1.0, 2.0)
+    check_positive("t", t)
+    check_positive("r", r, zero_ok=True)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr == 0.0):
         raise OriginDivergence("G_{alpha,3} is unbounded at r = 0")
@@ -133,31 +118,35 @@ def g3(alpha: float, r, t) -> float | np.ndarray:
         num = np.where(q <= 1.0, m_small, m_large)
         val = s / (2.0 * math.pi ** 2) * r_arr ** (alpha - 3.0) \
             * np.asarray(t, dtype=float) ** (-alpha) * num / d_u ** 2
+    check_finite("G_{alpha,3}", val)
     return float(val) if np.ndim(val) == 0 else val
 
 
 def g3_via_g1_spatial(alpha: float, r, t) -> float | np.ndarray:
     """3D solution from the radial-derivative route: -(1/(2 pi r)) dG1/dr."""
-    _check_point(r, t, r_positive=True)
-    return -1.0 / (2.0 * math.pi * np.asarray(r, dtype=float)) * g1_dr(alpha, r, t)
+    check_positive("r", r)
+    value = -1.0 / (2.0 * math.pi * np.asarray(r, dtype=float)) * g1_dr(alpha, r, t)
+    check_finite("G_{alpha,3}", value)
+    return value
 
 
 def g3_via_g1_temporal(alpha: float, r, t) -> float | np.ndarray:
     """3D solution from the time-derivative route:
     (1/(2 pi r^2)) (G1 + t dG1/dt)."""
-    _check_point(r, t, r_positive=True)
+    check_positive("r", r)
     r_arr = np.asarray(r, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    return (g1(alpha, r, t) + t_arr * g1_dt(alpha, r, t)) / (2.0 * math.pi * r_arr ** 2)
+    value = (g1(alpha, r, t) + t_arr * g1_dt(alpha, r, t)) / (2.0 * math.pi * r_arr ** 2)
+    check_finite("G_{alpha,3}", value)
+    return value
 
 
 def g_hat(alpha: float, kappa_abs: float, t: float, tol: float = DEFAULT_TOL) -> float:
     """Fourier-space solution E_alpha(-|kappa|^alpha t^alpha); equals 1 at t = 0."""
-    _check_order(alpha)
-    if not (kappa_abs >= 0.0):
-        raise ValueError(f"|kappa| must be nonnegative, got {kappa_abs}")
-    if not (t >= 0.0):
-        raise ValueError(f"t must be nonnegative, got {t}")
+    check_window(alpha, 1.0, 2.0)
+    check_positive("|kappa|", kappa_abs, zero_ok=True)
+    check_positive("t", t, zero_ok=True)
+    check_positive("tol", tol)
     if t == 0.0 or kappa_abs == 0.0:
         return 1.0
     return ml_neg(alpha, (kappa_abs * t) ** alpha, tol).value

@@ -1,8 +1,36 @@
-"""Exception hierarchy for the fracwave package."""
+"""Exception hierarchy and the input contract of the fracwave package.
+
+Every public entry point checks its arguments with the checkers below before
+any work, and its result once at exit.  For any input it either returns a
+finite value (with an honest est_error, where it reports one) or raises a
+FracWaveError:
+
+* a bad value raises InvalidInput, which is also a ValueError: NaN, an
+  infinite t, r or tol, t <= 0 (t < 0 where t = 0 is documented as valid),
+  r < 0 (r <= 0 on the routes that need r > 0), tol <= 0;
+* an order outside the route's window raises InvalidOrder, an unsupported
+  dimension UnsupportedDimension, a moment order outside its window
+  MomentOutOfRange, a non-finite sample grid InvalidGrid;
+* a result that would not be finite, or a mesh too large to build, raises
+  NonConvergence (ContourFailure on the Mellin-Barnes contour).
+
+Documented limits stay valid inputs: ml_neg(alpha, inf) = 0 for alpha < 2,
+g_hat = 1 at t = 0, and bessel_kernel(-1/2, 0) = inf, the kernel's pole.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class FracWaveError(Exception):
     """Base class for all fracwave errors."""
+
+
+class InvalidInput(FracWaveError, ValueError):
+    """Argument outside its documented domain: NaN, infinite or out of range."""
 
 
 class InvalidOrder(FracWaveError):
@@ -26,7 +54,7 @@ class OriginDivergence(FracWaveError):
 
 
 class InvalidGrid(FracWaveError):
-    """Sampled input grid is unsorted or not uniform."""
+    """Sampled input grid is unsorted, not uniform or not finite."""
 
 
 class ContourFailure(FracWaveError):
@@ -43,3 +71,36 @@ class MomentOutOfRange(FracWaveError):
 
 class UnsupportedDimension(FracWaveError):
     """Operation undefined for the requested spatial dimension."""
+
+
+def check_window(x, lo: float, hi: float, *, lo_open: bool = False, hi_open: bool = True,
+                 what: str = "order", exc: type = InvalidOrder) -> None:
+    """Raise exc unless lo <= x < hi; lo_open and hi_open make an end strict
+    or inclusive.  NaN lies in no window."""
+    if not ((lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
+        raise exc(f"{what} must lie in {'(' if lo_open else '['}{lo}, {hi}"
+                  f"{')' if hi_open else ']'}, got {x}")
+
+
+def check_dimension(n, dims: tuple = (1, 2, 3)) -> None:
+    """Raise UnsupportedDimension unless n is one of dims."""
+    if n not in dims:
+        raise UnsupportedDimension(f"dimension must be one of {dims}, got {n}")
+
+
+def check_positive(name: str, x, *, zero_ok: bool = False) -> None:
+    """Raise InvalidInput unless x, a float or an array, is finite and > 0
+    (>= 0 with zero_ok) everywhere."""
+    if isinstance(x, (list, tuple)):
+        x = np.asarray(x, dtype=float)
+    ok = (x >= 0.0 if zero_ok else x > 0.0) & (x < math.inf)
+    if not (ok if ok.__class__ is bool else np.all(ok)):
+        raise InvalidInput(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got "
+                           f"{x if np.ndim(x) == 0 else np.asarray(x)[~np.asarray(ok)][0]}")
+
+
+def check_finite(what: str, *values, exc: type = NonConvergence) -> None:
+    """Raise exc unless every value (float, complex or array) is finite."""
+    for v in values:
+        if not (-math.inf < v < math.inf if v.__class__ is float else np.all(np.isfinite(v))):
+            raise exc(f"{what} is not finite" + (f": {v}" if np.ndim(v) == 0 else ""))

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import loggamma as _loggamma
 
-from .errors import ContourFailure, InvalidContour, InvalidOrder, PoleError
-from .quadrature import QuadResult, _check_dimension
+from .errors import (ContourFailure, InvalidContour, InvalidInput, PoleError, check_dimension,
+                     check_finite, check_positive, check_window)
+from .quadrature import QuadResult
 
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -63,25 +64,16 @@ class ContourConfig:
     step_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.step_tol > 0.0):
-            raise ValueError("step_tol must be positive")
-        if self.y_max is not None and not (self.y_max > 0.0):
-            raise ValueError("y_max must be positive")
+        check_positive("step_tol", self.step_tol)
+        if self.y_max is not None:
+            check_positive("y_max", self.y_max)
 
 
 def _resolve_sigma(alpha: float, n: int, cfg: ContourConfig) -> float:
     sigma = cfg.sigma if cfg.sigma is not None else min(alpha, float(n)) / 2.0
-    if not (0.0 < sigma < min(alpha, float(n))):
-        raise InvalidContour(
-            f"sigma must lie in (0, min(alpha, n)) = (0, {min(alpha, float(n))}), got {sigma}"
-        )
+    check_window(sigma, 0.0, min(alpha, float(n)), lo_open=True, what="sigma",
+                 exc=InvalidContour)
     return sigma
-
-
-def _check_inputs(alpha: float, n: int) -> None:
-    _check_dimension(n)
-    if not (1.0 < alpha < 2.0):
-        raise InvalidOrder(f"Mellin-Barnes route requires 1 < alpha < 2, got {alpha}")
 
 
 def _log_kernel_terms(alpha: float, n: int, s: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -103,8 +95,10 @@ def mb_kernel(alpha: float, n: int, s: complex) -> complex:
     kernel itself is unbounded); at poles of the denominator factors the
     kernel vanishes and 0 is returned.
     """
-    _check_inputs(alpha, n)
+    check_dimension(n)
+    check_window(alpha, 1.0, 2.0, lo_open=True)
     s = complex(s)
+    check_finite("s", s, exc=InvalidInput)
 
     def _is_nonpos_int(z: complex) -> bool:
         return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
@@ -117,7 +111,9 @@ def mb_kernel(alpha: float, n: int, s: complex) -> complex:
             raise PoleError(f"kernel pole: Gamma argument {arg} is a non-positive integer")
     if _is_nonpos_int(1.0 - s) or _is_nonpos_int(0.5 * s):
         return 0.0 + 0.0j
-    return complex(np.exp(_log_kernel(alpha, n, np.asarray(s, dtype=complex))))
+    value = complex(np.exp(_log_kernel(alpha, n, np.asarray(s, dtype=complex))))
+    check_finite("the kernel", value, exc=ContourFailure)
+    return value
 
 
 def _decay_rate(alpha: float) -> float:
@@ -244,16 +240,17 @@ def g_mellin_barnes(alpha: float, n: int, r, t,
     array input gives arrays of the broadcast shape.
     """
     cfg = cfg or ContourConfig()
-    _check_inputs(alpha, n)
+    check_dimension(n)
+    check_window(alpha, 1.0, 2.0, lo_open=True)
     r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    if not np.all(r > 0.0):
-        raise ValueError("Mellin-Barnes route requires r > 0")
-    if not np.all(t > 0.0):
-        raise ValueError("t must be positive")
+    check_positive("r", r)
+    check_positive("t", t)
     core, est = _mb_core(alpha, n, (r / t).ravel(), cfg, symmetric=True)
-    pref = 1.0 / (alpha * math.pi ** (0.5 * n) * r ** n)
-    value = pref * core.real.reshape(r.shape)
-    est = pref * est.reshape(r.shape) + 1e-16 * np.abs(value)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        pref = 1.0 / (alpha * math.pi ** (0.5 * n) * r ** n)
+        value = pref * core.real.reshape(r.shape)
+        est = pref * est.reshape(r.shape) + 1e-16 * np.abs(value)
+    check_finite("the contour value or its est_error", value, est, exc=ContourFailure)
     if value.ndim == 0:
         return QuadResult(float(value), float(est), 0)
     return QuadResult(value, est, 0)
@@ -262,11 +259,13 @@ def g_mellin_barnes(alpha: float, n: int, r, t,
 def l_aux(alpha: float, n: int, rho: float, cfg: ContourConfig | None = None) -> float:
     """Single-argument profile L_{alpha,n}(rho) with G = r^(-n) L_{alpha,n}(r/t)."""
     cfg = cfg or ContourConfig()
-    _check_inputs(alpha, n)
-    if not (rho > 0.0):
-        raise ValueError("rho must be positive")
+    check_dimension(n)
+    check_window(alpha, 1.0, 2.0, lo_open=True)
+    check_positive("rho", rho)
     core, _ = _mb_core(alpha, n, np.array([rho], dtype=float), cfg, symmetric=True)
-    return float(core[0].real) / (alpha * math.pi ** (0.5 * n))
+    value = float(core[0].real) / (alpha * math.pi ** (0.5 * n))
+    check_finite("L_{alpha,n}", value, exc=ContourFailure)
+    return value
 
 
 def _mb_unsymmetrized(alpha: float, n: int, r: float, t: float,
@@ -274,6 +273,7 @@ def _mb_unsymmetrized(alpha: float, n: int, r: float, t: float,
     """Full-line variant without Schwarz reduction; the imaginary part is a
     numerical-residue diagnostic used by the test suite."""
     cfg = cfg or ContourConfig()
-    _check_inputs(alpha, n)
+    check_dimension(n)
+    check_window(alpha, 1.0, 2.0, lo_open=True)
     core, _ = _mb_core(alpha, n, np.array([r / t], dtype=float), cfg, symmetric=False)
     return complex(core[0]) / (alpha * math.pi ** (0.5 * n) * r ** n)

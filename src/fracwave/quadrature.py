@@ -23,18 +23,14 @@ error estimates, and the truncated oscillation amplitude.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import g1
-from .errors import (
-    InvalidGrid,
-    InvalidOrder,
-    NonConvergence,
-    OriginDivergence,
-    UnsupportedDimension,
-)
+from .errors import (InvalidGrid, InvalidInput, NonConvergence, OriginDivergence,
+                     check_dimension, check_finite, check_positive, check_window)
 from scipy.special import j0 as _bessel_j0
 from scipy.special import j1 as _bessel_j1
 
@@ -43,6 +39,9 @@ from .special import _gk15_cells, _inverse_power_terms, asymptotic_cutoff, ml_ne
 # Order of the Wynn epsilon acceleration: each estimate uses the last
 # 2 * _ACCEL_ORDER + 1 partial sums of the lobe series.
 _ACCEL_ORDER = 8
+# Most GK15 cells one lobe's mesh may have.  Below r/t ~5e-14 lobe 0 would
+# need more, which takes minutes and gigabytes.
+_MAX_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,10 @@ class QuadratureConfig:
     max_lobes: int = 10_000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("abs_tol and rel_tol must be positive")
-        if self.max_lobes < 8:
-            raise ValueError("max_lobes must be at least 8")
+        check_positive("abs_tol", self.abs_tol)
+        check_positive("rel_tol", self.rel_tol)
+        if not (isinstance(self.max_lobes, numbers.Integral) and self.max_lobes >= 8):
+            raise InvalidInput(f"max_lobes must be an integer >= 8, got {self.max_lobes}")
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,6 @@ class QuadResult:
     value: float
     est_error: float
     lobes_used: int
-
-
-def _check_dimension(n: int) -> None:
-    if n not in (1, 2, 3):
-        raise UnsupportedDimension(f"dimension must be 1, 2, or 3, got {n}")
 
 
 def _j0_zero(k: int) -> float:
@@ -143,12 +137,14 @@ def _cells(alpha: float, t: float, a: float, b: float) -> np.ndarray:
     else:
         scale = 2.0 / t
     base = [0.0] + [b * 0.25 ** j for j in range(14, -1, -1)] if a == 0.0 else [a, b]
+    widths = [(hi - lo) / scale if _ml_osc_amplitude(alpha, lo * t) > 1e-18 else 0.0
+              for lo, hi in zip(base[:-1], base[1:])]
+    if not sum(widths) <= _MAX_CELLS:
+        raise NonConvergence(f"the lobe [{a:.3g}, {b:.3g}] needs {sum(widths):.3g} cells, "
+                             f"more than {_MAX_CELLS}: r/t is too small for the integral")
     edges = [base[0]]
-    for lo, hi in zip(base[:-1], base[1:]):
-        m = 1
-        if _ml_osc_amplitude(alpha, lo * t) > 1e-18:
-            m = max(1, math.ceil((hi - lo) / scale))
-        edges.extend(np.linspace(lo, hi, m + 1)[1:])
+    for lo, hi, width in zip(base[:-1], base[1:], widths):
+        edges.extend(np.linspace(lo, hi, max(1, math.ceil(width)) + 1)[1:])
     return np.array(edges)
 
 
@@ -193,16 +189,10 @@ def g_integral(alpha: float, n: int, r: float, t: float,
     accelerated lobe series does not stabilize within cfg.max_lobes.
     """
     cfg = cfg or QuadratureConfig()
-    _check_dimension(n)
-    if n == 1:
-        if not (1.0 <= alpha < 2.0):
-            raise InvalidOrder(f"n=1 requires 1 <= alpha < 2, got {alpha}")
-    elif not (1.0 < alpha < 2.0):
-        raise InvalidOrder(f"n={n} requires 1 < alpha < 2, got {alpha}")
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
-    if not (r >= 0.0):
-        raise ValueError("r must be nonnegative")
+    check_dimension(n)
+    check_window(alpha, 1.0, 2.0, lo_open=n > 1, what=f"order for n = {n}")
+    check_positive("t", t)
+    check_positive("r", r, zero_ok=True)
     if r == 0.0:
         if n >= 2:
             raise OriginDivergence(f"G_{{alpha,{n}}} diverges at r = 0")
@@ -252,7 +242,7 @@ def g_integral(alpha: float, n: int, r: float, t: float,
             accel_est += 0.25 * abs(evens[-1] - evens[-2])
         est = 3.0 * accel_est + panel_err + 1e-16 * abs(value)
         target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        if est <= target:
+        if est <= target:  # so both are finite: est >= 1e-16 |value|
             return QuadResult(value, est, k + 1)
 
     raise NonConvergence(
@@ -290,6 +280,7 @@ def _integral_origin_1d(alpha: float, t: float, cfg: QuadratureConfig) -> QuadRe
         tail, tail_err = math.exp(-tau_cut * t) / t, 0.0
     value = val + tail / math.pi
     est = err + tail_err / math.pi + 1e-15
+    check_finite("the origin integral or its est_error", value, est)
     if est > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
         raise NonConvergence("origin integral tail estimate above tolerance")
     return QuadResult(value, est, edges.size - 1)
@@ -302,11 +293,9 @@ def g_origin(alpha: float, n: int, t: float) -> float:
     alpha = 1; unbounded (OriginDivergence) for n >= 2 because the Mellin
     convergence window 0 < n < alpha is empty there.
     """
-    _check_dimension(n)
-    if not (1.0 <= alpha < 2.0):
-        raise InvalidOrder(f"order must lie in [1, 2), got {alpha}")
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
+    check_dimension(n)
+    check_window(alpha, 1.0, 2.0)
+    check_positive("t", t)
     if n >= 2:
         raise OriginDivergence(
             f"G_{{alpha,{n}}}(0, t) diverges: the window 0 < n < alpha is empty for n = {n}"
@@ -327,16 +316,18 @@ def solve_ivp_1d(alpha: float, xs, phis, t: float, out_grid) -> np.ndarray:
     G_{alpha,1}(x_i - x_j) depends on i - j only: the N-point grid costs 2N - 1
     kernel values (N g1 evaluations, mirrored) and one discrete convolution.
     Any other out_grid is summed directly, N g1 values per output point.
-    Raises InvalidGrid for unsorted or non-uniform sample grids.
+    Raises InvalidGrid for unsorted, non-uniform or non-finite sample grids
+    and non-finite samples or output points.
     """
-    if not (1.0 <= alpha < 2.0):
-        raise InvalidOrder(f"order must lie in [1, 2), got {alpha}")
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
+    check_window(alpha, 1.0, 2.0)
+    check_positive("t", t)
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)
+    out = np.asarray(out_grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or xs.shape != phis.shape:
         raise InvalidGrid("phi must be sampled as two equal-length 1D arrays")
+    check_finite("the sample grid, the samples or the output grid", xs, phis, out,
+                 exc=InvalidGrid)
     d = np.diff(xs)
     if np.any(d <= 0.0):
         raise InvalidGrid("sample grid must be strictly increasing")
@@ -346,12 +337,13 @@ def solve_ivp_1d(alpha: float, xs, phis, t: float, out_grid) -> np.ndarray:
     w = np.full_like(phis, h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    out = np.asarray(out_grid, dtype=float)
     if np.array_equal(out, xs):
         # mean spacing: the rounding in h = x_1 - x_0 would grow k-fold in k h
         g = g1(alpha, (xs[-1] - xs[0]) / (xs.size - 1) * np.arange(xs.size), t)
-        return np.convolve(np.concatenate((g[:0:-1], g)), w * phis, mode="valid")
-    u = np.empty_like(out)
-    for i, x in enumerate(out):
-        u[i] = float(np.dot(w * phis, g1(alpha, np.abs(x - xs), t)))
+        u = np.convolve(np.concatenate((g[:0:-1], g)), w * phis, mode="valid")
+    else:
+        u = np.empty_like(out)
+        for i, x in enumerate(out):
+            u[i] = float(np.dot(w * phis, g1(alpha, np.abs(x - xs), t)))
+    check_finite("the solution", u)
     return u

@@ -38,7 +38,8 @@ from scipy.special import j0 as _scipy_j0
 from scipy.special import loggamma as _scipy_loggamma
 from scipy.special import rgamma as _scipy_rgamma
 
-from .errors import InvalidOrder, NonConvergence, PoleError, UnsupportedOrder
+from .errors import (InvalidInput, NonConvergence, PoleError, UnsupportedOrder, check_finite,
+                     check_positive, check_window)
 
 DEFAULT_TOL = 1e-12
 
@@ -72,11 +73,6 @@ def asymptotic_cutoff(alpha: float, tol: float = DEFAULT_TOL) -> float:
     loose tolerances.
     """
     return max(15.0, (math.log(20.0) - math.log(tol)) ** alpha)
-
-
-def _check_ml_order(alpha: float) -> None:
-    if not (0.0 < alpha <= 2.0):
-        raise InvalidOrder(f"Mittag-Leffler order must lie in (0, 2], got {alpha}")
 
 
 def _taylor_kahan(alpha: float, x: float) -> tuple[float, float]:
@@ -474,24 +470,23 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
     """Evaluate E_alpha(-x) for x >= 0 and 0 < alpha <= 2 to absolute error <= tol.
 
     E_alpha(-inf) = 0 for alpha < 2; at alpha = 2, E_2(-x) = cos(sqrt(x)) has
-    no limit and x = inf raises ValueError, as do NaN and x < 0.  Raises
-    InvalidOrder for alpha outside (0, 2] and NonConvergence if no regime can
-    attain the requested tolerance.  Every regime works in double precision:
-    a tol below 1e-13 fails for some inputs, and below ~1e-15 (4 eps) for
-    every 0 < x <= 1 at alpha < 2.  Below alpha ~0.005 no intermediate x
-    converges: x^(1/alpha) leaves the double range.
+    no limit and x = inf raises InvalidInput, as do NaN, x < 0 and a tol that
+    is not finite and positive.  Raises InvalidOrder for alpha outside (0, 2]
+    and NonConvergence if no regime can attain the requested tolerance.
+    Every regime works in double precision: a tol below 1e-13 fails for some
+    inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
+    Below alpha ~0.005 no intermediate x converges: x^(1/alpha) leaves the
+    double range.
     """
-    _check_ml_order(alpha)
-    if not (x >= 0.0):
-        raise ValueError(f"ml_neg requires x >= 0, got {x}")
-    if not (tol > 0.0):
-        raise ValueError(f"ml_neg requires tol > 0, got {tol}")
-
+    # Comparisons first: this is the integral route's per-node call.
+    if not (0.0 < alpha <= 2.0 and x >= 0.0 and 0.0 < tol < math.inf
+            and (x < math.inf or alpha < 2.0)):
+        check_window(alpha, 0.0, 2.0, lo_open=True, hi_open=False, what="Mittag-Leffler order")
+        raise InvalidInput(f"ml_neg requires x >= 0 (finite at alpha = 2: E_2(-x) = "
+                           f"cos(sqrt(x)) has no limit) and finite tol > 0, got x={x}, tol={tol}")
     if x == 0.0:
         return MLResult(1.0, REGIME_SERIES, 0.0)
-    if math.isinf(x):
-        if alpha == 2.0:
-            raise ValueError("ml_neg(2, inf) has no limit: E_2(-x) = cos(sqrt(x)) oscillates")
+    if x == math.inf:
         return MLResult(0.0, REGIME_ASYMPTOTIC, 0.0)
 
     if x <= SERIES_CUTOFF:
@@ -530,6 +525,7 @@ def log_gamma_complex(z: complex) -> complex:
     Raises PoleError at the non-positive integers.
     """
     z = complex(z)
+    check_finite("z", z, exc=InvalidInput)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PoleError(f"log Gamma pole at z = {z.real:.0f}")
     return complex(_scipy_loggamma(z))
@@ -542,8 +538,7 @@ def bessel_kernel(nu: float, z: float) -> float:
     J_{-1/2}(z) = sqrt(2/(pi z)) cos(z), J_{1/2}(z) = sqrt(2/(pi z)) sin(z);
     nu = 0 delegates to a standard series/asymptotic evaluation.
     """
-    if not (z >= 0.0):
-        raise ValueError(f"bessel_kernel requires z >= 0, got {z}")
+    check_positive("z", z, zero_ok=True)
     if nu == 0.0:
         return float(_scipy_j0(z))
     if nu == 0.5:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracwave.cli import main
+from fracwave.cli import _write_csv, main
 from fracwave.closed_form import g1, g3
 from fracwave.mellin_barnes import g_mellin_barnes
 from fracwave.quadrature import g_integral
@@ -91,6 +91,13 @@ class TestProfile:
             assert float(r_s) == r
             assert float(v_s) == v
             assert float(e_s) == 0.0
+        # the same format at the ends of the double range and for -0
+        edge = tmp_path / "edge.csv"
+        col = [-0.0, 5e-324, 1e300, 0.1]
+        _write_csv(str(edge), "a,b", np.array(col), col[::-1])
+        assert edge.read_text(encoding="utf-8") == "a,b\n" + "".join(
+            f"{a:.17g},{b:.17g}\n" for a, b in zip(col, col[::-1]))
+        assert edge.read_text().split("\n")[1] == "-0,0.10000000000000001"
 
     def test_mirrored_1d_profile(self, capsys, tmp_path):
         # evenness in x: a symmetric window produces a symmetric profile

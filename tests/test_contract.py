@@ -1,0 +1,165 @@
+"""The input contract: every public entry point, given a value outside its
+domain, raises a FracWaveError at once and never returns NaN or inf."""
+
+import inspect
+import math
+import time
+
+import pytest
+
+import fracwave
+from fracwave import FracWaveError, InvalidGrid, InvalidInput, MomentOutOfRange
+from fracwave.cli import main
+
+NAN, INF = math.nan, math.inf
+
+# Bad values by kind of argument.  A kind lists only values the functions
+# taking it document as invalid: t = 0 is valid for g_hat ("t0"), x = inf
+# for ml_neg ("x").
+BAD = {
+    "t": [NAN, INF, -INF, 0.0, -1.0],
+    "t0": [NAN, INF, -INF, -1.0],
+    "r": [NAN, INF, -1.0],
+    "r+": [NAN, INF, -1.0, 0.0],
+    "x": [NAN, -1.0],
+    "finite": [NAN, INF, complex(0.5, INF)],
+    "tol": [NAN, INF, 0.0, -1.0],
+    "alpha": [NAN, INF, 0.5, 2.0, 2.5],          # window [1, 2)
+    "alpha(1,2)": [NAN, INF, 0.5, 1.0, 2.0, 2.5],
+    "alpha[1,2]": [NAN, INF, 0.5, 2.5],
+    "alpha(0,2]": [NAN, INF, -1.0, 0.0, 2.5],
+    "beta": [NAN, INF, 5.0],
+    "lobes": [NAN, INF, 4, 8.5],
+    "alphas": [[1.2, NAN], [1.2, 2.5], [1.5, 1.2]],
+    "grid": [[0.0, NAN, 1.0], [0.0, 0.5, INF]],
+}
+
+# Public name -> (valid keyword arguments, {argument: kind of its bad values}).
+TABLE = {
+    "bessel_kernel": ({"nu": 0.0, "z": 1.0}, {"z": "r"}),
+    "g1": ({"alpha": 1.5, "r": 1.0, "t": 1.0}, {"alpha": "alpha", "r": "r", "t": "t"}),
+    "g1_dr": ({"alpha": 1.5, "r": 1.0, "t": 1.0}, {"alpha": "alpha", "r": "r+", "t": "t"}),
+    "g1_dt": ({"alpha": 1.5, "r": 1.0, "t": 1.0}, {"alpha": "alpha", "r": "r", "t": "t"}),
+    "g3": ({"alpha": 1.5, "r": 1.0, "t": 1.0}, {"alpha": "alpha", "r": "r+", "t": "t"}),
+    "g3_via_g1_spatial": ({"alpha": 1.5, "r": 1.0, "t": 1.0},
+                          {"alpha": "alpha", "r": "r+", "t": "t"}),
+    "g3_via_g1_temporal": ({"alpha": 1.5, "r": 1.0, "t": 1.0},
+                           {"alpha": "alpha", "r": "r+", "t": "t"}),
+    "g_hat": ({"alpha": 1.5, "kappa_abs": 1.0, "t": 1.0, "tol": 1e-12},
+              {"alpha": "alpha", "kappa_abs": "r", "t": "t0", "tol": "tol"}),
+    "g_integral": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
+                   {"alpha": "alpha(1,2)", "r": "r", "t": "t"}),
+    "g_mellin_barnes": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
+                        {"alpha": "alpha(1,2)", "r": "r+", "t": "t"}),
+    "g_origin": ({"alpha": 1.5, "n": 1, "t": 1.0}, {"alpha": "alpha", "t": "t"}),
+    "gravity_center_velocity": ({"alpha": 1.5}, {"alpha": "alpha(1,2)"}),
+    "l_aux": ({"alpha": 1.5, "n": 2, "rho": 1.0}, {"alpha": "alpha(1,2)", "rho": "r+"}),
+    "log_gamma_complex": ({"z": 1.5}, {"z": "finite"}),
+    "max_location": ({"alpha": 1.5, "n": 3, "t": 1.0}, {"alpha": "alpha(1,2)", "t": "t"}),
+    "mb_kernel": ({"alpha": 1.5, "n": 2, "s": 0.5}, {"alpha": "alpha(1,2)", "s": "finite"}),
+    "ml_neg": ({"alpha": 1.5, "x": 2.0, "tol": 1e-12},
+               {"alpha": "alpha(0,2]", "x": "x", "tol": "tol"}),
+    "moment_1d": ({"alpha": 1.5, "beta": 0.5, "t": 1.0},
+                  {"alpha": "alpha", "beta": "beta", "t": "t"}),
+    "moment_3d": ({"alpha": 1.5, "beta": 2.5, "t": 1.0},
+                  {"alpha": "alpha(1,2)", "beta": "beta", "t": "t"}),
+    "moment_numeric": ({"alpha": 1.5, "n": 1, "beta": 0.5, "t": 1.0},
+                       {"alpha": "alpha", "beta": "beta", "t": "t", "r_max_factor": "t"}),
+    "phase_velocity": ({"alpha": 1.5, "n": 1}, {"alpha": "alpha"}),
+    "sign_profile_3d": ({"alpha": 1.5, "t": 1.0, "r_grid": [0.5, 1.0]},
+                        {"alpha": "alpha(1,2)", "t": "t", "r_grid": "r+", "zero_tol": "r"}),
+    "solve_ivp_1d": ({"alpha": 1.5, "xs": [0.0, 0.5, 1.0], "phis": [0.0, 1.0, 0.0], "t": 1.0,
+                      "out_grid": [0.0, 0.5, 1.0]},
+                     {"alpha": "alpha", "t": "t", "xs": "grid", "phis": "grid",
+                      "out_grid": "grid"}),
+    "velocity_curve": ({"n": 3, "alphas": [1.2, 1.5]}, {"alphas": "alphas"}),
+    "zero_crossing_z": ({"alpha": 1.5}, {"alpha": "alpha[1,2]"}),
+    "QuadratureConfig": ({}, {"abs_tol": "tol", "rel_tol": "tol", "max_lobes": "lobes"}),
+    "ContourConfig": ({}, {"step_tol": "tol", "y_max": "tol"}),
+}
+
+CASES = [pytest.param(name, arg, bad, id=f"{name}-{arg}={bad!r}")
+         for name, (_, kinds) in TABLE.items()
+         for arg, kind in kinds.items()
+         for bad in BAD[kind]]
+
+
+def assert_fracwave_error_at_once(call):
+    start = time.perf_counter()
+    try:
+        result = call()
+    except FracWaveError:
+        assert time.perf_counter() - start < 1.0
+        return
+    pytest.fail(f"returned {result!r} instead of raising a FracWaveError")
+
+
+def test_every_public_function_has_a_row():
+    public = {name for name in fracwave.__all__
+              if inspect.isfunction(getattr(fracwave, name))}
+    assert public | {"QuadratureConfig", "ContourConfig"} == set(TABLE)
+
+
+@pytest.mark.parametrize("name,arg,bad", CASES)
+def test_bad_input_raises_fracwave_error(name, arg, bad):
+    valid, _ = TABLE[name]
+    assert_fracwave_error_at_once(lambda: getattr(fracwave, name)(**{**valid, arg: bad}))
+
+
+@pytest.mark.parametrize("name", list(TABLE))
+def test_valid_row_returns(name):
+    valid, _ = TABLE[name]
+    getattr(fracwave, name)(**valid)
+
+
+def test_invalid_input_is_a_value_error():
+    with pytest.raises(ValueError):
+        fracwave.g1(1.5, 1.0, NAN)
+    assert issubclass(InvalidInput, FracWaveError)
+
+
+def test_documented_limits_stay_valid():
+    assert fracwave.ml_neg(1.5, INF).value == 0.0
+    assert fracwave.g_hat(1.5, 1.0, 0.0) == 1.0
+    with pytest.raises(InvalidInput):
+        fracwave.ml_neg(2.0, INF)
+
+
+# -- calls that returned NaN or inf, ran unbounded or leaked a non-fracwave
+# error before the contract was enforced -------------------------------------
+
+HOLES = {
+    "g_integral_tiny_r": lambda: fracwave.g_integral(1.5, 2, 1e-20, 1.0),
+    "g_integral_tinier_r": lambda: fracwave.g_integral(1.5, 2, 1e-100, 1.0),
+    "g_integral_infinite_r": lambda: fracwave.g_integral(1.5, 2, INF, 1.0),
+    "max_location_infinite_t": lambda: fracwave.max_location(1.5, 3, INF),
+    "moment_numeric_out_of_window": lambda: fracwave.moment_numeric(1.5, 1, 5.0, 1.0),
+    "solve_ivp_1d_nan_phi": lambda: fracwave.solve_ivp_1d(
+        1.5, [0.0, 0.5, 1.0], [0.0, NAN, 0.0], 1.0, [0.0, 0.5, 1.0]),
+    "solve_ivp_1d_nan_grid": lambda: fracwave.solve_ivp_1d(
+        1.5, [0.0, NAN, 1.0], [0.0, 1.0, 0.0], 1.0, [0.5]),
+    "g1_bare_value_error": lambda: fracwave.g1(1.5, 1.0, -1.0),
+    "g3_infinite_r": lambda: fracwave.g3(1.5, INF, 1.0),
+    "g3_overflow": lambda: fracwave.g3(1.5, 1e-300, 1.0),
+    "g_mellin_barnes_overflow": lambda: fracwave.g_mellin_barnes(1.5, 2, 1e-300, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(HOLES))
+def test_former_hole_raises(name):
+    assert_fracwave_error_at_once(HOLES[name])
+
+
+def test_former_hole_errors_are_specific():
+    with pytest.raises(MomentOutOfRange):
+        HOLES["moment_numeric_out_of_window"]()
+    for name in ("solve_ivp_1d_nan_phi", "solve_ivp_1d_nan_grid"):
+        with pytest.raises(InvalidGrid):
+            HOLES[name]()
+
+
+@pytest.mark.parametrize("r,t", [("1", "inf"), ("1e-300", "1")])
+def test_cli_mellin_never_prints_nonfinite(capsys, r, t):
+    code = main(["eval", "--alpha", "1.5", "--dim", "2", "--r", r, "--t", t,
+                 "--method", "mellin"])
+    assert code in (2, 3), capsys.readouterr().out
