@@ -148,17 +148,18 @@ def moment_3d(alpha: float, beta: float, t: float) -> float:
             / math.sin(math.pi * (2.0 - beta) / alpha))
 
 
-def moment_numeric(alpha: float, n: int, beta: float, t: float,
-                   r_max_factor: float = 1e6) -> float:
+_MOMENT_R_MAX = 1e6  # moment_numeric's quadrature stops at r = _MOMENT_R_MAX t
+
+
+def moment_numeric(alpha: float, n: int, beta: float, t: float) -> float:
     """Independent numerical moment: quadrature of the closed form on a log
-    grid truncated at R = r_max_factor * t, plus the analytic power-law tail
+    grid truncated at R = _MOMENT_R_MAX * t, plus the analytic power-law tail
     (integrand ~ r^(beta - alpha - n) for large r).  Takes the orders and
     times of moment_1d (n = 1) and moment_3d (n = 3)."""
     check_dimension(n, (1, 3))
-    check_positive("r_max_factor", r_max_factor)
     (moment_1d if n == 1 else moment_3d)(alpha, beta, t)  # raises outside its windows
     fn = g1 if n == 1 else g3
-    r_hi = r_max_factor * t
+    r_hi = _MOMENT_R_MAX * t
 
     def integrand_r(r):
         return float(fn(alpha, r, t)) * r ** beta

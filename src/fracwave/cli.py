@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -35,12 +35,11 @@ class CliError(Exception):
 
 def _load_config(path: str | None) -> tuple[quadrature.QuadratureConfig,
                                             mellin_barnes.ContourConfig]:
-    qcfg = quadrature.QuadratureConfig()
-    ccfg = mellin_barnes.ContourConfig()
+    """The two configs, with their fields overridden by the key=value file."""
+    cfgs = [quadrature.QuadratureConfig(), mellin_barnes.ContourConfig()]
     if path is None:
-        return qcfg, ccfg
-    q_fields = {"abs_tol": float, "rel_tol": float, "max_lobes": int}
-    c_fields = {"sigma": float, "y_max": float, "step_tol": float}
+        return tuple(cfgs)
+    owner = {f.name: i for i, cfg in enumerate(cfgs) for f in fields(cfg)}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
@@ -52,17 +51,14 @@ def _load_config(path: str | None) -> tuple[quadrature.QuadratureConfig,
                 key, _, raw = line.partition("=")
                 key = key.strip()
                 raw = raw.strip()
-                if key in q_fields:
-                    qcfg = replace(qcfg, **{key: q_fields[key](raw)})
-                elif key in c_fields:
-                    ccfg = replace(ccfg, **{key: c_fields[key](raw)})
-                else:
+                if key not in owner:
                     raise CliError(f"{path}:{line_no}: unknown key {key!r}", EXIT_USAGE)
+                cfgs[owner[key]] = replace(cfgs[owner[key]], **{key: float(raw)})
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}", EXIT_USAGE)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad config value in {path}: {exc}", EXIT_USAGE)
-    return qcfg, ccfg
+    return tuple(cfgs)
 
 
 def _note_extrapolated(alpha: float, n: int) -> None:

@@ -136,7 +136,8 @@ def g3_via_g1_temporal(alpha: float, r, t) -> float | np.ndarray:
     check_positive("r", r)
     r_arr = np.asarray(r, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    value = (g1(alpha, r, t) + t_arr * g1_dt(alpha, r, t)) / (2.0 * math.pi * r_arr ** 2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        value = (g1(alpha, r, t) + t_arr * g1_dt(alpha, r, t)) / (2.0 * math.pi * r_arr ** 2)
     check_finite("G_{alpha,3}", value)
     return value
 

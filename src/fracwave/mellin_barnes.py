@@ -52,21 +52,22 @@ _NODE_BLOCK = 1 << 16  # nodes whose kernel values are computed at once
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Vertical-line abscissa and truncation policy.
+    """Vertical-line abscissa and the step tolerance of the trapezoidal rule.
 
-    sigma = None selects min(alpha, n)/2 at evaluation time; y_max = None
-    derives the truncation height from the kernel decay rate with a safety
-    factor of 10.
+    sigma = None selects min(alpha, n)/2 at evaluation time; an explicit sigma
+    must be positive here and below min(alpha, n) at evaluation.  The truncation
+    height is not set here: each call derives it from the kernel decay rate
+    with a safety factor of 10 (_auto_y_max).
     """
 
     sigma: float | None = None
-    y_max: float | None = None
     step_tol: float = 1e-10
 
     def __post_init__(self):
+        if self.sigma is not None:
+            check_window(self.sigma, 0.0, math.inf, lo_open=True, what="sigma",
+                         exc=InvalidContour)
         check_positive("step_tol", self.step_tol)
-        if self.y_max is not None:
-            check_positive("y_max", self.y_max)
 
 
 def _resolve_sigma(alpha: float, n: int, cfg: ContourConfig) -> float:
@@ -164,12 +165,11 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray, cfg: ContourConfig,
     sigma = _resolve_sigma(alpha, n, cfg)
     if rho.size == 0:
         return rho.copy(), rho.copy()
-    log_rho = np.log(rho)
-    if cfg.y_max is not None:
-        y_max = cfg.y_max
-    else:
-        # The height grows with rho^sigma, so the largest rho sets it for all.
-        y_max = _auto_y_max(alpha, n, sigma, float(np.max(log_rho)), cfg.step_tol)
+    with np.errstate(divide="ignore"):  # r/t underflowed to 0: checked below
+        log_rho = np.log(rho)
+    check_finite("log(r/t)", log_rho, exc=ContourFailure)
+    # The height grows with rho^sigma, so the largest rho sets it for all.
+    y_max = _auto_y_max(alpha, n, sigma, float(np.max(log_rho)), cfg.step_tol)
 
     # |K| decays like y^P exp(-mu y) with P = (n-1)/2, so past y_max the
     # line integral is at most |K(sigma + i y_max)| rho^sigma / (mu - P/y_max).
@@ -180,7 +180,7 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray, cfg: ContourConfig,
     if np.any(tail_mag > cfg.step_tol):
         raise ContourFailure(
             f"tail bound {np.max(tail_mag):.2e} at y_max={y_max:.1f} exceeds "
-            f"step_tol={cfg.step_tol:.2e}; raise y_max or loosen step_tol"
+            f"step_tol={cfg.step_tol:.2e}; loosen step_tol"
         )
 
     def add_nodes(y: np.ndarray, w: np.ndarray):
@@ -245,7 +245,9 @@ def g_mellin_barnes(alpha: float, n: int, r, t,
     r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
     check_positive("r", r)
     check_positive("t", t)
-    core, est = _mb_core(alpha, n, (r / t).ravel(), cfg, symmetric=True)
+    with np.errstate(over="ignore"):  # r/t out of the double range: checked in _mb_core
+        rho = (r / t).ravel()
+    core, est = _mb_core(alpha, n, rho, cfg, symmetric=True)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         pref = 1.0 / (alpha * math.pi ** (0.5 * n) * r ** n)
         value = pref * core.real.reshape(r.shape)

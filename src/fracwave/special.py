@@ -5,7 +5,8 @@ The central object is ``ml_neg(alpha, x)`` = E_alpha(-x), the Mittag-Leffler
 function evaluated on the negative axis, which carries all time dependence of
 the fractional wave propagator in Fourier space.  Three regimes are used:
 
-* ``series``        -- compensated Taylor sum, x <= 1;
+* ``series``        -- compensated Taylor sum, x <= 1, and for x <= 2 where
+                       the intermediate regime misses tol;
 * ``intermediate``  -- the exact decomposition into a pair of exponentially
                        damped oscillations (residues of the Laplace
                        inversion, present for 1 < alpha <= 2) plus a
@@ -209,13 +210,13 @@ class _BranchCutRule:
     tail_scale: float
 
 
-def _bisect_panels(kernel, expo, a: float, b: float, tts: np.ndarray, budget: float,
-                   max_depth: int = 26, max_panels: int = 4000) -> list[tuple]:
+def _bisect_panels(kernel, expo, a: float, b: float, tts: np.ndarray,
+                   budget: float) -> list[tuple]:
     """Adaptive bisection of [a, b] into GK15 panels for
     int_a^b kernel(y) exp(-tt expo(y)) dy, valid at every tt in tts at once.
 
     A panel is accepted once its |K15 - G7| fits its share of the budget at
-    every sampled tt.  The depth and panel caps bound the work for
+    every sampled tt.  A depth of 26 and 4000 panels cap the work for
     unreachable budgets; the per-x estimate then reports the shortfall.
     Returns the accepted panels as (g, w, d) rows (see _BranchCutRule).
     """
@@ -230,7 +231,7 @@ def _bisect_panels(kernel, expo, a: float, b: float, tts: np.ndarray, budget: fl
         g, w, d = expo(y[0]), wk[0] * kern, wd[0] * kern
         used += 1
         delta = float(np.max(np.abs(np.exp(-np.outer(tts, g)) @ d)))
-        if delta <= budget * (hi - lo) / span or depth >= max_depth or used >= max_panels:
+        if delta <= budget * (hi - lo) / span or depth >= 26 or used >= 4000:
             rows.append((g, w, d))
         else:
             mid = 0.5 * (lo + hi)
@@ -514,6 +515,12 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
             # the asymptotic truncation floor is too high: fall through
             regime = REGIME_INTERMEDIATE
             value, est = _ml_intermediate(alpha, x, tol)
+        if est > tol and x <= 2.0 * SERIES_CUTOFF:
+            # just above the cutoff the Taylor sum can still meet a tol that
+            # the branch-cut rule misses
+            series_value, series_est = _taylor_kahan(alpha, x)
+            if series_est <= tol:
+                regime, value, est = REGIME_SERIES, series_value, series_est
     if est > tol:
         raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, x={x}")
     return MLResult(value, regime, est)

@@ -334,7 +334,8 @@ class TestConfig:
 
     def test_unknown_key_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "fw.cfg"
-        for key in ("bogus", "accel_order"):  # accel_order is a constant
+        # accel_order, max_lobes and y_max are constants of the code
+        for key in ("bogus", "accel_order", "max_lobes", "y_max"):
             cfg.write_text(f"{key} = 8\n")
             code, _, err = run(capsys, "--config", str(cfg), "eval", "--alpha", "1.5",
                                "--dim", "1", "--r", "1", "--t", "1")

@@ -1,6 +1,7 @@
 """The input contract: every public entry point, given a value outside its
 domain, raises a FracWaveError at once and never returns NaN or inf."""
 
+import dataclasses
 import inspect
 import math
 import time
@@ -29,7 +30,6 @@ BAD = {
     "alpha[1,2]": [NAN, INF, 0.5, 2.5],
     "alpha(0,2]": [NAN, INF, -1.0, 0.0, 2.5],
     "beta": [NAN, INF, 5.0],
-    "lobes": [NAN, INF, 4, 8.5],
     "alphas": [[1.2, NAN], [1.2, 2.5], [1.5, 1.2]],
     "grid": [[0.0, NAN, 1.0], [0.0, 0.5, INF]],
 }
@@ -64,7 +64,7 @@ TABLE = {
     "moment_3d": ({"alpha": 1.5, "beta": 2.5, "t": 1.0},
                   {"alpha": "alpha(1,2)", "beta": "beta", "t": "t"}),
     "moment_numeric": ({"alpha": 1.5, "n": 1, "beta": 0.5, "t": 1.0},
-                       {"alpha": "alpha", "beta": "beta", "t": "t", "r_max_factor": "t"}),
+                       {"alpha": "alpha", "beta": "beta", "t": "t"}),
     "phase_velocity": ({"alpha": 1.5, "n": 1}, {"alpha": "alpha"}),
     "sign_profile_3d": ({"alpha": 1.5, "t": 1.0, "r_grid": [0.5, 1.0]},
                         {"alpha": "alpha(1,2)", "t": "t", "r_grid": "r+", "zero_tol": "r"}),
@@ -74,8 +74,8 @@ TABLE = {
                       "out_grid": "grid"}),
     "velocity_curve": ({"n": 3, "alphas": [1.2, 1.5]}, {"alphas": "alphas"}),
     "zero_crossing_z": ({"alpha": 1.5}, {"alpha": "alpha[1,2]"}),
-    "QuadratureConfig": ({}, {"abs_tol": "tol", "rel_tol": "tol", "max_lobes": "lobes"}),
-    "ContourConfig": ({}, {"step_tol": "tol", "y_max": "tol"}),
+    "QuadratureConfig": ({}, {"abs_tol": "tol", "rel_tol": "tol"}),
+    "ContourConfig": ({}, {"sigma": "tol", "step_tol": "tol"}),
 }
 
 CASES = [pytest.param(name, arg, bad, id=f"{name}-{arg}={bad!r}")
@@ -97,7 +97,10 @@ def assert_fracwave_error_at_once(call):
 def test_every_public_function_has_a_row():
     public = {name for name in fracwave.__all__
               if inspect.isfunction(getattr(fracwave, name))}
-    assert public | {"QuadratureConfig", "ContourConfig"} == set(TABLE)
+    configs = (fracwave.QuadratureConfig, fracwave.ContourConfig)
+    assert public | {cls.__name__ for cls in configs} == set(TABLE)
+    for cls in configs:  # every settable value of a config is checked
+        assert set(TABLE[cls.__name__][1]) == {f.name for f in dataclasses.fields(cls)}
 
 
 @pytest.mark.parametrize("name,arg,bad", CASES)
@@ -142,6 +145,10 @@ HOLES = {
     "g3_infinite_r": lambda: fracwave.g3(1.5, INF, 1.0),
     "g3_overflow": lambda: fracwave.g3(1.5, 1e-300, 1.0),
     "g_mellin_barnes_overflow": lambda: fracwave.g_mellin_barnes(1.5, 2, 1e-300, 1.0),
+    # r/t or r^2 out of the double range: warned before it raised
+    "g_mellin_barnes_ratio_underflow": lambda: fracwave.g_mellin_barnes(1.5, 2, 1e-300, 1e100),
+    "g_mellin_barnes_ratio_overflow": lambda: fracwave.g_mellin_barnes(1.5, 1, 1e300, 1e-300),
+    "g3_via_g1_temporal_underflow": lambda: fracwave.g3_via_g1_temporal(1.5, 1e-200, 1.0),
 }
 
 

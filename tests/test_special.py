@@ -265,6 +265,19 @@ class TestIntermediateRegime:
                 assert abs(r.value - self.oracle(alpha, float(x))) <= r.est_error
 
 
+class TestSeriesFallback:
+    # Just above the series cutoff the branch-cut rule misses tol 1e-14 at
+    # alpha = 1.05 and 1.25, which the Taylor sum still meets.
+    XS = np.concatenate((np.linspace(1.0, 1.2, 41)[1:], np.linspace(1.2, 2.0, 21)[1:]))
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.25, 1.5, 1.75, 1.95])
+    def test_tight_tol_returns_honest_value(self, alpha):
+        for x in self.XS:
+            r = ml_neg(alpha, float(x), 1e-14)
+            assert r.est_error <= 1e-14
+            assert abs(r.value - ml_series_oracle(alpha, float(x), dps=60)) <= r.est_error
+
+
 class TestAsymptoticRegime:
     @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 1.8, 1.9, 1.95, 1.98, 1.99, 1.995])
     def test_error_estimate_is_honest(self, alpha):
