@@ -6,14 +6,17 @@ Third, independent route:
                        * int_L K(s) (t/r)^(-s) ds,
 
     K(s) = Gamma(s/alpha) Gamma(1 - s/alpha) Gamma(n/2 - s/2)
-           / (Gamma(1 - s) 2^s Gamma(s/2)),
+           / (Gamma(1 - s) 2^s Gamma(s/2))
+         = sqrt(pi) sin(pi s/2) / sin(pi s/alpha) * Gamma((n - s)/2) / Gamma((1 - s)/2)
 
-with L a vertical line Re s = sigma inside the pole-free strip
-0 < sigma < min(alpha, n).  Along the line the kernel decays like
+by Euler's reflection and Legendre's duplication formulas (Paris & Kaminski,
+"Asymptotics and Mellin-Barnes Integrals", CUP 2001).  The Gamma ratio is 1
+for n = 1 and (1 - s)/2 for n = 3; K is regular at s = 0, and its only poles
+are simple, at s = alpha k, k != 0.  L is a vertical line Re s = sigma inside
+the pole-free strip 0 < sigma < min(alpha, n).  Along the line K decays like
 exp(-mu |Im s|) with mu = (pi/2)(2/alpha - 1) > 0 for alpha < 2, so a
-truncated line integral with a Stirling-based tail bound suffices.  Schwarz
-reflection K(conj s) = conj K(s) reduces the integral to twice the real part
-over Im s >= 0.
+truncated line integral with a tail bound suffices.  Schwarz reflection
+K(conj s) = conj K(s) reduces the integral to twice the real part over Im s >= 0.
 
 The integrand is analytic in a strip around L, so the trapezoidal rule on the
 line converges geometrically in 1/h, and halving h reuses every node
@@ -24,10 +27,6 @@ rho^(sigma + i j h).  It halves h from 0.2, adding only the odd nodes, until
 the h and h/2 sums agree at every rho; past a fixed number of halvings it
 raises ContourFailure.  The error estimate is the h vs h/2 difference, the
 tail bound and the rounding of the terms.
-
-The same contour integral with (t/r)^(-s) replaced by rho^s gives the
-single-argument profile function L_{alpha,n}(rho) of the self-similar form
-G = r^(-n) L_{alpha,n}(r/t).
 """
 
 from __future__ import annotations
@@ -36,13 +35,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
+from scipy.special import loggamma as _loggamma, rgamma, sindg
 
 from .errors import (ContourFailure, InvalidContour, InvalidInput, PoleError, check_dimension,
                      check_finite, check_positive, check_window)
 from .quadrature import QuadResult
 
-_LN2 = math.log(2.0)
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_LOG_HALF_I = complex(math.log(0.5), 0.5 * math.pi)  # log(i/2)
 _EPS = float(np.finfo(float).eps)
 _H0 = 0.2           # first trapezoidal step on the line
 _MAX_HALVINGS = 6   # the finest step is _H0 / 2**6
@@ -77,44 +77,52 @@ def _resolve_sigma(alpha: float, n: int, cfg: ContourConfig) -> float:
     return sigma
 
 
-def _log_kernel_terms(alpha: float, n: int, s: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The terms of log K: five log-Gammas and -s log 2."""
-    return (_loggamma(s / alpha), _loggamma(1.0 - s / alpha),
-            _loggamma(0.5 * (n - s)), -_loggamma(1.0 - s),
-            -s * _LN2, -_loggamma(0.5 * s))
+def _log_sin(z: np.ndarray) -> np.ndarray:
+    """log sin z up to a multiple of 2 pi i, without overflow at large |Im z|:
+    log(i/2) - i z + log(1 - e^(2iz)) for Im z >= 0, its conjugate below."""
+    w = np.where(np.imag(z) < 0.0, np.conj(z), z)
+    out = _LOG_HALF_I - 1j * w + np.log(-np.expm1(2j * w))
+    return np.where(np.imag(z) < 0.0, np.conj(out), out)
 
 
-def _log_kernel(alpha: float, n: int, s: np.ndarray) -> np.ndarray:
-    """log of the Gamma quotient, combined in the exponent to avoid overflow."""
-    return sum(_log_kernel_terms(alpha, n, s))
+def _log_kernel_terms(alpha: float, n: int, s: np.ndarray | complex) -> tuple[np.ndarray, ...]:
+    """The terms of log K, kept apart for the rounding bound: log sqrt(pi), the
+    two log-sines and the log of the Gamma ratio, which is nothing for n = 1,
+    log((1 - s)/2) for n = 3 and two log-Gammas for n = 2."""
+    terms = (_LOG_SQRT_PI, _log_sin(0.5 * math.pi * s), -_log_sin(math.pi / alpha * s))
+    if n == 2:
+        return terms + (_loggamma(1.0 - 0.5 * s), -_loggamma(0.5 * (1.0 - s)))
+    if n == 3:
+        return terms + (np.log(0.5 * (1.0 - s)),)
+    return terms
 
 
 def mb_kernel(alpha: float, n: int, s: complex) -> complex:
-    """Gamma-quotient kernel of the contour representation at a single point.
+    """Kernel K of the contour representation at a single point.
 
-    Raises PoleError on the poles of the numerator Gamma factors (where the
-    kernel itself is unbounded); at poles of the denominator factors the
-    kernel vanishes and 0 is returned.
+    Raises PoleError at its poles, the real s = alpha k with k != 0.  At
+    s = 0 it returns the limit alpha Gamma(n/2) / 2, at its zeros 0.
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=True)
     s = complex(s)
     check_finite("s", s, exc=InvalidInput)
-
-    def _is_nonpos_int(z: complex) -> bool:
-        return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
-
-    # s = 0 is regular: the Gamma(s/alpha) pole cancels against Gamma(s/2).
-    if s == 0.0:
+    if s.imag != 0.0:
+        value = complex(np.exp(sum(_log_kernel_terms(alpha, n, s))))
+        check_finite("the kernel", value, exc=ContourFailure)
+        return value
+    x = s.real
+    if x == 0.0:
         return complex(0.5 * alpha * math.gamma(0.5 * n))
-    for arg in (s / alpha, 1.0 - s / alpha, 0.5 * (n - s)):
-        if _is_nonpos_int(arg):
-            raise PoleError(f"kernel pole: Gamma argument {arg} is a non-positive integer")
-    if _is_nonpos_int(1.0 - s) or _is_nonpos_int(0.5 * s):
-        return 0.0 + 0.0j
-    value = complex(np.exp(_log_kernel(alpha, n, np.asarray(s, dtype=complex))))
-    check_finite("the kernel", value, exc=ContourFailure)
-    return value
+    if x / alpha == round(x / alpha):
+        raise PoleError(f"kernel pole at s = {x} = alpha * {round(x / alpha)}")
+    # On the axis K is an entire numerator over sin(pi s/alpha), with exact
+    # zeros; the log form would meet log 0 times a pole of Gamma(1 - s/2).
+    if n == 2:
+        num = math.pi ** 1.5 * rgamma(0.5 * x) * rgamma(0.5 * (1.0 - x))
+    else:
+        num = math.sqrt(math.pi) * sindg(90.0 * x) * (1.0 if n == 1 else 0.5 * (1.0 - x))
+    return complex(num / math.sin(math.pi * x / alpha))
 
 
 def _decay_rate(alpha: float) -> float:
@@ -127,8 +135,7 @@ def _auto_y_max(alpha: float, n: int, sigma: float, log_rho: float, tol: float) 
     mu = _decay_rate(alpha)
     p_pow = 0.5 * (n - 1)
     y0 = 8.0
-    s0 = complex(sigma, y0)
-    log_c0 = float(np.real(_log_kernel(alpha, n, np.asarray(s0, dtype=complex)))) \
+    log_c0 = float(sum(_log_kernel_terms(alpha, n, complex(sigma, y0))).real) \
         + sigma * log_rho + mu * y0 - p_pow * math.log(y0)
     target = log_c0 + math.log(10.0 / max(mu, 1e-3)) - math.log(tol)
     y = max(20.0, y0)
@@ -174,8 +181,7 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray, cfg: ContourConfig,
     # |K| decays like y^P exp(-mu y) with P = (n-1)/2, so past y_max the
     # line integral is at most |K(sigma + i y_max)| rho^sigma / (mu - P/y_max).
     tail_rate = max(_decay_rate(alpha) - 0.5 * (n - 1) / y_max, 1e-6)
-    tail_mag = float(np.exp(np.real(_log_kernel(
-        alpha, n, np.asarray(complex(sigma, y_max), dtype=complex))))) \
+    tail_mag = math.exp(sum(_log_kernel_terms(alpha, n, complex(sigma, y_max))).real) \
         * rho ** sigma / tail_rate
     if np.any(tail_mag > cfg.step_tol):
         raise ContourFailure(
@@ -186,7 +192,7 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray, cfg: ContourConfig,
     def add_nodes(y: np.ndarray, w: np.ndarray):
         """Line sum at the nodes y with weights w, and two node sums that
         bound its rounding.  A term K rho^s is off by a few eps, plus eps
-        times the size of the log-Gammas that make up log K and of s log rho.
+        times the size of each term of log K and of s log rho.
         Only very long lines (alpha near 2) take more than one node block."""
         line = np.zeros(log_rho.size, dtype=complex)
         sizes = np.zeros(2)
@@ -259,13 +265,8 @@ def g_mellin_barnes(alpha: float, n: int, r, t,
 
 
 def l_aux(alpha: float, n: int, rho: float, cfg: ContourConfig | None = None) -> float:
-    """Single-argument profile L_{alpha,n}(rho) with G = r^(-n) L_{alpha,n}(r/t)."""
-    cfg = cfg or ContourConfig()
-    check_dimension(n)
-    check_window(alpha, 1.0, 2.0, lo_open=True)
-    check_positive("rho", rho)
-    core, _ = _mb_core(alpha, n, np.array([rho], dtype=float), cfg, symmetric=True)
-    value = float(core[0].real) / (alpha * math.pi ** (0.5 * n))
+    """Profile L_{alpha,n}(rho) = rho^n G_{alpha,n}(rho, 1), so G = r^(-n) L_{alpha,n}(r/t)."""
+    value = g_mellin_barnes(alpha, n, rho, 1.0, cfg).value * rho ** n
     check_finite("L_{alpha,n}", value, exc=ContourFailure)
     return value
 

@@ -161,14 +161,15 @@ def _integrate(f, edges: np.ndarray) -> tuple[float, float]:
     return float(np.vdot(w, fx)), float(np.abs((d * fx).sum(axis=1)).sum())
 
 
+def _prefactor(n: int, r: float) -> float:
+    """Constant factor of the radial integrand, whose kernel is cos(tau r)
+    for n = 1, tau J_0(tau r) for n = 2 and tau sin(tau r) for n = 3."""
+    return 1.0 / (math.pi, 2.0 * math.pi, 2.0 * math.pi ** 2 * r)[n - 1]
+
+
 def _make_integrand(alpha: float, n: int, r: float, t: float, ml_tol: float):
     """Vectorized integrand of the radial representation, including prefactor."""
-    if n == 1:
-        pref = 1.0 / math.pi
-    elif n == 2:
-        pref = 1.0 / (2.0 * math.pi)
-    else:
-        pref = 1.0 / (2.0 * math.pi ** 2 * r)
+    pref = _prefactor(n, r)
 
     def f(taus: np.ndarray) -> np.ndarray:
         taus = np.atleast_1d(taus)
@@ -205,9 +206,7 @@ def g_integral(alpha: float, n: int, r: float, t: float,
 
     ml_tol = min(1e-13, 0.01 * cfg.abs_tol)
     f = _make_integrand(alpha, n, r, t, ml_tol)
-
-    kernel_env = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi),
-                  3: 1.0 / (2.0 * math.pi ** 2 * r)}[n]
+    kernel_env = _prefactor(n, r)
 
     # Lobes are summed directly while the damped oscillation of E_alpha can
     # still flip their signs, then by Wynn acceleration of the partial sums.
