@@ -3,8 +3,10 @@
 G_{alpha,n}(r, t) can be computed from
 
   1. the closed elementary-function formulas (n = 1 and n = 3),
-  2. the oscillatory radial Bessel integral (any n; the only route for n = 2),
+  2. the oscillatory radial Bessel integral (any n),
   3. numerical Mellin-Barnes contour integration (any n).
+
+For n = 2 there is no closed form, and routes 2 and 3 check each other.
 
 Agreement of three unrelated algorithms to ~1e-10 is the strongest
 correctness check this library offers; this script shows it at a few points.

@@ -4,9 +4,9 @@ Three independent evaluation routes for G_{alpha,n}(r, t), 1 <= alpha < 2,
 n in {1, 2, 3}:
 
 * closed elementary-function forms for n = 1 and n = 3 (``g1``, ``g3``);
-* oscillatory radial Bessel quadrature for any n (``g_integral``), the only
-  route for n = 2;
-* numerical Mellin-Barnes contour integration (``g_mellin_barnes``).
+* oscillatory radial Bessel quadrature for any n (``g_integral``);
+* numerical Mellin-Barnes contour integration for any n (``g_mellin_barnes``);
+  for n = 2, which has no closed form, it and the integral check each other.
 
 Plus the Fourier-space propagator (``g_hat``), the Mittag-Leffler evaluator
 (``ml_neg``), and derived wave quantities (extrema, phase and gravity-center

@@ -27,7 +27,7 @@ from numpy.polynomial.polynomial import polymul, polyroots
 from scipy.integrate import IntegrationWarning
 from scipy.integrate import quad as _quad
 
-from .closed_form import g1, g3
+from .closed_form import g1, g3, order_trig
 from .errors import (InvalidInput, MomentOutOfRange, NonConvergence, UnsupportedDimension,
                      check_dimension, check_finite, check_positive, check_window)
 
@@ -48,11 +48,10 @@ def zero_crossing_z(alpha: float) -> float:
     admitted for this limit check only).
     """
     check_window(alpha, 1.0, 2.0, hi_open=False)
-    c = math.cos(math.pi * alpha / 2.0)
-    s = math.sin(math.pi * alpha / 2.0)
-    num = -c + math.sqrt(max(alpha * alpha - s * s, 0.0))
-    num = max(num, 0.0)  # roundoff guard at alpha = 1 where num = 0
-    return (num / (alpha + 1.0)) ** (1.0 / alpha)
+    c = order_trig(alpha)[0]
+    # alpha^2 - s^2 = (alpha-1)(alpha+1) + c^2 and -c >= 0: nothing cancels
+    root = math.sqrt((alpha - 1.0) * (alpha + 1.0) + c * c)
+    return ((root - c) / (alpha + 1.0)) ** (1.0 / alpha)
 
 
 def max_location(alpha: float, n: int, t: float) -> ExtremumReport:
@@ -75,7 +74,7 @@ def max_location(alpha: float, n: int, t: float) -> ExtremumReport:
     # G3(w, 1) ~ w^(alpha-3) m(q) / p(q)^2 with p = D, m = M of closed_form;
     # w d/dw log G3 = 0 reads (alpha-3) m p + (w m') p - 2 (w p') m = 0, and
     # w d/dw q^k = alpha k q^k keeps every factor a quadratic in q.
-    c = math.cos(math.pi * alpha / 2.0)
+    c = order_trig(alpha)[0]
     p = np.array([1.0, 2.0 * c, 1.0])
     m = np.array([1.0 - alpha, 2.0 * c, alpha + 1.0])
     wp = 2.0 * alpha * np.array([0.0, c, 1.0])
@@ -184,7 +183,7 @@ def moment_numeric(alpha: float, n: int, beta: float, t: float) -> float:
                        limit=400, epsabs=1e-14, epsrel=1e-11)
     val = near + far
     # Tail from the large-r asymptotics of the closed forms.
-    s = math.sin(math.pi * alpha / 2.0)
+    s = order_trig(alpha)[1]
     if n == 1:
         c_tail = s / math.pi * t ** alpha
         expo = beta - alpha

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, replace
 
 import numpy as np
@@ -102,14 +103,14 @@ def _default_method(n: int) -> str:
 def _write_csv(path: str, header: str, *columns) -> None:
     """One CSV row per index of the equal-length columns, floats as %.17g."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    out = sys.stdout if path == "-" else open(path, "w", encoding="utf-8", newline="\n")
     try:
-        out.write(header + "\n")
-        out.writelines(row % values
-                       for values in zip(*(np.asarray(c).tolist() for c in columns)))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        with (nullcontext(sys.stdout) if path == "-"
+              else open(path, "w", encoding="utf-8", newline="\n")) as out:
+            out.write(header + "\n")
+            out.writelines(row % values
+                           for values in zip(*(np.asarray(c).tolist() for c in columns)))
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_USAGE)
 
 
 def cmd_eval(args, qcfg, ccfg) -> int:

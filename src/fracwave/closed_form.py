@@ -1,20 +1,29 @@
 """Elementary-function evaluation of the 1D and 3D fundamental solutions.
 
-Everything here reduces to the scaled variable q = (r/t)^alpha with
-c = cos(pi*alpha/2), s = sin(pi*alpha/2):
+With q = (r/t)^alpha, c = cos(pi alpha/2), s = sin(pi alpha/2),
+D(q) = (q + c)^2 + s^2 and M(q) = (alpha+1) q^2 + 2 c q - (alpha-1):
 
-    G_{alpha,1}(r,t) = s/(pi*t) * q^(1-1/alpha) / D(q),
-    G_{alpha,3}(r,t) = s/(2 pi^2) * r^(alpha-3) t^(-alpha) * M(q) / D(q)^2,
+    G_{alpha,1}     = s/pi t^-1 (r/t)^(alpha-1) / D,
+    dG_{alpha,1}/dr = -s/pi t^-2 (r/t)^(alpha-2) M / D^2,
+    dG_{alpha,1}/dt = s alpha/pi t^-2 (r/t)^(alpha-1) (q^2 - 1) / D^2,
+    G_{alpha,3}     = s/(2 pi^2) t^-3 (r/t)^(alpha-3) M / D^2.
 
-    D(q) = (q + c)^2 + s^2,   M(q) = (alpha+1) q^2 + 2 c q - (alpha-1).
+The four share one core.  q is reflected once to u = min(q, 1/q) (D(q) =
+q^2 D(1/q), likewise M), and D and M are written in y = u + c, taken from u
+or from u - 1, whichever has the digits:
 
-The denominator is evaluated as a sum of squares (no cancellation), and for
-q > 1 the reflection D(q) = q^2 D(1/q) keeps every factor O(1), so the
-formulas are stable from r/t ~ 1e-300 out to overflow.  M vanishes exactly at
-q = z_alpha^alpha, reproducing the sign change of the 3D solution and the
-maximum of the 1D solution.
+    D = y^2 + s^2,   sigma M = (alpha+sigma) y^2 - 2 alpha c y - (alpha-sigma) s^2,
 
-All functions broadcast over numpy arrays in r and t, which must be finite.
+sigma = +1 for q <= 1, -1 for q > 1: sums that cancel only at the zero of M.
+With c, s and 1 + c from order_trig and u - 1 from the exact r - t near
+r = t, each form is within 1e-13 relative of a many-digit evaluation for
+1 <= alpha < 2, and 1e-15 at r = t; at relative distance d from the zero of
+M, add the eps/d that a one-ulp change of r causes there.  The power
+r^e t^-(e+k) is taken in logs and scaled in by ldexp, so no intermediate
+overflows or underflows where the result does not, and the r = 0 limits of
+g1 and g1_dt come out of it.  One exit rule: a result beyond the double
+range raises NonConvergence, one below it is +-0.0.  All functions broadcast
+over numpy arrays in r and t, which must be finite.
 """
 
 from __future__ import annotations
@@ -22,21 +31,46 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import OriginDivergence, check_finite, check_positive, check_window
 from .special import DEFAULT_TOL, ml_neg
 
+_LN2 = math.log(2.0)
 
-def _scaled_pieces(alpha: float, r, t):
-    """Return (q, u, D(u)) with u = min(q, 1/q) and D evaluated at u."""
-    c = math.cos(math.pi * alpha / 2.0)
-    s = math.sin(math.pi * alpha / 2.0)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        q = (np.asarray(r, dtype=float) / np.asarray(t, dtype=float)) ** alpha
-        inv = np.where(q > 0.0, 1.0 / q, np.inf)
-        u = np.minimum(q, inv)
-    d_u = (u + c) ** 2 + s * s
-    return q, u, d_u, c, s
+
+def order_trig(alpha: float) -> tuple[float, float, float]:
+    """(c, s, 1 + c) with c = cos(pi alpha/2), s = sin(pi alpha/2).
+
+    alpha - 1 and 2 - alpha are exact, so c keeps its digits at alpha = 1 and
+    s and 1 + c = 2 sin^2(pi (2 - alpha)/4) keep theirs at alpha = 2.
+    """
+    return (-math.sin(math.pi * (alpha - 1.0) / 2.0), math.sin(math.pi * (2.0 - alpha) / 2.0),
+            2.0 * math.sin(math.pi * (2.0 - alpha) / 4.0) ** 2)
+
+
+def _closed_form(what: str, alpha: float, r, t, j: int, k: int, rational):
+    """s * rational(sigma, u - 1, D, M) * r^e t^-(e+k), e = sigma alpha - j."""
+    c, s, one_c = order_trig(alpha)
+    r = np.asarray(r, dtype=float)[()]
+    t = np.asarray(t, dtype=float)[()]
+    with np.errstate(all="ignore"):  # every result passes check_finite
+        # log u; a ratio beyond the double range only sends u to 0
+        x = -alpha * np.log1p(abs(r - t) / np.minimum(r, t))
+        sigma = np.copysign(1.0, t - r)
+        v = np.expm1(x)
+        # y = u + c is small only near u = -c: where -c > 1/2, take it from u - 1
+        y = v + one_c if c < -0.5 else (np.minimum(r, t) / np.maximum(r, t)) ** alpha + c
+        y2 = y * y
+        m = sigma * ((alpha + sigma) * y2 - 2.0 * alpha * c * y - (alpha - sigma) * (s * s))
+        part = rational(sigma, v, y2 + s * s, m)
+        # r^e t^-(e+k) = 2^n exp(f); below -1e4 (r = 0: -inf) every value is 0
+        e = sigma * alpha - j
+        log_p = np.maximum(xlogy(e, r) - (e + k) * np.log(t), -1e4)
+        n = np.rint(log_p / _LN2)
+        val = s * np.ldexp(part * np.exp(log_p - n * _LN2), n.astype(int))
+    check_finite(what, val)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def g1(alpha: float, r, t) -> float | np.ndarray:
@@ -48,14 +82,8 @@ def g1(alpha: float, r, t) -> float | np.ndarray:
     check_window(alpha, 1.0, 2.0)
     check_positive("t", t)
     check_positive("r", r, zero_ok=True)
-    q, u, d_u, c, s = _scaled_pieces(alpha, r, t)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # q <= 1: q^(1-1/alpha)/D(q); q > 1: q^(-1-1/alpha)/D(1/q) = u^(1+1/alpha)/D(u)
-        expo = np.where(q <= 1.0, 1.0 - 1.0 / alpha, 1.0 + 1.0 / alpha)
-        val = s / (math.pi * np.asarray(t, dtype=float)) * u ** expo / d_u
-        val = np.where(np.asarray(r) == 0.0, 0.0 if alpha > 1.0 else val, val)
-    out = np.where(np.isfinite(val), val, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return _closed_form("G_{alpha,1}", alpha, r, t, 1, 1,
+                        lambda sigma, v, d, m: 1.0 / (math.pi * d))
 
 
 def g1_dr(alpha: float, r, t) -> float | np.ndarray:
@@ -63,18 +91,8 @@ def g1_dr(alpha: float, r, t) -> float | np.ndarray:
     check_window(alpha, 1.0, 2.0)
     check_positive("t", t)
     check_positive("r", r)
-    q, u, d_u, c, s = _scaled_pieces(alpha, r, t)
-    w = np.asarray(r, dtype=float) / np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # N(q) = (alpha-1) - 2 c q - (alpha+1) q^2; for q > 1 use
-        # N(q)/D(q)^2 = u^2 * ((alpha-1) u^2 - 2 c u - (alpha+1)) / D(u)^2.
-        n_small = (alpha - 1.0) - 2.0 * c * u - (alpha + 1.0) * u ** 2
-        n_large = ((alpha - 1.0) * u ** 2 - 2.0 * c * u - (alpha + 1.0)) * u ** 2
-        num = np.where(q <= 1.0, n_small, n_large)
-        val = (s / math.pi) * np.asarray(t, dtype=float) ** (-2.0) \
-            * w ** (alpha - 2.0) * num / d_u ** 2
-    check_finite("dG_{alpha,1}/dr", val)
-    return float(val) if np.ndim(val) == 0 else val
+    return _closed_form("dG_{alpha,1}/dr", alpha, r, t, 2, 2,
+                        lambda sigma, v, d, m: -m / (math.pi * d * d))
 
 
 def g1_dt(alpha: float, r, t) -> float | np.ndarray:
@@ -82,18 +100,9 @@ def g1_dt(alpha: float, r, t) -> float | np.ndarray:
     check_window(alpha, 1.0, 2.0)
     check_positive("t", t)
     check_positive("r", r, zero_ok=True)
-    q, u, d_u, c, s = _scaled_pieces(alpha, r, t)
-    w = np.asarray(r, dtype=float) / np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # (q^2 - 1)/D(q)^2; for q > 1 equals u^2 (1 - u^2)/D(u)^2.
-        f_small = (u ** 2 - 1.0)
-        f_large = (1.0 - u ** 2) * u ** 2
-        frac = np.where(q <= 1.0, f_small, f_large)
-        val = (s * alpha / math.pi) * np.asarray(t, dtype=float) ** (-2.0) \
-            * w ** (alpha - 1.0) * frac / d_u ** 2
-        val = np.where(np.asarray(r) == 0.0, 0.0 if alpha > 1.0 else val, val)
-    out = np.where(np.isfinite(val), val, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    # q^2 - 1 reflects to sigma (u^2 - 1) = sigma (u - 1)(u - 1 + 2)
+    return _closed_form("dG_{alpha,1}/dt", alpha, r, t, 1, 2,
+                        lambda sigma, v, d, m: alpha * sigma * v * (v + 2.0) / (math.pi * d * d))
 
 
 def g3(alpha: float, r, t) -> float | np.ndarray:
@@ -106,20 +115,10 @@ def g3(alpha: float, r, t) -> float | np.ndarray:
     check_window(alpha, 1.0, 2.0)
     check_positive("t", t)
     check_positive("r", r, zero_ok=True)
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr == 0.0):
+    if np.any(np.asarray(r) == 0.0):
         raise OriginDivergence("G_{alpha,3} is unbounded at r = 0")
-    q, u, d_u, c, s = _scaled_pieces(alpha, r, t)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # M(q) = (alpha+1) q^2 + 2 c q - (alpha-1); for q > 1 use
-        # M(q)/D(q)^2 = u^2 * ((alpha+1) + 2 c u - (alpha-1) u^2) / D(u)^2.
-        m_small = (alpha + 1.0) * u ** 2 + 2.0 * c * u - (alpha - 1.0)
-        m_large = ((alpha + 1.0) + 2.0 * c * u - (alpha - 1.0) * u ** 2) * u ** 2
-        num = np.where(q <= 1.0, m_small, m_large)
-        val = s / (2.0 * math.pi ** 2) * r_arr ** (alpha - 3.0) \
-            * np.asarray(t, dtype=float) ** (-alpha) * num / d_u ** 2
-    check_finite("G_{alpha,3}", val)
-    return float(val) if np.ndim(val) == 0 else val
+    return _closed_form("G_{alpha,3}", alpha, r, t, 3, 3,
+                        lambda sigma, v, d, m: m / (2.0 * math.pi ** 2 * d * d))
 
 
 def g3_via_g1_spatial(alpha: float, r, t) -> float | np.ndarray:

@@ -102,5 +102,5 @@ def check_positive(name: str, x, *, zero_ok: bool = False) -> None:
 def check_finite(what: str, *values, exc: type = NonConvergence) -> None:
     """Raise exc unless every value (float, complex or array) is finite."""
     for v in values:
-        if not (-math.inf < v < math.inf if v.__class__ is float else np.all(np.isfinite(v))):
+        if not (-math.inf < v < math.inf if isinstance(v, float) else np.all(np.isfinite(v))):
             raise exc(f"{what} is not finite" + (f": {v}" if np.ndim(v) == 0 else ""))

@@ -3,7 +3,7 @@
     G_{alpha,n}(r,t) = r^(1-n/2)/(2 pi)^(n/2)
                        * int_0^inf E_alpha(-(tau t)^alpha) tau^(n/2) J_{n/2-1}(tau r) dtau,
 
-the only evaluation route available for n = 2.  The semi-infinite integral is
+with the contour, one of two routes for n = 2.  The semi-infinite integral is
 split at the zeros of the oscillatory kernel (cos for n=1, J_0 for n=2, sin
 for n=3), each lobe is integrated by the GK15 rule on a mesh of cells that
 resolves the branch point at tau = 0 and the Mittag-Leffler oscillation, and

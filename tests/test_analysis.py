@@ -18,7 +18,8 @@ from fracwave.analysis import (
     zero_crossing_z,
 )
 from fracwave.closed_form import g1, g3
-from fracwave.errors import InvalidOrder, MomentOutOfRange, UnsupportedDimension
+from fracwave.errors import (InvalidInput, InvalidOrder, MomentOutOfRange,
+                             UnsupportedDimension)
 
 Z_15 = 0.87036519258771611936
 
@@ -139,6 +140,8 @@ class TestPhaseVelocity:
             velocity_curve(3, [1.5, 1.2], "phase")
         with pytest.raises(UnsupportedDimension):
             velocity_curve(3, [1.2, 1.5], "gravity")
+        with pytest.raises(InvalidInput, match="unknown velocity kind"):
+            velocity_curve(3, [1.2, 1.3], "bogus")
 
 
 class TestMoments1d:

@@ -198,6 +198,25 @@ class TestProfile:
                          "--t", "1", "--out", "-")
         assert code == 2
 
+    def test_fixed_r_requires_time_bounds_exit_2(self, capsys):
+        code, _, err = run(capsys, "profile", "--alpha", "1.5", "--dim", "1",
+                           "--fixed-r", "0.5", "--tmin", "0.1", "--out", "-")
+        assert code == 2
+        assert "--fixed-r requires --tmin and --tmax" in err
+
+    def test_radial_profile_requires_t_exit_2(self, capsys):
+        code, _, err = run(capsys, "profile", "--alpha", "1.5", "--dim", "1",
+                           "--rmin", "0", "--rmax", "1", "--out", "-")
+        assert code == 2
+        assert "radial profile requires --t" in err
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run(capsys, "profile", "--alpha", "1.5", "--dim", "1", "--t", "1",
+                           "--rmin", "0", "--rmax", "1", "--points", "3", "--out", str(out))
+        assert code == 2
+        assert f"cannot write {out}" in err
+
 
 class TestVelocity:
     def test_phase_curve_contains_interior_maximum(self, capsys):
@@ -319,6 +338,23 @@ class TestSolve1d:
                          "--phi", str(tmp_path / "nope.csv"), "--out", "-")
         assert code == 2
 
+    def test_one_column_phi_exit_2(self, capsys, tmp_path):
+        phi = tmp_path / "phi.csv"
+        phi.write_text("x\n0.0\n1.0\n")
+        code, _, err = run(capsys, "solve1d", "--alpha", "1.5", "--t", "1",
+                           "--phi", str(phi), "--out", "-")
+        assert code == 2
+        assert "phi file must be a CSV with header x,phi" in err
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        phi = tmp_path / "phi.csv"
+        phi.write_text("x,phi\n-1.0,0.0\n0.0,1.0\n1.0,0.0\n")
+        out = tmp_path / "missing" / "u.csv"
+        code, _, err = run(capsys, "solve1d", "--alpha", "1.5", "--t", "1",
+                           "--phi", str(phi), "--out", str(out))
+        assert code == 2
+        assert f"cannot write {out}" in err
+
 
 class TestConfig:
     def test_config_overrides(self, capsys, tmp_path):
@@ -341,6 +377,16 @@ class TestConfig:
                                "--dim", "1", "--r", "1", "--t", "1")
             assert code == 2
             assert key in err
+
+    @pytest.mark.parametrize("line,message", [("abs_tol 1e-6", "expected key=value"),
+                                              ("abs_tol = tight", "bad config value")])
+    def test_malformed_line_exit_2(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "fw.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run(capsys, "--config", str(cfg), "eval", "--alpha", "1.5",
+                           "--dim", "1", "--r", "1", "--t", "1")
+        assert code == 2
+        assert message in err
 
     def test_missing_config_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "--config", str(tmp_path / "none.cfg"), "eval",

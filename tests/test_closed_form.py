@@ -1,9 +1,13 @@
 """Closed-form 1D/3D fundamental solutions, their derivatives, and identities."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave.closed_form import (
     g1,
@@ -14,7 +18,7 @@ from fracwave.closed_form import (
     g3_via_g1_temporal,
     g_hat,
 )
-from fracwave.errors import InvalidOrder, OriginDivergence
+from fracwave.errors import InvalidOrder, NonConvergence, OriginDivergence
 from fracwave.analysis import zero_crossing_z
 
 # Frozen from 40-digit substitution into the closed formulas.
@@ -212,3 +216,113 @@ class TestGHat:
             g_hat(1.5, -1.0, 1.0)
         with pytest.raises(ValueError):
             g_hat(1.5, 1.0, -1.0)
+
+
+# -- the four forms against an exact substitution -----------------------------
+
+FORMS = {"g1": g1, "g1_dr": g1_dr, "g1_dt": g1_dt, "g3": g3}
+EPS = 2.0 ** -52
+
+
+def exact(name, alpha, r, t):
+    """The formulas of the closed_form docstring in q, c and s, substituted in
+    mpmath; call inside mp.workdps."""
+    a, r, t = mp.mpf(alpha), mp.mpf(r), mp.mpf(t)
+    c, s = mp.cos(mp.pi * a / 2), mp.sin(mp.pi * a / 2)
+    q = (r / t) ** a
+    d = (q + c) ** 2 + s ** 2
+    m = (a + 1) * q ** 2 + 2 * c * q - (a - 1)
+    if name == "g1":
+        return s / (mp.pi * t) * q ** (1 - 1 / a) / d
+    if name == "g1_dr":
+        return -s / (mp.pi * t ** 2) * (r / t) ** (a - 2) * m / d ** 2
+    if name == "g1_dt":
+        return s * a / (mp.pi * t ** 2) * (r / t) ** (a - 1) * (q ** 2 - 1) / d ** 2
+    return s / (2 * mp.pi ** 2) * r ** (a - 3) * t ** -a * m / d ** 2
+
+
+def relative_error(name, alpha, r, t):
+    """|form - exact| / |exact| at 80 digits (at alpha = 2 - 2^-52 the
+    substitution's M(1) = 2 (1 + c) cancels 32 of them)."""
+    got = FORMS[name](alpha, r, t)
+    with mp.workdps(80):
+        want = exact(name, alpha, r, t)
+        if want == 0:  # g1_dt at r = t
+            return 0.0 if got == 0.0 else math.inf
+        return float(abs(got - want) / abs(want))
+
+
+def tolerance(name, alpha, r, t):
+    """1e-13, plus, for the forms with the factor M, the change that a few ulps
+    of r cause at relative distance d from the zero r = z_alpha t: M moves by
+    about eps/d there, in any double evaluation.  (The g1_dt zero r = t needs
+    no allowance: r - t is exact.)"""
+    if name in ("g1", "g1_dt"):
+        return 1e-13
+    with mp.workdps(80):
+        a = mp.mpf(alpha)
+        c, s = mp.cos(mp.pi * a / 2), mp.sin(mp.pi * a / 2)
+        z = ((-c + mp.sqrt(a * a - s * s)) / (a + 1)) ** (1 / a)
+        d = abs(mp.mpf(r) / (z * mp.mpf(t)) - 1) if z > 0 else mp.inf
+        return 1e-13 + 8.0 * EPS / float(d)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(alpha=st.floats(1.0, 2.0, exclude_max=True), log_ratio=st.floats(-3.0, 3.0),
+       log_t=st.floats(-2.0, 2.0))
+def test_forms_match_exact_substitution(alpha, log_ratio, log_t):
+    t = 10.0 ** log_t
+    r = t * 10.0 ** log_ratio
+    for name in FORMS:
+        assert relative_error(name, alpha, r, t) <= tolerance(name, alpha, r, t), name
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.01, 1.3, 1.5, 1.7, 1.9, 1.99, 1.999, 1.9995, 1.9999])
+def test_forms_on_the_ratio_grid(alpha):
+    for ratio in [*np.geomspace(0.01, 100.0, 41).tolist(), 1.0]:
+        for name in FORMS:
+            assert relative_error(name, alpha, ratio, 1.0) <= tolerance(name, alpha, ratio, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1.99, 1.999, 1.9995, 1.9999])
+def test_exact_near_alpha_two_at_the_front(alpha):
+    # M(1) = 2 (1 + c) and D(1) = (1 + c)^2 + s^2 both vanish as alpha -> 2
+    for name in ("g1", "g1_dr", "g3"):
+        assert relative_error(name, alpha, 1.0, 1.0) <= 1e-15, name
+    assert g1_dt(alpha, 1.0, 1.0) == 0.0
+
+
+# Inputs at the ends of the double range.  The comment gives what the forms
+# returned before they shared one exit rule; the 50-digit value decides what
+# they must do now: return it to 1e-12 where it is a normal double, raise
+# NonConvergence where it overflows, return +-0.0 where it underflows.
+EXTREMES = [
+    ("g1", 1.5, 1e-200, 1e-310),      # 0.0
+    ("g1_dr", 1.5, 1e-200, 1e-310),   # NonConvergence
+    ("g3", 1.5, 1e-300, 1e300),       # NonConvergence
+    ("g1_dr", 1.5, 1e-300, 1e300),    # NonConvergence
+    ("g1", 1.5, 1e-310, 1e-310),      # 0.0
+    ("g1", 1.0, 0.0, 1e-310),         # 0.0
+    ("g1_dt", 1.5, 2e-308, 1e-308),   # 0.0
+    ("g1_dt", 1.5, 1e-310, 1e-310),   # 0.0, exact
+    ("g1_dt", 1.5, 1e300, 1e-300),    # RuntimeWarning
+    ("g1_dr", 1.5, 1e300, 1e-300),    # RuntimeWarning
+]
+
+
+@pytest.mark.parametrize("name,alpha,r,t", EXTREMES)
+def test_extreme_inputs(name, alpha, r, t):
+    with mp.workdps(50):
+        want = exact(name, alpha, r, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if abs(want) > np.finfo(float).max:
+            with pytest.raises(NonConvergence):
+                FORMS[name](alpha, r, t)
+            return
+        got = FORMS[name](alpha, r, t)
+    if abs(want) < mp.mpf(2) ** -1075:
+        assert got == 0.0
+    else:
+        assert abs(want) >= np.finfo(float).tiny  # every other row is a normal double
+        assert abs(got - want) <= 1e-12 * abs(want)

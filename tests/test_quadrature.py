@@ -13,6 +13,7 @@ from fracwave.closed_form import g1, g3
 from fracwave.errors import (
     InvalidGrid,
     InvalidOrder,
+    NonConvergence,
     OriginDivergence,
     UnsupportedDimension,
 )
@@ -177,6 +178,13 @@ class TestOrigin:
         for t in (1.0, 2.0):
             res = g_integral(alpha, 1, 0.0, t)
             assert abs(res.value - g_origin(alpha, 1, t)) <= res.est_error <= 1e-8
+
+    def test_tail_bound_above_tolerance_raises(self):
+        # the inverse-power tail of the r = 0 integral cannot meet 1e-12
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match="origin integral tail"):
+            g_integral(1.5, 1, 0.0, 1.0, QuadratureConfig(1e-12, 1e-12))
+        assert time.perf_counter() - start < 5.0
 
 
 class TestSolveIvp1d:
