@@ -46,7 +46,6 @@ from .errors import (
     OriginDivergence,
     PoleError,
     UnsupportedDimension,
-    UnsupportedOrder,
 )
 from .mellin_barnes import ContourConfig, g_mellin_barnes, l_aux, mb_kernel
 from .quadrature import (
@@ -56,7 +55,7 @@ from .quadrature import (
     g_origin,
     solve_ivp_1d,
 )
-from .special import MLResult, bessel_kernel, log_gamma_complex, ml_neg
+from .special import MLResult, ml_neg
 
 __version__ = "0.1.0"
 
@@ -64,11 +63,10 @@ __all__ = [
     "ContourConfig", "ContourFailure", "ExtremumReport", "FracWaveError",
     "InvalidContour", "InvalidGrid", "InvalidInput", "InvalidOrder", "MLResult",
     "MomentOutOfRange", "NonConvergence", "OriginDivergence", "PoleError",
-    "QuadResult", "QuadratureConfig", "UnsupportedDimension",
-    "UnsupportedOrder", "bessel_kernel", "g1", "g1_dr", "g1_dt", "g3",
-    "g3_via_g1_spatial", "g3_via_g1_temporal", "g_hat", "g_integral",
-    "g_mellin_barnes", "g_origin", "gravity_center_velocity", "l_aux",
-    "log_gamma_complex", "max_location", "mb_kernel", "ml_neg", "moment_1d",
-    "moment_3d", "moment_numeric", "phase_velocity", "sign_profile_3d",
-    "solve_ivp_1d", "velocity_curve", "zero_crossing_z",
+    "QuadResult", "QuadratureConfig", "UnsupportedDimension", "g1", "g1_dr",
+    "g1_dt", "g3", "g3_via_g1_spatial", "g3_via_g1_temporal", "g_hat",
+    "g_integral", "g_mellin_barnes", "g_origin", "gravity_center_velocity",
+    "l_aux", "max_location", "mb_kernel", "ml_neg", "moment_1d", "moment_3d",
+    "moment_numeric", "phase_velocity", "sign_profile_3d", "solve_ivp_1d",
+    "velocity_curve", "zero_crossing_z",
 ]

@@ -32,6 +32,7 @@ from .errors import (InvalidInput, MomentOutOfRange, NonConvergence, Unsupported
                      check_dimension, check_finite, check_positive, check_window)
 
 KIND_MAXIMUM = "maximum"
+_ZERO_TOL = 1e-9  # |G3| and |r - z_alpha t| at or below this count as sign 0
 
 
 @dataclass(frozen=True)
@@ -202,17 +203,16 @@ def gravity_center_velocity(alpha: float) -> float:
     return 2.0 / (alpha * math.sin(math.pi / alpha))
 
 
-def sign_profile_3d(alpha: float, t: float, r_grid, zero_tol: float = 1e-9) -> list[int]:
+def sign_profile_3d(alpha: float, t: float, r_grid) -> list[int]:
     """Sign of G_{alpha,3}(r, t) at each grid point (-1, 0, +1), checked for
     consistency against the zero-crossing threshold z_alpha * t."""
     check_window(alpha, 1.0, 2.0, lo_open=True)
     check_positive("t", t)
-    check_positive("zero_tol", zero_tol, zero_ok=True)
     r = np.atleast_1d(r_grid).astype(float)
     v = g3(alpha, r, t)
     d = r - zero_crossing_z(alpha) * t
-    sign = np.where(np.abs(v) <= zero_tol, 0, np.where(v > 0.0, 1, -1))
-    expected = np.where(np.abs(d) <= zero_tol, 0, np.where(d > 0.0, 1, -1))
+    sign = np.where(np.abs(v) <= _ZERO_TOL, 0, np.where(v > 0.0, 1, -1))
+    expected = np.where(np.abs(d) <= _ZERO_TOL, 0, np.where(d > 0.0, 1, -1))
     bad = np.flatnonzero((sign != 0) & (expected != 0) & (sign != expected))
     if bad.size:
         i = bad[0]

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import OriginDivergence, check_finite, check_positive, check_window
-from .special import DEFAULT_TOL, ml_neg
+from .special import ml_neg
 
 _LN2 = math.log(2.0)
 
@@ -115,7 +115,7 @@ def g3(alpha: float, r, t) -> float | np.ndarray:
     check_window(alpha, 1.0, 2.0)
     check_positive("t", t)
     check_positive("r", r, zero_ok=True)
-    if np.any(np.asarray(r) == 0.0):
+    if (r == 0.0 if isinstance(r, float) else np.any(np.asarray(r) == 0.0)):
         raise OriginDivergence("G_{alpha,3} is unbounded at r = 0")
     return _closed_form("G_{alpha,3}", alpha, r, t, 3, 3,
                         lambda sigma, v, d, m: m / (2.0 * math.pi ** 2 * d * d))
@@ -141,12 +141,11 @@ def g3_via_g1_temporal(alpha: float, r, t) -> float | np.ndarray:
     return value
 
 
-def g_hat(alpha: float, kappa_abs: float, t: float, tol: float = DEFAULT_TOL) -> float:
-    """Fourier-space solution E_alpha(-|kappa|^alpha t^alpha); equals 1 at t = 0."""
+def g_hat(alpha: float, kappa_abs: float, t: float) -> float:
+    """Fourier-space solution E_alpha(-|kappa|^alpha t^alpha) to ml_neg's tol 1e-12; 1 at t = 0."""
     check_window(alpha, 1.0, 2.0)
     check_positive("|kappa|", kappa_abs, zero_ok=True)
     check_positive("t", t, zero_ok=True)
-    check_positive("tol", tol)
     if t == 0.0 or kappa_abs == 0.0:
         return 1.0
-    return ml_neg(alpha, (kappa_abs * t) ** alpha, tol).value
+    return ml_neg(alpha, (kappa_abs * t) ** alpha).value

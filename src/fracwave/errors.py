@@ -14,8 +14,8 @@ FracWaveError:
 * a result that would not be finite, or a mesh too large to build, raises
   NonConvergence (ContourFailure on the Mellin-Barnes contour).
 
-Documented limits stay valid inputs: ml_neg(alpha, inf) = 0 for alpha < 2,
-g_hat = 1 at t = 0, and bessel_kernel(-1/2, 0) = inf, the kernel's pole.
+Documented limits stay valid inputs: ml_neg(alpha, inf) = 0 for alpha < 2
+and g_hat = 1 at t = 0.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class NonConvergence(FracWaveError):
 
 class PoleError(FracWaveError):
     """Evaluation requested at a pole of the Gamma function."""
-
-
-class UnsupportedOrder(FracWaveError):
-    """Bessel kernel requested for an order outside {-1/2, 0, +1/2}."""
 
 
 class OriginDivergence(FracWaveError):

@@ -159,15 +159,11 @@ def _line_sum(log_rho: np.ndarray, s: np.ndarray, wk: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mb_core(alpha: float, n: int, rho: np.ndarray, cfg: ContourConfig,
-             symmetric: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _mb_core(alpha: float, n: int, rho: np.ndarray,
+             cfg: ContourConfig) -> tuple[np.ndarray, np.ndarray]:
     """Line integral (1/(2 pi)) int K(sigma+iy) rho^(sigma+iy) dy at every
-    entry of the 1-D array rho.
-
-    Returns (integral, est_error), arrays shaped like rho;
-    symmetric=True integrates y >= 0 and doubles the real part (a real
-    integral), symmetric=False walks the full line (a complex integral, used
-    by the realness diagnostics).
+    entry of the 1-D array rho, as twice the real part of the sum over the
+    nodes y >= 0 (Schwarz reflection); returns (integral, est_error), each real.
     """
     sigma = _resolve_sigma(alpha, n, cfg)
     if rho.size == 0:
@@ -204,31 +200,28 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray, cfg: ContourConfig,
             line += _line_sum(log_rho, s, wk)
             sizes += (np.sum(mag * (4.0 + sum(np.abs(x) for x in terms))),
                       np.sum(mag * np.abs(s)))
-        return (line.real if symmetric else line), sizes
+        return line.real, sizes
 
-    # Nodes j h on [0, m h] (on [-m h, m h] for the full line).  A halving
-    # adds the odd multiples of h/2 only.
+    # Nodes j h on [0, m h].  A halving adds the odd multiples of h/2 only.
     h = _H0
     m = math.ceil(y_max / h)
-    first = 0 if symmetric else -m
-    y = h * np.arange(first, m + 1)
+    y = h * np.arange(m + 1)
     w = np.ones(y.size)
-    w[0] = 0.5 if symmetric else 1.0
+    w[0] = 0.5
     total, sizes = add_nodes(y, w)
     prev = h * total
     for _ in range(_MAX_HALVINGS):
-        y = h * (np.arange(first, m) + 0.5)
+        y = h * (np.arange(m) + 0.5)
         part, part_sizes = add_nodes(y, np.ones(y.size))
         total += part
         sizes += part_sizes
         h *= 0.5
         m *= 2
-        first *= 2
         cur = h * total
         delta = np.abs(cur - prev)
         if np.all(delta <= 0.25 * cfg.step_tol):
             roundoff = _EPS * h * rho ** sigma * (sizes[0] + np.abs(log_rho) * sizes[1])
-            scale = (2.0 if symmetric else 1.0) / (2.0 * math.pi)
+            scale = 1.0 / math.pi
             return cur * scale, (delta + tail_mag + roundoff) * scale
         prev = cur
     raise ContourFailure(
@@ -253,10 +246,10 @@ def g_mellin_barnes(alpha: float, n: int, r, t,
     check_positive("t", t)
     with np.errstate(over="ignore"):  # r/t out of the double range: checked in _mb_core
         rho = (r / t).ravel()
-    core, est = _mb_core(alpha, n, rho, cfg, symmetric=True)
+    core, est = _mb_core(alpha, n, rho, cfg)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         pref = 1.0 / (alpha * math.pi ** (0.5 * n) * r ** n)
-        value = pref * core.real.reshape(r.shape)
+        value = pref * core.reshape(r.shape)
         est = pref * est.reshape(r.shape) + 1e-16 * np.abs(value)
     check_finite("the contour value or its est_error", value, est, exc=ContourFailure)
     if value.ndim == 0:
@@ -270,13 +263,3 @@ def l_aux(alpha: float, n: int, rho: float, cfg: ContourConfig | None = None) ->
     check_finite("L_{alpha,n}", value, exc=ContourFailure)
     return value
 
-
-def _mb_unsymmetrized(alpha: float, n: int, r: float, t: float,
-                      cfg: ContourConfig | None = None) -> complex:
-    """Full-line variant without Schwarz reduction; the imaginary part is a
-    numerical-residue diagnostic used by the test suite."""
-    cfg = cfg or ContourConfig()
-    check_dimension(n)
-    check_window(alpha, 1.0, 2.0, lo_open=True)
-    core, _ = _mb_core(alpha, n, np.array([r / t], dtype=float), cfg, symmetric=False)
-    return complex(core[0]) / (alpha * math.pi ** (0.5 * n) * r ** n)

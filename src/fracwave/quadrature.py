@@ -191,8 +191,8 @@ def g_integral(alpha: float, n: int, r: float, t: float,
                cfg: QuadratureConfig | None = None) -> QuadResult:
     """Evaluate G_{alpha,n}(r,t) from the oscillatory radial integral.
 
-    Raises OriginDivergence for r = 0 with n >= 2 and NonConvergence if the
-    accelerated lobe series does not stabilize within _MAX_LOBES lobes.
+    Raises OriginDivergence for r = 0 with n >= 2 and NonConvergence once the
+    cell error alone exceeds the target or after _MAX_LOBES lobes.
     """
     cfg = cfg or QuadratureConfig()
     check_dimension(n)
@@ -248,6 +248,9 @@ def g_integral(alpha: float, n: int, r: float, t: float,
         target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         if est <= target:  # so both are finite: est >= 1e-16 |value|
             return QuadResult(value, est, k + 1)
+        if panel_err > target:  # panel_err only grows, and est >= panel_err
+            raise NonConvergence(f"cell error {panel_err:.2e} exceeds the target {target:.2e} "
+                                 f"after {k + 1} lobes (alpha={alpha}, n={n}, r={r}, t={t})")
 
     raise NonConvergence(
         f"lobe acceleration did not stabilize within {_MAX_LOBES} lobes "

@@ -1,5 +1,4 @@
-"""Special-function kernel: Mittag-Leffler on the negative real axis, complex
-log-Gamma, and the Bessel kernels of the radial integral representations.
+"""Special-function kernel: Mittag-Leffler on the negative real axis.
 
 The central object is ``ml_neg(alpha, x)`` = E_alpha(-x), the Mittag-Leffler
 function evaluated on the negative axis, which carries all time dependence of
@@ -35,12 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.special import j0 as _scipy_j0
-from scipy.special import loggamma as _scipy_loggamma
 from scipy.special import rgamma as _scipy_rgamma
 
-from .errors import (InvalidInput, NonConvergence, PoleError, UnsupportedOrder, check_finite,
-                     check_positive, check_window)
+from .errors import InvalidInput, NonConvergence, check_window
 
 DEFAULT_TOL = 1e-12
 
@@ -525,35 +521,3 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
         raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, x={x}")
     return MLResult(value, regime, est)
 
-
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch log Gamma(z); relative error <= 1e-13 for |z| <= 100.
-
-    Raises PoleError at the non-positive integers.
-    """
-    z = complex(z)
-    check_finite("z", z, exc=InvalidInput)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"log Gamma pole at z = {z.real:.0f}")
-    return complex(_scipy_loggamma(z))
-
-
-def bessel_kernel(nu: float, z: float) -> float:
-    """Bessel kernel J_nu(z) for the three radial representations.
-
-    Half-integer orders use the closed trigonometric forms
-    J_{-1/2}(z) = sqrt(2/(pi z)) cos(z), J_{1/2}(z) = sqrt(2/(pi z)) sin(z);
-    nu = 0 delegates to a standard series/asymptotic evaluation.
-    """
-    check_positive("z", z, zero_ok=True)
-    if nu == 0.0:
-        return float(_scipy_j0(z))
-    if nu == 0.5:
-        if z == 0.0:
-            return 0.0  # O(z^(1/2)) limit
-        return math.sqrt(2.0 / (math.pi * z)) * math.sin(z)
-    if nu == -0.5:
-        if z == 0.0:
-            return math.inf  # O(z^(-1/2)) divergence
-        return math.sqrt(2.0 / (math.pi * z)) * math.cos(z)
-    raise UnsupportedOrder(f"bessel_kernel supports nu in {{-1/2, 0, 1/2}}, got {nu}")

@@ -36,7 +36,6 @@ BAD = {
 
 # Public name -> (valid keyword arguments, {argument: kind of its bad values}).
 TABLE = {
-    "bessel_kernel": ({"nu": 0.0, "z": 1.0}, {"z": "r"}),
     "g1": ({"alpha": 1.5, "r": 1.0, "t": 1.0}, {"alpha": "alpha", "r": "r", "t": "t"}),
     "g1_dr": ({"alpha": 1.5, "r": 1.0, "t": 1.0}, {"alpha": "alpha", "r": "r+", "t": "t"}),
     "g1_dt": ({"alpha": 1.5, "r": 1.0, "t": 1.0}, {"alpha": "alpha", "r": "r", "t": "t"}),
@@ -45,8 +44,8 @@ TABLE = {
                           {"alpha": "alpha", "r": "r+", "t": "t"}),
     "g3_via_g1_temporal": ({"alpha": 1.5, "r": 1.0, "t": 1.0},
                            {"alpha": "alpha", "r": "r+", "t": "t"}),
-    "g_hat": ({"alpha": 1.5, "kappa_abs": 1.0, "t": 1.0, "tol": 1e-12},
-              {"alpha": "alpha", "kappa_abs": "r", "t": "t0", "tol": "tol"}),
+    "g_hat": ({"alpha": 1.5, "kappa_abs": 1.0, "t": 1.0},
+              {"alpha": "alpha", "kappa_abs": "r", "t": "t0"}),
     "g_integral": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
                    {"alpha": "alpha(1,2)", "r": "r", "t": "t"}),
     "g_mellin_barnes": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
@@ -54,7 +53,6 @@ TABLE = {
     "g_origin": ({"alpha": 1.5, "n": 1, "t": 1.0}, {"alpha": "alpha", "t": "t"}),
     "gravity_center_velocity": ({"alpha": 1.5}, {"alpha": "alpha(1,2)"}),
     "l_aux": ({"alpha": 1.5, "n": 2, "rho": 1.0}, {"alpha": "alpha(1,2)", "rho": "r+"}),
-    "log_gamma_complex": ({"z": 1.5}, {"z": "finite"}),
     "max_location": ({"alpha": 1.5, "n": 3, "t": 1.0}, {"alpha": "alpha(1,2)", "t": "t"}),
     "mb_kernel": ({"alpha": 1.5, "n": 2, "s": 0.5}, {"alpha": "alpha(1,2)", "s": "finite"}),
     "ml_neg": ({"alpha": 1.5, "x": 2.0, "tol": 1e-12},
@@ -67,7 +65,7 @@ TABLE = {
                        {"alpha": "alpha", "beta": "beta", "t": "t"}),
     "phase_velocity": ({"alpha": 1.5, "n": 1}, {"alpha": "alpha"}),
     "sign_profile_3d": ({"alpha": 1.5, "t": 1.0, "r_grid": [0.5, 1.0]},
-                        {"alpha": "alpha(1,2)", "t": "t", "r_grid": "r+", "zero_tol": "r"}),
+                        {"alpha": "alpha(1,2)", "t": "t", "r_grid": "r+"}),
     "solve_ivp_1d": ({"alpha": 1.5, "xs": [0.0, 0.5, 1.0], "phis": [0.0, 1.0, 0.0], "t": 1.0,
                       "out_grid": [0.0, 0.5, 1.0]},
                      {"alpha": "alpha", "t": "t", "xs": "grid", "phis": "grid",
@@ -126,6 +124,37 @@ def test_documented_limits_stay_valid():
     assert fracwave.g_hat(1.5, 1.0, 0.0) == 1.0
     with pytest.raises(InvalidInput):
         fracwave.ml_neg(2.0, INF)
+
+
+# One call that raises each exported error class: a class that nothing raises
+# has no call to put here, and the set comparison below fails.
+RAISERS = {
+    fracwave.ContourFailure: lambda: fracwave.g_mellin_barnes(1.5, 2, 1e-300, 1.0),
+    fracwave.InvalidContour: lambda: fracwave.g_mellin_barnes(
+        1.5, 1, 1.0, 1.0, fracwave.ContourConfig(sigma=1.6)),
+    fracwave.InvalidGrid: lambda: fracwave.solve_ivp_1d(
+        1.5, [0.0, 0.5, 1.0], [0.0, NAN, 0.0], 1.0, [0.5]),
+    fracwave.InvalidInput: lambda: fracwave.g1(1.5, 1.0, -1.0),
+    fracwave.InvalidOrder: lambda: fracwave.g1(2.5, 1.0, 1.0),
+    fracwave.MomentOutOfRange: lambda: fracwave.moment_1d(1.5, 5.0, 1.0),
+    fracwave.NonConvergence: lambda: fracwave.g3(1.5, 1e-300, 1.0),
+    fracwave.OriginDivergence: lambda: fracwave.g3(1.5, 0.0, 1.0),
+    fracwave.PoleError: lambda: fracwave.mb_kernel(1.5, 1, 1.5),
+    fracwave.UnsupportedDimension: lambda: fracwave.max_location(1.5, 2, 1.0),
+}
+
+
+def test_every_exported_error_class_has_a_raiser():
+    exported = {getattr(fracwave, name) for name in fracwave.__all__}
+    errors = {obj for obj in exported if isinstance(obj, type) and issubclass(obj, FracWaveError)}
+    assert set(RAISERS) == errors - {FracWaveError}
+
+
+@pytest.mark.parametrize("cls", list(RAISERS), ids=lambda cls: cls.__name__)
+def test_error_class_is_raised(cls):
+    with pytest.raises(cls) as info:
+        RAISERS[cls]()
+    assert info.type is cls
 
 
 # -- calls that returned NaN or inf, ran unbounded or leaked a non-fracwave

@@ -19,7 +19,6 @@ from fracwave.errors import (
 )
 from fracwave.mellin_barnes import (
     ContourConfig,
-    _mb_unsymmetrized,
     g_mellin_barnes,
     l_aux,
     mb_kernel,
@@ -72,10 +71,16 @@ class TestKernel:
         assert abs(mb_kernel(*key) - ref) <= 1e-12 * abs(ref)
 
     def test_schwarz_reflection(self):
-        for s in (0.75 + 2.0j, 0.3 + 11.0j, 1.1 + 0.4j):
-            a = mb_kernel(1.5, 2, s)
-            b = mb_kernel(1.5, 2, s.conjugate())
-            assert abs(a.conjugate() - b) <= 1e-13 * max(1.0, abs(a))
+        """K(conj s) = conj K(s), which makes the contour's sum over y >= 0
+        exact: off the line, and on it for y in (0, 60]."""
+        points = [(1.5, 2, s) for s in (0.75 + 2.0j, 0.3 + 11.0j, 1.1 + 0.4j)]
+        for alpha, n in [(1.5, 1), (1.5, 3), (1.3, 2)]:
+            points += [(alpha, n, complex(0.5 * min(alpha, n), y))
+                       for y in np.linspace(0.0, 60.0, 121)[1:]]
+        for alpha, n, s in points:
+            a = mb_kernel(alpha, n, s)
+            b = mb_kernel(alpha, n, s.conjugate())
+            assert abs(a.conjugate() - b) <= 1e-13 * abs(a)
 
     def test_regular_limit_at_zero(self):
         # The Gamma(s/alpha) numerator pole cancels the Gamma(s/2) denominator
@@ -131,11 +136,6 @@ class TestContour:
             a = g_mellin_barnes(1.5, 1, ratio, 1.0, ContourConfig(sigma=0.3)).value
             b = g_mellin_barnes(1.5, 1, ratio, 1.0, ContourConfig(sigma=0.7)).value
             assert abs(a - b) <= 1e-9
-
-    def test_imaginary_residue_unsymmetrized(self):
-        for alpha, n, r in [(1.5, 1, 0.7), (1.5, 3, 0.8), (1.3, 2, 1.4)]:
-            z = _mb_unsymmetrized(alpha, n, r, 1.0)
-            assert abs(z.imag) <= 1e-12
 
     def test_route_triangle_with_quadrature(self):
         for n in (1, 3):

@@ -143,6 +143,16 @@ class TestSmallRadius:
             assert abs(res.value - ref) <= res.est_error
 
 
+class TestUnreachableTolerance:
+    def test_cell_error_above_target_fails_fast(self):
+        # the cell error only grows and est_error includes it, so once it
+        # alone exceeds the target no further lobe can meet the tolerance
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match="cell error"):
+            g_integral(1.25, 1, 1.0, 1.0, QuadratureConfig(1e-12, 1e-12))
+        assert time.perf_counter() - start < 1.5
+
+
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):

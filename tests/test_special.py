@@ -1,4 +1,4 @@
-"""Mittag-Leffler evaluator, complex log-Gamma, and Bessel kernels."""
+"""Mittag-Leffler evaluator on the negative real axis."""
 
 import functools
 import math
@@ -16,15 +16,11 @@ from fracwave.errors import (
     FracWaveError,
     InvalidOrder,
     NonConvergence,
-    PoleError,
-    UnsupportedOrder,
 )
 from fracwave.special import (
     DEFAULT_TOL,
     MLResult,
     asymptotic_cutoff,
-    bessel_kernel,
-    log_gamma_complex,
     ml_neg,
 )
 from fracwave.special import (
@@ -402,66 +398,3 @@ def test_tiny_order_is_bounded(alpha, x):
     # below alpha ~ 0.005, x^(1/alpha) and the branch-cut rule's range
     # leave the double range
     assert_finite_result_or_fracwave_error(alpha, x, DEFAULT_TOL, 1.0)
-
-
-class TestLogGammaComplex:
-    def test_gamma_one_is_zero(self):
-        assert abs(log_gamma_complex(1.0)) <= 1e-15
-
-    def test_gamma_half(self):
-        assert abs(log_gamma_complex(0.5) - math.log(math.sqrt(math.pi))) <= 1e-14
-
-    def test_oracle_values(self):
-        # frozen from mpmath.loggamma (dps=40)
-        cases = {
-            1 + 1j: -0.65092319930185633889 - 0.30164032046753319789j,
-            3.7 - 2.1j: 0.78534695807382220148 - 2.5830129251152620266j,
-            -2.5 + 0.5j: -0.93508562129827747868 - 8.8709628852474591986j,
-        }
-        for z, ref in cases.items():
-            got = log_gamma_complex(z)
-            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    def test_recurrence_property(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            z = complex(rng.uniform(0.1, 10.0), rng.uniform(-10.0, 10.0))
-            lhs = np.exp(log_gamma_complex(z + 1) - log_gamma_complex(z))
-            assert abs(lhs - z) <= 1e-12 * abs(z)
-
-    def test_pole_error(self):
-        for bad in (0.0, -1.0, -7.0):
-            with pytest.raises(PoleError):
-                log_gamma_complex(bad)
-
-
-class TestBesselKernel:
-    def test_j0_at_zero(self):
-        assert bessel_kernel(0.0, 0.0) == 1.0
-
-    def test_half_order_closed_form(self):
-        assert abs(bessel_kernel(0.5, math.pi)) <= 1e-15
-        z = 2.3
-        assert abs(bessel_kernel(0.5, z) - math.sqrt(2 / (math.pi * z)) * math.sin(z)) <= 1e-15
-        assert abs(bessel_kernel(-0.5, z) - math.sqrt(2 / (math.pi * z)) * math.cos(z)) <= 1e-15
-
-    def test_half_order_origin_limits(self):
-        assert bessel_kernel(0.5, 0.0) == 0.0
-        assert bessel_kernel(-0.5, 0.0) == math.inf
-
-    def test_j0_oracle(self):
-        # frozen from mpmath.besselj(0, .) at dps=40
-        assert abs(bessel_kernel(0.0, 10.0) - (-0.2459357644513483352)) <= 1e-12
-        assert abs(bessel_kernel(0.0, 2.7) - (-0.14244937004601182182)) <= 1e-12
-        assert abs(bessel_kernel(0.0, 55.5) - (-0.0281040743011523956)) <= 1e-12
-
-    def test_j0_large_argument_asymptotics(self):
-        for z in np.geomspace(20.0, 1e3, 60):
-            approx = math.sqrt(2.0 / (math.pi * z)) * math.cos(z - math.pi / 4.0)
-            assert abs(bessel_kernel(0.0, float(z)) - approx) <= 2.0 * z ** -1.5
-
-    def test_unsupported_order(self):
-        with pytest.raises(UnsupportedOrder):
-            bessel_kernel(1.0, 2.0)
-        with pytest.raises(ValueError):
-            bessel_kernel(0.0, -1.0)
