@@ -137,6 +137,19 @@ class TestContour:
             b = g_mellin_barnes(1.5, 1, ratio, 1.0, ContourConfig(sigma=0.7)).value
             assert abs(a - b) <= 1e-9
 
+    def test_imaginary_residue_unsymmetrized(self):
+        """The full line, y in [-100, 100], summed without Schwarz reduction:
+        its imaginary part vanishes and its real part is the route's value."""
+        h = 0.05
+        y = h * np.arange(-2000, 2001)
+        for alpha, n, r in [(1.5, 1, 0.7), (1.5, 3, 0.8), (1.3, 2, 1.4)]:
+            s = 0.5 * min(alpha, n) + 1j * y
+            k = np.array([mb_kernel(alpha, n, x) for x in s])
+            line = h * np.sum(k * r ** s) / (2.0 * math.pi)
+            z = line / (alpha * math.pi ** (0.5 * n) * r ** n)
+            assert abs(z.imag) <= 1e-12
+            assert abs(z.real - g_mellin_barnes(alpha, n, r, 1.0).value) <= 1e-9
+
     def test_route_triangle_with_quadrature(self):
         for n in (1, 3):
             for alpha in (1.1, 1.5, 1.9):
