@@ -32,7 +32,7 @@ from .errors import (InvalidInput, MomentOutOfRange, NonConvergence, Unsupported
                      check_dimension, check_finite, check_positive, check_window)
 
 KIND_MAXIMUM = "maximum"
-_ZERO_TOL = 1e-9  # |G3| and |r - z_alpha t| at or below this count as sign 0
+_ZERO_TOL = 1e-9  # |G3| t^3 and |r/t - z_alpha| at or below this count as sign 0
 
 
 @dataclass(frozen=True)
@@ -205,12 +205,17 @@ def gravity_center_velocity(alpha: float) -> float:
 
 def sign_profile_3d(alpha: float, t: float, r_grid) -> list[int]:
     """Sign of G_{alpha,3}(r, t) at each grid point (-1, 0, +1), checked for
-    consistency against the zero-crossing threshold z_alpha * t."""
+    consistency against the zero-crossing threshold z_alpha * t.
+
+    Both tests are made in the scaled variables, on t^3 G_{alpha,3}(r, t) =
+    G_{alpha,3}(r/t, 1) and r/t - z_alpha, so the signs do not depend on t.
+    """
     check_window(alpha, 1.0, 2.0, lo_open=True)
     check_positive("t", t)
     r = np.atleast_1d(r_grid).astype(float)
-    v = g3(alpha, r, t)
-    d = r - zero_crossing_z(alpha) * t
+    rho = r / t
+    v = g3(alpha, rho, 1.0)
+    d = rho - zero_crossing_z(alpha)
     sign = np.where(np.abs(v) <= _ZERO_TOL, 0, np.where(v > 0.0, 1, -1))
     expected = np.where(np.abs(d) <= _ZERO_TOL, 0, np.where(d > 0.0, 1, -1))
     bad = np.flatnonzero((sign != 0) & (expected != 0) & (sign != expected))

@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from dataclasses import fields, replace
 
 import numpy as np
 
 from . import analysis, closed_form, mellin_barnes, quadrature
 from .errors import (ContourFailure, FracWaveError, NonConvergence, OriginDivergence,
-                     PoleError)
+                     PoleError, check_positive)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,42 +33,13 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_config(path: str | None) -> tuple[quadrature.QuadratureConfig,
-                                            mellin_barnes.ContourConfig]:
-    """The two configs, with their fields overridden by the key=value file."""
-    cfgs = [quadrature.QuadratureConfig(), mellin_barnes.ContourConfig()]
-    if path is None:
-        return tuple(cfgs)
-    owner = {f.name: i for i, cfg in enumerate(cfgs) for f in fields(cfg)}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise CliError(f"{path}:{line_no}: expected key=value", EXIT_USAGE)
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                raw = raw.strip()
-                if key not in owner:
-                    raise CliError(f"{path}:{line_no}: unknown key {key!r}", EXIT_USAGE)
-                cfgs[owner[key]] = replace(cfgs[owner[key]], **{key: float(raw)})
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}", EXIT_USAGE)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad config value in {path}: {exc}", EXIT_USAGE)
-    return tuple(cfgs)
-
-
 def _note_extrapolated(alpha: float, n: int) -> None:
     if alpha == 1.0 and n == 3:
         print("note: alpha=1 with dim=3 lies outside the established range; "
               "value extrapolated from the closed formula", file=sys.stderr)
 
 
-def _evaluate(alpha: float, n: int, r, t, method: str,
-              qcfg, ccfg) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(alpha: float, n: int, r, t, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate G_{alpha,n} on r and t, scalars or arrays that broadcast
     together; returns (value, est_error) arrays of the broadcast shape, with
     est_error = 0 for closed.  The closed forms and the contour take the
@@ -88,10 +58,10 @@ def _evaluate(alpha: float, n: int, r, t, method: str,
                            else closed_form.g3(alpha, r, t))
         return value, np.zeros_like(value)
     if method == "mellin":
-        res = mellin_barnes.g_mellin_barnes(alpha, n, r, t, ccfg)
+        res = mellin_barnes.g_mellin_barnes(alpha, n, r, t)
         return np.asarray(res.value), np.asarray(res.est_error)
     grid = np.broadcast(r, t)
-    results = [quadrature.g_integral(alpha, n, float(ri), float(ti), qcfg) for ri, ti in grid]
+    results = [quadrature.g_integral(alpha, n, float(ri), float(ti)) for ri, ti in grid]
     return (np.reshape([res.value for res in results], grid.shape),
             np.reshape([res.est_error for res in results], grid.shape))
 
@@ -113,10 +83,9 @@ def _write_csv(path: str, header: str, *columns) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_USAGE)
 
 
-def cmd_eval(args, qcfg, ccfg) -> int:
+def cmd_eval(args) -> int:
     method = args.method or _default_method(args.dim)
-    value, est = map(float, _evaluate(args.alpha, args.dim, args.r, args.t,
-                                      method, qcfg, ccfg))
+    value, est = map(float, _evaluate(args.alpha, args.dim, args.r, args.t, method))
     if method == "closed":
         print(format(value, ".15g"))
     else:
@@ -124,15 +93,14 @@ def cmd_eval(args, qcfg, ccfg) -> int:
     return EXIT_OK
 
 
-def cmd_profile(args, qcfg, ccfg) -> int:
+def cmd_profile(args) -> int:
     method = args.method or _default_method(args.dim)
     if args.fixed_r is not None:
         if args.tmin is None or args.tmax is None:
             raise CliError("--fixed-r requires --tmin and --tmax", EXIT_USAGE)
         header = "t,value,est_error"
         grid = np.linspace(args.tmin, args.tmax, args.points)
-        values, errs = _evaluate(args.alpha, args.dim, args.fixed_r, grid,
-                                 method, qcfg, ccfg)
+        values, errs = _evaluate(args.alpha, args.dim, args.fixed_r, grid, method)
     else:
         if args.rmin is None or args.rmax is None:
             raise CliError("radial profile requires --rmin and --rmax", EXIT_USAGE)
@@ -140,23 +108,25 @@ def cmd_profile(args, qcfg, ccfg) -> int:
             raise CliError("radial profile requires --t", EXIT_USAGE)
         header = "r,value,est_error"
         grid = np.linspace(args.rmin, args.rmax, args.points)
-        values, errs = _evaluate(args.alpha, args.dim, grid, args.t,
-                                 method, qcfg, ccfg)
+        values, errs = _evaluate(args.alpha, args.dim, grid, args.t, method)
     _write_csv(args.out, header, grid, values, errs)
     return EXIT_OK
 
 
-def cmd_velocity(args, qcfg, ccfg) -> int:
+def cmd_velocity(args) -> int:
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     _write_csv(args.out, "alpha,v", *zip(*analysis.velocity_curve(args.dim, alphas, args.which)))
     return EXIT_OK
 
 
-def cmd_crosscheck(args, qcfg, ccfg) -> int:
+def cmd_crosscheck(args) -> int:
+    check_positive("--tol", args.tol)
+    if args.points < 1:
+        raise CliError(f"--points must be at least 1, got {args.points}", EXIT_USAGE)
     rs = np.geomspace(0.3 * args.t, 3.0 * args.t, args.points)
 
     def route(method):
-        return _evaluate(args.alpha, args.dim, rs, args.t, method, qcfg, ccfg)
+        return _evaluate(args.alpha, args.dim, rs, args.t, method)
 
     if args.dim in (1, 3):
         closed, _ = route("closed")
@@ -183,7 +153,7 @@ def cmd_crosscheck(args, qcfg, ccfg) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_moments(args, qcfg, ccfg) -> int:
+def cmd_moments(args) -> int:
     moment = analysis.moment_1d if args.dim == 1 else analysis.moment_3d
     value = moment(args.alpha, args.beta, args.t)
     print(f"formula {value:.15g}")
@@ -195,7 +165,7 @@ def cmd_moments(args, qcfg, ccfg) -> int:
     return EXIT_OK
 
 
-def cmd_solve1d(args, qcfg, ccfg) -> int:
+def cmd_solve1d(args) -> int:
     try:
         data = np.genfromtxt(args.phi, delimiter=",", names=True)
     except (OSError, ValueError) as exc:
@@ -214,8 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fundamental solution of the multi-dimensional fractional "
                     "wave equation: three evaluation routes, profiles, "
                     "velocities, moments, and cross-checks.")
-    ap.add_argument("--config", default=None, metavar="PATH",
-                    help="key=value overrides for quadrature/contour defaults")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate G_{alpha,n}(r,t) at one point")
@@ -279,8 +247,7 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        qcfg, ccfg = _load_config(args.config)
-        return args.fn(args, qcfg, ccfg)
+        return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

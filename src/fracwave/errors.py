@@ -54,7 +54,7 @@ class InvalidGrid(FracWaveError):
 
 
 class ContourFailure(FracWaveError):
-    """Mellin-Barnes tail bound cannot be met at the configured truncation."""
+    """Mellin-Barnes tail bound or step halving cannot reach the step tolerance."""
 
 
 class InvalidContour(FracWaveError):

@@ -24,15 +24,14 @@ line converges geometrically in 1/h, and halving h reuses every node
 rho = r/t; only rho^s does.  One call therefore builds one table of
 K(sigma + i j h) for all its points and gets every rho from one product with
 rho^(sigma + i j h).  It halves h from 0.2, adding only the odd nodes, until
-the h and h/2 sums agree at every rho; past a fixed number of halvings it
-raises ContourFailure.  The error estimate is the h vs h/2 difference, the
-tail bound and the rounding of the terms.
+the h and h/2 sums agree to _STEP_TOL at every rho; past a fixed number of
+halvings it raises ContourFailure.  The error estimate is the h vs h/2
+difference, the tail bound and the rounding of the terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma as _loggamma, rgamma, sindg
@@ -48,33 +47,8 @@ _H0 = 0.2           # first trapezoidal step on the line
 _MAX_HALVINGS = 6   # the finest step is _H0 / 2**6
 _BLOCK = 1 << 20    # entries of one (points x nodes) complex temporary
 _NODE_BLOCK = 1 << 16  # nodes whose kernel values are computed at once
-
-
-@dataclass(frozen=True)
-class ContourConfig:
-    """Vertical-line abscissa and the step tolerance of the trapezoidal rule.
-
-    sigma = None selects min(alpha, n)/2 at evaluation time; an explicit sigma
-    must be positive here and below min(alpha, n) at evaluation.  The truncation
-    height is not set here: each call derives it from the kernel decay rate
-    with a safety factor of 10 (_auto_y_max).
-    """
-
-    sigma: float | None = None
-    step_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.sigma is not None:
-            check_window(self.sigma, 0.0, math.inf, lo_open=True, what="sigma",
-                         exc=InvalidContour)
-        check_positive("step_tol", self.step_tol)
-
-
-def _resolve_sigma(alpha: float, n: int, cfg: ContourConfig) -> float:
-    sigma = cfg.sigma if cfg.sigma is not None else min(alpha, float(n)) / 2.0
-    check_window(sigma, 0.0, min(alpha, float(n)), lo_open=True, what="sigma",
-                 exc=InvalidContour)
-    return sigma
+# The tail bound and the last step halving must each stay within this.
+_STEP_TOL = 1e-10
 
 
 def _log_sin(z: np.ndarray) -> np.ndarray:
@@ -160,29 +134,28 @@ def _line_sum(log_rho: np.ndarray, s: np.ndarray, wk: np.ndarray) -> np.ndarray:
 
 
 def _mb_core(alpha: float, n: int, rho: np.ndarray,
-             cfg: ContourConfig) -> tuple[np.ndarray, np.ndarray]:
+             sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Line integral (1/(2 pi)) int K(sigma+iy) rho^(sigma+iy) dy at every
     entry of the 1-D array rho, as twice the real part of the sum over the
     nodes y >= 0 (Schwarz reflection); returns (integral, est_error), each real.
     """
-    sigma = _resolve_sigma(alpha, n, cfg)
     if rho.size == 0:
         return rho.copy(), rho.copy()
     with np.errstate(divide="ignore"):  # r/t underflowed to 0: checked below
         log_rho = np.log(rho)
     check_finite("log(r/t)", log_rho, exc=ContourFailure)
     # The height grows with rho^sigma, so the largest rho sets it for all.
-    y_max = _auto_y_max(alpha, n, sigma, float(np.max(log_rho)), cfg.step_tol)
+    y_max = _auto_y_max(alpha, n, sigma, float(np.max(log_rho)), _STEP_TOL)
 
     # |K| decays like y^P exp(-mu y) with P = (n-1)/2, so past y_max the
     # line integral is at most |K(sigma + i y_max)| rho^sigma / (mu - P/y_max).
     tail_rate = max(_decay_rate(alpha) - 0.5 * (n - 1) / y_max, 1e-6)
     tail_mag = math.exp(sum(_log_kernel_terms(alpha, n, complex(sigma, y_max))).real) \
         * rho ** sigma / tail_rate
-    if np.any(tail_mag > cfg.step_tol):
+    if np.any(tail_mag > _STEP_TOL):
         raise ContourFailure(
-            f"tail bound {np.max(tail_mag):.2e} at y_max={y_max:.1f} exceeds "
-            f"step_tol={cfg.step_tol:.2e}; loosen step_tol"
+            f"tail bound {np.max(tail_mag):.2e} at y_max={y_max:.1f} exceeds {_STEP_TOL:.0e} "
+            f"(alpha={alpha}, n={n}): the kernel decays too slowly for the height cap"
         )
 
     def add_nodes(y: np.ndarray, w: np.ndarray):
@@ -219,34 +192,39 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray,
         m *= 2
         cur = h * total
         delta = np.abs(cur - prev)
-        if np.all(delta <= 0.25 * cfg.step_tol):
+        if np.all(delta <= 0.25 * _STEP_TOL):
             roundoff = _EPS * h * rho ** sigma * (sizes[0] + np.abs(log_rho) * sizes[1])
             scale = 1.0 / math.pi
             return cur * scale, (delta + tail_mag + roundoff) * scale
         prev = cur
     raise ContourFailure(
-        f"step halving did not reach step_tol={cfg.step_tol:.2e} "
+        f"{_MAX_HALVINGS} step halvings did not reach {_STEP_TOL:.0e} "
         f"(alpha={alpha}, n={n}, rho in [{np.min(rho):.3g}, {np.max(rho):.3g}])"
     )
 
 
-def g_mellin_barnes(alpha: float, n: int, r, t,
-                    cfg: ContourConfig | None = None) -> QuadResult:
+def g_mellin_barnes(alpha: float, n: int, r, t, sigma: float | None = None) -> QuadResult:
     """Evaluate G_{alpha,n}(r, t) by numerical Mellin-Barnes contour integration.
 
     r and t are scalars or arrays that broadcast together, and all the points
     share one kernel table.  Scalar input gives float value and est_error;
-    array input gives arrays of the broadcast shape.
+    array input gives arrays of the broadcast shape.  The line Re s = sigma
+    must lie in the pole-free strip (0, min(alpha, n)), else InvalidContour;
+    sigma = None takes its middle.  The truncation height is derived from the
+    kernel decay rate with a safety factor of 10 (_auto_y_max).
     """
-    cfg = cfg or ContourConfig()
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=True)
+    if sigma is None:
+        sigma = min(alpha, float(n)) / 2.0
+    check_window(sigma, 0.0, min(alpha, float(n)), lo_open=True, what="sigma",
+                 exc=InvalidContour)
     r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
     check_positive("r", r)
     check_positive("t", t)
     with np.errstate(over="ignore"):  # r/t out of the double range: checked in _mb_core
         rho = (r / t).ravel()
-    core, est = _mb_core(alpha, n, rho, cfg)
+    core, est = _mb_core(alpha, n, rho, sigma)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         pref = 1.0 / (alpha * math.pi ** (0.5 * n) * r ** n)
         value = pref * core.reshape(r.shape)
@@ -257,9 +235,9 @@ def g_mellin_barnes(alpha: float, n: int, r, t,
     return QuadResult(value, est, 0)
 
 
-def l_aux(alpha: float, n: int, rho: float, cfg: ContourConfig | None = None) -> float:
+def l_aux(alpha: float, n: int, rho: float) -> float:
     """Profile L_{alpha,n}(rho) = rho^n G_{alpha,n}(rho, 1), so G = r^(-n) L_{alpha,n}(r/t)."""
-    value = g_mellin_barnes(alpha, n, rho, 1.0, cfg).value * rho ** n
+    value = g_mellin_barnes(alpha, n, rho, 1.0).value * rho ** n
     check_finite("L_{alpha,n}", value, exc=ContourFailure)
     return value
 

@@ -47,18 +47,6 @@ _MAX_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances of g_integral."""
-
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        check_positive("abs_tol", self.abs_tol)
-        check_positive("rel_tol", self.rel_tol)
-
-
-@dataclass(frozen=True)
 class QuadResult:
     value: float
     est_error: float
@@ -187,24 +175,24 @@ def _make_integrand(alpha: float, n: int, r: float, t: float, ml_tol: float):
     return f
 
 
-def g_integral(alpha: float, n: int, r: float, t: float,
-               cfg: QuadratureConfig | None = None) -> QuadResult:
-    """Evaluate G_{alpha,n}(r,t) from the oscillatory radial integral.
+def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> QuadResult:
+    """Evaluate G_{alpha,n}(r,t) from the oscillatory radial integral, to an
+    est_error within max(tol, tol * |value|).
 
     Raises OriginDivergence for r = 0 with n >= 2 and NonConvergence once the
     cell error alone exceeds the target or after _MAX_LOBES lobes.
     """
-    cfg = cfg or QuadratureConfig()
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=n > 1, what=f"order for n = {n}")
     check_positive("t", t)
     check_positive("r", r, zero_ok=True)
+    check_positive("tol", tol)
+    ml_tol = min(1e-13, 0.01 * tol)
     if r == 0.0:
         if n >= 2:
             raise OriginDivergence(f"G_{{alpha,{n}}} diverges at r = 0")
-        return _integral_origin_1d(alpha, t, cfg)
+        return _integral_origin_1d(alpha, t, tol, ml_tol)
 
-    ml_tol = min(1e-13, 0.01 * cfg.abs_tol)
     f = _make_integrand(alpha, n, r, t, ml_tol)
     kernel_env = _prefactor(n, r)
 
@@ -224,7 +212,7 @@ def g_integral(alpha: float, n: int, r: float, t: float,
         if direct:
             tau_pow = b if n >= 2 else 1.0
             osc_bound = _ml_osc_amplitude(alpha, b * t) * kernel_env * tau_pow * (b - a)
-            direct = osc_bound > 0.02 * cfg.abs_tol and k < _MAX_LOBES // 2
+            direct = osc_bound > 0.02 * tol and k < _MAX_LOBES // 2
         v, e = _integrate(f, _cells(alpha, t, a, b))
         panel_err += e
         a = b
@@ -245,7 +233,7 @@ def g_integral(alpha: float, n: int, r: float, t: float,
         if len(evens) >= 2:
             accel_est += 0.25 * abs(evens[-1] - evens[-2])
         est = 3.0 * accel_est + panel_err + 1e-16 * abs(value)
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        target = max(tol, tol * abs(value))
         if est <= target:  # so both are finite: est >= 1e-16 |value|
             return QuadResult(value, est, k + 1)
         if panel_err > target:  # panel_err only grows, and est >= panel_err
@@ -258,14 +246,13 @@ def g_integral(alpha: float, n: int, r: float, t: float,
     )
 
 
-def _integral_origin_1d(alpha: float, t: float, cfg: QuadratureConfig) -> QuadResult:
+def _integral_origin_1d(alpha: float, t: float, tol: float, ml_tol: float) -> QuadResult:
     """n = 1 integral at r = 0: (1/pi) int_0^inf E_alpha(-(tau t)^alpha) dtau.
 
     No kernel oscillation; integrate to where the inverse-power expansion of
     E_alpha holds, then add the analytic tail (power terms plus the explicit
-    integral of the damped-oscillation pair).
+    integral of the damped-oscillation pair).  It counts as one lobe.
     """
-    ml_tol = min(1e-13, 0.01 * cfg.abs_tol)
     x_a = asymptotic_cutoff(alpha, 1e-10)
     tau_cut = x_a ** (1.0 / alpha) / t
     edges = _cells(alpha, t, 0.0, tau_cut)
@@ -285,12 +272,12 @@ def _integral_origin_1d(alpha: float, t: float, cfg: QuadratureConfig) -> QuadRe
         tail -= (2.0 / alpha) * (np.exp(tau_cut * t * zpole) / (t * zpole)).real
     else:
         tail, tail_err = math.exp(-tau_cut * t) / t, 0.0
-    value = val + tail / math.pi
+    value = float(val + tail / math.pi)
     est = err + tail_err / math.pi + 1e-15
     check_finite("the origin integral or its est_error", value, est)
-    if est > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+    if est > max(tol, tol * abs(value)):
         raise NonConvergence("origin integral tail estimate above tolerance")
-    return QuadResult(value, est, edges.size - 1)
+    return QuadResult(value, est, 1)
 
 
 def g_origin(alpha: float, n: int, t: float) -> float:

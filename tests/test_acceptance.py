@@ -27,7 +27,7 @@ from fracwave.closed_form import (
     g3_via_g1_temporal,
 )
 from fracwave.errors import OriginDivergence
-from fracwave.mellin_barnes import ContourConfig, g_mellin_barnes, mb_kernel
+from fracwave.mellin_barnes import g_mellin_barnes, mb_kernel
 from fracwave.quadrature import g_integral, g_origin
 from fracwave.special import ml_neg
 
@@ -209,8 +209,8 @@ def test_criterion_11_contour_robustness():
     with criterion(11, "sigma-shift invariance (0.3 vs 0.7, n=1) to 1e-9; "
                        "kernel Schwarz symmetry K(conj s) = conj K(s) to 1e-12 relative"):
         for ratio in (0.5, 1.0, 2.0):
-            a03 = g_mellin_barnes(1.5, 1, ratio, 1.0, ContourConfig(sigma=0.3)).value
-            a07 = g_mellin_barnes(1.5, 1, ratio, 1.0, ContourConfig(sigma=0.7)).value
+            a03 = g_mellin_barnes(1.5, 1, ratio, 1.0, sigma=0.3).value
+            a07 = g_mellin_barnes(1.5, 1, ratio, 1.0, sigma=0.7).value
             assert abs(a03 - a07) <= 1e-9
         for alpha, n in [(1.5, 1), (1.5, 3), (1.2, 2)]:
             for y in np.linspace(0.0, 60.0, 121)[1:]:

@@ -234,6 +234,15 @@ class TestSignProfile:
     def test_boundary_sign_is_zero(self):
         assert sign_profile_3d(1.5, 1.0, [Z_15])[0] == 0
 
+    @pytest.mark.parametrize("t", [1e-9, 1e3])
+    def test_signs_do_not_depend_on_time(self, t):
+        # G3 scales like t^-3: an absolute zero band would swallow every
+        # value at large t and none at small t
+        rhos = np.concatenate((np.linspace(0.2, 3.0, 29), [Z_15]))
+        signs = sign_profile_3d(1.5, t, rhos * t)
+        assert signs == sign_profile_3d(1.5, 1.0, rhos)
+        assert {-1, 0, 1} <= set(signs)
+
 
 class TestTwoDimensionalExtrema:
     def test_profile_has_multiple_extrema(self):

@@ -281,6 +281,16 @@ class TestCrosscheck:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"),
+                                            ("--tol", "inf"), ("--points", "0"),
+                                            ("--points", "-3")])
+    def test_bad_input_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "crosscheck", "--alpha", "1.5", "--dim", "1",
+                             "--t", "1", flag, value)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
 
 class TestMoments:
     def test_universal_second_moment(self, capsys):
@@ -354,41 +364,3 @@ class TestSolve1d:
                            "--phi", str(phi), "--out", str(out))
         assert code == 2
         assert f"cannot write {out}" in err
-
-
-class TestConfig:
-    def test_config_overrides(self, capsys, tmp_path):
-        cfg = tmp_path / "fw.cfg"
-        cfg.write_text("# loosened tolerances\nabs_tol = 1e-6\nrel_tol=1e-6\n"
-                       "sigma = 0.6\n")
-        code, out, _ = run(capsys, "--config", str(cfg), "eval", "--alpha", "1.5",
-                           "--dim", "1", "--r", "1", "--t", "1",
-                           "--method", "integral")
-        assert code == 0
-        value, est = (float(t) for t in out.split())
-        assert abs(value - g1(1.5, 1.0, 1.0)) <= 1e-5
-
-    def test_unknown_key_exit_2(self, capsys, tmp_path):
-        cfg = tmp_path / "fw.cfg"
-        # accel_order, max_lobes and y_max are constants of the code
-        for key in ("bogus", "accel_order", "max_lobes", "y_max"):
-            cfg.write_text(f"{key} = 8\n")
-            code, _, err = run(capsys, "--config", str(cfg), "eval", "--alpha", "1.5",
-                               "--dim", "1", "--r", "1", "--t", "1")
-            assert code == 2
-            assert key in err
-
-    @pytest.mark.parametrize("line,message", [("abs_tol 1e-6", "expected key=value"),
-                                              ("abs_tol = tight", "bad config value")])
-    def test_malformed_line_exit_2(self, capsys, tmp_path, line, message):
-        cfg = tmp_path / "fw.cfg"
-        cfg.write_text(line + "\n")
-        code, _, err = run(capsys, "--config", str(cfg), "eval", "--alpha", "1.5",
-                           "--dim", "1", "--r", "1", "--t", "1")
-        assert code == 2
-        assert message in err
-
-    def test_missing_config_exit_2(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "--config", str(tmp_path / "none.cfg"), "eval",
-                         "--alpha", "1.5", "--dim", "1", "--r", "1", "--t", "1")
-        assert code == 2

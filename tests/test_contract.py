@@ -1,7 +1,6 @@
 """The input contract: every public entry point, given a value outside its
 domain, raises a FracWaveError at once and never returns NaN or inf."""
 
-import dataclasses
 import inspect
 import math
 import time
@@ -25,6 +24,8 @@ BAD = {
     "x": [NAN, -1.0],
     "finite": [NAN, INF, complex(0.5, INF)],
     "tol": [NAN, INF, 0.0, -1.0],
+    "sigma": [NAN, INF, 0.0, -1.0, 1.5],          # strip (0, min(alpha, n)) = (0, 1.5)
+    "which": ["bogus"],
     "alpha": [NAN, INF, 0.5, 2.0, 2.5],          # window [1, 2)
     "alpha(1,2)": [NAN, INF, 0.5, 1.0, 2.0, 2.5],
     "alpha[1,2]": [NAN, INF, 0.5, 2.5],
@@ -47,9 +48,9 @@ TABLE = {
     "g_hat": ({"alpha": 1.5, "kappa_abs": 1.0, "t": 1.0},
               {"alpha": "alpha", "kappa_abs": "r", "t": "t0"}),
     "g_integral": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
-                   {"alpha": "alpha(1,2)", "r": "r", "t": "t"}),
+                   {"alpha": "alpha(1,2)", "r": "r", "t": "t", "tol": "tol"}),
     "g_mellin_barnes": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
-                        {"alpha": "alpha(1,2)", "r": "r+", "t": "t"}),
+                        {"alpha": "alpha(1,2)", "r": "r+", "t": "t", "sigma": "sigma"}),
     "g_origin": ({"alpha": 1.5, "n": 1, "t": 1.0}, {"alpha": "alpha", "t": "t"}),
     "gravity_center_velocity": ({"alpha": 1.5}, {"alpha": "alpha(1,2)"}),
     "l_aux": ({"alpha": 1.5, "n": 2, "rho": 1.0}, {"alpha": "alpha(1,2)", "rho": "r+"}),
@@ -70,10 +71,8 @@ TABLE = {
                       "out_grid": [0.0, 0.5, 1.0]},
                      {"alpha": "alpha", "t": "t", "xs": "grid", "phis": "grid",
                       "out_grid": "grid"}),
-    "velocity_curve": ({"n": 3, "alphas": [1.2, 1.5]}, {"alphas": "alphas"}),
+    "velocity_curve": ({"n": 3, "alphas": [1.2, 1.5]}, {"alphas": "alphas", "which": "which"}),
     "zero_crossing_z": ({"alpha": 1.5}, {"alpha": "alpha[1,2]"}),
-    "QuadratureConfig": ({}, {"abs_tol": "tol", "rel_tol": "tol"}),
-    "ContourConfig": ({}, {"sigma": "tol", "step_tol": "tol"}),
 }
 
 CASES = [pytest.param(name, arg, bad, id=f"{name}-{arg}={bad!r}")
@@ -95,10 +94,11 @@ def assert_fracwave_error_at_once(call):
 def test_every_public_function_has_a_row():
     public = {name for name in fracwave.__all__
               if inspect.isfunction(getattr(fracwave, name))}
-    configs = (fracwave.QuadratureConfig, fracwave.ContourConfig)
-    assert public | {cls.__name__ for cls in configs} == set(TABLE)
-    for cls in configs:  # every settable value of a config is checked
-        assert set(TABLE[cls.__name__][1]) == {f.name for f in dataclasses.fields(cls)}
+    assert public == set(TABLE)
+    for name in public:  # every setting a caller may leave out has bad values checked
+        params = inspect.signature(getattr(fracwave, name)).parameters.values()
+        defaulted = {p.name for p in params if p.default is not inspect.Parameter.empty}
+        assert defaulted <= set(TABLE[name][1]), name
 
 
 @pytest.mark.parametrize("name,arg,bad", CASES)
@@ -130,8 +130,7 @@ def test_documented_limits_stay_valid():
 # has no call to put here, and the set comparison below fails.
 RAISERS = {
     fracwave.ContourFailure: lambda: fracwave.g_mellin_barnes(1.5, 2, 1e-300, 1.0),
-    fracwave.InvalidContour: lambda: fracwave.g_mellin_barnes(
-        1.5, 1, 1.0, 1.0, fracwave.ContourConfig(sigma=1.6)),
+    fracwave.InvalidContour: lambda: fracwave.g_mellin_barnes(1.5, 1, 1.0, 1.0, sigma=1.6),
     fracwave.InvalidGrid: lambda: fracwave.solve_ivp_1d(
         1.5, [0.0, 0.5, 1.0], [0.0, NAN, 0.0], 1.0, [0.5]),
     fracwave.InvalidInput: lambda: fracwave.g1(1.5, 1.0, -1.0),

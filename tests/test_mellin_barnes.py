@@ -18,7 +18,6 @@ from fracwave.errors import (
     UnsupportedDimension,
 )
 from fracwave.mellin_barnes import (
-    ContourConfig,
     g_mellin_barnes,
     l_aux,
     mb_kernel,
@@ -133,8 +132,8 @@ class TestContour:
 
     def test_sigma_shift_invariance(self):
         for ratio in (0.5, 1.3):
-            a = g_mellin_barnes(1.5, 1, ratio, 1.0, ContourConfig(sigma=0.3)).value
-            b = g_mellin_barnes(1.5, 1, ratio, 1.0, ContourConfig(sigma=0.7)).value
+            a = g_mellin_barnes(1.5, 1, ratio, 1.0, sigma=0.3).value
+            b = g_mellin_barnes(1.5, 1, ratio, 1.0, sigma=0.7).value
             assert abs(a - b) <= 1e-9
 
     def test_imaginary_residue_unsymmetrized(self):
@@ -170,9 +169,9 @@ class TestContour:
 
     def test_invalid_contour(self):
         with pytest.raises(InvalidContour):
-            g_mellin_barnes(1.5, 1, 1.0, 1.0, ContourConfig(sigma=1.2))
+            g_mellin_barnes(1.5, 1, 1.0, 1.0, sigma=1.2)
         with pytest.raises(InvalidContour):
-            g_mellin_barnes(1.5, 1, 1.0, 1.0, ContourConfig(sigma=0.0))
+            g_mellin_barnes(1.5, 1, 1.0, 1.0, sigma=0.0)
 
     def test_contour_failure_on_tail_bound(self):
         # Near alpha = 2 the kernel decays too slowly for the capped height.
@@ -187,10 +186,6 @@ class TestContour:
             g_mellin_barnes(1.5, 4, 1.0, 1.0)
         with pytest.raises(ValueError):
             g_mellin_barnes(1.5, 1, 0.0, 1.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ContourConfig(step_tol=0.0)
 
 
 class TestProfileFunction:

@@ -12,13 +12,13 @@ from scipy.special import voigt_profile
 from fracwave.closed_form import g1, g3
 from fracwave.errors import (
     InvalidGrid,
+    InvalidInput,
     InvalidOrder,
     NonConvergence,
     OriginDivergence,
     UnsupportedDimension,
 )
 from fracwave.quadrature import (
-    QuadratureConfig,
     QuadResult,
     _integrate,
     _j0_zero,
@@ -123,15 +123,14 @@ class TestLobeStructure:
         assert honest / total >= 0.95
 
     def test_est_within_configured_tolerance(self):
-        cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
-        res = g_integral(1.5, 1, 1.0, 1.0, cfg)
-        assert res.est_error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+        res = g_integral(1.5, 1, 1.0, 1.0, tol=1e-7)
+        assert res.est_error <= max(1e-7, 1e-7 * abs(res.value))
 
 
 class TestSmallRadius:
     # Lobe 0 reaches far past the Mittag-Leffler oscillation here, where the
     # integrand falls off like a power of tau: on cells spanning a ratio of 4
-    # |K15 - G7| overstates the error about 1e4-fold, above abs_tol.
+    # |K15 - G7| overstates the error about 1e4-fold, above tol.
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.25, 1.5, 1.75, 1.9])
     def test_small_ratio_is_fast_and_honest(self, alpha, n):
@@ -149,14 +148,14 @@ class TestUnreachableTolerance:
         # alone exceeds the target no further lobe can meet the tolerance
         start = time.perf_counter()
         with pytest.raises(NonConvergence, match="cell error"):
-            g_integral(1.25, 1, 1.0, 1.0, QuadratureConfig(1e-12, 1e-12))
+            g_integral(1.25, 1, 1.0, 1.0, tol=1e-12)
         assert time.perf_counter() - start < 1.5
 
 
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
+        with pytest.raises(InvalidInput):
+            g_integral(1.5, 1, 1.0, 1.0, tol=0.0)
 
     def test_rejects_bad_domain(self):
         with pytest.raises(InvalidOrder):
@@ -193,7 +192,7 @@ class TestOrigin:
         # the inverse-power tail of the r = 0 integral cannot meet 1e-12
         start = time.perf_counter()
         with pytest.raises(NonConvergence, match="origin integral tail"):
-            g_integral(1.5, 1, 0.0, 1.0, QuadratureConfig(1e-12, 1e-12))
+            g_integral(1.5, 1, 0.0, 1.0, tol=1e-12)
         assert time.perf_counter() - start < 5.0
 
 
@@ -275,7 +274,10 @@ class TestSolveIvp1d:
 
 class TestQuadResultContract:
     def test_fields(self):
-        res = g_integral(1.5, 1, 1.0, 1.0)
-        assert isinstance(res, QuadResult)
-        assert res.lobes_used > 0
-        assert res.est_error <= max(1e-8, 1e-8 * abs(res.value))
+        # the r = 0 integral has no kernel zeros: it is one lobe
+        for r in (1.0, 0.0):
+            res = g_integral(1.5, 1, r, 1.0)
+            assert isinstance(res, QuadResult)
+            assert type(res.value) is float and type(res.est_error) is float
+            assert res.lobes_used == 1 if r == 0.0 else res.lobes_used > 1
+            assert res.est_error <= max(1e-8, 1e-8 * abs(res.value))
