@@ -12,8 +12,9 @@ Key closed forms:
   finite for 2-a < b < 2+a (plain integrals; the 3D solution is signed).
 
 The 3D maximum location at t = 1 solves d/dw log G_{a,3}(w, 1) = 0, a quartic
-in q = w^a whose one real root right of z_alpha^a is taken; it is then scaled
-by t (legitimate because all time dependence enters through r/t).
+in q = w^a whose one real root right of z_alpha^a is taken (within ~1e-8 of
+a = 2 a double root, which rounding may split into a close conjugate pair); it
+is then scaled by t (legitimate because all time dependence enters through r/t).
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ def max_location(alpha: float, n: int, t: float) -> ExtremumReport:
 
     The location is c(alpha, n) * t: z_alpha * t for n = 1; for n = 3, c is
     the root right of z_alpha of d/dw log G_{alpha,3}(w, 1) = 0, a quartic in
-    w^alpha.  n = 2 is refused: that profile has multiple extrema.
+    w^alpha.  n = 2 is refused: that profile has multiple extrema.  Raises
+    NonConvergence where c^alpha and z_alpha^alpha are one double (alpha within
+    ~1e-8 of 2).
     """
     if n == 2:
         raise UnsupportedDimension("the 2D solution has multiple local extrema")
@@ -81,8 +84,14 @@ def max_location(alpha: float, n: int, t: float) -> ExtremumReport:
     wp = 2.0 * alpha * np.array([0.0, c, 1.0])
     wm = 2.0 * alpha * np.array([0.0, c, alpha + 1.0])
     roots = polyroots(polymul((alpha - 3.0) * m + wm, p) - 2.0 * polymul(wp, m))
-    q = roots.real[(roots.imag == 0.0) & (roots.real > z ** alpha)].min()
-    loc = q ** (1.0 / alpha) * t
+    # Within ~1e-8 of alpha = 2 the two roots near q = 1 merge, and rounding
+    # splits the double root into a pair with |Im| ~ sqrt(eps): take its real part.
+    real = np.abs(roots.imag) <= 4.0 * math.sqrt(np.finfo(float).eps) * np.abs(roots)
+    q = roots.real[real & (roots.real > z ** alpha)]
+    if q.size == 0:
+        raise NonConvergence(f"the 3D maximum at alpha={alpha} is not resolved from the "
+                             "zero crossing in double precision")
+    loc = q.min() ** (1.0 / alpha) * t
     return ExtremumReport(loc, float(g3(alpha, loc, t)), KIND_MAXIMUM)
 
 
@@ -115,6 +124,13 @@ def velocity_curve(n: int, alphas, which: str = "phase") -> list[tuple[float, fl
     raise InvalidInput(f"unknown velocity kind {which!r}")
 
 
+def _power(x: float, y: float) -> float:
+    """x ** y, inf where it overflows the double range, so that check_finite
+    raises NonConvergence rather than Python's OverflowError."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(x) ** y)
+
+
 def moment_1d(alpha: float, beta: float, t: float) -> float:
     """Half-line moment int_0^inf G_{alpha,1}(r,t) r^beta dr for -1 < beta < alpha.
 
@@ -126,7 +142,10 @@ def moment_1d(alpha: float, beta: float, t: float) -> float:
     check_window(beta, -1.0, alpha, lo_open=True, what="1D moment order", exc=MomentOutOfRange)
     if beta == 0.0:
         return 0.5
-    return t ** beta * math.sin(math.pi * beta / 2.0) / (alpha * math.sin(math.pi * beta / alpha))
+    value = _power(t, beta) * math.sin(math.pi * beta / 2.0) \
+        / (alpha * math.sin(math.pi * beta / alpha))
+    check_finite("the 1D moment", value)
+    return value
 
 
 def moment_3d(alpha: float, beta: float, t: float) -> float:
@@ -143,36 +162,38 @@ def moment_3d(alpha: float, beta: float, t: float) -> float:
                  exc=MomentOutOfRange)
     if beta == 2.0:
         return 1.0 / (4.0 * math.pi)
-    return (t ** (beta - 2.0) * (beta - 1.0) / (2.0 * alpha * math.pi)
-            * math.sin(math.pi * beta / 2.0)
-            / math.sin(math.pi * (2.0 - beta) / alpha))
+    value = (_power(t, beta - 2.0) * (beta - 1.0) / (2.0 * alpha * math.pi)
+             * math.sin(math.pi * beta / 2.0)
+             / math.sin(math.pi * (2.0 - beta) / alpha))
+    check_finite("the 3D moment", value)
+    return value
 
 
-_MOMENT_R_MAX = 1e6  # moment_numeric's quadrature stops at r = _MOMENT_R_MAX t
+_MOMENT_R_MAX = 1e6  # moment_numeric's quadrature stops at r/t = _MOMENT_R_MAX
 
 
 def moment_numeric(alpha: float, n: int, beta: float, t: float) -> float:
-    """Independent numerical moment: quadrature of the closed form on a log
-    grid truncated at R = _MOMENT_R_MAX * t, plus the analytic power-law tail
-    (integrand ~ r^(beta - alpha - n) for large r).  Takes the orders and
+    """Independent numerical moment: quadrature of the closed form at t = 1 on
+    a log grid truncated at R = _MOMENT_R_MAX, plus the analytic power-law tail
+    (integrand ~ r^(beta - alpha - n) for large r), scaled by t^(beta + 1 - n):
+    G_{alpha,n}(r, t) = t^(-n) G_{alpha,n}(r/t, 1).  Takes the orders and
     times of moment_1d (n = 1) and moment_3d (n = 3)."""
     check_dimension(n, (1, 3))
     (moment_1d if n == 1 else moment_3d)(alpha, beta, t)  # raises outside its windows
     fn = g1 if n == 1 else g3
-    r_hi = _MOMENT_R_MAX * t
 
     def integrand_r(r):
-        return float(fn(alpha, r, t)) * r ** beta
+        return float(fn(alpha, r, 1.0)) * r ** beta
 
     def integrand_log(u):
         r = math.exp(u)
-        return float(fn(alpha, r, t)) * r ** (beta + 1.0)  # extra r from du
+        return float(fn(alpha, r, 1.0)) * r ** (beta + 1.0)  # extra r from du
 
     # Near field in r (resolves the signed region around the zero crossing
     # exactly; QUADPACK handles the integrable endpoint singularity at 0),
     # far field in log r (pure power decay), then the analytic tail.
-    r_star = zero_crossing_z(alpha) * t
-    r_mid = 100.0 * max(t, r_star)
+    r_star = zero_crossing_z(alpha)
+    r_mid = 100.0 * max(1.0, r_star)
     pts = [r_star * f for f in (0.25, 1.0, 4.0)]
     with warnings.catch_warnings():
         # the endpoint singularity r^(beta+alpha-n) trips QUADPACK's
@@ -180,20 +201,20 @@ def moment_numeric(alpha: float, n: int, beta: float, t: float) -> float:
         warnings.simplefilter("ignore", IntegrationWarning)
         near, _ = _quad(integrand_r, 0.0, r_mid, limit=800,
                         epsabs=1e-13, epsrel=1e-11, points=pts)
-        far, _ = _quad(integrand_log, math.log(r_mid), math.log(r_hi),
+        far, _ = _quad(integrand_log, math.log(r_mid), math.log(_MOMENT_R_MAX),
                        limit=400, epsabs=1e-14, epsrel=1e-11)
-    val = near + far
     # Tail from the large-r asymptotics of the closed forms.
     s = order_trig(alpha)[1]
     if n == 1:
-        c_tail = s / math.pi * t ** alpha
+        c_tail = s / math.pi
         expo = beta - alpha
     else:
-        c_tail = s * (alpha + 1.0) / (2.0 * math.pi ** 2) * t ** alpha
+        c_tail = s * (alpha + 1.0) / (2.0 * math.pi ** 2)
         expo = beta - alpha - 2.0
-    tail = -c_tail * r_hi ** expo / expo  # expo < 0 inside the moment window
-    check_finite("the numerical moment", val + tail)
-    return val + tail
+    tail = -c_tail * _MOMENT_R_MAX ** expo / expo  # expo < 0 inside the moment window
+    value = (near + far + tail) * _power(t, beta + 1.0 - n)
+    check_finite("the numerical moment", value)
+    return value
 
 
 def gravity_center_velocity(alpha: float) -> float:

@@ -93,7 +93,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _check_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise CliError(f"{flag} must be at least 1, got {value}", EXIT_USAGE)
+
+
 def cmd_profile(args) -> int:
+    _check_count("--points", args.points)
     method = args.method or _default_method(args.dim)
     if args.fixed_r is not None:
         if args.tmin is None or args.tmax is None:
@@ -114,6 +120,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_velocity(args) -> int:
+    _check_count("--steps", args.steps)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     _write_csv(args.out, "alpha,v", *zip(*analysis.velocity_curve(args.dim, alphas, args.which)))
     return EXIT_OK
@@ -121,8 +128,7 @@ def cmd_velocity(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     check_positive("--tol", args.tol)
-    if args.points < 1:
-        raise CliError(f"--points must be at least 1, got {args.points}", EXIT_USAGE)
+    _check_count("--points", args.points)
     rs = np.geomspace(0.3 * args.t, 3.0 * args.t, args.points)
 
     def route(method):

@@ -24,9 +24,10 @@ line converges geometrically in 1/h, and halving h reuses every node
 rho = r/t; only rho^s does.  One call therefore builds one table of
 K(sigma + i j h) for all its points and gets every rho from one product with
 rho^(sigma + i j h).  It halves h from 0.2, adding only the odd nodes, until
-the h and h/2 sums agree to _STEP_TOL at every rho; past a fixed number of
-halvings it raises ContourFailure.  The error estimate is the h vs h/2
-difference, the tail bound and the rounding of the terms.
+at every rho the h and h/2 sums agree to _STEP_TOL or to the rounding bound
+of the terms, below which more halvings cannot lower the error; past a fixed
+number of halvings it raises ContourFailure.  The error estimate is the h vs
+h/2 difference, the tail bound and that rounding bound.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ _H0 = 0.2           # first trapezoidal step on the line
 _MAX_HALVINGS = 6   # the finest step is _H0 / 2**6
 _BLOCK = 1 << 20    # entries of one (points x nodes) complex temporary
 _NODE_BLOCK = 1 << 16  # nodes whose kernel values are computed at once
-# The tail bound and the last step halving must each stay within this.
+# The tail bound must stay within this, the last step halving within this
+# or the rounding bound.
 _STEP_TOL = 1e-10
 
 
@@ -121,18 +123,6 @@ def _auto_y_max(alpha: float, n: int, sigma: float, log_rho: float, tol: float) 
     return min(max(y, 20.0), 2.0e5)
 
 
-def _line_sum(log_rho: np.ndarray, s: np.ndarray, wk: np.ndarray) -> np.ndarray:
-    """sum_j wk_j rho^(s_j) at every rho, in row blocks of about _BLOCK
-    entries, so that a long profile never holds (points x nodes) at once.
-    einsum rather than a BLAS product: threaded BLAS spends milliseconds
-    starting threads on a product this small."""
-    out = np.empty(log_rho.size, dtype=complex)
-    rows = max(1, _BLOCK // s.size)
-    for i in range(0, log_rho.size, rows):
-        out[i:i + rows] = np.einsum("ij,j->i", np.exp(np.outer(log_rho[i:i + rows], s)), wk)
-    return out
-
-
 def _mb_core(alpha: float, n: int, rho: np.ndarray,
              sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Line integral (1/(2 pi)) int K(sigma+iy) rho^(sigma+iy) dy at every
@@ -161,16 +151,19 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray,
     def add_nodes(y: np.ndarray, w: np.ndarray):
         """Line sum at the nodes y with weights w, and two node sums that
         bound its rounding.  A term K rho^s is off by a few eps, plus eps
-        times the size of each term of log K and of s log rho.
-        Only very long lines (alpha near 2) take more than one node block."""
+        times the size of each term of log K and of s log rho.  The nodes go
+        in blocks, so that no (points x nodes) temporary holds more than about
+        _BLOCK entries; einsum rather than a BLAS product: threaded BLAS
+        spends milliseconds starting threads on a product this small."""
         line = np.zeros(log_rho.size, dtype=complex)
         sizes = np.zeros(2)
-        for i in range(0, y.size, _NODE_BLOCK):
-            s = sigma + 1j * y[i:i + _NODE_BLOCK]
+        step = min(_NODE_BLOCK, max(1, _BLOCK // log_rho.size))
+        for i in range(0, y.size, step):
+            s = sigma + 1j * y[i:i + step]
             terms = _log_kernel_terms(alpha, n, s)
-            wk = w[i:i + _NODE_BLOCK] * np.exp(sum(terms))
+            wk = w[i:i + step] * np.exp(sum(terms))
             mag = np.abs(wk)
-            line += _line_sum(log_rho, s, wk)
+            line += np.einsum("ij,j->i", np.exp(np.outer(log_rho, s)), wk)
             sizes += (np.sum(mag * (4.0 + sum(np.abs(x) for x in terms))),
                       np.sum(mag * np.abs(s)))
         return line.real, sizes
@@ -192,14 +185,14 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray,
         m *= 2
         cur = h * total
         delta = np.abs(cur - prev)
-        if np.all(delta <= 0.25 * _STEP_TOL):
-            roundoff = _EPS * h * rho ** sigma * (sizes[0] + np.abs(log_rho) * sizes[1])
+        roundoff = _EPS * h * rho ** sigma * (sizes[0] + np.abs(log_rho) * sizes[1])
+        if np.all(delta <= np.maximum(0.25 * _STEP_TOL, roundoff)):
             scale = 1.0 / math.pi
             return cur * scale, (delta + tail_mag + roundoff) * scale
         prev = cur
     raise ContourFailure(
-        f"{_MAX_HALVINGS} step halvings did not reach {_STEP_TOL:.0e} "
-        f"(alpha={alpha}, n={n}, rho in [{np.min(rho):.3g}, {np.max(rho):.3g}])"
+        f"{_MAX_HALVINGS} step halvings did not reach {_STEP_TOL:.0e} or the rounding "
+        f"bound (alpha={alpha}, n={n}, rho in [{np.min(rho):.3g}, {np.max(rho):.3g}])"
     )
 
 

@@ -295,7 +295,9 @@ def g_origin(alpha: float, n: int, t: float) -> float:
             f"G_{{alpha,{n}}}(0, t) diverges: the window 0 < n < alpha is empty for n = {n}"
         )
     if alpha == 1.0:
-        return 1.0 / (math.pi * t)
+        value = 1.0 / (math.pi * t)
+        check_finite("G at the origin", value)
+        return value
     return 0.0
 
 

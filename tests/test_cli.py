@@ -210,6 +210,14 @@ class TestProfile:
         assert code == 2
         assert "radial profile requires --t" in err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_empty_grid_exit_2(self, capsys, value):
+        code, out, err = run(capsys, "profile", "--alpha", "1.5", "--dim", "1", "--t", "1",
+                             "--rmin", "0", "--rmax", "1", "--points", value, "--out", "-")
+        assert code == 2
+        assert out == ""
+        assert "--points" in err
+
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         out = tmp_path / "missing" / "x.csv"
         code, _, err = run(capsys, "profile", "--alpha", "1.5", "--dim", "1", "--t", "1",
@@ -254,6 +262,14 @@ class TestVelocity:
                            "--alpha-min", "1.9", "--alpha-max", "1.1")
         assert code == 2
         assert "increasing" in err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_empty_grid_exit_2(self, capsys, value):
+        code, out, err = run(capsys, "velocity", "--dim", "3", "--alpha-min", "1.1",
+                             "--alpha-max", "1.9", "--steps", value)
+        assert code == 2
+        assert out == ""
+        assert "--steps" in err
 
     def test_gravity_requires_dim_1(self, capsys):
         code, _, _ = run(capsys, "velocity", "--dim", "3",

@@ -5,6 +5,7 @@ import inspect
 import math
 import time
 
+import numpy as np
 import pytest
 
 import fracwave
@@ -191,6 +192,33 @@ def test_former_hole_errors_are_specific():
     for name in ("solve_ivp_1d_nan_phi", "solve_ivp_1d_nan_grid"):
         with pytest.raises(InvalidGrid):
             HOLES[name]()
+
+
+# Valid calls at the ends of the double range, and the 3D maximum within
+# ~1e-8 of alpha = 2, where the two quartic roots near q = 1 merge: these leaked
+# OverflowError or numpy's ValueError, or returned inf.
+NEAR_TWO = [float(a) for a in 2.0 - np.geomspace(1e-3, 1e-15, 200)]
+EXTREMES = [
+    ("moment_1d", (1.5, 1.49, 1e300)),
+    ("moment_1d", (1.5, -0.99, 1e-320)),
+    ("moment_3d", (1.5, 0.6, 1e-300)),
+    ("moment_3d", (1.5, 3.4, 1e300)),
+    ("moment_numeric", (1.5, 1, -0.9, 1e-300)),
+    ("moment_numeric", (1.5, 3, 2.5, 1e100)),
+    ("moment_numeric", (1.5, 1, 0.5, 1.7e308)),
+    ("g_origin", (1.0, 1, 1e-320)),
+    *[("phase_velocity", (alpha, 3)) for alpha in NEAR_TWO],
+    *[("max_location", (alpha, 3, 1.0)) for alpha in NEAR_TWO],
+]
+
+
+def test_extreme_valid_calls_are_finite_or_fracwave_error():
+    for name, args in EXTREMES:
+        try:
+            result = getattr(fracwave, name)(*args)
+        except FracWaveError:
+            continue
+        assert math.isfinite(getattr(result, "location", result)), (name, args)
 
 
 @pytest.mark.parametrize("r,t", [("1", "inf"), ("1e-300", "1")])
