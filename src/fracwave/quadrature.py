@@ -3,25 +3,25 @@
     G_{alpha,n}(r,t) = r^(1-n/2)/(2 pi)^(n/2)
                        * int_0^inf E_alpha(-(tau t)^alpha) tau^(n/2) J_{n/2-1}(tau r) dtau,
 
-with the contour, one of two routes for n = 2.  The semi-infinite integral is
-split at the zeros of the oscillatory kernel (cos for n=1, J_0 for n=2, sin
-for n=3), each lobe is integrated by the GK15 rule on a mesh of cells that
-resolves the branch point at tau = 0 and the Mittag-Leffler oscillation, and
-the resulting alternating lobe series is summed in two phases:
+with the contour, one of two routes for n = 2.  For 1 < alpha < 2,
+E_alpha(-(tau t)^alpha) is a damped oscillating pair (2/alpha) Re exp(-p tau),
+p = -t e^{i pi/alpha}, plus a completely monotone branch-cut part, which is
+how special.ml_neg computes it.  Against the kernel (cos for n = 1, tau J_0
+for n = 2, tau sin for n = 3) the pair has a closed-form Laplace transform,
+which is added; only E_alpha minus the pair is integrated numerically.  That
+integral is split at the zeros of the kernel, each lobe is integrated by the
+GK15 rule on a geometric mesh of cells (graded towards the branch point at
+tau = 0 in lobe 0), and the lobe series, which alternates in sign from lobe
+0, is summed by Wynn's epsilon algorithm.
 
-* while the damped oscillation of E_alpha itself (decay rate t|cos(pi/alpha)|)
-  is still visible, lobes are accumulated directly -- the lobe signs are not
-  reliable there and nonlinear acceleration is unsafe;
-* past that point the lobe series is alternating with algebraically decaying
-  magnitudes (integrable only by cancellation for n >= 2), and Wynn's epsilon
-  algorithm is applied to the partial sums.
-
-The returned error estimate combines the acceleration increments, the panel
-error estimates, and the truncated oscillation amplitude.
+The returned error estimate combines the acceleration increments, the cell
+error estimates, and the rounding of the per-node subtraction and of the
+closed-form term.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,17 +33,13 @@ from .errors import (InvalidGrid, NonConvergence, OriginDivergence, check_dimens
 from scipy.special import j0 as _bessel_j0
 from scipy.special import j1 as _bessel_j1
 
-from .special import _gk15_cells, _inverse_power_terms, asymptotic_cutoff, ml_neg
+from .special import _EPS, _exp_pair, _gk15_cells, _inverse_power_terms, asymptotic_cutoff, ml_neg
 
 # Order of the Wynn epsilon acceleration: each estimate uses the last
 # 2 * _ACCEL_ORDER + 1 partial sums of the lobe series.
 _ACCEL_ORDER = 8
-# Most lobes g_integral sums before it raises NonConvergence; at most half of
-# them are summed directly.
+# Most lobes g_integral sums before it raises NonConvergence.
 _MAX_LOBES = 10_000
-# Most GK15 cells one lobe's mesh may have.  Below r/t ~5e-14 lobe 0 would
-# need more, which takes minutes and gigabytes.
-_MAX_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ def _j0_zero(k: int) -> float:
     z = z + _bessel_j0(z) / _bessel_j1(z)
     if k == 1:
         z = z + _bessel_j0(z) / _bessel_j1(z)
-    return z
+    return float(z)
 
 
 def _lobe_edge(n: int, r: float, k: int) -> float:
@@ -101,52 +97,32 @@ def _wynn_epsilon(sums: list[float]) -> list[float]:
     return out
 
 
-def _ml_osc_amplitude(alpha: float, tau_t: float) -> float:
-    """Amplitude of the damped-oscillation part of E_alpha(-(tau t)^alpha)."""
-    if alpha <= 1.0:
-        return math.exp(-min(tau_t, 745.0))
-    damp = tau_t * math.cos(math.pi / alpha)
-    return (2.0 / alpha) * math.exp(max(min(damp, 50.0), -745.0))
-
-
-def _cells(alpha: float, t: float, a: float, b: float) -> np.ndarray:
+def _cells(t: float, a: float, b: float) -> np.ndarray:
     """Edges of the GK15 cells covering [a, b] in the tau variable.
 
-    The integrand has a tau^alpha branch point at tau = 0 (singular higher
-    derivatives), cured by a mesh graded geometrically towards it when a = 0.
-    While the Mittag-Leffler oscillation is above 1e-18, no cell is wider
-    than a third of its period or twice its decay length 1/(t |cos(pi/alpha)|)
-    (1/t, with no period, at alpha = 1).  Past it the integrand falls off
-    like a power of tau, over which |K15 - G7| overstates the K15 error
-    about 1e4-fold on a cell with hi = 4 lo; such cells are split
-    geometrically to hi <= 2 lo.
+    With the damped pair taken out, the integrand has no oscillation of its
+    own: it has a tau^alpha branch point at tau = 0 (singular higher
+    derivatives) and falls off like a power of tau, over which |K15 - G7|
+    overstates the K15 error about 1e4-fold on a cell with hi = 4 lo.  So
+    every cell is geometric with hi <= 2 lo, and from a = 0 the mesh is
+    halved down to about 2^-28 min(b, 1/t), where the first cell [0, .] is
+    far below the branch point's scale 1/t at any r/t.
     """
-    if alpha > 1.0:
-        scale = min(2.0 * math.pi / (3.0 * t * math.sin(math.pi / alpha)),
-                    2.0 / (t * abs(math.cos(math.pi / alpha))))
-    else:
-        scale = 2.0 / t
-    base = [0.0] + [b * 0.25 ** j for j in range(14, -1, -1)] if a == 0.0 else [a, b]
-    widths = [(hi - lo) / scale if _ml_osc_amplitude(alpha, lo * t) > 1e-18 else 0.0
-              for lo, hi in zip(base[:-1], base[1:])]
-    if not sum(widths) <= _MAX_CELLS:
-        raise NonConvergence(f"the lobe [{a:.3g}, {b:.3g}] needs {sum(widths):.3g} cells, "
-                             f"more than {_MAX_CELLS}: r/t is too small for the integral")
-    edges = [base[0]]
-    for lo, hi, width in zip(base[:-1], base[1:], widths):
-        if width == 0.0 and hi > 2.0 * lo:
-            edges.extend(np.geomspace(lo, hi, math.ceil(math.log2(hi / lo)) + 1)[1:])
-        else:
-            edges.extend(np.linspace(lo, hi, max(1, math.ceil(width)) + 1)[1:])
-    return np.array(edges)
+    if a == 0.0:
+        check_finite("the first lobe in units of 1/t", b * t)
+        halvings = 28 + max(0, math.ceil(math.log2(b * t)))
+        return np.array([0.0] + [math.ldexp(b, -j) for j in range(halvings, -1, -1)])
+    return np.geomspace(a, b, math.ceil(math.log2(b / a)) + 1)
 
 
 def _integrate(f, edges: np.ndarray) -> tuple[float, float]:
     """GK15 over every cell of a mesh, with one call of the vectorized f on
-    all nodes; returns (value, sum over the cells of |K15 - G7|)."""
+    all nodes; returns (value, error), the error being the sum over the cells
+    of |K15 - G7| plus the K15 sum of the per-node rounding bound f reports."""
     x, w, d = _gk15_cells(edges)
-    fx = f(x.ravel()).reshape(x.shape)
-    return float(np.vdot(w, fx)), float(np.abs((d * fx).sum(axis=1)).sum())
+    fx, rounding = f(x.ravel())
+    fx = fx.reshape(x.shape)
+    return float(np.vdot(w, fx)), float(np.abs((d * fx).sum(axis=1)).sum() + np.vdot(w, rounding))
 
 
 def _prefactor(n: int, r: float) -> float:
@@ -156,23 +132,59 @@ def _prefactor(n: int, r: float) -> float:
 
 
 def _make_integrand(alpha: float, n: int, r: float, t: float, ml_tol: float):
-    """Vectorized integrand of the radial representation, including prefactor."""
-    pref = _prefactor(n, r)
+    """Vectorized integrand of the radial representation with the damped
+    pair subtracted, including the prefactor.  Returns its values and a
+    per-node bound on the rounding of the subtraction.
 
-    def f(taus: np.ndarray) -> np.ndarray:
-        taus = np.atleast_1d(taus)
+    The pair subtracted is the one ml_neg's regimes add (special._exp_pair at
+    the same x and tol), so the rounding of its phase cancels.
+    """
+    pref = _prefactor(n, r)
+    pair_at_0 = 2.0 / alpha if alpha > 1.0 else 0.0
+
+    def f(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ml = np.empty_like(taus)
-        for i, tau in enumerate(taus):
-            ml[i] = ml_neg(alpha, (tau * t) ** alpha, ml_tol).value if tau > 0.0 else 1.0
-        if n == 1:
-            kern = np.cos(taus * r)
-        elif n == 2:
-            kern = taus * _bessel_j0(taus * r)
-        else:
-            kern = taus * np.sin(taus * r)
-        return pref * ml * kern
+        pair = np.empty_like(taus)
+        with np.errstate(over="ignore", invalid="ignore"):  # both checked below
+            xs = (taus * t) ** alpha
+            check_finite("(tau t)^alpha on the radial mesh", xs)
+            for i, x in enumerate(xs):
+                ml[i] = ml_neg(alpha, x, ml_tol).value
+                pair[i] = _exp_pair(alpha, x, ml_tol)[0] if x > 0.0 else pair_at_0
+            kern = pref * (np.cos(taus * r) if n == 1 else
+                           taus * (_bessel_j0(taus * r) if n == 2 else np.sin(taus * r)))
+            values = (ml - pair) * kern
+        check_finite("the radial integrand", values)
+        return values, 4.0 * _EPS * (np.abs(ml) + np.abs(pair)) * np.abs(kern)
 
     return f
+
+
+def _pair_transform(alpha: float, n: int, r: float, t: float) -> tuple[float, float]:
+    """The damped pair's part of G and its rounding bound.
+
+    The part is pref (2/alpha) Re L, with L the Laplace transform of the
+    kernel at p = -t e^{i pi/alpha}: p/q, p/q^(3/2) and 2 p r/q^2 for
+    n = 1, 2, 3, q = p^2 + r^2.  Im q < 0, so the principal branch is the
+    continuation from real p.  Near alpha = 2 and r = t, q cancels; it is
+    formed from the exact r - t and 2 - alpha, in units of t^2, as
+    q = (r - t)(r + t) - 2i t^2 sin(d) e^{i d}, d = pi (2 - alpha)/(2 alpha).
+    At alpha = 1 there is no pair.
+    """
+    if alpha == 1.0:
+        return 0.0, 0.0
+    d = 0.5 * math.pi * (2.0 - alpha) / alpha
+    p = complex(math.sin(d), -math.cos(d))
+    with np.errstate(all="ignore"):  # g_integral checks that both are finite
+        u = np.float64(r - t) / t * ((r + t) / t)
+        q = u - 2j * math.sin(d) * cmath.exp(1j * d)
+        power = (1.0, 1.5, 2.0)[n - 1]
+        big_l = (p, p, 2.0 * p * (r / t))[n - 1] / q ** power / (t if n == 1 else t * t)
+        # Each part of q is formed to a few eps, and q^power amplifies q's
+        # relative error power-fold.
+        q_rel = 4.0 * _EPS * (abs(u) + 2.0 * math.sin(d)) / abs(q)
+        scale = 2.0 / alpha * _prefactor(n, r)
+        return float(scale * big_l.real), float(scale * abs(big_l) * (8.0 * _EPS + power * q_rel))
 
 
 def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> QuadResult:
@@ -180,7 +192,8 @@ def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> Q
     est_error within max(tol, tol * |value|).
 
     Raises OriginDivergence for r = 0 with n >= 2 and NonConvergence once the
-    cell error alone exceeds the target or after _MAX_LOBES lobes.
+    error that no further lobe can lower exceeds the target, or after
+    _MAX_LOBES lobes.
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=n > 1, what=f"order for n = {n}")
@@ -194,31 +207,18 @@ def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> Q
         return _integral_origin_1d(alpha, t, tol, ml_tol)
 
     f = _make_integrand(alpha, n, r, t, ml_tol)
-    kernel_env = _prefactor(n, r)
-
-    # Lobes are summed directly while the damped oscillation of E_alpha can
-    # still flip their signs, then by Wynn acceleration of the partial sums.
-    # The residual Mittag-Leffler oscillation is integrated by the cells in
-    # both phases; only the lobe SIGN pattern needs the direct phase.
-    direct = True
-    direct_sum = 0.0
-    panel_err = 0.0
+    pair, fixed_err = _pair_transform(alpha, n, r, t)
+    check_finite("the damped pair's part of G or its rounding bound", pair, fixed_err)
+    # fixed_err, which only grows: closed-form rounding, cell errors, subtraction rounding
     partials: list[float] = []
     accel_hist: list[float] = []
     a = 0.0
     window = 2 * _ACCEL_ORDER + 1
     for k in range(_MAX_LOBES):
         b = _lobe_edge(n, r, k)
-        if direct:
-            tau_pow = b if n >= 2 else 1.0
-            osc_bound = _ml_osc_amplitude(alpha, b * t) * kernel_env * tau_pow * (b - a)
-            direct = osc_bound > 0.02 * tol and k < _MAX_LOBES // 2
-        v, e = _integrate(f, _cells(alpha, t, a, b))
-        panel_err += e
+        v, e = _integrate(f, _cells(t, a, b))
+        fixed_err += e
         a = b
-        if direct:
-            direct_sum += v
-            continue
         partials.append((partials[-1] if partials else 0.0) + v)
         if len(partials) < max(6, window // 2):
             continue
@@ -227,18 +227,20 @@ def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> Q
         accel_hist.append(accel)
         if len(accel_hist) < 3:
             continue
-        value = direct_sum + accel
+        value = pair + accel
         accel_est = abs(accel_hist[-1] - accel_hist[-2]) + \
             0.5 * abs(accel_hist[-1] - accel_hist[-3])
         if len(evens) >= 2:
             accel_est += 0.25 * abs(evens[-1] - evens[-2])
-        est = 3.0 * accel_est + panel_err + 1e-16 * abs(value)
+        est = 3.0 * accel_est + fixed_err + 1e-16 * abs(value)
         target = max(tol, tol * abs(value))
-        if est <= target:  # so both are finite: est >= 1e-16 |value|
+        if est <= target:
+            check_finite("the radial integral or its est_error", value, est)
             return QuadResult(value, est, k + 1)
-        if panel_err > target:  # panel_err only grows, and est >= panel_err
-            raise NonConvergence(f"cell error {panel_err:.2e} exceeds the target {target:.2e} "
-                                 f"after {k + 1} lobes (alpha={alpha}, n={n}, r={r}, t={t})")
+        if fixed_err > target:  # est >= fixed_err
+            raise NonConvergence(f"cell and rounding error {fixed_err:.2e} exceeds the target "
+                                 f"{target:.2e} after {k + 1} lobes "
+                                 f"(alpha={alpha}, n={n}, r={r}, t={t})")
 
     raise NonConvergence(
         f"lobe acceleration did not stabilize within {_MAX_LOBES} lobes "
@@ -249,31 +251,28 @@ def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> Q
 def _integral_origin_1d(alpha: float, t: float, tol: float, ml_tol: float) -> QuadResult:
     """n = 1 integral at r = 0: (1/pi) int_0^inf E_alpha(-(tau t)^alpha) dtau.
 
-    No kernel oscillation; integrate to where the inverse-power expansion of
-    E_alpha holds, then add the analytic tail (power terms plus the explicit
-    integral of the damped-oscillation pair).  It counts as one lobe.
+    No kernel oscillation.  The damped pair integrates to (1/pi) (2/alpha)
+    Re(1/p) (_pair_transform); the rest is integrated to where the
+    inverse-power expansion of E_alpha holds, and the analytic tail of that
+    expansion is added.  It counts as one lobe.
     """
     x_a = asymptotic_cutoff(alpha, 1e-10)
     tau_cut = x_a ** (1.0 / alpha) / t
-    edges = _cells(alpha, t, 0.0, tau_cut)
-    val, err = _integrate(_make_integrand(alpha, 1, 0.0, t, ml_tol), edges)
+    val, err = _integrate(_make_integrand(alpha, 1, 0.0, t, ml_tol), _cells(t, 0.0, tau_cut))
+    pair, pair_err = _pair_transform(alpha, 1, 0.0, t)
 
     # Analytic tail.  Term k of the inverse-power series at x_a integrates
     # over [tau_cut, inf) to term_k * tau_cut / (alpha k - 1), and the
-    # truncation bound 2 * envelope likewise.  The damped-oscillation pair
-    # integrates in closed form; at alpha = 1 its two poles merge into the one
-    # of E_1(-x) = exp(-x), which has no power part.
+    # truncation bound 2 * envelope likewise.  At alpha = 1, E_1(-x) =
+    # exp(-x) has neither a pair nor a power part.
     if alpha > 1.0:
         ks, terms, k_end, envelope = _inverse_power_terms(alpha, x_a)
         tail = tau_cut * float(np.sum(terms / (alpha * ks - 1.0)))
         tail_err = 2.0 * envelope * tau_cut / (alpha * (k_end + 1) - 1.0)
-        th = math.pi / alpha
-        zpole = complex(math.cos(th), math.sin(th))
-        tail -= (2.0 / alpha) * (np.exp(tau_cut * t * zpole) / (t * zpole)).real
     else:
         tail, tail_err = math.exp(-tau_cut * t) / t, 0.0
-    value = float(val + tail / math.pi)
-    est = err + tail_err / math.pi + 1e-15
+    value = float(val + pair + tail / math.pi)
+    est = err + pair_err + tail_err / math.pi + 1e-15
     check_finite("the origin integral or its est_error", value, est)
     if est > max(tol, tol * abs(value)):
         raise NonConvergence("origin integral tail estimate above tolerance")

@@ -6,11 +6,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from inverse_abel import g2_abel
 from scipy.special import voigt_profile
 
 from fracwave.closed_form import g1, g3
 from fracwave.errors import (
+    ContourFailure,
+    FracWaveError,
     InvalidGrid,
     InvalidInput,
     InvalidOrder,
@@ -18,6 +22,7 @@ from fracwave.errors import (
     OriginDivergence,
     UnsupportedDimension,
 )
+from fracwave.mellin_barnes import g_mellin_barnes
 from fracwave.quadrature import (
     QuadResult,
     _integrate,
@@ -92,7 +97,8 @@ class TestLobeStructure:
             assert all(b > a for a, b in zip(edges, edges[1:]))
 
     def test_sign_alternation_from_lobe_five(self):
-        # past the damped-oscillation region the kernel dictates lobe signs
+        # the kernel dictates lobe signs, and from lobe 5 on the magnitudes
+        # of the remainder's lobes decrease
         alpha, n, r, t = 1.5, 1, 1.0, 1.0
         f = _make_integrand(alpha, n, r, t, 1e-13)
         sums = []
@@ -105,6 +111,20 @@ class TestLobeStructure:
             assert sums[k] * sums[k + 1] < 0.0
         mags = [abs(s) for s in sums[5:]]
         assert all(m2 < m1 for m1, m2 in zip(mags, mags[1:]))
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.9, 1.999])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_remainder_alternates_from_lobe_zero(self, alpha, n):
+        # with the damped pair subtracted the integrand keeps one sign, so
+        # the lobe signs follow the kernel's from the first lobe on
+        f = _make_integrand(alpha, n, 1.0, 1.0, 1e-13)
+        sums = []
+        a = 0.0
+        for k in range(20):
+            b = _lobe_edge(n, 1.0, k)
+            sums.append(_integrate(f, np.geomspace(max(a, 1e-9), b, 9))[0])
+            a = b
+        assert all(s1 * s2 < 0.0 for s1, s2 in zip(sums, sums[1:]))
 
     def test_error_honesty(self):
         rng = np.random.default_rng(2024)
@@ -128,13 +148,13 @@ class TestLobeStructure:
 
 
 class TestSmallRadius:
-    # Lobe 0 reaches far past the Mittag-Leffler oscillation here, where the
-    # integrand falls off like a power of tau: on cells spanning a ratio of 4
-    # |K15 - G7| overstates the error about 1e4-fold, above tol.
+    # Lobe 0 reaches far past the scale 1/t of the Mittag-Leffler decay here,
+    # where the integrand falls off like a power of tau: on cells spanning a
+    # ratio of 4 |K15 - G7| overstates the error about 1e4-fold, above tol.
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.25, 1.5, 1.75, 1.9])
     def test_small_ratio_is_fast_and_honest(self, alpha, n):
-        for ratio in (3e-2, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        for ratio in (3e-2, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-10, 1e-12):
             start = time.perf_counter()
             res = g_integral(alpha, n, ratio, 1.0)
             assert time.perf_counter() - start < 1.0
@@ -144,12 +164,63 @@ class TestSmallRadius:
 
 class TestUnreachableTolerance:
     def test_cell_error_above_target_fails_fast(self):
-        # the cell error only grows and est_error includes it, so once it
-        # alone exceeds the target no further lobe can meet the tolerance
+        # the cell error and the rounding bounds only grow and est_error
+        # includes them, so once they alone exceed the target no further
+        # lobe can meet the tolerance; lobe 0 reaches tau = 157 / t here, and
+        # its cells' |K15 - G7| add up to ~7e-12
         start = time.perf_counter()
-        with pytest.raises(NonConvergence, match="cell error"):
-            g_integral(1.25, 1, 1.0, 1.0, tol=1e-12)
+        with pytest.raises(NonConvergence, match="cell and rounding error"):
+            g_integral(1.25, 1, 0.01, 1.0, tol=1e-12)
         assert time.perf_counter() - start < 1.5
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tight_tolerance_returns_within_est_error(self, n):
+        for r in (0.5, 1.0, 2.0):
+            start = time.perf_counter()
+            res = g_integral(1.25, n, r, 1.0, tol=1e-12)
+            assert time.perf_counter() - start < 1.0
+            ref = g1(1.25, r, 1.0) if n == 1 else g3(1.25, r, 1.0) if n == 3 \
+                else g2_abel(1.25, r, 1.0)[0]
+            assert abs(res.value - ref) <= res.est_error <= max(1e-12, 1e-12 * abs(res.value))
+
+
+class TestNearAlphaTwo:
+    # The damped pair barely decays here and its closed form is sharply
+    # peaked at the wavefront r = t, where q = p^2 + r^2 nearly cancels.
+    @pytest.mark.parametrize("alpha", [1.99, 1.999, 1.9995, 1.9999])
+    def test_wavefront_within_est_error(self, alpha):
+        for rho in (0.9, 0.999, 1.0, 1.001, 1.01, 1.1):
+            for n in (1, 2, 3):
+                start = time.perf_counter()
+                res = g_integral(alpha, n, rho, 1.0)
+                assert time.perf_counter() - start < 1.0
+                if n == 2:
+                    try:
+                        mb = g_mellin_barnes(alpha, 2, rho, 1.0)
+                    except ContourFailure:
+                        continue
+                    assert abs(res.value - mb.value) <= res.est_error + mb.est_error
+                else:
+                    ref = g1(alpha, rho, 1.0) if n == 1 else g3(alpha, rho, 1.0)
+                    assert abs(res.value - ref) <= res.est_error
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(alpha=st.floats(1.01, 1.9995), n=st.sampled_from([1, 2, 3]),
+       log10_rho=st.floats(-12.0, 2.0), log10_t=st.floats(-1.0, 1.0))
+def test_finite_result_or_fracwave_error(alpha, n, log10_rho, log10_t):
+    """Every call returns a finite value with est_error within the
+    tolerance, or raises a FracWaveError, within 2 s."""
+    t = 10.0 ** log10_t
+    start = time.perf_counter()
+    try:
+        res = g_integral(alpha, n, 10.0 ** log10_rho * t, t)
+    except FracWaveError:
+        res = None
+    assert time.perf_counter() - start < 2.0
+    if res is not None:
+        assert math.isfinite(res.value)
+        assert res.est_error <= max(1e-8, 1e-8 * abs(res.value))
 
 
 class TestConfigValidation:
