@@ -34,19 +34,7 @@ from .closed_form import (
     g3_via_g1_temporal,
     g_hat,
 )
-from .errors import (
-    ContourFailure,
-    FracWaveError,
-    InvalidContour,
-    InvalidGrid,
-    InvalidInput,
-    InvalidOrder,
-    MomentOutOfRange,
-    NonConvergence,
-    OriginDivergence,
-    PoleError,
-    UnsupportedDimension,
-)
+from .errors import FracWaveError, InvalidInput, NonConvergence, OriginDivergence
 from .mellin_barnes import g_mellin_barnes, l_aux, mb_kernel
 from .quadrature import QuadResult, g_integral, g_origin, solve_ivp_1d
 from .special import MLResult, ml_neg
@@ -54,13 +42,10 @@ from .special import MLResult, ml_neg
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContourFailure", "ExtremumReport", "FracWaveError", "InvalidContour",
-    "InvalidGrid", "InvalidInput", "InvalidOrder", "MLResult", "MomentOutOfRange",
-    "NonConvergence", "OriginDivergence", "PoleError", "QuadResult",
-    "UnsupportedDimension", "g1", "g1_dr", "g1_dt", "g3", "g3_via_g1_spatial",
-    "g3_via_g1_temporal", "g_hat",
-    "g_integral", "g_mellin_barnes", "g_origin", "gravity_center_velocity",
-    "l_aux", "max_location", "mb_kernel", "ml_neg", "moment_1d", "moment_3d",
-    "moment_numeric", "phase_velocity", "sign_profile_3d", "solve_ivp_1d",
-    "velocity_curve", "zero_crossing_z",
+    "ExtremumReport", "FracWaveError", "InvalidInput", "MLResult", "NonConvergence",
+    "OriginDivergence", "QuadResult", "g1", "g1_dr", "g1_dt", "g3", "g3_via_g1_spatial",
+    "g3_via_g1_temporal", "g_hat", "g_integral", "g_mellin_barnes", "g_origin",
+    "gravity_center_velocity", "l_aux", "max_location", "mb_kernel", "ml_neg",
+    "moment_1d", "moment_3d", "moment_numeric", "phase_velocity", "sign_profile_3d",
+    "solve_ivp_1d", "velocity_curve", "zero_crossing_z",
 ]

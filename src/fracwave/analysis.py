@@ -29,8 +29,8 @@ from scipy.integrate import IntegrationWarning
 from scipy.integrate import quad as _quad
 
 from .closed_form import g1, g3, order_trig
-from .errors import (InvalidInput, MomentOutOfRange, NonConvergence, UnsupportedDimension,
-                     check_dimension, check_finite, check_positive, check_window)
+from .errors import (InvalidInput, NonConvergence, check_dimension, check_finite, check_positive,
+                     check_window)
 
 KIND_MAXIMUM = "maximum"
 _ZERO_TOL = 1e-9  # |G3| t^3 and |r/t - z_alpha| at or below this count as sign 0
@@ -66,7 +66,7 @@ def max_location(alpha: float, n: int, t: float) -> ExtremumReport:
     ~1e-8 of 2).
     """
     if n == 2:
-        raise UnsupportedDimension("the 2D solution has multiple local extrema")
+        raise InvalidInput("the 2D solution has multiple local extrema")
     check_dimension(n, (1, 3))
     # at alpha = 1 the maximum degenerates to the origin
     check_window(alpha, 1.0, 2.0, lo_open=True)
@@ -102,7 +102,7 @@ def phase_velocity(alpha: float, n: int) -> float:
     location at t = 1.
     """
     if n == 2:
-        raise UnsupportedDimension("no single phase velocity for the 2D solution")
+        raise InvalidInput("no single phase velocity for the 2D solution")
     check_dimension(n, (1, 3))
     if n == 1:
         check_window(alpha, 1.0, 2.0)
@@ -119,7 +119,7 @@ def velocity_curve(n: int, alphas, which: str = "phase") -> list[tuple[float, fl
         return [(a, phase_velocity(a, n)) for a in alphas]
     if which == "gravity":
         if n != 1:
-            raise UnsupportedDimension("gravity-center velocity is a 1D quantity")
+            raise InvalidInput("gravity-center velocity is a 1D quantity")
         return [(a, gravity_center_velocity(a)) for a in alphas]
     raise InvalidInput(f"unknown velocity kind {which!r}")
 
@@ -139,7 +139,7 @@ def moment_1d(alpha: float, beta: float, t: float) -> float:
     """
     check_window(alpha, 1.0, 2.0)
     check_positive("t", t)
-    check_window(beta, -1.0, alpha, lo_open=True, what="1D moment order", exc=MomentOutOfRange)
+    check_window(beta, -1.0, alpha, lo_open=True, what="1D moment order")
     if beta == 0.0:
         return 0.5
     value = _power(t, beta) * math.sin(math.pi * beta / 2.0) \
@@ -158,8 +158,7 @@ def moment_3d(alpha: float, beta: float, t: float) -> float:
     """
     check_window(alpha, 1.0, 2.0, lo_open=True)
     check_positive("t", t)
-    check_window(beta, 2.0 - alpha, 2.0 + alpha, lo_open=True, what="3D moment order",
-                 exc=MomentOutOfRange)
+    check_window(beta, 2.0 - alpha, 2.0 + alpha, lo_open=True, what="3D moment order")
     if beta == 2.0:
         return 1.0 / (4.0 * math.pi)
     value = (_power(t, beta - 2.0) * (beta - 1.0) / (2.0 * alpha * math.pi)

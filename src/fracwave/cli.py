@@ -15,8 +15,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import analysis, closed_form, mellin_barnes, quadrature
-from .errors import (ContourFailure, FracWaveError, NonConvergence, OriginDivergence,
-                     PoleError, check_positive)
+from .errors import FracWaveError, NonConvergence, OriginDivergence, check_positive
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -24,7 +23,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 # exit 3; every other FracWaveError (or ValueError) is a usage/domain error
-_NUMERICAL_ERRORS = (NonConvergence, ContourFailure, OriginDivergence, PoleError)
+_NUMERICAL_ERRORS = (NonConvergence, OriginDivergence)
 
 
 class CliError(Exception):

@@ -2,20 +2,22 @@
 
 Every public entry point checks its arguments with the checkers below before
 any work, and its result once at exit.  For any input it either returns a
-finite value (with an honest est_error, where it reports one) or raises a
-FracWaveError:
+finite value (with an honest est_error, where it reports one) or raises one
+of three FracWaveErrors:
 
-* a bad value raises InvalidInput, which is also a ValueError: NaN, an
-  infinite t, r or tol, t <= 0 (t < 0 where t = 0 is documented as valid),
-  r < 0 (r <= 0 on the routes that need r > 0), tol <= 0;
-* an order outside the route's window raises InvalidOrder, an unsupported
-  dimension UnsupportedDimension, a moment order outside its window
-  MomentOutOfRange, a non-finite sample grid InvalidGrid;
-* a result that would not be finite, or a mesh too large to build, raises
-  NonConvergence (ContourFailure on the Mellin-Barnes contour).
+* an argument outside its documented domain raises InvalidInput, which is
+  also a ValueError: NaN, an infinite t, r or tol, t <= 0 (t < 0 where t = 0
+  is documented as valid), r < 0 (r <= 0 on the routes that need r > 0),
+  tol <= 0, an order, moment order or contour abscissa outside its window,
+  an unsupported dimension, a non-finite or non-uniform sample grid;
+* a result that would not be finite, a mesh too large to build, a kernel
+  pole or a contour that cannot reach its step tolerance raises
+  NonConvergence;
+* a solution evaluated at the origin where it is unbounded (n >= 2) raises
+  OriginDivergence.
 
-Documented limits stay valid inputs: ml_neg(alpha, inf) = 0 for alpha < 2
-and g_hat = 1 at t = 0.
+The message names the check that failed.  Documented limits stay valid
+inputs: ml_neg(alpha, inf) = 0 for alpha < 2 and g_hat = 1 at t = 0.
 """
 
 from __future__ import annotations
@@ -33,55 +35,27 @@ class InvalidInput(FracWaveError, ValueError):
     """Argument outside its documented domain: NaN, infinite or out of range."""
 
 
-class InvalidOrder(FracWaveError):
-    """Fractional order alpha outside the admissible window."""
-
-
 class NonConvergence(FracWaveError):
     """A numerical scheme failed to reach the requested tolerance."""
-
-
-class PoleError(FracWaveError):
-    """Evaluation requested at a pole of the Gamma function."""
 
 
 class OriginDivergence(FracWaveError):
     """Fundamental solution unbounded at the spatial origin for n >= 2."""
 
 
-class InvalidGrid(FracWaveError):
-    """Sampled input grid is unsorted, not uniform or not finite."""
-
-
-class ContourFailure(FracWaveError):
-    """Mellin-Barnes tail bound or step halving cannot reach the step tolerance."""
-
-
-class InvalidContour(FracWaveError):
-    """Contour abscissa outside the pole-free strip."""
-
-
-class MomentOutOfRange(FracWaveError):
-    """Moment order outside the finite-existence window."""
-
-
-class UnsupportedDimension(FracWaveError):
-    """Operation undefined for the requested spatial dimension."""
-
-
 def check_window(x, lo: float, hi: float, *, lo_open: bool = False, hi_open: bool = True,
-                 what: str = "order", exc: type = InvalidOrder) -> None:
-    """Raise exc unless lo <= x < hi; lo_open and hi_open make an end strict
-    or inclusive.  NaN lies in no window."""
+                 what: str = "order") -> None:
+    """Raise InvalidInput unless lo <= x < hi; lo_open and hi_open make an end
+    strict or inclusive.  NaN lies in no window."""
     if not ((lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
-        raise exc(f"{what} must lie in {'(' if lo_open else '['}{lo}, {hi}"
-                  f"{')' if hi_open else ']'}, got {x}")
+        raise InvalidInput(f"{what} must lie in {'(' if lo_open else '['}{lo}, {hi}"
+                           f"{')' if hi_open else ']'}, got {x}")
 
 
 def check_dimension(n, dims: tuple = (1, 2, 3)) -> None:
-    """Raise UnsupportedDimension unless n is one of dims."""
+    """Raise InvalidInput unless n is one of dims."""
     if n not in dims:
-        raise UnsupportedDimension(f"dimension must be one of {dims}, got {n}")
+        raise InvalidInput(f"dimension must be one of {dims}, got {n}")
 
 
 def check_positive(name: str, x, *, zero_ok: bool = False) -> None:

@@ -26,7 +26,7 @@ K(sigma + i j h) for all its points and gets every rho from one product with
 rho^(sigma + i j h).  It halves h from 0.2, adding only the odd nodes, until
 at every rho the h and h/2 sums agree to _STEP_TOL or to the rounding bound
 of the terms, below which more halvings cannot lower the error; past a fixed
-number of halvings it raises ContourFailure.  The error estimate is the h vs
+number of halvings it raises NonConvergence.  The error estimate is the h vs
 h/2 difference, the tail bound and that rounding bound.
 """
 
@@ -37,8 +37,8 @@ import math
 import numpy as np
 from scipy.special import loggamma as _loggamma, rgamma, sindg
 
-from .errors import (ContourFailure, InvalidContour, InvalidInput, PoleError, check_dimension,
-                     check_finite, check_positive, check_window)
+from .errors import (InvalidInput, NonConvergence, check_dimension, check_finite, check_positive,
+                     check_window)
 from .quadrature import QuadResult
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -76,7 +76,7 @@ def _log_kernel_terms(alpha: float, n: int, s: np.ndarray | complex) -> tuple[np
 def mb_kernel(alpha: float, n: int, s: complex) -> complex:
     """Kernel K of the contour representation at a single point.
 
-    Raises PoleError at its poles, the real s = alpha k with k != 0.  At
+    Raises NonConvergence at its poles, the real s = alpha k with k != 0.  At
     s = 0 it returns the limit alpha Gamma(n/2) / 2, at its zeros 0.
     """
     check_dimension(n)
@@ -85,13 +85,13 @@ def mb_kernel(alpha: float, n: int, s: complex) -> complex:
     check_finite("s", s, exc=InvalidInput)
     if s.imag != 0.0:
         value = complex(np.exp(sum(_log_kernel_terms(alpha, n, s))))
-        check_finite("the kernel", value, exc=ContourFailure)
+        check_finite("the kernel", value)
         return value
     x = s.real
     if x == 0.0:
         return complex(0.5 * alpha * math.gamma(0.5 * n))
     if x / alpha == round(x / alpha):
-        raise PoleError(f"kernel pole at s = {x} = alpha * {round(x / alpha)}")
+        raise NonConvergence(f"kernel pole at s = {x} = alpha * {round(x / alpha)}")
     # On the axis K is an entire numerator over sin(pi s/alpha), with exact
     # zeros; the log form would meet log 0 times a pole of Gamma(1 - s/2).
     if n == 2:
@@ -133,7 +133,7 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray,
         return rho.copy(), rho.copy()
     with np.errstate(divide="ignore"):  # r/t underflowed to 0: checked below
         log_rho = np.log(rho)
-    check_finite("log(r/t)", log_rho, exc=ContourFailure)
+    check_finite("log(r/t)", log_rho)
     # The height grows with rho^sigma, so the largest rho sets it for all.
     y_max = _auto_y_max(alpha, n, sigma, float(np.max(log_rho)), _STEP_TOL)
 
@@ -143,7 +143,7 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray,
     tail_mag = math.exp(sum(_log_kernel_terms(alpha, n, complex(sigma, y_max))).real) \
         * rho ** sigma / tail_rate
     if np.any(tail_mag > _STEP_TOL):
-        raise ContourFailure(
+        raise NonConvergence(
             f"tail bound {np.max(tail_mag):.2e} at y_max={y_max:.1f} exceeds {_STEP_TOL:.0e} "
             f"(alpha={alpha}, n={n}): the kernel decays too slowly for the height cap"
         )
@@ -190,7 +190,7 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray,
             scale = 1.0 / math.pi
             return cur * scale, (delta + tail_mag + roundoff) * scale
         prev = cur
-    raise ContourFailure(
+    raise NonConvergence(
         f"{_MAX_HALVINGS} step halvings did not reach {_STEP_TOL:.0e} or the rounding "
         f"bound (alpha={alpha}, n={n}, rho in [{np.min(rho):.3g}, {np.max(rho):.3g}])"
     )
@@ -202,16 +202,17 @@ def g_mellin_barnes(alpha: float, n: int, r, t, sigma: float | None = None) -> Q
     r and t are scalars or arrays that broadcast together, and all the points
     share one kernel table.  Scalar input gives float value and est_error;
     array input gives arrays of the broadcast shape.  The line Re s = sigma
-    must lie in the pole-free strip (0, min(alpha, n)), else InvalidContour;
+    must lie in the pole-free strip (0, min(alpha, n)), else InvalidInput;
     sigma = None takes its middle.  The truncation height is derived from the
-    kernel decay rate with a safety factor of 10 (_auto_y_max).
+    kernel decay rate with a safety factor of 10 (_auto_y_max).  A tail bound
+    above the step tolerance at the height cap, step halvings that do not
+    converge, or a value that is not finite raise NonConvergence.
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=True)
     if sigma is None:
         sigma = min(alpha, float(n)) / 2.0
-    check_window(sigma, 0.0, min(alpha, float(n)), lo_open=True, what="sigma",
-                 exc=InvalidContour)
+    check_window(sigma, 0.0, min(alpha, float(n)), lo_open=True, what="sigma")
     r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
     check_positive("r", r)
     check_positive("t", t)
@@ -222,7 +223,7 @@ def g_mellin_barnes(alpha: float, n: int, r, t, sigma: float | None = None) -> Q
         pref = 1.0 / (alpha * math.pi ** (0.5 * n) * r ** n)
         value = pref * core.reshape(r.shape)
         est = pref * est.reshape(r.shape) + 1e-16 * np.abs(value)
-    check_finite("the contour value or its est_error", value, est, exc=ContourFailure)
+    check_finite("the contour value or its est_error", value, est)
     if value.ndim == 0:
         return QuadResult(float(value), float(est), 0)
     return QuadResult(value, est, 0)
@@ -231,6 +232,6 @@ def g_mellin_barnes(alpha: float, n: int, r, t, sigma: float | None = None) -> Q
 def l_aux(alpha: float, n: int, rho: float) -> float:
     """Profile L_{alpha,n}(rho) = rho^n G_{alpha,n}(rho, 1), so G = r^(-n) L_{alpha,n}(r/t)."""
     value = g_mellin_barnes(alpha, n, rho, 1.0).value * rho ** n
-    check_finite("L_{alpha,n}", value, exc=ContourFailure)
+    check_finite("L_{alpha,n}", value)
     return value
 

@@ -9,10 +9,11 @@ p = -t e^{i pi/alpha}, plus a completely monotone branch-cut part, which is
 how special.ml_neg computes it.  Against the kernel (cos for n = 1, tau J_0
 for n = 2, tau sin for n = 3) the pair has a closed-form Laplace transform,
 which is added; only E_alpha minus the pair is integrated numerically.  That
-integral is split at the zeros of the kernel, each lobe is integrated by the
-GK15 rule on a geometric mesh of cells (graded towards the branch point at
-tau = 0 in lobe 0), and the lobe series, which alternates in sign from lobe
-0, is summed by Wynn's epsilon algorithm.
+integral is split at the zeros of the kernel (McMahon's leading term for
+those of J_0), each lobe is integrated by the GK15 rule on a geometric mesh
+of cells (graded towards the branch point at tau = 0 in lobe 0), and the
+lobe series, which alternates in sign from lobe 0, is summed by Wynn's
+epsilon algorithm.
 
 The returned error estimate combines the acceleration increments, the cell
 error estimates, and the rounding of the per-node subtraction and of the
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import g1
-from .errors import (InvalidGrid, NonConvergence, OriginDivergence, check_dimension,
+from .errors import (InvalidInput, NonConvergence, OriginDivergence, check_dimension,
                      check_finite, check_positive, check_window)
 from scipy.special import j0 as _bessel_j0
-from scipy.special import j1 as _bessel_j1
 
 from .special import _EPS, _exp_pair, _gk15_cells, _inverse_power_terms, asymptotic_cutoff, ml_neg
 
@@ -49,27 +49,11 @@ class QuadResult:
     lobes_used: int
 
 
-def _j0_zero(k: int) -> float:
-    """k-th positive zero of J_0: McMahon expansion refined by Newton.
-
-    One step suffices from k = 2 on; the first zero needs a second step
-    because the expansion is weakest there.
-    """
-    beta = (k - 0.25) * math.pi
-    z = beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
-    z = z + _bessel_j0(z) / _bessel_j1(z)
-    if k == 1:
-        z = z + _bessel_j0(z) / _bessel_j1(z)
-    return float(z)
-
-
 def _lobe_edge(n: int, r: float, k: int) -> float:
-    """Upper boundary of lobe k (k = 0, 1, ...) in the tau variable."""
-    if n == 1:
-        return (k + 0.5) * math.pi / r
-    if n == 3:
-        return (k + 1.0) * math.pi / r
-    return _j0_zero(k + 1) / r
+    """Upper boundary of lobe k (k = 0, 1, ...) in the tau variable: the
+    (k+1)-th zero of cos (n = 1) and sin (n = 3), and McMahon's leading term
+    for that zero of J_0 (n = 2; DLMF 10.21.19)."""
+    return (k + 0.25 * (n + 1)) * math.pi / r
 
 
 def _wynn_epsilon(sums: list[float]) -> list[float]:
@@ -311,7 +295,7 @@ def solve_ivp_1d(alpha: float, xs, phis, t: float, out_grid) -> np.ndarray:
     G_{alpha,1}(x_i - x_j) depends on i - j only: the N-point grid costs 2N - 1
     kernel values (N g1 evaluations, mirrored) and one discrete convolution.
     Any other out_grid is summed directly, N g1 values per output point.
-    Raises InvalidGrid for unsorted, non-uniform or non-finite sample grids
+    Raises InvalidInput for unsorted, non-uniform or non-finite sample grids
     and non-finite samples or output points.
     """
     check_window(alpha, 1.0, 2.0)
@@ -320,15 +304,15 @@ def solve_ivp_1d(alpha: float, xs, phis, t: float, out_grid) -> np.ndarray:
     phis = np.asarray(phis, dtype=float)
     out = np.asarray(out_grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or xs.shape != phis.shape:
-        raise InvalidGrid("phi must be sampled as two equal-length 1D arrays")
+        raise InvalidInput("phi must be sampled as two equal-length 1D arrays")
     check_finite("the sample grid, the samples or the output grid", xs, phis, out,
-                 exc=InvalidGrid)
+                 exc=InvalidInput)
     d = np.diff(xs)
     if np.any(d <= 0.0):
-        raise InvalidGrid("sample grid must be strictly increasing")
+        raise InvalidInput("sample grid must be strictly increasing")
     h = d[0]
     if np.max(np.abs(d - h)) > 1e-9 * h:
-        raise InvalidGrid("sample grid must be uniform")
+        raise InvalidInput("sample grid must be uniform")
     w = np.full_like(phis, h)
     w[0] *= 0.5
     w[-1] *= 0.5

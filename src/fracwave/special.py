@@ -468,7 +468,7 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
 
     E_alpha(-inf) = 0 for alpha < 2; at alpha = 2, E_2(-x) = cos(sqrt(x)) has
     no limit and x = inf raises InvalidInput, as do NaN, x < 0 and a tol that
-    is not finite and positive.  Raises InvalidOrder for alpha outside (0, 2]
+    is not finite and positive.  Raises InvalidInput for alpha outside (0, 2]
     and NonConvergence if no regime can attain the requested tolerance.
     Every regime works in double precision: a tol below 1e-13 fails for some
     inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.

@@ -45,6 +45,14 @@ class TestEval:
         assert code == 3
         assert "diverges at origin" in err
 
+    def test_contour_failure_exit_3(self, capsys):
+        code, out, err = run(capsys, "eval", "--alpha", "1.9999", "--dim", "2",
+                             "--r", "1", "--t", "1", "--method", "mellin")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: tail bound ")
+        assert "the kernel decays too slowly for the height cap" in err
+
     def test_closed_rejected_for_2d_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "--alpha", "1.5", "--dim", "2",
                            "--r", "1", "--t", "1", "--method", "closed")

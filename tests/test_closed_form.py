@@ -1,6 +1,7 @@
 """Closed-form 1D/3D fundamental solutions, their derivatives, and identities."""
 
 import math
+import time
 import warnings
 
 import mpmath as mp
@@ -18,7 +19,7 @@ from fracwave.closed_form import (
     g3_via_g1_temporal,
     g_hat,
 )
-from fracwave.errors import InvalidOrder, NonConvergence, OriginDivergence
+from fracwave.errors import InvalidInput, NonConvergence, OriginDivergence
 from fracwave.analysis import zero_crossing_z
 
 # Frozen from 40-digit substitution into the closed formulas.
@@ -69,9 +70,9 @@ class TestG1:
             assert abs(v - ref) <= 1e-12 * abs(ref)
 
     def test_rejects_alpha_two(self):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="order"):
             g1(2.0, 1.0, 1.0)
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="order"):
             g1(0.9, 1.0, 1.0)
 
     def test_rejects_bad_point(self):
@@ -210,7 +211,7 @@ class TestGHat:
         assert g_hat(1.5, 2.0, 1.5) == ml_neg(1.5, 3.0 ** 1.5).value
 
     def test_invalid(self):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="order"):
             g_hat(2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             g_hat(1.5, -1.0, 1.0)
@@ -326,3 +327,27 @@ def test_extreme_inputs(name, alpha, r, t):
     else:
         assert abs(want) >= np.finfo(float).tiny  # every other row is a normal double
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# r and t over the whole positive double range, subnormals included.
+FULL_RANGE = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(alpha=st.floats(1.0, 2.0, exclude_max=True), r=st.one_of(st.just(0.0), FULL_RANGE),
+       t=FULL_RANGE)
+def test_finite_result_or_fracwave_error(alpha, r, t):
+    """Each form returns a finite value (g1 >= 0) or raises InvalidInput,
+    NonConvergence or OriginDivergence, within 1 s and with no RuntimeWarning."""
+    for name, form in FORMS.items():
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                value = form(alpha, r, t)
+            except (InvalidInput, NonConvergence, OriginDivergence):
+                value = None
+        assert time.perf_counter() - start < 1.0, name
+        if value is not None:
+            assert math.isfinite(value), name
+            assert name != "g1" or value >= 0.0

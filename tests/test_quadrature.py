@@ -12,21 +12,11 @@ from inverse_abel import g2_abel
 from scipy.special import voigt_profile
 
 from fracwave.closed_form import g1, g3
-from fracwave.errors import (
-    ContourFailure,
-    FracWaveError,
-    InvalidGrid,
-    InvalidInput,
-    InvalidOrder,
-    NonConvergence,
-    OriginDivergence,
-    UnsupportedDimension,
-)
+from fracwave.errors import FracWaveError, InvalidInput, NonConvergence, OriginDivergence
 from fracwave.mellin_barnes import g_mellin_barnes
 from fracwave.quadrature import (
     QuadResult,
     _integrate,
-    _j0_zero,
     _lobe_edge,
     _make_integrand,
     g_integral,
@@ -86,11 +76,6 @@ class TestRouteAgreement:
 
 
 class TestLobeStructure:
-    def test_j0_zeros_accurate(self):
-        from scipy.special import j0
-        for k in (1, 2, 5, 20, 100):
-            assert abs(j0(_j0_zero(k))) <= 1e-9
-
     def test_lobe_edges_monotone(self):
         for n in (1, 2, 3):
             edges = [_lobe_edge(n, 0.7, k) for k in range(50)]
@@ -197,7 +182,7 @@ class TestNearAlphaTwo:
                 if n == 2:
                     try:
                         mb = g_mellin_barnes(alpha, 2, rho, 1.0)
-                    except ContourFailure:
+                    except NonConvergence:
                         continue
                     assert abs(res.value - mb.value) <= res.est_error + mb.est_error
                 else:
@@ -229,11 +214,11 @@ class TestConfigValidation:
             g_integral(1.5, 1, 1.0, 1.0, tol=0.0)
 
     def test_rejects_bad_domain(self):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="order"):
             g_integral(1.0, 2, 1.0, 1.0)  # n >= 2 needs alpha > 1
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="order"):
             g_integral(2.0, 1, 1.0, 1.0)
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(InvalidInput, match="dimension"):
             g_integral(1.5, 4, 1.0, 1.0)
         with pytest.raises(ValueError):
             g_integral(1.5, 1, 1.0, -1.0)
@@ -335,11 +320,11 @@ class TestSolveIvp1d:
                               self._direct_sum(1.4, xs, phis, 0.8, sub))
 
     def test_grid_validation(self):
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidInput, match="grid must be uniform"):
             solve_ivp_1d(1.5, [0.0, 1.0, 1.5], [1.0, 1.0, 1.0], 1.0, [0.0])
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidInput, match="grid must be strictly increasing"):
             solve_ivp_1d(1.5, [1.0, 0.0, 2.0], [1.0, 1.0, 1.0], 1.0, [0.0])
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidInput, match="1D arrays"):
             solve_ivp_1d(1.5, [0.0], [1.0], 1.0, [0.0])
 
 

@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as scipy_gamma
 
 from fracwave import special
-from fracwave.errors import (
-    FracWaveError,
-    InvalidOrder,
-    NonConvergence,
-)
+from fracwave.errors import FracWaveError, InvalidInput, NonConvergence
 from fracwave.special import (
     DEFAULT_TOL,
     MLResult,
@@ -136,7 +132,7 @@ class TestMlNeg:
 
     def test_invalid_order(self):
         for bad in (0.0, -1.0, 2.5):
-            with pytest.raises(InvalidOrder):
+            with pytest.raises(InvalidInput, match="order"):
                 ml_neg(bad, 1.0)
 
     def test_invalid_arguments(self):
