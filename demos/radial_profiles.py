@@ -17,7 +17,7 @@ import csv
 
 import numpy as np
 
-from fracwave import g1, g3, g_mellin_barnes
+from fracwave import g1, g3, g_spectral
 
 ALPHA = 1.5
 
@@ -35,10 +35,10 @@ xs = np.linspace(-3.0, 3.0, 601)
 rows = np.column_stack([xs] + [g1(ALPHA, np.abs(xs), t) for t in (0.5, 1.0, 1.5)])
 write_csv("profiles_g1.csv", ["x", "t=0.5", "t=1.0", "t=1.5"], rows)
 
-# 2D: no closed form; the contour takes the whole radial grid in one call.
-# Negative dip below the wavefront
+# 2D: no closed form; the spectral route (the CLI default for --dim 2) takes
+# the whole radial grid in one call.  Negative dip below the wavefront
 rs2 = np.linspace(0.05, 4.0, 160)
-res = g_mellin_barnes(ALPHA, 2, rs2, 1.0)
+res = g_spectral(ALPHA, 2, rs2, 1.0)
 write_csv("profile_g2.csv", ["r", "value", "est_error"],
           np.column_stack([rs2, res.value, res.est_error]))
 print(f"  ({np.count_nonzero(res.value < 0)} of {rs2.size} sample points are negative)")

@@ -41,23 +41,25 @@ def _note_extrapolated(alpha: float, n: int) -> None:
 def _evaluate(alpha: float, n: int, r, t, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate G_{alpha,n} on r and t, scalars or arrays that broadcast
     together; returns (value, est_error) arrays of the broadcast shape, with
-    est_error = 0 for closed.  The closed forms and the contour take the
-    whole grid in one call; the integral route is scalar and goes point by
-    point."""
+    est_error = 0 for closed.  The closed forms, the spectral route and the
+    contour take the whole grid in one call; the integral route is scalar and
+    goes point by point."""
     if n == 1:
         r = np.abs(r)  # the 1D solution is even in x; profiles may be mirrored
     if method == "closed":
         if n == 2:
             raise CliError(
-                "no closed form exists for dim=2; use the radial Bessel integral "
-                "(--method integral) or the Mellin-Barnes contour (--method mellin)",
+                "no closed form exists for dim=2; use the spectral route (--method spectral, "
+                "the default), the radial Bessel integral (--method integral) or the "
+                "Mellin-Barnes contour (--method mellin)",
                 EXIT_USAGE)
         _note_extrapolated(alpha, n)
         value = np.asarray(closed_form.g1(alpha, r, t) if n == 1
                            else closed_form.g3(alpha, r, t))
         return value, np.zeros_like(value)
-    if method == "mellin":
-        res = mellin_barnes.g_mellin_barnes(alpha, n, r, t)
+    if method in ("spectral", "mellin"):
+        route = quadrature.g_spectral if method == "spectral" else mellin_barnes.g_mellin_barnes
+        res = route(alpha, n, r, t)
         return np.asarray(res.value), np.asarray(res.est_error)
     grid = np.broadcast(r, t)
     results = [quadrature.g_integral(alpha, n, float(ri), float(ti)) for ri, ti in grid]
@@ -66,7 +68,7 @@ def _evaluate(alpha: float, n: int, r, t, method: str) -> tuple[np.ndarray, np.n
 
 
 def _default_method(n: int) -> str:
-    return "closed" if n in (1, 3) else "integral"
+    return "closed" if n in (1, 3) else "spectral"
 
 
 def _write_csv(path: str, header: str, *columns) -> None:
@@ -140,10 +142,12 @@ def cmd_crosscheck(args) -> int:
         diff = np.abs(np.concatenate((integ - closed, mb - closed)))
         scale = np.tile(np.maximum(np.abs(closed), 1e-300), 2)
     else:
-        integ, integ_err = route("integral")
-        mb, mb_err = route("mellin")
-        diff = np.abs(integ - mb)
-        scale = np.maximum(np.abs(mb), 1e-300)
+        # every pair of the three routes must agree within its combined est_error
+        routes = {method: route(method) for method in ("integral", "mellin", "spectral")}
+        pairs = [("integral", "mellin"), ("integral", "spectral"), ("mellin", "spectral")]
+        diff = np.concatenate([np.abs(routes[a][0] - routes[b][0]) for a, b in pairs])
+        combined = np.concatenate([routes[a][1] + routes[b][1] for a, b in pairs])
+        scale = np.tile(np.maximum(np.abs(routes["spectral"][0]), 1e-300), len(pairs))
     max_abs = float(np.max(diff, initial=0.0))
     max_rel = float(np.max(diff / scale, initial=0.0))
     print(f"alpha={args.alpha} dim={args.dim} t={args.t} points={args.points}")
@@ -153,7 +157,11 @@ def cmd_crosscheck(args) -> int:
         ok = max_abs <= args.tol
         print(f"tolerance={args.tol:.6e} -> {'PASS' if ok else 'FAIL'}")
     else:
-        ok = bool(np.all(diff <= integ_err + mb_err))
+        for k, (a, b) in enumerate(pairs):
+            part = slice(k * rs.size, (k + 1) * rs.size)
+            print(f"{a} vs {b}: max |diff|/(sum of est_errors)="
+                  f"{float(np.max(diff[part] / combined[part], initial=0.0)):.3f}")
+        ok = bool(np.all(diff <= combined))
         print(f"combined-estimate check -> {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -187,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fracwave",
         description="Fundamental solution of the multi-dimensional fractional "
-                    "wave equation: three evaluation routes, profiles, "
+                    "wave equation: four evaluation routes, profiles, "
                     "velocities, moments, and cross-checks.")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -196,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--method", choices=("closed", "integral", "mellin"))
+    p.add_argument("--method", choices=("closed", "spectral", "integral", "mellin"))
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("profile", help="CSV radial or time profile")
@@ -209,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=float)
     p.add_argument("--tmax", type=float)
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--method", choices=("closed", "integral", "mellin"))
+    p.add_argument("--method", choices=("closed", "spectral", "integral", "mellin"))
     p.add_argument("--out", required=True, help="output CSV path ('-' = stdout)")
     p.set_defaults(fn=cmd_profile)
 

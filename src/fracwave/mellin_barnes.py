@@ -39,14 +39,13 @@ from scipy.special import loggamma as _loggamma, rgamma, sindg
 
 from .errors import (InvalidInput, NonConvergence, check_dimension, check_finite, check_positive,
                      check_window)
-from .quadrature import QuadResult
+from .quadrature import _BLOCK, QuadResult
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LOG_HALF_I = complex(math.log(0.5), 0.5 * math.pi)  # log(i/2)
 _EPS = float(np.finfo(float).eps)
 _H0 = 0.2           # first trapezoidal step on the line
 _MAX_HALVINGS = 6   # the finest step is _H0 / 2**6
-_BLOCK = 1 << 20    # entries of one (points x nodes) complex temporary
 _NODE_BLOCK = 1 << 16  # nodes whose kernel values are computed at once
 # The tail bound must stay within this, the last step halving within this
 # or the rounding bound.
@@ -227,11 +226,3 @@ def g_mellin_barnes(alpha: float, n: int, r, t, sigma: float | None = None) -> Q
     if value.ndim == 0:
         return QuadResult(float(value), float(est), 0)
     return QuadResult(value, est, 0)
-
-
-def l_aux(alpha: float, n: int, rho: float) -> float:
-    """Profile L_{alpha,n}(rho) = rho^n G_{alpha,n}(rho, 1), so G = r^(-n) L_{alpha,n}(r/t)."""
-    value = g_mellin_barnes(alpha, n, rho, 1.0).value * rho ** n
-    check_finite("L_{alpha,n}", value)
-    return value
-

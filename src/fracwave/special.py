@@ -236,6 +236,67 @@ def _bisect_panels(kernel, expo, a: float, b: float, tts: np.ndarray,
     return rows
 
 
+def _cos_sin_pi(alpha: float) -> tuple[float, float]:
+    """(cos(pi alpha), sin(pi alpha)).  pi alpha rounds, which costs
+    sin(pi alpha) its relative digits near alpha = 1 and 2; on [1, 2] both are
+    formed from the exact alpha - 1 or 2 - alpha instead, as
+    -cos(pi (alpha - 1)) = cos(pi (2 - alpha)) and
+    -sin(pi (alpha - 1)) = -sin(pi (2 - alpha))."""
+    if not 1.0 <= alpha <= 2.0:
+        return math.cos(math.pi * alpha), math.sin(math.pi * alpha)
+    if alpha < 1.5:
+        return -math.cos(math.pi * (alpha - 1.0)), -math.sin(math.pi * (alpha - 1.0))
+    return math.cos(math.pi * (2.0 - alpha)), -math.sin(math.pi * (2.0 - alpha))
+
+
+def _branch_cut_weight(alpha: float, r):
+    """The weight of the branch-cut part of E_alpha(-x), the integral of
+    w(r) e^{-r x^(1/alpha)} over r > 0 (_branch_cut_integral):
+
+        w(r) = sin(pi alpha)/pi * r^(alpha-1) / ((r^alpha + cos(pi alpha))^2 + sin(pi alpha)^2).
+    """
+    c_pi, s_pi = _cos_sin_pi(alpha)
+    return s_pi / math.pi * r ** (alpha - 1.0) / ((r ** alpha + c_pi) ** 2 + s_pi ** 2)
+
+
+# Half-width of the spike zone of the branch-cut weight in
+# v = r^alpha + cos(pi alpha), which is 0 at the spike.
+_SPIKE_V_HI = 0.3
+
+
+def _spike_zone(alpha: float, v_hi: float = _SPIKE_V_HI):
+    """The spike zone of the branch-cut weight
+
+        w(r) = sin(pi alpha)/pi * r^(alpha-1) / (v^2 + sin(pi alpha)^2),
+        v = r^alpha + cos(pi alpha),
+
+    over v in [max(cos(pi alpha), -v_hi), v_hi], in the variable phi of
+    v = |sin(pi alpha)| tan(phi), in which w(r) dr is the constant
+    sign(sin(pi alpha)) / (alpha pi) dphi.  Returns the breakpoints in phi,
+    the map phi -> r and that constant.
+
+    The substitution resolves the Lorentzian peak at v = 0 exactly, but for
+    |sin(pi alpha)| << 1 the decades |sin(pi alpha)| < |v| < v_hi collapse
+    into slivers next to the interval ends, so a geometric ladder of
+    breakpoints is inserted.
+    """
+    c_pi, s_pi = _cos_sin_pi(alpha)
+    s_abs = abs(s_pi)
+    v_lo = max(c_pi, -v_hi)
+    ladder = [v_hi]
+    while ladder[-1] > 4.0 * s_abs and len(ladder) < 60:
+        ladder.append(ladder[-1] * 0.25)
+    v_points = sorted({v_lo, v_hi}
+                      | {v for v in ladder if v_lo < v < v_hi}
+                      | {-v for v in ladder if v_lo < -v < v_hi})
+
+    def r_of(phi):
+        return np.maximum(s_abs * np.tan(phi) - c_pi, 0.0) ** (1.0 / alpha)
+
+    return ([math.atan2(v, s_abs) for v in v_points], r_of,
+            math.copysign(1.0, s_pi) / (alpha * math.pi))
+
+
 @functools.lru_cache(maxsize=16)
 def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
     """Nodes and weights of the branch-cut integral at (alpha, tol); see
@@ -247,35 +308,15 @@ def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
     r_scale = max(-math.log(tol), 0.0) + 10.0
     if math.log(asymptotic_cutoff(alpha, tol) / _RULE_X_LO) / alpha + math.log(r_scale) > _LOG_MAX:
         raise NonConvergence(f"branch-cut rule exceeds the double range at alpha={alpha}")
-    c_pi = math.cos(math.pi * alpha)
-    s_pi = math.sin(math.pi * alpha)
+    c_pi, s_pi = _cos_sin_pi(alpha)
     s_abs = abs(s_pi)
     tt_lo = _RULE_X_LO ** (1.0 / alpha)
     tt_hi = asymptotic_cutoff(alpha, tol) ** (1.0 / alpha)
     tts = np.geomspace(tt_lo, tt_hi, _RULE_TT_SAMPLES)
     rows = []
 
-    # v-window around the spike (v = r^alpha + c_pi = 0 at the spike).
-    V_HI = 0.3
-    v_lo = max(c_pi, -V_HI)
-
-    if c_pi < V_HI and s_abs > 0.0:
-        # Spike zone in the tan-substituted variable.  The substitution
-        # resolves the Lorentzian peak at v = 0 exactly, but for s_abs << 1
-        # the decades s_abs < |v| < V_HI collapse into slivers next to the
-        # interval ends, so a geometric ladder of breakpoints is inserted.
-        ladder = [V_HI]
-        while ladder[-1] > 4.0 * s_abs and len(ladder) < 60:
-            ladder.append(ladder[-1] * 0.25)
-        v_points = sorted({v_lo, V_HI}
-                          | {v for v in ladder if v_lo < v < V_HI}
-                          | {-v for v in ladder if v_lo < -v < V_HI})
-        phis = [math.atan2(v, s_abs) for v in v_points]
-        spike_w = math.copysign(1.0, s_pi) / (alpha * math.pi)
-
-        def spike_expo(phi):
-            return np.maximum(s_abs * np.tan(phi) - c_pi, 0.0) ** (1.0 / alpha)
-
+    if c_pi < _SPIKE_V_HI and s_abs > 0.0:
+        phis, spike_expo, spike_w = _spike_zone(alpha)
         sub_budget = tol * 0.05 / max(len(phis) - 1, 1)
         for lo, hi in zip(phis[:-1], phis[1:]):
             rows.extend(_bisect_panels(lambda phi: spike_w, spike_expo, lo, hi, tts,
@@ -285,9 +326,8 @@ def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
 
     def add_r_piece(r_a, r_b):
         if alpha >= 1.0:
-            def kernel(r):
-                return pref * r ** (alpha - 1.0) / ((r ** alpha + c_pi) ** 2 + s_pi ** 2)
-            rows.extend(_bisect_panels(kernel, lambda r: r, r_a, r_b, tts, tol * 0.05))
+            rows.extend(_bisect_panels(lambda r: _branch_cut_weight(alpha, r), lambda r: r,
+                                       r_a, r_b, tts, tol * 0.05))
         else:
             # u = r^alpha removes the endpoint singularity for alpha < 1.
             def kernel(u):
@@ -301,9 +341,9 @@ def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
     # 4 |pref| exp(-tt r_end) / (alpha r_end^alpha).
     r_end = r_scale / tt_lo
 
-    if c_pi < -V_HI:
-        add_r_piece(0.0, (-V_HI - c_pi) ** (1.0 / alpha))
-    r_b_start = (V_HI - c_pi) ** (1.0 / alpha) if c_pi < V_HI else 0.0
+    if c_pi < -_SPIKE_V_HI:
+        add_r_piece(0.0, (-_SPIKE_V_HI - c_pi) ** (1.0 / alpha))
+    r_b_start = (_SPIKE_V_HI - c_pi) ** (1.0 / alpha) if c_pi < _SPIKE_V_HI else 0.0
     add_r_piece(r_b_start, r_end)
 
     g, w, d = (np.array(col) for col in zip(*rows))

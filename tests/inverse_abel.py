@@ -51,3 +51,30 @@ def g2_abel(alpha, r, t):
             err += est
     value = -total / math.pi
     return value, err / math.pi + 1e-12 * abs(value)
+
+
+def g2_abel_mp(alpha, rho, dps=40):
+    """G_{alpha,2}(rho, 1) to about dps digits by mpmath on the same inverse
+    Abel transform, in the exact binary values of alpha and rho.
+
+    Near alpha = 2, dG1/dx is the derivative of a Lorentzian of width
+    ~sin(pi alpha/2)/alpha at w^alpha = -cos(pi alpha/2); the u range is split
+    at w = w0 +- 2^j sin(pi alpha/2), so that tanh-sinh quadrature sees no
+    feature narrower than its interval.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, r = mp.mpf(alpha), mp.mpf(rho)
+        s, c = mp.sinpi(a / 2), mp.cospi(a / 2)
+
+        def g1_dx_mp(x):
+            q = x ** a
+            p = q * q + 2 * c * q + 1
+            return s / mp.pi * x ** (a - 2) * ((a - 1) - 2 * c * q - (a + 1) * q * q) / (p * p)
+
+        w0 = (-c) ** (1 / a) if c < 0 else mp.mpf(0)
+        ws = sorted({w0 + sign * s * mp.mpf(2) ** j for j in range(-3, 60) for sign in (-1, 1)}
+                    | {w0})
+        us = [mp.mpf(0)] + [mp.acosh(w / r) for w in ws if r < w < 1e8] + [mp.inf]
+        return float(-mp.quad(lambda u: g1_dx_mp(r * mp.cosh(u)), us) / mp.pi)

@@ -8,7 +8,7 @@ import pytest
 from fracwave.cli import _write_csv, main
 from fracwave.closed_form import g1, g3
 from fracwave.mellin_barnes import g_mellin_barnes
-from fracwave.quadrature import g_integral
+from fracwave.quadrature import g_integral, g_spectral
 
 
 def run(capsys, *argv):
@@ -39,6 +39,19 @@ class TestEval:
         value = float(out.split()[0])
         assert value < 0.0  # the 2D solution is negative there
 
+    def test_spectral_route(self, capsys):
+        code, out, _ = run(capsys, "eval", "--alpha", "1.5", "--dim", "2",
+                           "--r", "0.5", "--t", "1", "--method", "spectral")
+        assert code == 0
+        value, est = (float(tok) for tok in out.split())
+        ref = g_spectral(1.5, 2, 0.5, 1.0)
+        assert (value, est) == (float(f"{ref.value:.15g}"), float(f"{ref.est_error:.15g}"))
+        assert value < 0.0 and est > 0.0
+
+    def test_spectral_is_the_2d_default(self, capsys):
+        argv = ("eval", "--alpha", "1.5", "--dim", "2", "--r", "0.5", "--t", "1")
+        assert run(capsys, *argv)[1] == run(capsys, *argv, "--method", "spectral")[1]
+
     def test_origin_divergence_exit_3(self, capsys):
         code, _, err = run(capsys, "eval", "--alpha", "1.5", "--dim", "3",
                            "--r", "0", "--t", "1", "--method", "closed")
@@ -58,7 +71,7 @@ class TestEval:
                            "--r", "1", "--t", "1", "--method", "closed")
         assert code == 2
         assert "no closed form" in err
-        assert "integral" in err and "mellin" in err
+        assert "spectral" in err and "integral" in err and "mellin" in err
 
     def test_invalid_alpha_exit_2(self, capsys):
         code, _, _ = run(capsys, "eval", "--alpha", "2.5", "--dim", "1",
@@ -133,12 +146,18 @@ class TestProfile:
         code, _, _ = run(capsys, "profile", "--alpha", "1.5", "--dim", "2",
                          "--t", "1", "--rmin", "0.4", "--rmax", "1.2",
                          "--points", "5", "--out", str(out_file))
-        assert code == 0  # default method for dim=2 is the integral route
+        assert code == 0  # default method for dim=2 is the spectral route
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "r,value,est_error"
         vals = [tuple(map(float, l.split(","))) for l in lines[1:]]
         assert any(v < 0.0 for _, v, _ in vals)
         assert all(e > 0.0 for _, _, e in vals)
+        rs, values, errs = np.array(vals).T
+        ref = g_spectral(1.5, 2, rs, 1.0)
+        assert np.array_equal(values, ref.value) and np.array_equal(errs, ref.est_error)
+        for r, v, e in vals:  # and the radial integral agrees within the two est_errors
+            integ = g_integral(1.5, 2, r, 1.0)
+            assert abs(v - integ.value) <= e + integ.est_error
 
     def test_time_profile(self, capsys, tmp_path):
         out_file = tmp_path / "tp.csv"
@@ -298,6 +317,9 @@ class TestCrosscheck:
                            "--t", "1", "--points", "3")
         assert code == 0
         assert "PASS" in out
+        for pair in ("integral vs mellin", "integral vs spectral", "mellin vs spectral"):
+            line = next(l for l in out.splitlines() if l.startswith(pair + ":"))
+            assert float(line.rsplit("=", 1)[1]) <= 1.0
 
     def test_unreachable_tolerance_exit_1(self, capsys):
         code, out, _ = run(capsys, "crosscheck", "--alpha", "1.5", "--dim", "1",

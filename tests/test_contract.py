@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inverse_abel import g2_abel
 
@@ -56,8 +58,9 @@ TABLE = {
     "g_mellin_barnes": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
                         {"alpha": "alpha(1,2)", "r": "r+", "t": "t", "sigma": "sigma"}),
     "g_origin": ({"alpha": 1.5, "n": 1, "t": 1.0}, {"alpha": "alpha", "t": "t"}),
+    "g_spectral": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
+                   {"alpha": "alpha(1,2)", "r": "r", "t": "t"}),
     "gravity_center_velocity": ({"alpha": 1.5}, {"alpha": "alpha(1,2)"}),
-    "l_aux": ({"alpha": 1.5, "n": 2, "rho": 1.0}, {"alpha": "alpha(1,2)", "rho": "r+"}),
     "max_location": ({"alpha": 1.5, "n": 3, "t": 1.0}, {"alpha": "alpha(1,2)", "t": "t"}),
     "mb_kernel": ({"alpha": 1.5, "n": 2, "s": 0.5}, {"alpha": "alpha(1,2)", "s": "finite"}),
     "ml_neg": ({"alpha": 1.5, "x": 2.0, "tol": 1e-12},
@@ -237,6 +240,25 @@ def test_extreme_valid_calls_are_finite_or_fracwave_error():
             continue
         assert math.isfinite(getattr(result, "location", getattr(result, "value", result))), \
             (name, args)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(alpha=st.floats(1.0, 2.0, exclude_max=True), n=st.sampled_from([1, 2, 3]),
+       r=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=1, max_size=50),
+       t=st.floats(1e-100, 1e100))
+def test_g_spectral_finite_or_fracwave_error(alpha, n, r, t):
+    """Every call on an array of r returns finite values and est_errors of
+    its shape, or raises a FracWaveError, within 1 s."""
+    start = time.perf_counter()
+    try:
+        res = fracwave.g_spectral(alpha, n, np.array(r), t)
+    except FracWaveError:
+        res = None
+    assert time.perf_counter() - start < 1.0
+    if res is not None:
+        assert res.value.shape == res.est_error.shape == (len(r),)
+        assert np.all(np.isfinite(res.value)) and np.all(np.isfinite(res.est_error))
+        assert np.all(res.est_error >= 0.0)
 
 
 @pytest.mark.parametrize("r,t", [("1", "inf"), ("1e-300", "1")])
