@@ -40,7 +40,7 @@ from .closed_form import (
     g_hat,
 )
 from .errors import FracWaveError, InvalidInput, NonConvergence, OriginDivergence
-from .mellin_barnes import g_mellin_barnes, mb_kernel
+from .mellin_barnes import g_mellin_barnes, l_aux, mb_kernel
 from .quadrature import QuadResult, g_integral, g_origin, g_spectral, solve_ivp_1d
 from .special import MLResult, ml_neg
 
@@ -50,7 +50,7 @@ __all__ = [
     "ExtremumReport", "FracWaveError", "InvalidInput", "MLResult", "NonConvergence",
     "OriginDivergence", "QuadResult", "g1", "g1_dr", "g1_dt", "g3", "g3_via_g1_spatial",
     "g3_via_g1_temporal", "g_hat", "g_integral", "g_mellin_barnes", "g_origin", "g_spectral",
-    "gravity_center_velocity", "max_location", "mb_kernel", "ml_neg",
+    "gravity_center_velocity", "l_aux", "max_location", "mb_kernel", "ml_neg",
     "moment_1d", "moment_3d", "moment_numeric", "phase_velocity", "sign_profile_3d",
     "solve_ivp_1d", "velocity_curve", "zero_crossing_z",
 ]

@@ -226,3 +226,10 @@ def g_mellin_barnes(alpha: float, n: int, r, t, sigma: float | None = None) -> Q
     if value.ndim == 0:
         return QuadResult(float(value), float(est), 0)
     return QuadResult(value, est, 0)
+
+
+def l_aux(alpha: float, n: int, rho: float) -> float:
+    """Profile L_{alpha,n}(rho) = rho^n G_{alpha,n}(rho, 1), so G = r^(-n) L_{alpha,n}(r/t)."""
+    value = g_mellin_barnes(alpha, n, rho, 1.0).value * rho ** n
+    check_finite("L_{alpha,n}", value)
+    return value

@@ -61,6 +61,7 @@ TABLE = {
     "g_spectral": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
                    {"alpha": "alpha(1,2)", "r": "r", "t": "t"}),
     "gravity_center_velocity": ({"alpha": 1.5}, {"alpha": "alpha(1,2)"}),
+    "l_aux": ({"alpha": 1.5, "n": 2, "rho": 1.0}, {"alpha": "alpha(1,2)", "rho": "r+"}),
     "max_location": ({"alpha": 1.5, "n": 3, "t": 1.0}, {"alpha": "alpha(1,2)", "t": "t"}),
     "mb_kernel": ({"alpha": 1.5, "n": 2, "s": 0.5}, {"alpha": "alpha(1,2)", "s": "finite"}),
     "ml_neg": ({"alpha": 1.5, "x": 2.0, "tol": 1e-12},
