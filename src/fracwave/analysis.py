@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polymul, polyroots
-from scipy.integrate import IntegrationWarning
-from scipy.integrate import quad as _quad
 
 from .closed_form import g1, g3, order_trig
 from .errors import (InvalidInput, NonConvergence, check_dimension, check_finite, check_positive,
@@ -177,6 +175,10 @@ def moment_numeric(alpha: float, n: int, beta: float, t: float) -> float:
     (integrand ~ r^(beta - alpha - n) for large r), scaled by t^(beta + 1 - n):
     G_{alpha,n}(r, t) = t^(-n) G_{alpha,n}(r/t, 1).  Takes the orders and
     times of moment_1d (n = 1) and moment_3d (n = 3)."""
+    # Imported here, its only use: scipy.integrate would add ~0.2 s to every
+    # start of the CLI.
+    from scipy.integrate import IntegrationWarning, quad
+
     check_dimension(n, (1, 3))
     (moment_1d if n == 1 else moment_3d)(alpha, beta, t)  # raises outside its windows
     fn = g1 if n == 1 else g3
@@ -198,10 +200,10 @@ def moment_numeric(alpha: float, n: int, beta: float, t: float) -> float:
         # the endpoint singularity r^(beta+alpha-n) trips QUADPACK's
         # slow-convergence heuristic; the dual-route tests bound the error
         warnings.simplefilter("ignore", IntegrationWarning)
-        near, _ = _quad(integrand_r, 0.0, r_mid, limit=800,
-                        epsabs=1e-13, epsrel=1e-11, points=pts)
-        far, _ = _quad(integrand_log, math.log(r_mid), math.log(_MOMENT_R_MAX),
-                       limit=400, epsabs=1e-14, epsrel=1e-11)
+        near, _ = quad(integrand_r, 0.0, r_mid, limit=800,
+                       epsabs=1e-13, epsrel=1e-11, points=pts)
+        far, _ = quad(integrand_log, math.log(r_mid), math.log(_MOMENT_R_MAX),
+                      limit=400, epsabs=1e-14, epsrel=1e-11)
     # Tail from the large-r asymptotics of the closed forms.
     s = order_trig(alpha)[1]
     if n == 1:

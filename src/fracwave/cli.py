@@ -3,7 +3,8 @@ cross-route checks, moments, and the 1D initial-value solver.
 
 Exit codes: 0 success, 1 cross-check tolerance breach, 2 usage/domain error,
 3 numerical failure.  CSV output is UTF-8 with LF line endings, a mandatory
-header row, and shortest-roundtrip floats (%.17g).
+header row, and floats with 17 significant digits (%.17g), which round-trip
+but are not always the shortest form: 0.1 prints as 0.10000000000000001.
 """
 
 from __future__ import annotations

@@ -22,12 +22,14 @@ The integrand is analytic in a strip around L, so the trapezoidal rule on the
 line converges geometrically in 1/h, and halving h reuses every node
 (Trefethen & Weideman, SIAM Review 56, 2014).  The kernel does not depend on
 rho = r/t; only rho^s does.  One call therefore builds one table of
-K(sigma + i j h) for all its points and gets every rho from one product with
-rho^(sigma + i j h).  It halves h from 0.2, adding only the odd nodes, until
-at every rho the h and h/2 sums agree to _STEP_TOL or to the rounding bound
-of the terms, below which more halvings cannot lower the error; past a fixed
-number of halvings it raises NonConvergence.  The error estimate is the h vs
-h/2 difference, the tail bound and that rounding bound.
+K(sigma + i j h) for all its points and sums it against rho^(sigma + i j h) at
+every rho.  On these uniform nodes the phase rho^(i j h) of J nodes splits into
+two tables of about sqrt(J) columns each, so a point costs O(sqrt(J))
+exponentials rather than J (_phase_sum).  It halves h from 0.2, adding only
+the odd nodes, until at every rho the h and h/2 sums agree to _STEP_TOL or to
+the rounding bound of the terms, below which more halvings cannot lower the
+error; past a fixed number of halvings it raises NonConvergence.  The error
+estimate is the h vs h/2 difference, the tail bound and that rounding bound.
 """
 
 from __future__ import annotations
@@ -55,9 +57,12 @@ _STEP_TOL = 1e-10
 def _log_sin(z: np.ndarray) -> np.ndarray:
     """log sin z up to a multiple of 2 pi i, without overflow at large |Im z|:
     log(i/2) - i z + log(1 - e^(2iz)) for Im z >= 0, its conjugate below."""
-    w = np.where(np.imag(z) < 0.0, np.conj(z), z)
+    lower = np.imag(z) < 0.0
+    if not np.any(lower):  # the contour's nodes: no reflection needed
+        return _LOG_HALF_I - 1j * z + np.log(-np.expm1(2j * z))
+    w = np.where(lower, np.conj(z), z)
     out = _LOG_HALF_I - 1j * w + np.log(-np.expm1(2j * w))
-    return np.where(np.imag(z) < 0.0, np.conj(out), out)
+    return np.where(lower, np.conj(out), out)
 
 
 def _log_kernel_terms(alpha: float, n: int, s: np.ndarray | complex) -> tuple[np.ndarray, ...]:
@@ -98,6 +103,33 @@ def mb_kernel(alpha: float, n: int, s: complex) -> complex:
     else:
         num = math.sqrt(math.pi) * sindg(90.0 * x) * (1.0 if n == 1 else 0.5 * (1.0 - x))
     return complex(num / math.sin(math.pi * x / alpha))
+
+
+def _phase_sum(log_rho: np.ndarray, sigma: float, y0: float, dy: float,
+               wk: np.ndarray) -> np.ndarray:
+    """sum_j wk_j rho^(sigma + i (y0 + j dy)) at every entry of log_rho = log rho,
+    by a two-level phase table.  With j = b M + m and M = ceil(sqrt(J)) for J
+    weights, rho^(i j dy) = e^(i b M dy L) e^(i m dy L), L = log rho, so
+
+        sum = rho^sigma e^(i y0 L) sum_b e^(i b M dy L) sum_m wk_(bM+m) e^(i m dy L):
+
+    P (M + B) exponentials and one (P x M) . (M x B) contraction for P points,
+    where the direct exp(L s_j) takes P J exponentials.  Each factor's argument
+    rounds at eps times its size, and with y0, dy >= 0 these sizes add up to
+    (sigma + y_j) |L|; the three exponentials and the three products add a few
+    eps.  So each term is off by at most eps |wk_j| rho^sigma (8 + (sigma + y_j)
+    |L|).  einsum rather than a BLAS product: threaded BLAS spends milliseconds
+    starting threads on a product this small.
+    """
+    size = wk.size
+    m = math.isqrt(size - 1) + 1
+    b = -(-size // m)
+    table = np.zeros(b * m, dtype=complex)
+    table[:size] = wk
+    fine = np.exp(np.outer(log_rho, 1j * dy * np.arange(m)))
+    coarse = np.exp(np.outer(log_rho, 1j * dy * np.arange(0, b * m, m)))
+    inner = np.einsum("pm,bm->pb", fine, table.reshape(b, m))
+    return np.exp(log_rho * complex(sigma, y0)) * np.einsum("pb,pb->p", inner, coarse)
 
 
 def _decay_rate(alpha: float) -> float:
@@ -147,24 +179,25 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray,
             f"(alpha={alpha}, n={n}): the kernel decays too slowly for the height cap"
         )
 
-    def add_nodes(y: np.ndarray, w: np.ndarray):
-        """Line sum at the nodes y with weights w, and two node sums that
-        bound its rounding.  A term K rho^s is off by a few eps, plus eps
-        times the size of each term of log K and of s log rho.  The nodes go
-        in blocks, so that no (points x nodes) temporary holds more than about
-        _BLOCK entries; einsum rather than a BLAS product: threaded BLAS
-        spends milliseconds starting threads on a product this small."""
+    def add_nodes(y: np.ndarray, w: np.ndarray, dy: float):
+        """Line sum at the nodes y = y_0 + j dy with weights w, and two node
+        sums that bound its rounding.  A term K rho^s is off by a few eps, plus
+        eps times the size of each term of log K, plus the rounding of its
+        phase (_phase_sum): in all eps |K| rho^sigma (8 + sum |log K terms|
+        + (sigma + y) |L|).  The nodes go in blocks of up to _NODE_BLOCK,
+        whose phase tables, P x 2 sqrt(block) entries for P points, hold
+        about _BLOCK entries at most."""
         line = np.zeros(log_rho.size, dtype=complex)
         sizes = np.zeros(2)
-        step = min(_NODE_BLOCK, max(1, _BLOCK // log_rho.size))
+        step = min(_NODE_BLOCK, max(1, (_BLOCK // (2 * log_rho.size)) ** 2))
         for i in range(0, y.size, step):
-            s = sigma + 1j * y[i:i + step]
-            terms = _log_kernel_terms(alpha, n, s)
+            yb = y[i:i + step]
+            terms = _log_kernel_terms(alpha, n, sigma + 1j * yb)
             wk = w[i:i + step] * np.exp(sum(terms))
             mag = np.abs(wk)
-            line += np.einsum("ij,j->i", np.exp(np.outer(log_rho, s)), wk)
-            sizes += (np.sum(mag * (4.0 + sum(np.abs(x) for x in terms))),
-                      np.sum(mag * np.abs(s)))
+            line += _phase_sum(log_rho, sigma, float(yb[0]), dy, wk)
+            sizes += (np.sum(mag * (8.0 + sum(np.abs(x) for x in terms))),
+                      np.sum(mag * (sigma + yb)))
         return line.real, sizes
 
     # Nodes j h on [0, m h].  A halving adds the odd multiples of h/2 only.
@@ -173,11 +206,11 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray,
     y = h * np.arange(m + 1)
     w = np.ones(y.size)
     w[0] = 0.5
-    total, sizes = add_nodes(y, w)
+    total, sizes = add_nodes(y, w, h)
     prev = h * total
     for _ in range(_MAX_HALVINGS):
         y = h * (np.arange(m) + 0.5)
-        part, part_sizes = add_nodes(y, np.ones(y.size))
+        part, part_sizes = add_nodes(y, np.ones(y.size), h)
         total += part
         sizes += part_sizes
         h *= 0.5

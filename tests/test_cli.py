@@ -1,10 +1,15 @@
 """Command-line interface: output formats, exit codes, CSV round-trips."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracwave
 from fracwave.cli import _write_csv, main
 from fracwave.closed_form import g1, g3
 from fracwave.mellin_barnes import g_mellin_barnes
@@ -15,6 +20,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # scipy.integrate adds ~0.2 s to every start; only moment_numeric needs it.
+    env = dict(os.environ, PYTHONPATH=str(Path(fracwave.__file__).parent.parent))
+    probe = "import sys, fracwave.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestEval:

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from fracwave.closed_form import g1, g3
 from fracwave.errors import InvalidInput, NonConvergence
 from fracwave.mellin_barnes import (
+    _phase_sum,
     g_mellin_barnes,
     l_aux,
     mb_kernel,
 )
-from fracwave.quadrature import g_integral
+from fracwave.quadrature import g_integral, g_spectral
 from inverse_abel import g2_abel
 
 Z_15 = 0.87036519258771611936
@@ -114,6 +115,40 @@ def test_kernel_is_the_gamma_quotient(alpha, n, frac, y):
     s = complex(frac * min(alpha, n), y)
     ref = gamma_quotient(alpha, n, s)
     assert abs(mb_kernel(alpha, n, s) - ref) <= 1e-11 * abs(ref)
+
+
+class TestPhaseSum:
+    """The two-level phase table against the direct product exp(L s_j) at the
+    nodes s_j = sigma + i (y0 + j dy), at alpha = 1.99 and rho in [1e-3, 1e3],
+    the finest step: |y L| reaches 1e6 rad in the far block.  The two differ
+    by at most the sum of their per-term rounding bounds,
+    eps |wk_j| rho^sigma (8 + (sigma + y_j) |L|) for _phase_sum and
+    eps |wk_j| rho^sigma (4 + |s_j| |L|) for the direct product."""
+
+    LOG_RHO = np.log(np.geomspace(1e-3, 1e3, 41))
+    SIGMA = 0.995
+    DY = 0.2 / 64
+
+    def check(self, y0, wk):
+        log_rho = self.LOG_RHO
+        y = y0 + self.DY * np.arange(wk.size)
+        s = self.SIGMA + 1j * y
+        direct = np.einsum("ij,j->i", np.exp(np.outer(log_rho, s)), wk)
+        fast = _phase_sum(log_rho, self.SIGMA, y0, self.DY, wk)
+        per_term = 12.0 + np.outer(np.abs(log_rho), self.SIGMA + y + np.abs(s))
+        bound = np.finfo(float).eps * np.exp(self.SIGMA * log_rho) * (per_term @ np.abs(wk))
+        assert np.all(np.abs(fast - direct) <= bound)
+
+    @pytest.mark.parametrize("y0", [0.0, 1.44e5])
+    @pytest.mark.parametrize("size", [1, 2, 256, 1009])
+    def test_matches_direct_product(self, size, y0):
+        rng = np.random.default_rng(size)
+        self.check(y0, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        for j in (0, size // 2, size - 1):
+            unit = np.zeros(size, dtype=complex)
+            unit[j] = 1.0
+            self.check(y0, unit)
+        assert y0 == 0.0 or np.max(np.abs(self.LOG_RHO)) * y0 > 9.9e5
 
 
 class TestContour:
@@ -266,7 +301,7 @@ class TestArrayInput:
 class TestNearAlphaTwo:
     """Near alpha = 2 the kernel decays slowly and the line is long.  The step
     halving stops once the h vs h/2 difference is within the rounding bound
-    that est_error carries, so dense grids return in about a second."""
+    that est_error carries, so dense grids return in well under a second."""
 
     @pytest.mark.parametrize("alpha,r", [(1.99, 30.0), (1.999, 1.0), (1.9995, 1.0)])
     def test_three_dimensional_corner_converges(self, alpha, r):
@@ -292,6 +327,18 @@ class TestNearAlphaTwo:
         for r, value, est in zip(rho[::10], res.value[::10], res.est_error[::10]):
             ref, ref_tol = g2_abel(1.99, float(r), 1.0)
             assert abs(value - ref) <= est + ref_tol
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_thousand_point_grid_within_est_error(self, n):
+        rho = np.geomspace(0.01, 100.0, 1000)
+        start = time.perf_counter()
+        res = g_mellin_barnes(1.99, n, rho, 1.0)
+        assert time.perf_counter() - start < 1.5
+        if n == 3:
+            assert np.all(np.abs(res.value - g3(1.99, rho, 1.0)) <= res.est_error)
+            return
+        ref = g_spectral(1.99, 2, rho, 1.0)
+        assert np.all(np.abs(res.value - ref.value) <= res.est_error + ref.est_error)
 
 
 @settings(max_examples=50, deadline=None, database=None)
