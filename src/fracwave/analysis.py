@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polymul, polyroots
 
-from .closed_form import g1, g3, order_trig
+from .closed_form import _power, g1, g3, order_trig
 from .errors import (InvalidInput, NonConvergence, check_dimension, check_finite, check_positive,
                      check_window)
 
@@ -120,13 +120,6 @@ def velocity_curve(n: int, alphas, which: str = "phase") -> list[tuple[float, fl
             raise InvalidInput("gravity-center velocity is a 1D quantity")
         return [(a, gravity_center_velocity(a)) for a in alphas]
     raise InvalidInput(f"unknown velocity kind {which!r}")
-
-
-def _power(x: float, y: float) -> float:
-    """x ** y, inf where it overflows the double range, so that check_finite
-    raises NonConvergence rather than Python's OverflowError."""
-    with np.errstate(over="ignore"):
-        return float(np.float64(x) ** y)
 
 
 def moment_1d(alpha: float, beta: float, t: float) -> float:
@@ -235,7 +228,10 @@ def sign_profile_3d(alpha: float, t: float, r_grid) -> list[int]:
     check_window(alpha, 1.0, 2.0, lo_open=True)
     check_positive("t", t)
     r = np.atleast_1d(r_grid).astype(float)
-    rho = r / t
+    check_positive("r", r, zero_ok=True)
+    with np.errstate(over="ignore", divide="ignore"):  # r/t out of the double range
+        rho = r / t
+        check_finite("log(r/t)", np.log(rho[r > 0.0]))
     v = g3(alpha, rho, 1.0)
     d = rho - zero_crossing_z(alpha)
     sign = np.where(np.abs(v) <= _ZERO_TOL, 0, np.where(v > 0.0, 1, -1))

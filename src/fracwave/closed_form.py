@@ -141,11 +141,19 @@ def g3_via_g1_temporal(alpha: float, r, t) -> float | np.ndarray:
     return value
 
 
+def _power(x: float, y: float) -> float:
+    """x ** y, inf where it overflows the double range, rather than Python's
+    OverflowError."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(x) ** y)
+
+
 def g_hat(alpha: float, kappa_abs: float, t: float) -> float:
-    """Fourier-space solution E_alpha(-|kappa|^alpha t^alpha) to ml_neg's tol 1e-12; 1 at t = 0."""
+    """Fourier-space solution E_alpha(-|kappa|^alpha t^alpha) to ml_neg's tol 1e-12; 1 at t = 0
+    and 0, the limit, where (|kappa| t)^alpha leaves the double range."""
     check_window(alpha, 1.0, 2.0)
     check_positive("|kappa|", kappa_abs, zero_ok=True)
     check_positive("t", t, zero_ok=True)
     if t == 0.0 or kappa_abs == 0.0:
         return 1.0
-    return ml_neg(alpha, (kappa_abs * t) ** alpha).value
+    return ml_neg(alpha, _power(kappa_abs * t, alpha)).value

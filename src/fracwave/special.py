@@ -21,6 +21,7 @@ the fractional wave propagator in Fourier space.  Three regimes are used:
                        once that truncation floor ~exp(-x^(1/alpha)) is
                        below tolerance.
 
+The orders are those of the fractional wave equation, 1 <= alpha <= 2.
 Every path works in double precision and returns an error estimate.  A
 tolerance that the regimes cannot meet raises NonConvergence: below 1e-13 for
 some inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
@@ -107,8 +108,8 @@ def _taylor_kahan(alpha: float, x: float) -> tuple[float, float]:
 
 def _exp_pair(alpha: float, x: float, tol: float) -> tuple[float, float]:
     """Oscillatory residue contribution (2/alpha) e^{s cos(pi/a)} cos(s sin(pi/a)),
-    s = x^(1/alpha), and its rounding error.  Exact for 1 < alpha <= 2; absent
-    below alpha = 1.
+    s = x^(1/alpha), and its rounding error.  Exact for 1 < alpha <= 2; 0 at
+    alpha = 1, where the poles e^(+-i pi/alpha) merge at -1.
 
     In double precision the phase and damping, s sin(pi/alpha) and
     s cos(pi/alpha), carry an absolute rounding error of about
@@ -237,13 +238,11 @@ def _bisect_panels(kernel, expo, a: float, b: float, tts: np.ndarray,
 
 
 def _cos_sin_pi(alpha: float) -> tuple[float, float]:
-    """(cos(pi alpha), sin(pi alpha)).  pi alpha rounds, which costs
-    sin(pi alpha) its relative digits near alpha = 1 and 2; on [1, 2] both are
-    formed from the exact alpha - 1 or 2 - alpha instead, as
+    """(cos(pi alpha), sin(pi alpha)) for 1 <= alpha <= 2.  pi alpha rounds,
+    which costs sin(pi alpha) its relative digits near alpha = 1 and 2; both
+    are formed from the exact alpha - 1 or 2 - alpha instead, as
     -cos(pi (alpha - 1)) = cos(pi (2 - alpha)) and
     -sin(pi (alpha - 1)) = -sin(pi (2 - alpha))."""
-    if not 1.0 <= alpha <= 2.0:
-        return math.cos(math.pi * alpha), math.sin(math.pi * alpha)
     if alpha < 1.5:
         return -math.cos(math.pi * (alpha - 1.0)), -math.sin(math.pi * (alpha - 1.0))
     return math.cos(math.pi * (2.0 - alpha)), -math.sin(math.pi * (2.0 - alpha))
@@ -302,20 +301,14 @@ def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
     """Nodes and weights of the branch-cut integral at (alpha, tol); see
     _branch_cut_integral.  Only exp(-tt g) depends on x, so the rule is
     built once, lazily, and cached."""
-    # The rule samples exp(-tt r) for tt = x^(1/alpha) up to tt_hi and r up
-    # to r_end = r_scale / tt_lo (below); at small alpha their product,
-    # (x_a / _RULE_X_LO)^(1/alpha) r_scale, is no double.
     r_scale = max(-math.log(tol), 0.0) + 10.0
-    if math.log(asymptotic_cutoff(alpha, tol) / _RULE_X_LO) / alpha + math.log(r_scale) > _LOG_MAX:
-        raise NonConvergence(f"branch-cut rule exceeds the double range at alpha={alpha}")
     c_pi, s_pi = _cos_sin_pi(alpha)
-    s_abs = abs(s_pi)
     tt_lo = _RULE_X_LO ** (1.0 / alpha)
     tt_hi = asymptotic_cutoff(alpha, tol) ** (1.0 / alpha)
     tts = np.geomspace(tt_lo, tt_hi, _RULE_TT_SAMPLES)
     rows = []
 
-    if c_pi < _SPIKE_V_HI and s_abs > 0.0:
+    if c_pi < _SPIKE_V_HI:
         phis, spike_expo, spike_w = _spike_zone(alpha)
         sub_budget = tol * 0.05 / max(len(phis) - 1, 1)
         for lo, hi in zip(phis[:-1], phis[1:]):
@@ -325,15 +318,8 @@ def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
     pref = s_pi / math.pi
 
     def add_r_piece(r_a, r_b):
-        if alpha >= 1.0:
-            rows.extend(_bisect_panels(lambda r: _branch_cut_weight(alpha, r), lambda r: r,
-                                       r_a, r_b, tts, tol * 0.05))
-        else:
-            # u = r^alpha removes the endpoint singularity for alpha < 1.
-            def kernel(u):
-                return pref / (alpha * ((u + c_pi) ** 2 + s_pi ** 2))
-            rows.extend(_bisect_panels(kernel, lambda u: u ** (1.0 / alpha),
-                                       r_a ** alpha, r_b ** alpha, tts, tol * 0.05))
+        rows.extend(_bisect_panels(lambda r: _branch_cut_weight(alpha, r), lambda r: r,
+                                   r_a, r_b, tts, tol * 0.05))
 
     # Cut the range where exp(-tt r) is far below tol for every x the rule
     # serves.  r_end^alpha >= 10^alpha * 2 >= 2|c_pi|, so beyond it
@@ -504,21 +490,19 @@ def _cos_sqrt(x: float, tol: float) -> tuple[float, float]:
 
 
 def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
-    """Evaluate E_alpha(-x) for x >= 0 and 0 < alpha <= 2 to absolute error <= tol.
+    """Evaluate E_alpha(-x) for x >= 0 and 1 <= alpha <= 2 to absolute error <= tol.
 
     E_alpha(-inf) = 0 for alpha < 2; at alpha = 2, E_2(-x) = cos(sqrt(x)) has
     no limit and x = inf raises InvalidInput, as do NaN, x < 0 and a tol that
-    is not finite and positive.  Raises InvalidInput for alpha outside (0, 2]
+    is not finite and positive.  Raises InvalidInput for alpha outside [1, 2]
     and NonConvergence if no regime can attain the requested tolerance.
     Every regime works in double precision: a tol below 1e-13 fails for some
     inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
-    Below alpha ~0.005 no intermediate x converges: x^(1/alpha) leaves the
-    double range.
     """
     # Comparisons first: this is the integral route's per-node call.
-    if not (0.0 < alpha <= 2.0 and x >= 0.0 and 0.0 < tol < math.inf
+    if not (1.0 <= alpha <= 2.0 and x >= 0.0 and 0.0 < tol < math.inf
             and (x < math.inf or alpha < 2.0)):
-        check_window(alpha, 0.0, 2.0, lo_open=True, hi_open=False, what="Mittag-Leffler order")
+        check_window(alpha, 1.0, 2.0, hi_open=False, what="Mittag-Leffler order")
         raise InvalidInput(f"ml_neg requires x >= 0 (finite at alpha = 2: E_2(-x) = "
                            f"cos(sqrt(x)) has no limit) and finite tol > 0, got x={x}, tol={tol}")
     if x == 0.0:

@@ -210,6 +210,10 @@ class TestGHat:
         from fracwave.special import ml_neg
         assert g_hat(1.5, 2.0, 1.5) == ml_neg(1.5, 3.0 ** 1.5).value
 
+    def test_limit_past_the_double_range(self):
+        # (kappa t)^alpha = 1e309.4 leaked OverflowError; E_alpha(-inf) = 0
+        assert g_hat(1.875, 1e65, 1e100) == 0.0
+
     def test_invalid(self):
         with pytest.raises(InvalidInput, match="order"):
             g_hat(2.0, 1.0, 1.0)

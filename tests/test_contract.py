@@ -5,6 +5,7 @@ solution) at once and never returns NaN or inf."""
 import inspect
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from inverse_abel import g2_abel
 
 import fracwave
-from fracwave import FracWaveError, InvalidInput, OriginDivergence
+from fracwave import FracWaveError, InvalidInput, NonConvergence, OriginDivergence
 from fracwave.cli import main
 
 NAN, INF = math.nan, math.inf
@@ -34,8 +35,7 @@ BAD = {
     "which": ["bogus"],
     "alpha": [NAN, INF, 0.5, 2.0, 2.5],          # window [1, 2)
     "alpha(1,2)": [NAN, INF, 0.5, 1.0, 2.0, 2.5],
-    "alpha[1,2]": [NAN, INF, 0.5, 2.5],
-    "alpha(0,2]": [NAN, INF, -1.0, 0.0, 2.5],
+    "alpha[1,2]": [NAN, INF, -1.0, 0.0, 0.5, 2.5],
     "beta": [NAN, INF, 5.0],
     "alphas": [[1.2, NAN], [1.2, 2.5], [1.5, 1.2]],
     "grid": [[0.0, NAN, 1.0], [0.0, 0.5, INF]],
@@ -65,7 +65,7 @@ TABLE = {
     "max_location": ({"alpha": 1.5, "n": 3, "t": 1.0}, {"alpha": "alpha(1,2)", "t": "t"}),
     "mb_kernel": ({"alpha": 1.5, "n": 2, "s": 0.5}, {"alpha": "alpha(1,2)", "s": "finite"}),
     "ml_neg": ({"alpha": 1.5, "x": 2.0, "tol": 1e-12},
-               {"alpha": "alpha(0,2]", "x": "x", "tol": "tol"}),
+               {"alpha": "alpha[1,2]", "x": "x", "tol": "tol"}),
     "moment_1d": ({"alpha": 1.5, "beta": 0.5, "t": 1.0},
                   {"alpha": "alpha", "beta": "beta", "t": "t"}),
     "moment_3d": ({"alpha": 1.5, "beta": 2.5, "t": 1.0},
@@ -107,6 +107,13 @@ def test_every_public_function_has_a_row():
         params = inspect.signature(getattr(fracwave, name)).parameters.values()
         defaulted = {p.name for p in params if p.default is not inspect.Parameter.empty}
         assert defaulted <= set(TABLE[name][1]), name
+
+
+def test_every_order_window_refuses_orders_below_one():
+    # the equation's orders are 1 <= alpha <= 2: no public window reaches below
+    for name, (_, kinds) in TABLE.items():
+        if "alpha" in kinds:
+            assert any(bad < 1.0 for bad in BAD[kinds["alpha"]]), name
 
 
 # The only bad values that are a point of divergence rather than outside the
@@ -184,6 +191,10 @@ HOLES = {
     "g_mellin_barnes_ratio_underflow": lambda: fracwave.g_mellin_barnes(1.5, 2, 1e-300, 1e100),
     "g_mellin_barnes_ratio_overflow": lambda: fracwave.g_mellin_barnes(1.5, 1, 1e300, 1e-300),
     "g3_via_g1_temporal_underflow": lambda: fracwave.g3_via_g1_temporal(1.5, 1e-200, 1.0),
+    # warned, then raised InvalidInput about an r passed finite, or
+    # OriginDivergence about an r > 0
+    "sign_profile_3d_ratio_overflow": lambda: fracwave.sign_profile_3d(1.5, 1e-10, [1e300]),
+    "sign_profile_3d_ratio_underflow": lambda: fracwave.sign_profile_3d(1.5, 1e100, [1e-300]),
 }
 
 
@@ -197,6 +208,9 @@ def test_former_hole_errors_are_specific():
         HOLES["moment_numeric_out_of_window"]()
     for name in ("solve_ivp_1d_nan_phi", "solve_ivp_1d_nan_grid"):
         with pytest.raises(InvalidInput, match="grid"):
+            HOLES[name]()
+    for name in ("sign_profile_3d_ratio_overflow", "sign_profile_3d_ratio_underflow"):
+        with pytest.raises(NonConvergence, match="r/t"):
             HOLES[name]()
 
 
@@ -260,6 +274,62 @@ def test_g_spectral_finite_or_fracwave_error(alpha, n, r, t):
         assert res.value.shape == res.est_error.shape == (len(r),)
         assert np.all(np.isfinite(res.value)) and np.all(np.isfinite(res.est_error))
         assert np.all(res.est_error >= 0.0)
+
+
+ORDER = st.floats(1.0, 2.0)
+LOG_T = st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e)
+LOG_R = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def ivp_args(draw):
+    """A uniform sample grid of 2-30 points with finite samples, and an
+    output grid that is either the sample grid or free points."""
+    size = draw(st.integers(2, 30))
+    xs = draw(st.floats(-10.0, 10.0)) + draw(st.floats(-3.0, 0.0).map(lambda e: 10.0 ** e)) \
+        * np.arange(size)
+    phis = draw(st.lists(st.floats(-1e300, 1e300), min_size=size, max_size=size))
+    out = draw(st.one_of(st.just(xs), st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5)))
+    return draw(ORDER), xs, phis, draw(LOG_T), out
+
+
+# Public name -> (strategy of its positional arguments, time bound in s).
+# Orders over the closed window [1, 2], times and wave numbers over 1e+-100.
+CONTRACTS = {
+    "g_hat": (st.tuples(ORDER, st.one_of(st.just(0.0), LOG_T), st.one_of(st.just(0.0), LOG_T)),
+              1.0),
+    "solve_ivp_1d": (ivp_args(), 1.0),
+    "max_location": (st.tuples(ORDER, st.sampled_from([1, 3]), LOG_T), 1.0),
+    "phase_velocity": (st.tuples(ORDER, st.sampled_from([1, 3])), 1.0),
+    "moment_numeric": (st.tuples(ORDER, st.sampled_from([1, 3]), st.floats(-1.0, 4.0), LOG_T),
+                       2.0),
+    "sign_profile_3d": (st.tuples(ORDER, LOG_T, st.lists(LOG_R, min_size=1, max_size=10)), 1.0),
+    "velocity_curve": (st.tuples(st.sampled_from([1, 3]),
+                                 st.lists(ORDER, min_size=1, max_size=5, unique=True).map(sorted),
+                                 st.sampled_from(["phase", "gravity"])), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACTS))
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_finite_result_or_fracwave_error(name, data):
+    """Each call returns finite values or raises a FracWaveError, with no
+    RuntimeWarning, within its time bound."""
+    strategy, seconds = CONTRACTS[name]
+    args = data.draw(strategy)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            result = getattr(fracwave, name)(*args)
+        except FracWaveError:
+            result = None
+    assert time.perf_counter() - start < seconds
+    if isinstance(result, fracwave.ExtremumReport):
+        result = (result.location, result.value)
+    if result is not None:
+        assert np.all(np.isfinite(np.asarray(result, dtype=float)))
 
 
 @pytest.mark.parametrize("r,t", [("1", "inf"), ("1e-300", "1")])
