@@ -5,12 +5,19 @@ Exit codes: 0 success, 1 cross-check tolerance breach, 2 usage/domain error,
 3 numerical failure.  CSV output is UTF-8 with LF line endings, a mandatory
 header row, and floats with 17 significant digits (%.17g), which round-trip
 but are not always the shortest form: 0.1 prints as 0.10000000000000001.
+
+The argument parser is built once per process, on the first call of `main`
+(not at import), and every later call reuses it.  Each call looks up its
+`cmd_<command>` function by name when it runs, so a wrapper or test double
+installed on a `cmd_*` attribute after that first call is still the one called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -138,10 +145,9 @@ def cmd_crosscheck(args) -> int:
 
     if args.dim in (1, 3):
         closed, _ = route("closed")
-        integ, _ = route("integral")
-        mb, _ = route("mellin")
-        diff = np.abs(np.concatenate((integ - closed, mb - closed)))
-        scale = np.tile(np.maximum(np.abs(closed), 1e-300), 2)
+        others = [route(method)[0] for method in ("integral", "mellin", "spectral")]
+        diff = np.abs(np.concatenate([value - closed for value in others]))
+        scale = np.tile(np.maximum(np.abs(closed), 1e-300), len(others))
     else:
         # every pair of the three routes must agree within its combined est_error
         routes = {method: route(method) for method in ("integral", "mellin", "spectral")}
@@ -181,18 +187,25 @@ def cmd_moments(args) -> int:
 
 def cmd_solve1d(args) -> int:
     try:
-        data = np.genfromtxt(args.phi, delimiter=",", names=True)
+        with warnings.catch_warnings():
+            # a file without data rows is reported below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(args.phi, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read phi file {args.phi}: {exc}", EXIT_USAGE)
-    if data.dtype.names is None or len(data.dtype.names) < 2:
+    if data.shape[0] == 0:
+        raise CliError(f"phi file {args.phi} has no data rows", EXIT_USAGE)
+    if data.shape[1] < 2:
         raise CliError("phi file must be a CSV with header x,phi", EXIT_USAGE)
-    xs = np.atleast_1d(data[data.dtype.names[0]]).astype(float)
-    phis = np.atleast_1d(data[data.dtype.names[1]]).astype(float)
+    xs, phis = data[:, 0], data[:, 1]
     _write_csv(args.out, "x,u", xs, quadrature.solve_ivp_1d(args.alpha, xs, phis, args.t, xs))
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one: parse_args returns a fresh Namespace each time."""
     ap = argparse.ArgumentParser(
         prog="fracwave",
         description="Fundamental solution of the multi-dimensional fractional "
@@ -206,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--method", choices=("closed", "spectral", "integral", "mellin"))
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("profile", help="CSV radial or time profile")
     p.add_argument("--alpha", type=float, required=True)
@@ -220,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--method", choices=("closed", "spectral", "integral", "mellin"))
     p.add_argument("--out", required=True, help="output CSV path ('-' = stdout)")
-    p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("velocity", help="CSV velocity curve over alpha")
     p.add_argument("--dim", type=int, required=True, choices=(1, 3))
@@ -229,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=91)
     p.add_argument("--which", choices=("phase", "gravity"), default="phase")
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-    p.set_defaults(fn=cmd_velocity)
 
     p = sub.add_parser("crosscheck", help="compare all evaluation routes on a grid")
     p.add_argument("--alpha", type=float, required=True)
@@ -237,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(fn=cmd_crosscheck)
 
     p = sub.add_parser("moments", help="moment formulas with optional numeric check")
     p.add_argument("--alpha", type=float, required=True)
@@ -245,23 +254,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--check-numeric", action="store_true", dest="check_numeric")
-    p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("solve1d", help="1D initial-value problem by Green convolution")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--phi", required=True, help="input CSV with header x,phi")
     p.add_argument("--out", required=True, help="output CSV path ('-' = stdout)")
-    p.set_defaults(fn=cmd_solve1d)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up per call, so a wrapper installed on cmd_* after the
+        # parser was built is still the function that runs
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

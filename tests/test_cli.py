@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, CSV round-trips."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import fracwave
+from fracwave import cli
 from fracwave.cli import _write_csv, main
 from fracwave.closed_form import g1, g3
 from fracwave.mellin_barnes import g_mellin_barnes
@@ -29,6 +31,75 @@ def test_cli_import_leaves_scipy_integrate_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+class TestSharedParser:
+    """One parser serves every main call of a process."""
+
+    def test_built_once_on_first_call_not_at_import(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(fracwave.__file__).parent.parent))
+        probe = "\n".join([
+            "import argparse, contextlib, io",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting(self, *a, **k):",
+            "    built.append(1)",
+            "    init(self, *a, **k)",
+            "argparse.ArgumentParser.__init__ = counting",
+            "from fracwave.cli import main",
+            "counts = [len(built)]",
+            "for _ in range(3):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        main(['eval', '--alpha', '1.5', '--dim', '1', '--r', '1', '--t', '1'])",
+            "    counts.append(len(built))",
+            "print(*counts)",
+        ])
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        before, first, *later = map(int, out.split())
+        assert before == 0
+        assert first > 0 and later == [first, first]
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_command_looked_up_at_call_time(self, capsys, monkeypatch):
+        argv = ("eval", "--alpha", "1.5", "--dim", "1", "--r", "1", "--t", "1")
+        assert run(capsys, *argv)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.r) or 0)
+        assert run(capsys, *argv) == (0, "", "")
+        assert seen == [1.0]
+
+    @pytest.mark.parametrize("first,second", [
+        (("profile", "--alpha", "1.5", "--dim", "2", "--t", "1", "--rmin", "0.4",
+          "--rmax", "1.2", "--points", "4", "--out", "-", "--method", "mellin"),
+         ("profile", "--alpha", "1.5", "--dim", "2", "--t", "1", "--rmin", "0.4",
+          "--rmax", "1.2", "--points", "4", "--out", "-")),
+        (("eval", "--alpha", "1.5", "--dim", "3", "--r", "0.7", "--t", "1",
+          "--method", "integral"),
+         ("eval", "--alpha", "1.5", "--dim", "3", "--r", "0.7", "--t", "1")),
+    ])
+    def test_no_option_leaks_between_calls(self, capsys, first, second):
+        # each call's output on a freshly built parser is the reference
+        fresh = {}
+        for argv in (first, second):
+            cli._build_parser.cache_clear()
+            fresh[argv] = run(capsys, *argv)
+        assert fresh[first] != fresh[second]  # the default method is not the explicit one
+        for argv in (first, second, first, second):
+            assert run(capsys, *argv) == fresh[argv]
+
+    def test_usage_error_and_help_after_a_call(self, capsys):
+        argv = ("eval", "--alpha", "1.5", "--dim", "1", "--r", "1", "--t", "1")
+        assert run(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--alpha", "1.5", "--dim", "4", "--r", "1", "--t", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert run(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--help"])
+        assert exc.value.code == 0
+        assert "--fixed-r" in capsys.readouterr().out
 
 
 class TestEval:
@@ -335,6 +406,22 @@ class TestCrosscheck:
             line = next(l for l in out.splitlines() if l.startswith(pair + ":"))
             assert float(line.rsplit("=", 1)[1]) <= 1.0
 
+    @pytest.mark.parametrize("dim,route", [(1, g1), (3, g3)])
+    def test_spectral_route_is_compared(self, capsys, monkeypatch, dim, route):
+        # a spectral value off by 1e-3 of the closed form must fail the check
+        real = cli.quadrature.g_spectral
+
+        def off(alpha, n, r, t):
+            res = real(alpha, n, r, t)
+            return dataclasses.replace(res, value=res.value + 1e-3 * np.abs(route(alpha, r, t)))
+
+        argv = ("crosscheck", "--alpha", "1.5", "--dim", str(dim), "--t", "1", "--points", "3")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli.quadrature, "g_spectral", off)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "FAIL" in out
+
     def test_unreachable_tolerance_exit_1(self, capsys):
         code, out, _ = run(capsys, "crosscheck", "--alpha", "1.5", "--dim", "1",
                            "--t", "1", "--points", "2", "--tol", "1e-30")
@@ -415,6 +502,20 @@ class TestSolve1d:
                            "--phi", str(phi), "--out", "-")
         assert code == 2
         assert "phi file must be a CSV with header x,phi" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("x,phi\n", "has no data rows"),
+        ("x,phi\n1.0,\n2.0,1.0\n", "cannot read phi file"),
+    ])
+    def test_empty_phi_data_exit_2(self, capsys, tmp_path, recwarn, text, message):
+        phi = tmp_path / "phi.csv"
+        phi.write_text(text)
+        code, out, err = run(capsys, "solve1d", "--alpha", "1.5", "--t", "1",
+                             "--phi", str(phi), "--out", "-")
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not recwarn.list
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         phi = tmp_path / "phi.csv"
