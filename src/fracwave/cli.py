@@ -137,8 +137,10 @@ def cmd_velocity(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     check_positive("--tol", args.tol)
+    check_positive("--t", args.t)
     _check_count("--points", args.points)
-    rs = np.geomspace(0.3 * args.t, 3.0 * args.t, args.points)
+    with np.errstate(over="ignore", invalid="ignore"):  # 3 t = inf: the routes' r check raises
+        rs = np.geomspace(0.3 * args.t, 3.0 * args.t, args.points)
 
     def route(method):
         return _evaluate(args.alpha, args.dim, rs, args.t, method)

@@ -55,14 +55,9 @@ _STEP_TOL = 1e-10
 
 
 def _log_sin(z: np.ndarray) -> np.ndarray:
-    """log sin z up to a multiple of 2 pi i, without overflow at large |Im z|:
-    log(i/2) - i z + log(1 - e^(2iz)) for Im z >= 0, its conjugate below."""
-    lower = np.imag(z) < 0.0
-    if not np.any(lower):  # the contour's nodes: no reflection needed
-        return _LOG_HALF_I - 1j * z + np.log(-np.expm1(2j * z))
-    w = np.where(lower, np.conj(z), z)
-    out = _LOG_HALF_I - 1j * w + np.log(-np.expm1(2j * w))
-    return np.where(lower, np.conj(out), out)
+    """log sin z up to a multiple of 2 pi i, without overflow at large Im z >= 0:
+    log(i/2) - i z + log(1 - e^(2iz))."""
+    return _LOG_HALF_I - 1j * z + np.log(-np.expm1(2j * z))
 
 
 def _log_kernel_terms(alpha: float, n: int, s: np.ndarray | complex) -> tuple[np.ndarray, ...]:
@@ -87,6 +82,8 @@ def mb_kernel(alpha: float, n: int, s: complex) -> complex:
     check_window(alpha, 1.0, 2.0, lo_open=True)
     s = complex(s)
     check_finite("s", s, exc=InvalidInput)
+    if s.imag < 0.0:  # Schwarz reflection: _log_sin serves Im s >= 0 only
+        return mb_kernel(alpha, n, s.conjugate()).conjugate()
     if s.imag != 0.0:
         value = complex(np.exp(sum(_log_kernel_terms(alpha, n, s))))
         check_finite("the kernel", value)

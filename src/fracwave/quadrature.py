@@ -9,14 +9,14 @@ points at once (see its docstring), and the oscillatory quadrature
 g_integral, point by point.  For 1 < alpha < 2,
 E_alpha(-(tau t)^alpha) is a damped oscillating pair (2/alpha) Re exp(-p tau),
 p = -t e^{i pi/alpha}, plus a completely monotone branch-cut part, which is
-how special.ml_neg computes it.  Against the kernel (cos for n = 1, tau J_0
-for n = 2, tau sin for n = 3) the pair has a closed-form Laplace transform,
-which both routes add; g_integral integrates E_alpha minus the pair.  That
-integral is split at the zeros of the kernel (McMahon's leading term for
-those of J_0), each lobe is integrated by the GK15 rule on a geometric mesh
-of cells (graded towards the branch point at tau = 0 in lobe 0), and the
-lobe series, which alternates in sign from lobe 0, is summed by Wynn's
-epsilon algorithm.
+how special.ml_neg computes it.  Both are mixtures of exp(-s tau), so their
+parts of G are mixtures of the Poisson kernel P_n(r, s), one formula for every
+n (g_spectral).  Both routes add the pair's part in closed form; g_integral integrates E_alpha minus the pair against its
+kernel (cos for n = 1, tau J_0 for n = 2, tau sin for n = 3), split at the
+zeros of the kernel (McMahon's leading term for those of J_0).  Each lobe is
+integrated by the GK15 rule on a geometric mesh of cells (graded towards the
+branch point at tau = 0 in lobe 0), and the lobe series, which alternates in
+sign from lobe 0, is summed by Wynn's epsilon algorithm.
 
 g_integral's error estimate combines the acceleration increments, the cell
 error estimates, and the rounding of the per-node subtraction and of the
@@ -154,11 +154,11 @@ def _pair_transform(alpha: float, n: int, r, t) -> tuple[np.ndarray, np.ndarray]
     """The damped pair's part of G and its rounding bound, at r and t that
     broadcast together.
 
-    The part is pref (2/alpha) Re L, with L the Laplace transform of the
-    kernel at p = -t e^{i pi/alpha}: p/q, p/q^(3/2) and 2 p r/q^2 for
-    n = 1, 2, 3, q = p^2 + r^2.  Im q < 0, so the principal branch is the
+    The part is (2/alpha) Re P_n(r, p), P_n the Poisson kernel (g_spectral) at
+    p = -t e^{i pi/alpha}: c_n p/(t^n q^((n+1)/2)) with p and q = p^2 + r^2 in
+    units of t and t^2.  Im q < 0, so the principal branch is the
     continuation from real p.  Near alpha = 2 and r = t, q cancels; it is
-    formed from the exact r - t and 2 - alpha, in units of t^2, as
+    formed from the exact r - t and 2 - alpha as
     q = (r - t)(r + t) - 2i t^2 sin(d) e^{i d}, d = pi (2 - alpha)/(2 alpha).
     At alpha = 1 there is no pair.
     """
@@ -167,16 +167,15 @@ def _pair_transform(alpha: float, n: int, r, t) -> tuple[np.ndarray, np.ndarray]
         return zero, zero
     d = 0.5 * math.pi * (2.0 - alpha) / alpha
     p = complex(math.sin(d), -math.cos(d))
+    power = 0.5 * (n + 1)
     with np.errstate(all="ignore"):  # the callers check that both are finite
         u = np.subtract(r, t) / t * (np.add(r, t) / t)
         q = u - 2j * math.sin(d) * cmath.exp(1j * d)
-        power = (1.0, 1.5, 2.0)[n - 1]
-        big_l = (p, p, 2.0 * p * (r / t))[n - 1] / q ** power / (t if n == 1 else t * t)
+        big_p = 2.0 / alpha * math.gamma(power) / math.pi ** power * p / q ** power / np.power(t, n)
         # Each part of q is formed to a few eps, and q^power amplifies q's
         # relative error power-fold.
         q_rel = 4.0 * _EPS * (np.abs(u) + 2.0 * math.sin(d)) / np.abs(q)
-        scale = 2.0 / alpha * _prefactor(n, r)
-        return scale * big_l.real, scale * np.abs(big_l) * (8.0 * _EPS + power * q_rel)
+        return big_p.real, np.abs(big_p) * (8.0 * _EPS + power * q_rel)
 
 
 def _spectral_mesh(alpha: float, rho_lo: float,
@@ -243,21 +242,24 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
         w(rho) = sin(pi alpha)/pi * rho^(alpha-1)
                  / ((rho^alpha + cos(pi alpha))^2 + sin(pi alpha)^2),
 
-    and the tau-integral taken first, in closed form for both parts:
+    and the tau-integral taken first, in closed form for both parts.  Each is a
+    mixture of e^(-s tau), whose n-dimensional inverse Fourier transform is the
+    Poisson kernel P_n(r, s) (Stein & Weiss, "Introduction to Fourier Analysis
+    on Euclidean Spaces", 1971, ch. II), so that
 
-        G = pref (2/alpha) Re L_n(p) + pref int_0^inf w(rho) L_n(rho t) drho,
+        G = (2/alpha) Re P_n(r, p) + int_0^inf w(rho) P_n(r, rho t) drho,
+        P_n(r, s) = c_n s / (s^2 + r^2)^((n+1)/2),  c_n = Gamma((n+1)/2) / pi^((n+1)/2).
 
-    with L_1(s) = s/q, L_2(s) = s/q^(3/2), L_3(s) = 2 s r/q^2, q = s^2 + r^2.
     The first term is _pair_transform; the second is a real integral that does
     not oscillate, on one GK15 mesh (_spectral_mesh) that all points share.  At
-    alpha = 1 (n = 1 only) w is a delta at rho = 1 and G = L_1(t)/pi.
+    alpha = 1 (n = 1 only) w is a delta at rho = 1 and G = P_1(r, t).
 
     r and t are scalars or arrays that broadcast together; scalar input gives
     float value and est_error, array input arrays of the broadcast shape.  The
     est_error sums the per-cell |K15 - G7|, the pair's rounding bound, 8 eps
-    times sum |w L_n| and analytic bounds on the two tails past the mesh
+    times sum |w P_n| and analytic bounds on the two tails past the mesh
     (w <= 2 |sin(pi alpha)|/pi rho^(alpha-1) below it, 4 |sin(pi alpha)|/pi
-    rho^(-alpha-1) above it).  r = 0 gives g_origin for n = 1 and raises
+    rho^(-alpha-1) above it; P_n(r, s) <= c_n r^(-n) min(s/r, (s/r)^(-n))).  r = 0 gives g_origin for n = 1 and raises
     OriginDivergence for n >= 2; a value or a mesh outside the double range
     raises NonConvergence.
     """
@@ -283,22 +285,20 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
         branch, cell_err = np.empty(rho.size), np.empty(rho.size)
         step = max(1, _BLOCK // nodes.size)
         for i in range(0, rho.size, step):
-            # L_n(rho t) = r^(-k) f_n(x) with x = rho t / r, k = 1 for n = 1, else 2
-            with np.errstate(over="ignore", invalid="ignore"):  # q = inf: f_n = 0, its limit
+            # P_n(r, rho t) = c_n r^(-n) f(x), f(x) = x / (x^2 + 1)^((n+1)/2), x = rho t / r
+            with np.errstate(over="ignore", invalid="ignore"):  # x^2 = inf: f = 0, its limit
                 x = nodes / rho[i:i + step, None]
-                q = x * x + 1.0
-                f = x / q if n == 1 else (x / q ** 1.5 if n == 2 else 2.0 * x / (q * q))
+                f = x / (x * x + 1.0) ** (0.5 * (n + 1))
             branch[i:i + step] = np.einsum("pj,j->p", f, w)
             cell_err[i:i + step] = np.abs(
                 np.einsum("pcj,cj->pc", f.reshape(f.shape[0], *d.shape), d)).sum(axis=1)
-        c_n = 2.0 if n == 3 else 1.0
         s_abs = abs(_cos_sin_pi(alpha)[1]) / math.pi
-        tails = c_n * s_abs * (2.0 * lo ** (alpha + 1.0) / ((alpha + 1.0) * rho)
-                               + 4.0 * (rho / hi) ** n * hi ** -alpha / (alpha + n))
+        tails = s_abs * (2.0 * lo ** (alpha + 1.0) / ((alpha + 1.0) * rho)
+                         + 4.0 * (rho / hi) ** n * hi ** -alpha / (alpha + n))
         pair, pair_err = _pair_transform(alpha, n, rs, ts)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-            scale = _prefactor(n, rs) / rs ** (1 if n == 1 else 2)
-            # Every weight carries the sign of sin(pi alpha) and f_n >= 0,
+            scale = math.gamma(0.5 * (n + 1)) / math.pi ** (0.5 * (n + 1)) / rs ** n
+            # Every weight carries the sign of sin(pi alpha) and f >= 0,
             # so |branch| is also the sum of the magnitudes.
             value[~origin] = pair + scale * branch
             est[~origin] = pair_err + scale * (cell_err + 8.0 * _EPS * np.abs(branch) + tails)

@@ -25,12 +25,14 @@ def run(capsys, *argv):
 
 
 def test_cli_import_leaves_scipy_integrate_out():
-    # scipy.integrate adds ~0.2 s to every start; only moment_numeric needs it.
+    # scipy.integrate adds ~0.2 s to every start and only moment_numeric needs
+    # it; mpmath, scipy.optimize and scipy.sparse are not needed at import either.
     env = dict(os.environ, PYTHONPATH=str(Path(fracwave.__file__).parent.parent))
-    probe = "import sys, fracwave.cli; print('scipy.integrate' in sys.modules)"
+    heavy = ("scipy.integrate", "mpmath", "scipy.optimize", "scipy.sparse")
+    probe = f"import sys, fracwave.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 class TestSharedParser:
@@ -430,13 +432,22 @@ class TestCrosscheck:
 
     @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"),
                                             ("--tol", "inf"), ("--points", "0"),
-                                            ("--points", "-3")])
+                                            ("--points", "-3"), ("--t", "0"), ("--t", "-1"),
+                                            ("--t", "inf"), ("--t", "nan")])
     def test_bad_input_exit_2(self, capsys, flag, value):
         code, out, err = run(capsys, "crosscheck", "--alpha", "1.5", "--dim", "1",
                              "--t", "1", flag, value)
         assert code == 2
         assert out == ""
         assert flag in err
+
+    def test_overflowing_grid_exit_2(self, capsys):
+        # 3 t = inf: the grid is formed without a numpy warning and r is rejected
+        code, out, err = run(capsys, "crosscheck", "--alpha", "1.5", "--dim", "1",
+                             "--t", "1e308")
+        assert code == 2
+        assert out == ""
+        assert "r must be finite" in err
 
 
 class TestMoments:

@@ -4,6 +4,7 @@ honesty, origin behavior, and the 1D initial-value solver."""
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from fracwave.quadrature import (
     _integrate,
     _lobe_edge,
     _make_integrand,
+    _pair_transform,
     g_integral,
     g_origin,
     solve_ivp_1d,
@@ -130,6 +132,26 @@ class TestLobeStructure:
     def test_est_within_configured_tolerance(self):
         res = g_integral(1.5, 1, 1.0, 1.0, tol=1e-7)
         assert res.est_error <= max(1e-7, 1e-7 * abs(res.value))
+
+
+class TestPairTransform:
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9, 1.999, 1.9999])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_within_rounding_bound_of_40_digits(self, n, alpha):
+        # (2/alpha) Re P_n(r, p), P_n(r, s) = c_n s / (s^2 + r^2)^((n+1)/2) the
+        # Poisson kernel, p = -t e^(i pi/alpha); q = p^2 + r^2 cancels near
+        # alpha = 2 and r = t
+        with mpmath.workdps(40):
+            power = mpmath.mpf(n + 1) / 2
+            c_n = mpmath.gamma(power) / mpmath.pi ** power
+            for t in (1.0, 0.7):
+                p = -t * mpmath.expjpi(1 / mpmath.mpf(alpha))
+                for ratio in (0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 3.0):
+                    r = ratio * t
+                    q = p * p + mpmath.mpf(r) ** 2
+                    ref = 2 / mpmath.mpf(alpha) * mpmath.re(c_n * p / q ** power)
+                    value, bound = map(float, _pair_transform(alpha, n, r, t))
+                    assert abs(value - float(ref)) <= bound
 
 
 class TestSmallRadius:
