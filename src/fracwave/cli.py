@@ -166,10 +166,13 @@ def cmd_crosscheck(args) -> int:
         ok = max_abs <= args.tol
         print(f"tolerance={args.tol:.6e} -> {'PASS' if ok else 'FAIL'}")
     else:
+        # all routes can underflow to 0 with est_error 0: 0/0 agrees, d/0 does not
+        ratio = np.divide(diff, combined, out=np.where(diff > 0.0, np.inf, 0.0),
+                          where=combined > 0.0)
         for k, (a, b) in enumerate(pairs):
             part = slice(k * rs.size, (k + 1) * rs.size)
             print(f"{a} vs {b}: max |diff|/(sum of est_errors)="
-                  f"{float(np.max(diff[part] / combined[part], initial=0.0)):.3f}")
+                  f"{float(np.max(ratio[part], initial=0.0)):.3f}")
         ok = bool(np.all(diff <= combined))
         print(f"combined-estimate check -> {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED

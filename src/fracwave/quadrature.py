@@ -6,21 +6,23 @@
 the spectral route g_spectral, which takes the tau-integral in closed form
 and leaves one non-oscillatory integral over the branch cut of E_alpha, all
 points at once (see its docstring), and the oscillatory quadrature
-g_integral, point by point.  For 1 < alpha < 2,
+g_integral, one point per call.  For 1 < alpha < 2,
 E_alpha(-(tau t)^alpha) is a damped oscillating pair (2/alpha) Re exp(-p tau),
 p = -t e^{i pi/alpha}, plus a completely monotone branch-cut part, which is
 how special.ml_neg computes it.  Both are mixtures of exp(-s tau), so their
 parts of G are mixtures of the Poisson kernel P_n(r, s), one formula for every
-n (g_spectral).  Both routes add the pair's part in closed form; g_integral integrates E_alpha minus the pair against its
-kernel (cos for n = 1, tau J_0 for n = 2, tau sin for n = 3), split at the
-zeros of the kernel (McMahon's leading term for those of J_0).  Each lobe is
-integrated by the GK15 rule on a geometric mesh of cells (graded towards the
-branch point at tau = 0 in lobe 0), and the lobe series, which alternates in
-sign from lobe 0, is summed by Wynn's epsilon algorithm.
+n (g_spectral).  Both routes add the pair's part in closed form.  g_integral
+integrates E_alpha minus the pair (special._ml_neg_minus_pair, on whole
+arrays of nodes in ml_neg's regimes) against its kernel (cos for n = 1,
+tau J_0 for n = 2, tau sin for n = 3), split at the zeros of the kernel
+(McMahon's leading term for those of J_0).  Each lobe is integrated by the
+GK15 rule on a geometric mesh of cells (graded towards the branch point at
+tau = 0 in lobe 0), and the lobe series, which alternates in sign from
+lobe 0, is summed by Wynn's epsilon algorithm.
 
 g_integral's error estimate combines the acceleration increments, the cell
-error estimates, and the rounding of the per-node subtraction and of the
-closed-form term.
+error estimates, the per-node rounding bound of E_alpha minus the pair,
+4 eps (|E_alpha| + |pair|), and the rounding of the closed-form term.
 """
 
 from __future__ import annotations
@@ -36,14 +38,19 @@ from .errors import (InvalidInput, NonConvergence, OriginDivergence, check_dimen
                      check_finite, check_positive, check_window)
 from scipy.special import j0 as _bessel_j0
 
-from .special import (_EPS, _SPIKE_V_HI, _branch_cut_weight, _cos_sin_pi, _exp_pair, _gk15_cells,
-                      _inverse_power_terms, _spike_zone, asymptotic_cutoff, ml_neg)
+from .special import (_EPS, _SPIKE_V_HI, _branch_cut_weight, _cos_sin_pi, _gk15_cells,
+                      _inverse_power_terms, _ml_neg_minus_pair, _spike_zone, asymptotic_cutoff)
 
 # Order of the Wynn epsilon acceleration: each estimate uses the last
 # 2 * _ACCEL_ORDER + 1 partial sums of the lobe series.
 _ACCEL_ORDER = 8
 # Most lobes g_integral sums before it raises NonConvergence.
 _MAX_LOBES = 10_000
+# Lobes g_integral sums before its first acceleration.  Its stop rule
+# compares three accelerations, so it sums at least _FIRST_ACCEL + 2 lobes,
+# and it integrates those in one call of the integrand.
+_FIRST_ACCEL = max(6, _ACCEL_ORDER)
+_FIRST_LOBES = _FIRST_ACCEL + 2
 # Entries of one (points x nodes) temporary of the spectral route and the contour.
 _BLOCK = 1 << 20
 
@@ -105,14 +112,25 @@ def _cells(t: float, a: float, b: float) -> np.ndarray:
     return np.geomspace(a, b, math.ceil(math.log2(b / a)) + 1)
 
 
-def _integrate(f, edges: np.ndarray) -> tuple[float, float]:
-    """GK15 over every cell of a mesh, with one call of the vectorized f on
-    all nodes; returns (value, error), the error being the sum over the cells
-    of |K15 - G7| plus the K15 sum of the per-node rounding bound f reports."""
-    x, w, d = _gk15_cells(edges)
+def _integrate_lobes(f, meshes) -> tuple[np.ndarray, np.ndarray]:
+    """GK15 over every cell of consecutive meshes (each one's first edge the
+    last edge of the one before), with one call of the vectorized f on all
+    nodes; returns each mesh's value and error, the error being the sum over
+    its cells of |K15 - G7| plus the K15 sum of the per-node rounding bound f
+    reports."""
+    x, w, d = _gk15_cells(np.concatenate([meshes[0]] + [m[1:] for m in meshes[1:]]))
     fx, rounding = f(x.ravel())
-    fx = fx.reshape(x.shape)
-    return float(np.vdot(w, fx)), float(np.abs((d * fx).sum(axis=1)).sum() + np.vdot(w, rounding))
+    fx, rounding = fx.reshape(x.shape), rounding.reshape(x.shape)
+    starts = np.cumsum([0] + [m.size - 1 for m in meshes[:-1]])
+    values = np.add.reduceat((w * fx).sum(axis=1), starts)
+    errors = np.add.reduceat(np.abs((d * fx).sum(axis=1)) + (w * rounding).sum(axis=1), starts)
+    return values, errors
+
+
+def _integrate(f, edges: np.ndarray) -> tuple[float, float]:
+    """GK15 over every cell of one mesh (_integrate_lobes): (value, error)."""
+    values, errors = _integrate_lobes(f, [edges])
+    return float(values[0]), float(errors[0])
 
 
 def _prefactor(n: int, r: float) -> float:
@@ -123,29 +141,28 @@ def _prefactor(n: int, r: float) -> float:
 
 def _make_integrand(alpha: float, n: int, r: float, t: float, ml_tol: float):
     """Vectorized integrand of the radial representation with the damped
-    pair subtracted, including the prefactor.  Returns its values and a
-    per-node bound on the rounding of the subtraction.
+    pair taken out, including the prefactor.  Returns its values and a
+    per-node bound on their rounding.
 
-    The pair subtracted is the one ml_neg's regimes add (special._exp_pair at
-    the same x and tol), so the rounding of its phase cancels.
+    E_alpha minus the pair comes from special._ml_neg_minus_pair in one call
+    over all nodes, in the regimes ml_neg chooses at ml_tol: the Taylor sum
+    minus the pair at x <= 1 (and x <= 2 where the sum is the fallback), and
+    the branch-cut integral or the inverse-power sum, which the pair is not
+    added to, above.
     """
     pref = _prefactor(n, r)
-    pair_at_0 = 2.0 / alpha if alpha > 1.0 else 0.0
 
     def f(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ml = np.empty_like(taus)
-        pair = np.empty_like(taus)
-        with np.errstate(over="ignore", invalid="ignore"):  # both checked below
+        with np.errstate(over="ignore"):  # checked below
             xs = (taus * t) ** alpha
-            check_finite("(tau t)^alpha on the radial mesh", xs)
-            for i, x in enumerate(xs):
-                ml[i] = ml_neg(alpha, x, ml_tol).value
-                pair[i] = _exp_pair(alpha, x, ml_tol)[0] if x > 0.0 else pair_at_0
+        check_finite("(tau t)^alpha on the radial mesh", xs)
+        reduced, rounding = _ml_neg_minus_pair(alpha, xs, ml_tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
             kern = pref * (np.cos(taus * r) if n == 1 else
                            taus * (_bessel_j0(taus * r) if n == 2 else np.sin(taus * r)))
-            values = (ml - pair) * kern
+            values = reduced * kern
         check_finite("the radial integrand", values)
-        return values, 4.0 * _EPS * (np.abs(ml) + np.abs(pair)) * np.abs(kern)
+        return values, rounding * np.abs(kern)
 
     return f
 
@@ -319,6 +336,9 @@ def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> Q
     exceed the target alone and raise NonConvergence.  g_spectral, with no
     tolerance to set, is within 1e-9 relative or better.
 
+    Every call sums at least _FIRST_LOBES lobes; their cells are integrated
+    in one call of the integrand, later lobes one at a time.
+
     Raises OriginDivergence for r = 0 with n >= 2 and NonConvergence once the
     error that no further lobe can lower exceeds the target, or after
     _MAX_LOBES lobes.
@@ -337,18 +357,20 @@ def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> Q
     f = _make_integrand(alpha, n, r, t, ml_tol)
     pair, fixed_err = map(float, _pair_transform(alpha, n, r, t))
     check_finite("the damped pair's part of G or its rounding bound", pair, fixed_err)
-    # fixed_err, which only grows: closed-form rounding, cell errors, subtraction rounding
+    # fixed_err, which only grows: closed-form rounding, cell errors, integrand rounding
     partials: list[float] = []
     accel_hist: list[float] = []
-    a = 0.0
+    edges = [0.0] + [_lobe_edge(n, r, k) for k in range(_FIRST_LOBES)]
+    first = zip(*_integrate_lobes(f, [_cells(t, a, b) for a, b in zip(edges, edges[1:])]))
     window = 2 * _ACCEL_ORDER + 1
     for k in range(_MAX_LOBES):
-        b = _lobe_edge(n, r, k)
-        v, e = _integrate(f, _cells(t, a, b))
-        fixed_err += e
-        a = b
-        partials.append((partials[-1] if partials else 0.0) + v)
-        if len(partials) < max(6, window // 2):
+        if k < _FIRST_LOBES:
+            v, e = next(first)
+        else:
+            v, e = _integrate(f, _cells(t, _lobe_edge(n, r, k - 1), _lobe_edge(n, r, k)))
+        fixed_err += float(e)
+        partials.append((partials[-1] if partials else 0.0) + float(v))
+        if len(partials) < _FIRST_ACCEL:
             continue
         evens = _wynn_epsilon(partials[-window:])
         accel = evens[-1]

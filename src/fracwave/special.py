@@ -21,6 +21,11 @@ the fractional wave propagator in Fourier space.  Three regimes are used:
                        once that truncation floor ~exp(-x^(1/alpha)) is
                        below tolerance.
 
+Every regime takes a scalar or an array x, each element summed or cut on
+its own.  ml_neg evaluates one x; _ml_neg_minus_pair serves the radial
+integral: a whole array of nodes in ml_neg's regimes, with the damped pair
+taken out.
+
 The orders are those of the fractional wave equation, 1 <= alpha <= 2.
 Every path works in double precision and returns an error estimate.  A
 tolerance that the regimes cannot meet raises NonConvergence: below 1e-13 for
@@ -73,69 +78,96 @@ def asymptotic_cutoff(alpha: float, tol: float = DEFAULT_TOL) -> float:
     return max(15.0, (math.log(20.0) - math.log(tol)) ** alpha)
 
 
-def _taylor_kahan(alpha: float, x: float) -> tuple[float, float]:
-    """Compensated Taylor summation of E_alpha(-x).
+def _taylor_kahan(alpha: float, x):
+    """Compensated Taylor summation of E_alpha(-x) at a scalar or an array
+    x >= 0, every element stopping on its own.
 
-    Returns (value, est_error); est_error includes the roundoff bound
-    eps * max|term|, which is what invalidates this path for large x.
+    Returns (value, est_error) of x's shape; est_error includes the roundoff
+    bound eps * max|term|, which is what invalidates this path for large x.
+    An element whose next term would overflow, or that is still short of its
+    stop after 10000 terms, gets est_error inf.
     """
-    total = 0.0
-    comp = 0.0
-    max_term = 0.0
-    term = 1.0  # k = 0
-    k = 0
+    x = np.asarray(x, dtype=float)
+    value = np.empty(x.size)
+    est = np.full(x.size, math.inf)
+    live = np.arange(x.size)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: every later term is 0
+        log_x = np.log(x.ravel())
+    s = x.ravel() ** (1.0 / alpha)
+    total, comp, max_term, term = (np.zeros(x.size), np.zeros(x.size),
+                                   np.zeros(x.size), np.ones(x.size))
     lg_prev = 0.0  # log Gamma(1 + alpha*k) at k
-    while True:
+    for k in range(1, 10001):
+        if not live.size:
+            break
         y = term - comp
         t_new = total + y
         comp = (t_new - total) - y
         total = t_new
-        max_term = max(max_term, abs(term))
-        k += 1
-        if k > 10000:
-            return total, math.inf
+        max_term = np.maximum(max_term, np.abs(term))
         lg_next = gammaln(1.0 + alpha * k)
-        log_ratio = math.log(x) + lg_prev - lg_next if x > 0 else -math.inf
-        if log_ratio > _LOG_MAX:
-            return total, math.inf  # term overflow imminent
-        term = -term * math.exp(log_ratio)
+        log_ratio = log_x + lg_prev - lg_next
         lg_prev = lg_next
-        if abs(term) < 1e-18 * (1.0 + abs(total)) and alpha * k > x ** (1.0 / alpha):
-            break
-    est = abs(term) + 4.0 * _EPS * max_term + _EPS * abs(total)
-    return total, est
+        with np.errstate(over="ignore"):  # beyond _LOG_MAX: est inf below
+            term = -term * np.exp(log_ratio)
+        overflow = log_ratio > _LOG_MAX
+        done = overflow | ((np.abs(term) < 1e-18 * (1.0 + np.abs(total))) & (alpha * k > s))
+        if done.any():
+            idx = live[done]
+            value[idx] = total[done]
+            est[idx] = np.where(overflow[done], math.inf, np.abs(term[done])
+                                + 4.0 * _EPS * max_term[done] + _EPS * np.abs(total[done]))
+            keep = ~done
+            live, log_x, s = live[keep], log_x[keep], s[keep]
+            total, comp, max_term, term = total[keep], comp[keep], max_term[keep], term[keep]
+    value[live] = total + term  # not converged: est stays inf
+    return value.reshape(x.shape)[()], est.reshape(x.shape)[()]
 
 
-def _exp_pair(alpha: float, x: float, tol: float) -> tuple[float, float]:
+def _exp_pair_double(alpha: float, x, tol: float):
+    """The oscillatory residue contribution of _exp_pair in double precision
+    at a scalar or an array x >= 0, the error ml_neg's regimes charge for
+    it, and the mask of the elements that _exp_pair evaluates at 30 digits
+    instead (charged eps times the amplitude).  See _exp_pair."""
+    x = np.asarray(x, dtype=float)
+    if alpha <= 1.0:
+        zero = np.zeros(x.shape)
+        return zero, zero, zero.astype(bool)
+    s = x ** (1.0 / alpha)
+    th = math.pi / alpha
+    damp = s * math.cos(th)
+    amp = np.where(damp >= -745.0, (2.0 / alpha) * np.exp(damp), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: s |ln x| -> 0
+        err = amp * _EPS * np.where(x > 0.0, s * (4.0 + np.abs(np.log(x)) / alpha), 0.0)
+    precise = err > 0.1 * tol
+    return amp * np.cos(s * math.sin(th)), np.where(precise, _EPS * amp, err), precise
+
+
+def _exp_pair(alpha: float, x, tol: float):
     """Oscillatory residue contribution (2/alpha) e^{s cos(pi/a)} cos(s sin(pi/a)),
-    s = x^(1/alpha), and its rounding error.  Exact for 1 < alpha <= 2; 0 at
-    alpha = 1, where the poles e^(+-i pi/alpha) merge at -1.
+    s = x^(1/alpha), and its rounding error, at a scalar or an array x >= 0.
+    Exact for 1 < alpha <= 2; 0 at alpha = 1, where the poles e^(+-i pi/alpha)
+    merge at -1.
 
     In double precision the phase and damping, s sin(pi/alpha) and
     s cos(pi/alpha), carry an absolute rounding error of about
     s (4 + |ln x|/alpha) eps, which the pair's amplitude scales.  Near
     alpha = 2, where the pair is barely damped while s grows, that error can
     approach tol, which no double-precision regime could then meet; above
-    0.1 tol the pair is evaluated at 30 digits instead (~0.1 ms).
+    0.1 tol the pair is evaluated at 30 digits instead (~0.1 ms each).
     """
-    if alpha <= 1.0:
-        return 0.0, 0.0
-    s = x ** (1.0 / alpha)
-    th = math.pi / alpha
-    damp = s * math.cos(th)
-    if damp < -745.0:
-        return 0.0, 0.0
-    amp = (2.0 / alpha) * math.exp(damp)
-    err = amp * _EPS * s * (4.0 + abs(math.log(x)) / alpha)
-    if err <= 0.1 * tol:
-        return amp * math.cos(s * math.sin(th)), err
-    import mpmath as mp
+    value, err, precise = _exp_pair_double(alpha, x, tol)
+    if precise.any():
+        import mpmath as mp
 
-    with mp.workdps(30):
-        a = mp.mpf(alpha)
-        s = mp.mpf(x) ** (1 / a)
-        value = 2 / a * mp.exp(s * mp.cos(mp.pi / a)) * mp.cos(s * mp.sin(mp.pi / a))
-        return float(value), _EPS * amp
+        x, value = np.asarray(x, dtype=float), np.array(value)
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            for i in np.flatnonzero(precise):
+                s = mp.mpf(float(x.flat[i])) ** (1 / a)
+                value.flat[i] = float(2 / a * mp.exp(s * mp.cos(mp.pi / a))
+                                      * mp.cos(s * mp.sin(mp.pi / a)))
+    return value[()], err[()]
 
 
 # The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk15): the one panel
@@ -338,8 +370,13 @@ def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
     return _BranchCutRule(g, w, d, r_end, 4.0 * abs(pref) / (alpha * r_end ** alpha))
 
 
-def _branch_cut_integral(alpha: float, x: float, tol: float) -> tuple[float, float]:
-    """Branch-cut part of E_alpha(-x): the completely monotone Laplace integral
+# Entries of one (points x rule nodes) temporary of the branch-cut integral.
+_BRANCH_CUT_BLOCK = 1 << 16
+
+
+def _branch_cut_integral(alpha: float, x, tol: float):
+    """Branch-cut part of E_alpha(-x), at a scalar or an array x > 0: the
+    completely monotone Laplace integral
 
         sin(pi*alpha)/pi * int_0^inf e^{-r x^(1/alpha)} r^(alpha-1) / D(r) dr,
         D(r) = (r^alpha + cos(pi*alpha))^2 + sin(pi*alpha)^2.
@@ -349,30 +386,45 @@ def _branch_cut_integral(alpha: float, x: float, tol: float) -> tuple[float, flo
     v = r^alpha + cos(pi*alpha), v = |sin(pi*alpha)| tan(phi), which resolves
     it exactly; the outer zones are smooth.
 
-    The quadrature rule depends on (alpha, tol) only (_branch_cut_rule); the
-    error estimate sums the per-panel |K15 - G7| at this x, the bound on the
-    truncated tail, and the roundoff.
+    The quadrature rule depends on (alpha, tol) only (_branch_cut_rule), so
+    the x-dependence is one exponential of the product of the x^(1/alpha)
+    and the rule nodes, formed in blocks of at most _BRANCH_CUT_BLOCK
+    entries.  The error estimate sums the per-panel |K15 - G7| at each x,
+    the bound on the truncated tail, and the roundoff.
     """
     rule = _branch_cut_rule(alpha, tol)
-    if math.log(x) / alpha + math.log(rule.r_end) > _LOG_MAX:
-        raise NonConvergence(f"x^(1/alpha) r_end exceeds the double range at alpha={alpha}, x={x}")
-    tt = x ** (1.0 / alpha)
-    decay = np.exp(-tt * rule.g)
+    x = np.asarray(x, dtype=float)
+    too_far = np.log(x) / alpha + math.log(rule.r_end) > _LOG_MAX
+    if too_far.any():
+        raise NonConvergence("x^(1/alpha) r_end exceeds the double range at "
+                             f"alpha={alpha}, x={x[too_far].flat[0]}")
+    tt = x.ravel() ** (1.0 / alpha)
+    value, cell_err = np.empty(tt.size), np.empty(tt.size)
+    step = max(1, _BRANCH_CUT_BLOCK // rule.g.size)
+    for i in range(0, tt.size, step):
+        decay = np.multiply.outer(-tt[i:i + step], rule.g)
+        np.exp(decay, out=decay)
+        value[i:i + step] = decay.reshape(decay.shape[0], -1) @ rule.w.ravel()
+        cell_err[i:i + step] = np.abs(np.einsum("bpj,pj->bp", decay, rule.d)).sum(axis=1)
     # Every K15 weight carries the sign of sin(pi alpha), so |value| also
     # bounds the sum of the magnitudes.
-    value = float(np.vdot(decay, rule.w))
-    err = float(np.abs((decay * rule.d).sum(axis=1)).sum()) \
-        + rule.tail_scale * math.exp(-tt * rule.r_end) + 4.0 * _EPS * abs(value)
-    return value, err
+    err = cell_err + rule.tail_scale * np.exp(-tt * rule.r_end) + 4.0 * _EPS * np.abs(value)
+    return value.reshape(x.shape)[()], err.reshape(x.shape)[()]
 
 
-def _ml_intermediate(alpha: float, x: float, tol: float) -> tuple[float, float]:
-    """Exact exponential-pair + branch-cut evaluation (any x > 0)."""
-    pair, pair_err = _exp_pair(alpha, x, tol)
+def _intermediate_part(alpha: float, x, tol: float, pair, pair_err):
+    """The branch-cut integral at x, and the est_error of the intermediate
+    regime's value, the integral plus the pair given with its error."""
     bc, err = _branch_cut_integral(alpha, x, tol)
-    value = pair + bc
-    err += 4.0 * _EPS * (abs(pair) + abs(bc)) + pair_err
-    return value, err
+    return bc, err + 4.0 * _EPS * (np.abs(pair) + np.abs(bc)) + pair_err
+
+
+def _ml_intermediate(alpha: float, x, tol: float):
+    """Exact exponential-pair + branch-cut evaluation (any x > 0, a scalar
+    or an array)."""
+    pair, pair_err = _exp_pair(alpha, x, tol)
+    bc, est = _intermediate_part(alpha, x, tol, pair, pair_err)
+    return pair + bc, est
 
 
 # Cap on the length of the inverse-power series.  Short of the envelope
@@ -387,11 +439,11 @@ class _InversePowerTable:
     for one alpha, at k = 1 .. _INV_POWER_MAX_TERMS + 1 (entry k - 1):
     coef, the signed coefficients (-1)^(k+1) / Gamma(1 - alpha k) of x^(-k),
     and log_gamma, log Gamma(alpha k), the x-independent part of the
-    envelope Gamma(alpha k) x^(-k) / pi.  Tuples of floats, because the
-    asymptotic regime reads a few entries at a time."""
+    envelope Gamma(alpha k) x^(-k) / pi.  Read-only float arrays, indexed by
+    k for every x that has not yet reached its cut."""
 
-    coef: tuple
-    log_gamma: tuple
+    coef: np.ndarray
+    log_gamma: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -399,20 +451,24 @@ def _inverse_power_table(alpha: float) -> _InversePowerTable:
     """The inverse-power table of one alpha, built once, lazily, and cached."""
     ks = np.arange(1, _INV_POWER_MAX_TERMS + 2, dtype=float)
     coef = np.where(ks % 2 == 1, 1.0, -1.0) * _scipy_rgamma(1.0 - alpha * ks)
-    return _InversePowerTable(tuple(coef.tolist()), tuple(gammaln(alpha * ks).tolist()))
+    log_gamma = gammaln(alpha * ks)
+    for arr in (coef, log_gamma):
+        arr.flags.writeable = False
+    return _InversePowerTable(coef, log_gamma)
 
 
-def _envelope_minimum(alpha: float, x: float) -> int:
+def _envelope_minimum(alpha: float, x):
     """Where the inverse-power envelope is least, alpha k = x^(1/alpha), at
-    most _INV_POWER_MAX_TERMS (also where x^(1/alpha) would overflow)."""
-    if math.log(x) <= _LOG_MAX * alpha:
-        return min(_INV_POWER_MAX_TERMS, max(1, int(x ** (1.0 / alpha) / alpha)))
-    return _INV_POWER_MAX_TERMS
+    most _INV_POWER_MAX_TERMS (also where x^(1/alpha) would overflow), at a
+    scalar or an array x > 0."""
+    with np.errstate(over="ignore"):  # x^(1/alpha) = inf: the cap
+        k = np.floor(np.asarray(x, dtype=float) ** (1.0 / alpha) / alpha)
+    return np.clip(k, 1, _INV_POWER_MAX_TERMS).astype(int)
 
 
-def _envelope(log_gamma: float, k: int, log_x: float) -> float:
+def _envelope(log_gamma, k, log_x):
     """The envelope Gamma(alpha k) x^(-k) / pi at k, given log Gamma(alpha k)."""
-    return math.exp(min(log_gamma - k * log_x - _LOG_PI, _LOG_MAX))
+    return np.exp(np.minimum(log_gamma - k * log_x - _LOG_PI, _LOG_MAX))
 
 
 def _inverse_power_terms(alpha: float, x: float) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -427,47 +483,67 @@ def _inverse_power_terms(alpha: float, x: float) -> tuple[np.ndarray, np.ndarray
     far above the envelope floor.  k_end is that minimum, at most
     _INV_POWER_MAX_TERMS; twice the envelope at k_end + 1 bounds the
     truncation.  Terms whose factors over- and underflow lie below
-    exp(-171): left out.  _ml_asymptotic sums the same table only as far as
-    its tolerance needs.
+    exp(-171): left out.  _asymptotic_part sums the same table only as far
+    as its tolerance needs.
     """
     table = _inverse_power_table(alpha)
     log_x = math.log(x)
-    k_end = _envelope_minimum(alpha, x)
+    k_end = int(_envelope_minimum(alpha, x))
     ks = np.arange(1, k_end + 1, dtype=float)
     with np.errstate(under="ignore", invalid="ignore", over="ignore"):
-        terms = np.array(table.coef[:k_end]) * np.exp(-ks * log_x)
+        terms = table.coef[:k_end] * np.exp(-ks * log_x)
     finite = np.isfinite(terms)
-    return ks[finite], terms[finite], k_end, _envelope(table.log_gamma[k_end], k_end + 1, log_x)
+    return (ks[finite], terms[finite], k_end,
+            float(_envelope(table.log_gamma[k_end], k_end + 1, log_x)))
 
 
-def _ml_asymptotic(alpha: float, x: float, tol: float) -> tuple[float, float]:
-    """Inverse-power expansion plus the exponential pair.
+def _asymptotic_part(alpha: float, x, tol: float, pair, pair_err):
+    """The inverse-power series of E_alpha(-x) at a scalar or an array
+    x > 1, and the est_error of the asymptotic regime's value, the series
+    plus the pair given with its error.
 
     The terms of _inverse_power_terms are summed, from the cached table, only
-    until the omitted part is below 1e-3 tol.  After term K that part is at
-    most (k_end - K) env(K + 1) + 2 env(k_end + 1): the envelope decreases on
-    [1, k_end], so it bounds each omitted term by env(K + 1), and twice its
-    value past the minimum bounds the optimal remainder.  Near the
-    asymptotic cutoff the envelope ratio is close to 1, so the omitted terms
-    are not a geometric tail.  If the bound stays above 1e-3 tol, the sum
-    runs to k_end and the bound is 2 env(k_end + 1).
+    until the omitted part is below 1e-3 tol, each x cut on its own.  After
+    term K that part is at most (k_end - K) env(K + 1) + 2 env(k_end + 1):
+    the envelope decreases on [1, k_end], so it bounds each omitted term by
+    env(K + 1), and twice its value past the minimum bounds the optimal
+    remainder.  Near the asymptotic cutoff the envelope ratio is close to 1,
+    so the omitted terms are not a geometric tail.  If the bound stays above
+    1e-3 tol, the sum runs to k_end and the bound is 2 env(k_end + 1).
     """
-    pair, pair_err = _exp_pair(alpha, x, tol)
     table = _inverse_power_table(alpha)
-    coef, log_gamma = table.coef, table.log_gamma
-    log_x = math.log(x)
-    k_end = _envelope_minimum(alpha, x)
-    floor = 2.0 * _envelope(log_gamma[k_end], k_end + 1, log_x)
+    x = np.asarray(x, dtype=float)
+    value, omitted = np.empty(x.size), np.empty(x.size)
+    live = np.arange(x.size)
+    log_x = np.log(x.ravel())
+    k_end = _envelope_minimum(alpha, x.ravel())
+    floor = 2.0 * _envelope(table.log_gamma[k_end], k_end + 1, log_x)
     goal = 1e-3 * tol
-    total = 0.0
-    for k in range(1, k_end + 1):
-        term = coef[k - 1] * math.exp(-k * log_x)
-        if math.isfinite(term):
-            total += term
-        omitted = (k_end - k) * _envelope(log_gamma[k], k + 1, log_x) + floor
-        if omitted <= goal:
-            break
-    est = omitted + 4.0 * _EPS * (abs(total) + abs(pair) + abs(coef[0]) / x) + pair_err
+    total = np.zeros(x.size)
+    k = 0
+    while live.size:
+        k += 1
+        with np.errstate(under="ignore", invalid="ignore", over="ignore"):
+            term = table.coef[k - 1] * np.exp(-k * log_x)
+        total += np.where(np.isfinite(term), term, 0.0)
+        bound = (k_end - k) * _envelope(table.log_gamma[k], k + 1, log_x) + floor
+        done = (bound <= goal) | (k == k_end)
+        if done.any():
+            idx = live[done]
+            value[idx], omitted[idx] = total[done], bound[done]
+            keep = ~done
+            live, log_x, k_end, floor, total = (live[keep], log_x[keep], k_end[keep],
+                                                floor[keep], total[keep])
+    value, omitted = value.reshape(x.shape), omitted.reshape(x.shape)
+    est = omitted + 4.0 * _EPS * (np.abs(value) + np.abs(pair) + abs(table.coef[0]) / x) + pair_err
+    return value[()], est[()]
+
+
+def _ml_asymptotic(alpha: float, x, tol: float):
+    """Inverse-power expansion plus the exponential pair, at a scalar or an
+    array x > 1 (_asymptotic_part)."""
+    pair, pair_err = _exp_pair(alpha, x, tol)
+    total, est = _asymptotic_part(alpha, x, tol, pair, pair_err)
     return pair + total, est
 
 
@@ -499,10 +575,8 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
     Every regime works in double precision: a tol below 1e-13 fails for some
     inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
     """
-    # Comparisons first: this is the integral route's per-node call.
-    if not (1.0 <= alpha <= 2.0 and x >= 0.0 and 0.0 < tol < math.inf
-            and (x < math.inf or alpha < 2.0)):
-        check_window(alpha, 1.0, 2.0, hi_open=False, what="Mittag-Leffler order")
+    check_window(alpha, 1.0, 2.0, hi_open=False, what="Mittag-Leffler order")
+    if not (x >= 0.0 and 0.0 < tol < math.inf and (x < math.inf or alpha < 2.0)):
         raise InvalidInput(f"ml_neg requires x >= 0 (finite at alpha = 2: E_2(-x) = "
                            f"cos(sqrt(x)) has no limit) and finite tol > 0, got x={x}, tol={tol}")
     if x == 0.0:
@@ -543,5 +617,53 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
                 regime, value, est = REGIME_SERIES, series_value, series_est
     if est > tol:
         raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, x={x}")
-    return MLResult(value, regime, est)
+    return MLResult(float(value), regime, float(est))
+
+
+def _ml_neg_minus_pair(alpha: float, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """E_alpha(-x) minus its damped pair (_exp_pair) on an array of finite
+    x >= 0 for 1 <= alpha < 2, each element in the regime that
+    ml_neg(alpha, x, tol) chooses for it, and a bound on its rounding.
+
+    Where ml_neg takes the Taylor sum (x <= 1, and the fallback at x <= 2),
+    the value is that sum minus the pair.  Elsewhere it is the branch-cut
+    integral or the inverse-power sum itself: the pair is neither added nor
+    subtracted, and its double-precision value and error only decide the
+    regime, as in ml_neg, so it is never evaluated at 30 digits.  Every
+    rounding bound is that of the subtraction, 4 eps (|E_alpha| + |pair|),
+    which over-covers the rounding of the integral or the sum.  Raises
+    NonConvergence where ml_neg would.
+    """
+    x = np.asarray(x, dtype=float)
+    if alpha == 1.0:
+        # E_1(-x) = exp(-x), as in ml_neg; there is no pair
+        value = np.exp(-x)
+        est = 4.0 * _EPS * (1.0 + value)
+        pair = 0.0
+    else:
+        pair, pair_err, precise = _exp_pair_double(alpha, x, tol)
+        value, est = np.empty(x.shape), np.full(x.shape, math.inf)
+        asym = x >= asymptotic_cutoff(alpha, tol)
+        if asym.any():
+            value[asym], est[asym] = _asymptotic_part(alpha, x[asym], tol, pair[asym],
+                                                      pair_err[asym])
+        series = x <= SERIES_CUTOFF
+        mid = ~series & (est > tol)
+        if mid.any():
+            value[mid], est[mid] = _intermediate_part(alpha, x[mid], tol, pair[mid],
+                                                      pair_err[mid])
+        tried = np.flatnonzero(series | ((est > tol) & (x <= 2.0 * SERIES_CUTOFF)))
+        if tried.size:
+            ml, ml_est = _taylor_kahan(alpha, x[tried])
+            take = series[tried] | (ml_est <= tol)
+            idx, ml = tried[take], ml[take]
+            est[idx] = ml_est[take]
+            if precise[idx].any():
+                pair[idx] = _exp_pair(alpha, x[idx], tol)[0]
+            value[idx] = ml - pair[idx]
+            est[x == 0.0] = 0.0  # E_alpha(0) = 1 exactly, as ml_neg returns it
+    if np.any(est > tol):
+        raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, "
+                             f"x={x[est > tol].flat[0]}")
+    return value, 4.0 * _EPS * (np.abs(value + pair) + np.abs(pair))
 

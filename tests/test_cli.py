@@ -424,6 +424,32 @@ class TestCrosscheck:
         assert code == 1
         assert "FAIL" in out
 
+    @staticmethod
+    def ratios(out):
+        return [float(line.rsplit("=", 1)[1]) for line in out.splitlines() if " vs " in line]
+
+    def test_underflowing_routes_agree(self, capsys):
+        # at t = 1e300 every route's value and est_error underflow to 0
+        code, out, _ = run(capsys, "crosscheck", "--alpha", "1.5", "--dim", "2",
+                           "--t", "1e300", "--points", "2")
+        assert code == 0
+        assert "PASS" in out
+        assert self.ratios(out) == [0.0, 0.0, 0.0]
+
+    def test_difference_without_estimate_fails(self, capsys, monkeypatch):
+        real = cli.quadrature.g_spectral
+
+        def off(alpha, n, r, t):
+            res = real(alpha, n, r, t)
+            return dataclasses.replace(res, value=res.value + 1e-300)
+
+        monkeypatch.setattr(cli.quadrature, "g_spectral", off)
+        code, out, _ = run(capsys, "crosscheck", "--alpha", "1.5", "--dim", "2",
+                           "--t", "1e300", "--points", "2")
+        assert code == 1
+        assert "FAIL" in out
+        assert self.ratios(out) == [0.0, math.inf, math.inf]
+
     def test_unreachable_tolerance_exit_1(self, capsys):
         code, out, _ = run(capsys, "crosscheck", "--alpha", "1.5", "--dim", "1",
                            "--t", "1", "--points", "2", "--tol", "1e-30")

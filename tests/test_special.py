@@ -21,12 +21,15 @@ from fracwave.special import (
 )
 from fracwave.special import (
     _EPS,
+    _asymptotic_part,
+    _branch_cut_integral,
     _branch_cut_rule,
     _exp_pair,
     _inverse_power_table,
     _inverse_power_terms,
     _ml_asymptotic,
     _ml_intermediate,
+    _ml_neg_minus_pair,
     _taylor_kahan,
 )
 
@@ -344,6 +347,90 @@ class TestTolDrivenSum:
         for alpha in np.linspace(1.1, 1.9, maxsize + 3):
             _ml_asymptotic(float(alpha), 500.0, 1e-13)
         assert _inverse_power_table.cache_info().currsize <= maxsize
+
+
+def pair_oracle(alpha, x, dps=40):
+    """The damped pair (2/alpha) e^{s cos(pi/alpha)} cos(s sin(pi/alpha)),
+    s = x^(1/alpha), at dps digits."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        s = mp.mpf(x) ** (1 / a)
+        return float(2 / a * mp.exp(s * mp.cos(mp.pi / a)) * mp.cos(s * mp.sin(mp.pi / a)))
+
+
+class TestArrayKernel:
+    """_ml_neg_minus_pair, the radial integral's integrand: E_alpha(-x)
+    minus its damped pair on a whole array, each element in the regime that
+    the scalar ml_neg chooses for it."""
+
+    ALPHAS = (1.001, 1.05, 1.5, 1.9, 1.999)
+
+    @staticmethod
+    def mixed_xs(alpha, tol, intermediate=True):
+        """x = 0, x <= 1, x in (1, 2], the intermediate range, and x from
+        the asymptotic cutoff on, in one array."""
+        xa = asymptotic_cutoff(alpha, tol)
+        return np.concatenate(([0.0], np.geomspace(1e-3, 1.0, 4), np.linspace(1.1, 2.0, 4),
+                               np.geomspace(3.0, 0.95 * xa, 4 if intermediate else 0),
+                               xa * np.array([1.0, 1.02, 3.0])))
+
+    @staticmethod
+    def own_part(alpha, x, tol):
+        """ml_neg's value without the pair, from the parts of its own regime."""
+        r = ml_neg(alpha, x, tol)
+        pair = _exp_pair(alpha, x, tol)[0]
+        if r.regime == "intermediate":
+            return _branch_cut_integral(alpha, x, tol)[0]
+        if r.regime == "asymptotic":
+            return _asymptotic_part(alpha, x, tol, pair, 0.0)[0]
+        return r.value - pair
+
+    # tol 1e-14 at alpha = 1.05 takes the series fallback on (1, 2], and no
+    # regime attains it on (2, x_a)
+    @pytest.mark.parametrize("alpha,tol,intermediate",
+                             [(a, 1e-13, True) for a in ALPHAS] + [(1.05, 1e-14, False)])
+    def test_every_regime_against_mpmath(self, alpha, tol, intermediate):
+        xs = self.mixed_xs(alpha, tol, intermediate)
+        xa = asymptotic_cutoff(alpha, tol)
+        value, rounding = _ml_neg_minus_pair(alpha, xs, tol)
+        assert value.shape == rounding.shape == xs.shape
+        for x, v, bound in zip(xs.tolist(), value, rounding):
+            assert abs(v - self.own_part(alpha, x, tol)) <= 8.0 * _EPS * abs(v)
+            oracle = ml_asymptotic_oracle(alpha, x) if x >= xa else ml_series_oracle(alpha, x)
+            assert abs(v - (oracle - pair_oracle(alpha, x))) <= tol + bound
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_asymptotic_fallback(self, alpha, monkeypatch):
+        # no tolerance these tests reach makes the asymptotic regime miss it
+        # above the cutoff, so a truncation floor raised by 2 tol below
+        # 1.1 x_a stands in: there both calls fall back to the intermediate
+        # regime
+        tol = 1e-13
+        xa = asymptotic_cutoff(alpha, tol)
+        real = special._asymptotic_part
+
+        def high_floor(alpha, x, tol, pair, pair_err):
+            value, est = real(alpha, x, tol, pair, pair_err)
+            return value, est + np.where(np.asarray(x) < 1.1 * xa, 2.0 * tol, 0.0)
+
+        monkeypatch.setattr(special, "_asymptotic_part", high_floor)
+        xs = xa * np.array([1.0, 1.05, 1.2, 2.0])
+        value, _ = _ml_neg_minus_pair(alpha, xs, tol)
+        assert [ml_neg(alpha, x, tol).regime for x in xs.tolist()] == \
+            ["intermediate", "intermediate", "asymptotic", "asymptotic"]
+        for x, v in zip(xs.tolist(), value):
+            assert abs(v - self.own_part(alpha, x, tol)) <= 8.0 * _EPS * abs(v)
+
+    def test_unreachable_element_raises(self):
+        # at tol 1e-15 the Taylor sum's rounding bound misses at x = 0.5
+        alpha, tol, xs = 1.5, 1e-15, np.array([0.0, 1e4, 0.5])
+        ml_neg(alpha, 0.0, tol)
+        ml_neg(alpha, 1e4, tol)
+        with pytest.raises(NonConvergence):
+            ml_neg(alpha, 0.5, tol)
+        with pytest.raises(NonConvergence):
+            _ml_neg_minus_pair(alpha, xs, tol)
+        _ml_neg_minus_pair(alpha, xs[:2], tol)
 
 
 class TestOrderTwo:
