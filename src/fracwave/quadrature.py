@@ -9,7 +9,9 @@ points at once (see its docstring), and the oscillatory quadrature
 g_integral, one point per call.  For 1 < alpha < 2,
 E_alpha(-(tau t)^alpha) is a damped oscillating pair (2/alpha) Re exp(-p tau),
 p = -t e^{i pi/alpha}, plus a completely monotone branch-cut part, which is
-how special.ml_neg computes it.  Both are mixtures of exp(-s tau), so their
+how special.ml_neg computes it.  The branch-cut part is an integral of one
+weight w(rho), and one GK15 mesh of it, special._branch_cut_mesh, serves both
+ml_neg and g_spectral.  Both parts are mixtures of exp(-s tau), so their
 parts of G are mixtures of the Poisson kernel P_n(r, s), one formula for every
 n (g_spectral).  Both routes add the pair's part in closed form.  g_integral
 integrates E_alpha minus the pair (special._ml_neg_minus_pair, on whole
@@ -21,8 +23,9 @@ tau = 0 in lobe 0), and the lobe series, which alternates in sign from
 lobe 0, is summed by Wynn's epsilon algorithm.
 
 g_integral's error estimate combines the acceleration increments, the cell
-error estimates, the per-node rounding bound of E_alpha minus the pair,
-4 eps (|E_alpha| + |pair|), and the rounding of the closed-form term.
+error estimates, the per-node rounding bound of E_alpha minus the pair
+(4 eps (|E_alpha| + |pair|) where the pair is subtracted, 4 eps times the
+value elsewhere), and the rounding of the closed-form term.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .errors import (InvalidInput, NonConvergence, OriginDivergence, check_dimen
                      check_finite, check_positive, check_window)
 from scipy.special import j0 as _bessel_j0
 
-from .special import (_EPS, _SPIKE_V_HI, _branch_cut_weight, _cos_sin_pi, _gk15_cells,
-                      _inverse_power_terms, _ml_neg_minus_pair, _spike_zone, asymptotic_cutoff)
+from .special import (_EPS, _branch_cut_mesh, _cos_sin_pi, _gk15_cells, _inverse_power_terms,
+                      _ml_neg_minus_pair, asymptotic_cutoff)
 
 # Order of the Wynn epsilon acceleration: each estimate uses the last
 # 2 * _ACCEL_ORDER + 1 partial sums of the lobe series.
@@ -195,61 +198,6 @@ def _pair_transform(alpha: float, n: int, r, t) -> tuple[np.ndarray, np.ndarray]
         return big_p.real, np.abs(big_p) * (8.0 * _EPS + power * q_rel)
 
 
-def _spectral_mesh(alpha: float, rho_lo: float,
-                   rho_hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """One GK15 mesh of the branch-cut weight w(rho) for every r/t in
-    [rho_lo, rho_hi]: the nodes and w times the K15 weights (flat), w times
-    the K15 - G7 weights (one row per cell) and the two ends of the mesh.
-
-    The cells are geometric with ratio 2 and edges at powers of 2 (so the
-    meshes of nested rho ranges nest) from below 1e-10 min(1, rho_lo) to
-    above 1e10 max(1, rho_hi).  Where cos(pi alpha) < 0, w has a spike at
-    rho0 = (-cos(pi alpha))^(1/alpha) of width ~|sin(pi alpha)|; the zone
-    |v| <= min(0.3, -cos(pi alpha)/2) around it is integrated in the
-    tan-substituted variable of special._spike_zone, in which w drho is
-    constant.  Each of its intervals is split into equal cells no longer
-    than their distance to the poles of tan and to the branch point rho = 0.
-    Outside the zone a ladder rho0 -+ 2^k (distance from rho0 to the zone's
-    end), from rho0/3 to 4 rho0, keeps the cells near the spike about as
-    long as their distance to it, as the ratio-2 cells are to rho = 0.
-    """
-    c_pi, s_pi = _cos_sin_pi(alpha)
-    rows = []
-    zone = ()
-    if c_pi < 0.0:
-        phis, r_of, spike_w = _spike_zone(alpha, min(_SPIKE_V_HI, -0.5 * c_pi))
-        phi_zero = math.atan2(c_pi, abs(s_pi))  # rho = 0
-        cells = [np.linspace(a, b, 1 + math.ceil((b - a) / min(0.5 * math.pi - max(-a, b),
-                                                                a - phi_zero)))[:-1]
-                 for a, b in zip(phis[:-1], phis[1:])]
-        x, w, d = _gk15_cells(np.append(np.concatenate(cells), phis[-1]))
-        rows.append((r_of(x), spike_w * w, spike_w * d))
-        zone = tuple(r_of(np.array([phis[0], phis[-1]])))
-    k_lo = math.floor(math.log2(min(1.0, rho_lo, *zone))) - 34
-    k_hi = math.ceil(math.log2(max(1.0, rho_hi))) + 34
-    if k_lo < -1074 or k_hi > 1023:
-        raise NonConvergence(f"r/t in [{rho_lo:.3g}, {rho_hi:.3g}] leaves the double range "
-                             "of the spectral mesh")
-    edges = np.ldexp(1.0, np.arange(k_lo, k_hi + 1))
-    if zone:
-        rho_a, rho_b = zone
-        rho0 = (-c_pi) ** (1.0 / alpha)
-        steps = np.ldexp(1.0, np.arange(1, 60))
-        below, above = rho0 - (rho0 - rho_a) * steps, rho0 + (rho_b - rho0) * steps
-        edges = np.union1d(edges, np.concatenate((below[below > rho0 / 3.0],
-                                                  above[above < 4.0 * rho0])))
-        parts = (np.append(edges[edges < rho_a], rho_a), np.insert(edges[edges > rho_b], 0, rho_b))
-    else:
-        parts = (edges,)
-    for part in parts:
-        x, w, d = _gk15_cells(part)
-        with np.errstate(over="ignore"):  # (x^alpha + c)^2 = inf far out: w = 0 there
-            wx = _branch_cut_weight(alpha, x)
-        rows.append((x, w * wx, d * wx))
-    nodes, w, d = (np.concatenate(col) for col in zip(*rows))
-    return nodes.ravel(), w.ravel(), d, edges[0], edges[-1]
-
-
 def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
     """Evaluate G_{alpha,n}(r, t) by the spectral route: the radial
     integral with E_alpha(-(tau t)^alpha) split into its damped pair and its
@@ -268,17 +216,19 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
         P_n(r, s) = c_n s / (s^2 + r^2)^((n+1)/2),  c_n = Gamma((n+1)/2) / pi^((n+1)/2).
 
     The first term is _pair_transform; the second is a real integral that does
-    not oscillate, on one GK15 mesh (_spectral_mesh) that all points share.  At
-    alpha = 1 (n = 1 only) w is a delta at rho = 1 and G = P_1(r, t).
+    not oscillate, on one GK15 mesh that all points share: that of ml_neg's
+    branch-cut integral (special._branch_cut_mesh), with ends at powers of 2
+    from below 1e-10 min(1, r/t) to above 1e10 max(1, r/t).  At alpha = 1
+    (n = 1 only) w is a delta at rho = 1 and G = P_1(r, t).
 
     r and t are scalars or arrays that broadcast together; scalar input gives
     float value and est_error, array input arrays of the broadcast shape.  The
     est_error sums the per-cell |K15 - G7|, the pair's rounding bound, 8 eps
     times sum |w P_n| and analytic bounds on the two tails past the mesh
     (w <= 2 |sin(pi alpha)|/pi rho^(alpha-1) below it, 4 |sin(pi alpha)|/pi
-    rho^(-alpha-1) above it; P_n(r, s) <= c_n r^(-n) min(s/r, (s/r)^(-n))).  r = 0 gives g_origin for n = 1 and raises
-    OriginDivergence for n >= 2; a value or a mesh outside the double range
-    raises NonConvergence.
+    rho^(-alpha-1) above it; P_n(r, s) <= c_n r^(-n) min(s/r, (s/r)^(-n))).
+    r = 0 gives g_origin for n = 1 and raises OriginDivergence for n >= 2; a
+    value or a mesh outside the double range raises NonConvergence.
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=n > 1, what=f"order for n = {n}")
@@ -298,7 +248,13 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
         with np.errstate(over="ignore", divide="ignore"):  # r/t out of the double range
             rho = rs / ts
             check_finite("log(r/t)", np.log(rho))
-        nodes, w, d, lo, hi = _spectral_mesh(alpha, float(rho.min()), float(rho.max()))
+        k_lo = math.floor(math.log2(min(1.0, float(rho.min())))) - 34
+        k_hi = math.ceil(math.log2(max(1.0, float(rho.max())))) + 34
+        if k_lo < -1074 or k_hi > 1023:
+            raise NonConvergence(f"r/t in [{rho.min():.3g}, {rho.max():.3g}] leaves the double "
+                                 "range of the spectral mesh")
+        nodes, w, d = _branch_cut_mesh(alpha, k_lo, k_hi)
+        lo, hi = math.ldexp(1.0, k_lo), math.ldexp(1.0, k_hi)
         branch, cell_err = np.empty(rho.size), np.empty(rho.size)
         step = max(1, _BLOCK // nodes.size)
         for i in range(0, rho.size, step):
@@ -306,9 +262,10 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
             with np.errstate(over="ignore", invalid="ignore"):  # x^2 = inf: f = 0, its limit
                 x = nodes / rho[i:i + step, None]
                 f = x / (x * x + 1.0) ** (0.5 * (n + 1))
-            branch[i:i + step] = np.einsum("pj,j->p", f, w)
             cell_err[i:i + step] = np.abs(
                 np.einsum("pcj,cj->pc", f.reshape(f.shape[0], *d.shape), d)).sum(axis=1)
+            f *= w
+            branch[i:i + step] = f.sum(axis=1)  # pairwise: rounding ~eps |branch|
         s_abs = abs(_cos_sin_pi(alpha)[1]) / math.pi
         tails = s_abs * (2.0 * lo ** (alpha + 1.0) / ((alpha + 1.0) * rho)
                          + 4.0 * (rho / hi) ** n * hi ** -alpha / (alpha + n))

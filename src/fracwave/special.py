@@ -9,9 +9,10 @@ the fractional wave propagator in Fourier space.  Three regimes are used:
 * ``intermediate``  -- the exact decomposition into a pair of exponentially
                        damped oscillations (residues of the Laplace
                        inversion, present for 1 < alpha <= 2) plus a
-                       completely monotone branch-cut integral, whose
-                       quadrature rule is built once per (alpha, tol) and
-                       cached;
+                       completely monotone branch-cut integral on a GK15
+                       mesh of its weight that is built once per alpha and
+                       cached (_branch_cut_mesh, which also serves
+                       quadrature.g_spectral);
 * ``asymptotic``    -- inverse-power expansion plus the same exponential
                        pair, summed from a cached per-alpha coefficient table
                        only until the omitted part is below 1e-3 tol: the
@@ -214,61 +215,6 @@ def _gk15_cells(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mid + half * _GK15_X, half * _GK15_W, half * _GK15_D
 
 
-# The branch-cut rule is built for x from half the series cutoff (so that it
-# also serves the overlap with the Taylor sum) up to the asymptotic cutoff;
-# panels are tested at this many geometric samples of tt = x^(1/alpha).
-_RULE_X_LO = 0.5 * SERIES_CUTOFF
-_RULE_TT_SAMPLES = 24
-
-
-@dataclass(frozen=True)
-class _BranchCutRule:
-    """Fixed quadrature of the branch-cut integral for one (alpha, tol).
-
-    Row i is one accepted GK15 panel: its 15 exponents g, its K15 weights w
-    and its K15 - G7 weights d, both times the kernel.  The integral is
-    sum_ij w_ij exp(-tt g_ij), and |sum_j d_ij exp(-tt g_ij)| is panel i's
-    error estimate.  The r-range is cut at r_end; the neglected tail is at
-    most tail_scale * exp(-tt r_end).
-    """
-
-    g: np.ndarray
-    w: np.ndarray
-    d: np.ndarray
-    r_end: float
-    tail_scale: float
-
-
-def _bisect_panels(kernel, expo, a: float, b: float, tts: np.ndarray,
-                   budget: float) -> list[tuple]:
-    """Adaptive bisection of [a, b] into GK15 panels for
-    int_a^b kernel(y) exp(-tt expo(y)) dy, valid at every tt in tts at once.
-
-    A panel is accepted once its |K15 - G7| fits its share of the budget at
-    every sampled tt.  A depth of 26 and 4000 panels cap the work for
-    unreachable budgets; the per-x estimate then reports the shortfall.
-    Returns the accepted panels as (g, w, d) rows (see _BranchCutRule).
-    """
-    span = b - a
-    rows = []
-    used = 0
-    stack = [(a, b, 0)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        y, wk, wd = _gk15_cells([lo, hi])
-        kern = kernel(y[0])
-        g, w, d = expo(y[0]), wk[0] * kern, wd[0] * kern
-        used += 1
-        delta = float(np.max(np.abs(np.exp(-np.outer(tts, g)) @ d)))
-        if delta <= budget * (hi - lo) / span or depth >= 26 or used >= 4000:
-            rows.append((g, w, d))
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-    return rows
-
-
 def _cos_sin_pi(alpha: float) -> tuple[float, float]:
     """(cos(pi alpha), sin(pi alpha)) for 1 <= alpha <= 2.  pi alpha rounds,
     which costs sin(pi alpha) its relative digits near alpha = 1 and 2; both
@@ -295,7 +241,7 @@ def _branch_cut_weight(alpha: float, r):
 _SPIKE_V_HI = 0.3
 
 
-def _spike_zone(alpha: float, v_hi: float = _SPIKE_V_HI):
+def _spike_zone(alpha: float, v_hi: float):
     """The spike zone of the branch-cut weight
 
         w(r) = sin(pi alpha)/pi * r^(alpha-1) / (v^2 + sin(pi alpha)^2),
@@ -328,94 +274,126 @@ def _spike_zone(alpha: float, v_hi: float = _SPIKE_V_HI):
             math.copysign(1.0, s_pi) / (alpha * math.pi))
 
 
+# The GK15 cells of the branch-cut mesh have ratio sqrt(2) on
+# [2^_FINE_K_LO, 2^_FINE_K_HI] and ratio 2 outside it.
+_FINE_K_LO, _FINE_K_HI = -4, 7
+
+
 @functools.lru_cache(maxsize=16)
-def _branch_cut_rule(alpha: float, tol: float) -> _BranchCutRule:
-    """Nodes and weights of the branch-cut integral at (alpha, tol); see
-    _branch_cut_integral.  Only exp(-tt g) depends on x, so the rule is
-    built once, lazily, and cached."""
-    r_scale = max(-math.log(tol), 0.0) + 10.0
+def _branch_cut_mesh(alpha: float, k_lo: int,
+                     k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The GK15 mesh of the branch-cut weight w(r) (_branch_cut_weight) on
+    [2^k_lo, 2^k_hi]: the nodes and w times the K15 weights (flat), and w
+    times the K15 - G7 weights (one row per cell).  ml_neg's intermediate
+    regime (_branch_cut_integral) and quadrature.g_spectral integrate w
+    against their kernels on it, each with its own ends and tail bounds.
+    Built once per (alpha, k_lo, k_hi), lazily, and cached read-only.
+
+    The edges are powers of 2, so the meshes of nested ends nest.  The cells
+    are geometric, with ratio sqrt(2) on [2^-4, 2^7] and ratio 2 elsewhere:
+    on ratio-2 cells |K15 - G7| measures G7's error rather than K15's, and
+    it overstated the error up to ~1e4-fold there.  Where cos(pi alpha) < 0,
+    w has a spike at r0 = (-cos(pi alpha))^(1/alpha) of width
+    ~|sin(pi alpha)|; the zone |v| <= min(0.3, -cos(pi alpha)/2) around it
+    is integrated in the tan-substituted variable of _spike_zone, in which
+    w dr is constant.  Each of its intervals is split into equal cells no
+    longer than half their distance to the poles of tan and to the branch
+    point r = 0.  Outside the zone a ladder r0 -+ sqrt(2)^k (distance from
+    r0 to the zone's end), from r0/3 to 4 r0, keeps the cells near the spike
+    about as long as their distance to it, as the geometric cells are to
+    r = 0.
+    """
     c_pi, s_pi = _cos_sin_pi(alpha)
-    tt_lo = _RULE_X_LO ** (1.0 / alpha)
-    tt_hi = asymptotic_cutoff(alpha, tol) ** (1.0 / alpha)
-    tts = np.geomspace(tt_lo, tt_hi, _RULE_TT_SAMPLES)
     rows = []
-
-    if c_pi < _SPIKE_V_HI:
-        phis, spike_expo, spike_w = _spike_zone(alpha)
-        sub_budget = tol * 0.05 / max(len(phis) - 1, 1)
-        for lo, hi in zip(phis[:-1], phis[1:]):
-            rows.extend(_bisect_panels(lambda phi: spike_w, spike_expo, lo, hi, tts,
-                                       sub_budget))
-
-    pref = s_pi / math.pi
-
-    def add_r_piece(r_a, r_b):
-        rows.extend(_bisect_panels(lambda r: _branch_cut_weight(alpha, r), lambda r: r,
-                                   r_a, r_b, tts, tol * 0.05))
-
-    # Cut the range where exp(-tt r) is far below tol for every x the rule
-    # serves.  r_end^alpha >= 10^alpha * 2 >= 2|c_pi|, so beyond it
-    # r^alpha + c_pi >= r^alpha / 2 and the neglected tail is at most
-    # 4 |pref| exp(-tt r_end) / (alpha r_end^alpha).
-    r_end = r_scale / tt_lo
-
-    if c_pi < -_SPIKE_V_HI:
-        add_r_piece(0.0, (-_SPIKE_V_HI - c_pi) ** (1.0 / alpha))
-    r_b_start = (_SPIKE_V_HI - c_pi) ** (1.0 / alpha) if c_pi < _SPIKE_V_HI else 0.0
-    add_r_piece(r_b_start, r_end)
-
-    g, w, d = (np.array(col) for col in zip(*rows))
-    for arr in (g, w, d):
+    edges = np.ldexp(1.0, np.arange(k_lo, k_hi + 1))
+    fine = np.arange(max(k_lo, _FINE_K_LO), min(k_hi, _FINE_K_HI))
+    edges = np.union1d(edges, math.sqrt(2.0) * np.ldexp(1.0, fine))
+    parts = (edges,)
+    if c_pi < 0.0:
+        phis, r_of, spike_w = _spike_zone(alpha, min(_SPIKE_V_HI, -0.5 * c_pi))
+        phi_zero = math.atan2(c_pi, abs(s_pi))  # r = 0
+        cells = [np.linspace(a, b, 1 + math.ceil(2.0 * (b - a) / min(0.5 * math.pi - max(-a, b),
+                                                                      a - phi_zero)))[:-1]
+                 for a, b in zip(phis[:-1], phis[1:])]
+        x, w, d = _gk15_cells(np.append(np.concatenate(cells), phis[-1]))
+        rows.append((r_of(x), spike_w * w, spike_w * d))
+        r_a, r_b = r_of(np.array([phis[0], phis[-1]]))
+        r0 = (-c_pi) ** (1.0 / alpha)
+        steps = 2.0 ** (0.5 * np.arange(1, 120))
+        below, above = r0 - (r0 - r_a) * steps, r0 + (r_b - r0) * steps
+        edges = np.union1d(edges, np.concatenate((below[below > r0 / 3.0],
+                                                  above[above < 4.0 * r0])))
+        parts = (np.append(edges[edges < r_a], r_a), np.insert(edges[edges > r_b], 0, r_b))
+    for part in parts:
+        x, w, d = _gk15_cells(part)
+        with np.errstate(over="ignore"):  # (x^alpha + c)^2 = inf far out: w = 0 there
+            wx = _branch_cut_weight(alpha, x)
+        rows.append((x, w * wx, d * wx))
+    nodes, w, d = (np.concatenate(col) for col in zip(*rows))
+    nodes, w = nodes.ravel(), w.ravel()
+    for arr in (nodes, w, d):
         arr.flags.writeable = False
-    return _BranchCutRule(g, w, d, r_end, 4.0 * abs(pref) / (alpha * r_end ** alpha))
+    return nodes, w, d
 
 
-# Entries of one (points x rule nodes) temporary of the branch-cut integral.
+# Entries of one (points x mesh nodes) temporary of the branch-cut integral.
 _BRANCH_CUT_BLOCK = 1 << 16
+# The upper end of the branch-cut integral's mesh, and the bound that sets
+# its lower end (_branch_cut_integral).
+_BRANCH_CUT_K_HI = 7
+_BRANCH_CUT_LOWER_TAIL = 1e-16
 
 
-def _branch_cut_integral(alpha: float, x, tol: float):
+def _branch_cut_integral(alpha: float, x):
     """Branch-cut part of E_alpha(-x), at a scalar or an array x > 0: the
     completely monotone Laplace integral
 
         sin(pi*alpha)/pi * int_0^inf e^{-r x^(1/alpha)} r^(alpha-1) / D(r) dr,
-        D(r) = (r^alpha + cos(pi*alpha))^2 + sin(pi*alpha)^2.
+        D(r) = (r^alpha + cos(pi*alpha))^2 + sin(pi*alpha)^2,
 
-    D has a Poisson-kernel spike at r0 = (-cos(pi*alpha))^(1/alpha) whose width
-    is |sin(pi*alpha)|; the spike zone is integrated after the substitution
-    v = r^alpha + cos(pi*alpha), v = |sin(pi*alpha)| tan(phi), which resolves
-    it exactly; the outer zones are smooth.
+    on the GK15 mesh of _branch_cut_mesh, which resolves the Poisson-kernel
+    spike of 1/D at r0 = (-cos(pi*alpha))^(1/alpha), of width
+    |sin(pi*alpha)|, in the variable of _spike_zone.
 
-    The quadrature rule depends on (alpha, tol) only (_branch_cut_rule), so
-    the x-dependence is one exponential of the product of the x^(1/alpha)
-    and the rule nodes, formed in blocks of at most _BRANCH_CUT_BLOCK
-    entries.  The error estimate sums the per-panel |K15 - G7| at each x,
-    the bound on the truncated tail, and the roundoff.
+    The mesh depends on alpha only, so the x-dependence is one exponential
+    of the product of the x^(1/alpha) and the mesh nodes, formed in blocks
+    of at most _BRANCH_CUT_BLOCK entries.  Its ends bound the two tails.
+    Below r^alpha = 1/4, D >= 1/2, so the integral over [0, lo] is at most
+    2 |sin(pi alpha)|/(pi alpha) lo^alpha, and lo is the largest power of 2
+    that keeps this below _BRANCH_CUT_LOWER_TAIL, and at most 2^-4, where
+    the sqrt(2) cells begin.  Above hi = 2^7, D >= r^(2 alpha)/2, so the
+    integral over [hi, inf) is at most
+    4 |sin(pi alpha)|/(pi alpha) hi^-alpha exp(-x^(1/alpha) hi), below
+    exp(-64) from x = 1/2, where ml_neg's series regime overlaps.  Neither
+    end depends on tol, so one mesh serves every tol.  The error estimate
+    sums the per-cell |K15 - G7| at each x, the two tail bounds and the
+    roundoff.
     """
-    rule = _branch_cut_rule(alpha, tol)
+    scale = 2.0 * abs(_cos_sin_pi(alpha)[1]) / (math.pi * alpha)
+    k_lo = min(_FINE_K_LO, math.floor(math.log2(_BRANCH_CUT_LOWER_TAIL / scale) / alpha))
+    nodes, w, d = _branch_cut_mesh(alpha, k_lo, _BRANCH_CUT_K_HI)
     x = np.asarray(x, dtype=float)
-    too_far = np.log(x) / alpha + math.log(rule.r_end) > _LOG_MAX
-    if too_far.any():
-        raise NonConvergence("x^(1/alpha) r_end exceeds the double range at "
-                             f"alpha={alpha}, x={x[too_far].flat[0]}")
     tt = x.ravel() ** (1.0 / alpha)
     value, cell_err = np.empty(tt.size), np.empty(tt.size)
-    step = max(1, _BRANCH_CUT_BLOCK // rule.g.size)
+    step = max(1, _BRANCH_CUT_BLOCK // nodes.size)
     for i in range(0, tt.size, step):
-        decay = np.multiply.outer(-tt[i:i + step], rule.g)
+        decay = np.multiply.outer(-tt[i:i + step], nodes)
         np.exp(decay, out=decay)
-        value[i:i + step] = decay.reshape(decay.shape[0], -1) @ rule.w.ravel()
-        cell_err[i:i + step] = np.abs(np.einsum("bpj,pj->bp", decay, rule.d)).sum(axis=1)
+        value[i:i + step] = decay @ w
+        cell_err[i:i + step] = np.abs(
+            np.einsum("pcj,cj->pc", decay.reshape(decay.shape[0], *d.shape), d)).sum(axis=1)
+    hi = math.ldexp(1.0, _BRANCH_CUT_K_HI)
+    tails = scale * (math.ldexp(1.0, k_lo) ** alpha + 2.0 * hi ** -alpha * np.exp(-tt * hi))
     # Every K15 weight carries the sign of sin(pi alpha), so |value| also
     # bounds the sum of the magnitudes.
-    err = cell_err + rule.tail_scale * np.exp(-tt * rule.r_end) + 4.0 * _EPS * np.abs(value)
+    err = cell_err + tails + 4.0 * _EPS * np.abs(value)
     return value.reshape(x.shape)[()], err.reshape(x.shape)[()]
 
 
-def _intermediate_part(alpha: float, x, tol: float, pair, pair_err):
+def _intermediate_part(alpha: float, x, pair, pair_err):
     """The branch-cut integral at x, and the est_error of the intermediate
     regime's value, the integral plus the pair given with its error."""
-    bc, err = _branch_cut_integral(alpha, x, tol)
+    bc, err = _branch_cut_integral(alpha, x)
     return bc, err + 4.0 * _EPS * (np.abs(pair) + np.abs(bc)) + pair_err
 
 
@@ -423,7 +401,7 @@ def _ml_intermediate(alpha: float, x, tol: float):
     """Exact exponential-pair + branch-cut evaluation (any x > 0, a scalar
     or an array)."""
     pair, pair_err = _exp_pair(alpha, x, tol)
-    bc, est = _intermediate_part(alpha, x, tol, pair, pair_err)
+    bc, est = _intermediate_part(alpha, x, pair, pair_err)
     return pair + bc, est
 
 
@@ -629,9 +607,9 @@ def _ml_neg_minus_pair(alpha: float, x: np.ndarray, tol: float) -> tuple[np.ndar
     the value is that sum minus the pair.  Elsewhere it is the branch-cut
     integral or the inverse-power sum itself: the pair is neither added nor
     subtracted, and its double-precision value and error only decide the
-    regime, as in ml_neg, so it is never evaluated at 30 digits.  Every
+    regime, as in ml_neg, so it is never evaluated at 30 digits.  The
     rounding bound is that of the subtraction, 4 eps (|E_alpha| + |pair|),
-    which over-covers the rounding of the integral or the sum.  Raises
+    where the pair is subtracted and 4 eps |value| elsewhere.  Raises
     NonConvergence where ml_neg would.
     """
     x = np.asarray(x, dtype=float)
@@ -639,10 +617,11 @@ def _ml_neg_minus_pair(alpha: float, x: np.ndarray, tol: float) -> tuple[np.ndar
         # E_1(-x) = exp(-x), as in ml_neg; there is no pair
         value = np.exp(-x)
         est = 4.0 * _EPS * (1.0 + value)
-        pair = 0.0
+        subtracted = 0.0
     else:
         pair, pair_err, precise = _exp_pair_double(alpha, x, tol)
         value, est = np.empty(x.shape), np.full(x.shape, math.inf)
+        subtracted = np.zeros(x.shape)
         asym = x >= asymptotic_cutoff(alpha, tol)
         if asym.any():
             value[asym], est[asym] = _asymptotic_part(alpha, x[asym], tol, pair[asym],
@@ -650,20 +629,18 @@ def _ml_neg_minus_pair(alpha: float, x: np.ndarray, tol: float) -> tuple[np.ndar
         series = x <= SERIES_CUTOFF
         mid = ~series & (est > tol)
         if mid.any():
-            value[mid], est[mid] = _intermediate_part(alpha, x[mid], tol, pair[mid],
-                                                      pair_err[mid])
+            value[mid], est[mid] = _intermediate_part(alpha, x[mid], pair[mid], pair_err[mid])
         tried = np.flatnonzero(series | ((est > tol) & (x <= 2.0 * SERIES_CUTOFF)))
         if tried.size:
             ml, ml_est = _taylor_kahan(alpha, x[tried])
             take = series[tried] | (ml_est <= tol)
             idx, ml = tried[take], ml[take]
             est[idx] = ml_est[take]
-            if precise[idx].any():
-                pair[idx] = _exp_pair(alpha, x[idx], tol)[0]
-            value[idx] = ml - pair[idx]
+            subtracted[idx] = _exp_pair(alpha, x[idx], tol)[0] if precise[idx].any() else pair[idx]
+            value[idx] = ml - subtracted[idx]
             est[x == 0.0] = 0.0  # E_alpha(0) = 1 exactly, as ml_neg returns it
     if np.any(est > tol):
         raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, "
                              f"x={x[est > tol].flat[0]}")
-    return value, 4.0 * _EPS * (np.abs(value + pair) + np.abs(pair))
+    return value, 4.0 * _EPS * (np.abs(value + subtracted) + np.abs(subtracted))
 

@@ -194,9 +194,12 @@ class TestUnreachableTolerance:
 class TestNearAlphaTwo:
     # The damped pair barely decays here and its closed form is sharply
     # peaked at the wavefront r = t, where q = p^2 + r^2 nearly cancels.
+    # At r/t = 1e-6 and 1e-2 the integrand's rounding bound is tested: it
+    # charges 4 eps |pair| only where the pair is subtracted, and for n = 3
+    # at alpha >= 1.9995 a charge at every node exceeded the target.
     @pytest.mark.parametrize("alpha", [1.99, 1.999, 1.9995, 1.9999])
     def test_wavefront_within_est_error(self, alpha):
-        for rho in (0.9, 0.999, 1.0, 1.001, 1.01, 1.1):
+        for rho in (1e-6, 0.01, 0.9, 0.999, 1.0, 1.001, 1.01, 1.1):
             for n in (1, 2, 3):
                 start = time.perf_counter()
                 res = g_integral(alpha, n, rho, 1.0)

@@ -23,7 +23,7 @@ from fracwave.special import (
     _EPS,
     _asymptotic_part,
     _branch_cut_integral,
-    _branch_cut_rule,
+    _branch_cut_mesh,
     _exp_pair,
     _inverse_power_table,
     _inverse_power_terms,
@@ -211,9 +211,9 @@ class TestRegimes:
 
 
 class TestBranchCutRule:
-    @pytest.mark.parametrize("alpha", [1.05, 1.25, 1.5, 1.6, 1.75, 1.9, 1.98])
+    @pytest.mark.parametrize("alpha", [1.001, 1.05, 1.25, 1.5, 1.6, 1.75, 1.9, 1.98, 1.9999])
     def test_error_estimate_is_honest(self, alpha):
-        # the whole x-range the cached rule serves, from the series overlap
+        # the whole x-range the cached mesh serves, from the series overlap
         # to the asymptotic cutoff
         tol = 1e-13
         for x in np.geomspace(0.5, asymptotic_cutoff(alpha, tol), 40):
@@ -221,20 +221,20 @@ class TestBranchCutRule:
             assert est <= tol
             assert abs(value - ml_series_oracle(alpha, float(x))) <= est + 1e-15
 
-    def test_rule_is_built_once_per_alpha_and_tol(self):
+    def test_mesh_is_built_once_per_alpha_for_any_tol(self):
         _ml_intermediate(1.37, 3.0, 1e-13)
-        before = _branch_cut_rule.cache_info()
-        _ml_intermediate(1.37, 7.5, 1e-13)
-        after = _branch_cut_rule.cache_info()
+        before = _branch_cut_mesh.cache_info()
+        _ml_intermediate(1.37, 7.5, 1e-10)
+        after = _branch_cut_mesh.cache_info()
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
 
     def test_cache_is_bounded(self):
-        maxsize = _branch_cut_rule.cache_info().maxsize
+        maxsize = _branch_cut_mesh.cache_info().maxsize
         assert maxsize is not None
-        for tol in np.geomspace(1e-13, 1e-10, maxsize + 3):
-            _ml_intermediate(1.5, 3.0, float(tol))
-        assert _branch_cut_rule.cache_info().currsize <= maxsize
+        for alpha in np.linspace(1.1, 1.9, maxsize + 3):
+            _ml_intermediate(float(alpha), 3.0, 1e-13)
+        assert _branch_cut_mesh.cache_info().currsize <= maxsize
 
 
 class TestIntermediateRegime:
@@ -260,8 +260,9 @@ class TestIntermediateRegime:
 
 
 class TestSeriesFallback:
-    # Just above the series cutoff the branch-cut rule misses tol 1e-14 at
-    # alpha = 1.05 and 1.25, which the Taylor sum still meets.
+    # Just above the series cutoff the branch-cut integral's estimate on its
+    # mesh is 2e-15 to 6e-15 at alpha = 1.05-1.5: it meets tol 1e-14, and
+    # at 3e-15 the Taylor sum takes the x where it misses.
     XS = np.concatenate((np.linspace(1.0, 1.2, 41)[1:], np.linspace(1.2, 2.0, 21)[1:]))
 
     @pytest.mark.parametrize("alpha", [1.05, 1.25, 1.5, 1.75, 1.95])
@@ -270,6 +271,16 @@ class TestSeriesFallback:
             r = ml_neg(alpha, float(x), 1e-14)
             assert r.est_error <= 1e-14
             assert abs(r.value - ml_series_oracle(alpha, float(x), dps=60)) <= r.est_error
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.25, 1.5])
+    def test_tighter_tol_falls_back_to_the_series(self, alpha):
+        regimes = set()
+        for x in self.XS:
+            r = ml_neg(alpha, float(x), 3e-15)
+            regimes.add(r.regime)
+            assert r.est_error <= 3e-15
+            assert abs(r.value - ml_series_oracle(alpha, float(x), dps=60)) <= r.est_error
+        assert "series" in regimes
 
 
 class TestAsymptoticRegime:
@@ -380,15 +391,16 @@ class TestArrayKernel:
         r = ml_neg(alpha, x, tol)
         pair = _exp_pair(alpha, x, tol)[0]
         if r.regime == "intermediate":
-            return _branch_cut_integral(alpha, x, tol)[0]
+            return _branch_cut_integral(alpha, x)[0]
         if r.regime == "asymptotic":
             return _asymptotic_part(alpha, x, tol, pair, 0.0)[0]
         return r.value - pair
 
-    # tol 1e-14 at alpha = 1.05 takes the series fallback on (1, 2], and no
+    # tol 3e-15 at alpha = 1.25 takes the series fallback on (1, 2], and no
     # regime attains it on (2, x_a)
     @pytest.mark.parametrize("alpha,tol,intermediate",
-                             [(a, 1e-13, True) for a in ALPHAS] + [(1.05, 1e-14, False)])
+                             [(a, 1e-13, True) for a in ALPHAS]
+                             + [(1.05, 1e-14, True), (1.25, 3e-15, False)])
     def test_every_regime_against_mpmath(self, alpha, tol, intermediate):
         xs = self.mixed_xs(alpha, tol, intermediate)
         xa = asymptotic_cutoff(alpha, tol)

@@ -66,6 +66,15 @@ def test_2d_within_contour_est_error(alpha):
     assert np.all(np.abs(res.value - mb.value) <= mb.est_error)
 
 
+# On ratio-2 cells |K15 - G7| measures G7's error, not K15's, and the
+# estimate reached ~7e-11 max|G| here, where the true error is a few 1e-15.
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_est_error_is_tight(alpha, n):
+    res = g_spectral(alpha, n, np.linspace(0.3, 3.0, 50), 1.0)
+    assert np.max(res.est_error) <= 1e-12 * np.max(np.abs(res.value))
+
+
 # (alpha, r/t) near alpha = 2: at 1.9999 the contour raises, and the double
 # precision Abel oracle cannot resolve the front.
 NEAR_TWO_2D = [(1.5, 0.3), (1.99, 1.0), (1.999, 0.5), (1.9995, 0.3), (1.9995, 1.0),
