@@ -41,7 +41,7 @@ from scipy.special import loggamma as _loggamma, rgamma, sindg
 
 from .errors import (InvalidInput, NonConvergence, check_dimension, check_finite, check_positive,
                      check_window)
-from .quadrature import _BLOCK, QuadResult
+from .quadrature import QuadResult
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LOG_HALF_I = complex(math.log(0.5), 0.5 * math.pi)  # log(i/2)
@@ -49,6 +49,7 @@ _EPS = float(np.finfo(float).eps)
 _H0 = 0.2           # first trapezoidal step on the line
 _MAX_HALVINGS = 6   # the finest step is _H0 / 2**6
 _NODE_BLOCK = 1 << 16  # nodes whose kernel values are computed at once
+_BLOCK = 1 << 20  # entries of one (points x nodes) temporary
 # The tail bound must stay within this, the last step halving within this
 # or the rounding bound.
 _STEP_TOL = 1e-10

@@ -10,10 +10,10 @@ g_integral, one point per call.  For 1 < alpha < 2,
 E_alpha(-(tau t)^alpha) is a damped oscillating pair (2/alpha) Re exp(-p tau),
 p = -t e^{i pi/alpha}, plus a completely monotone branch-cut part, which is
 how special.ml_neg computes it.  The branch-cut part is an integral of one
-weight w(rho), and one GK15 mesh of it, special._branch_cut_mesh, serves both
-ml_neg and g_spectral.  Both parts are mixtures of exp(-s tau), so their
-parts of G are mixtures of the Poisson kernel P_n(r, s), one formula for every
-n (g_spectral).  Both routes add the pair's part in closed form.  g_integral
+weight w(rho), and one GK15 mesh of it, special._branch_cut_mesh, with one
+sum over it, special._mesh_sums, serves both ml_neg and g_spectral.  Both
+parts are mixtures of exp(-s tau), so their parts of G are mixtures of the
+Poisson kernel P_n(r, s), one formula for every n (g_spectral).  Both routes add the pair's part in closed form.  g_integral
 integrates E_alpha minus the pair (special._ml_neg_minus_pair, on whole
 arrays of nodes in ml_neg's regimes) against its kernel (cos for n = 1,
 tau J_0 for n = 2, tau sin for n = 3), split at the zeros of the kernel
@@ -42,7 +42,7 @@ from .errors import (InvalidInput, NonConvergence, OriginDivergence, check_dimen
 from scipy.special import j0 as _bessel_j0
 
 from .special import (_EPS, _branch_cut_mesh, _cos_sin_pi, _gk15_cells, _inverse_power_terms,
-                      _ml_neg_minus_pair, asymptotic_cutoff)
+                      _mesh_sums, _ml_neg_minus_pair, asymptotic_cutoff)
 
 # Order of the Wynn epsilon acceleration: each estimate uses the last
 # 2 * _ACCEL_ORDER + 1 partial sums of the lobe series.
@@ -54,8 +54,6 @@ _MAX_LOBES = 10_000
 # and it integrates those in one call of the integrand.
 _FIRST_ACCEL = max(6, _ACCEL_ORDER)
 _FIRST_LOBES = _FIRST_ACCEL + 2
-# Entries of one (points x nodes) temporary of the spectral route and the contour.
-_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,10 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
     The first term is _pair_transform; the second is a real integral that does
     not oscillate, on one GK15 mesh that all points share: that of ml_neg's
     branch-cut integral (special._branch_cut_mesh), with ends at powers of 2
-    from below 1e-10 min(1, r/t) to above 1e10 max(1, r/t).  At alpha = 1
+    from below 1e-10 min(1, r/t) to above 1e10 max(1, r/t), summed by the
+    same code (special._mesh_sums).  Its kernel is formed so that no
+    x^2 = (rho t / r)^2 overflows: for n = 1 the kernel falls off like 1/x
+    there, which the r^-1 scale makes O(1) once r/t < ~1e-144.  At alpha = 1
     (n = 1 only) w is a delta at rho = 1 and G = P_1(r, t).
 
     r and t are scalars or arrays that broadcast together; scalar input gives
@@ -253,19 +254,17 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
         if k_lo < -1074 or k_hi > 1023:
             raise NonConvergence(f"r/t in [{rho.min():.3g}, {rho.max():.3g}] leaves the double "
                                  "range of the spectral mesh")
-        nodes, w, d = _branch_cut_mesh(alpha, k_lo, k_hi)
+
+        def poisson(q, nodes):
+            # P_n(r, rho t) = c_n r^(-n) f(x), x = rho t / r, f(x) = x / (x^2 + 1)^((n+1)/2),
+            # formed as s c^((n-1)/2), s = 1/(x + 1/x), c = 1/(x^2 + 1): s keeps its ~1/x
+            # where x^2 overflows, and x = 0 or inf gives f = 0, its limit
+            with np.errstate(over="ignore", divide="ignore"):
+                x = nodes / q
+                return 1.0 / (x + 1.0 / x) * (1.0 / (x * x + 1.0)) ** (0.5 * (n - 1))
+
+        branch, cell_err = _mesh_sums(poisson, rho, _branch_cut_mesh(alpha, k_lo, k_hi))
         lo, hi = math.ldexp(1.0, k_lo), math.ldexp(1.0, k_hi)
-        branch, cell_err = np.empty(rho.size), np.empty(rho.size)
-        step = max(1, _BLOCK // nodes.size)
-        for i in range(0, rho.size, step):
-            # P_n(r, rho t) = c_n r^(-n) f(x), f(x) = x / (x^2 + 1)^((n+1)/2), x = rho t / r
-            with np.errstate(over="ignore", invalid="ignore"):  # x^2 = inf: f = 0, its limit
-                x = nodes / rho[i:i + step, None]
-                f = x / (x * x + 1.0) ** (0.5 * (n + 1))
-            cell_err[i:i + step] = np.abs(
-                np.einsum("pcj,cj->pc", f.reshape(f.shape[0], *d.shape), d)).sum(axis=1)
-            f *= w
-            branch[i:i + step] = f.sum(axis=1)  # pairwise: rounding ~eps |branch|
         s_abs = abs(_cos_sin_pi(alpha)[1]) / math.pi
         tails = s_abs * (2.0 * lo ** (alpha + 1.0) / ((alpha + 1.0) * rho)
                          + 4.0 * (rho / hi) ** n * hi ** -alpha / (alpha + n))

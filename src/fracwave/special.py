@@ -11,8 +11,9 @@ the fractional wave propagator in Fourier space.  Three regimes are used:
                        inversion, present for 1 < alpha <= 2) plus a
                        completely monotone branch-cut integral on a GK15
                        mesh of its weight that is built once per alpha and
-                       cached (_branch_cut_mesh, which also serves
-                       quadrature.g_spectral);
+                       cached (_branch_cut_mesh) and summed cell by cell
+                       (_mesh_sums), both of which also serve
+                       quadrature.g_spectral;
 * ``asymptotic``    -- inverse-power expansion plus the same exponential
                        pair, summed from a cached per-alpha coefficient table
                        only until the omitted part is below 1e-3 tol: the
@@ -23,9 +24,9 @@ the fractional wave propagator in Fourier space.  Three regimes are used:
                        below tolerance.
 
 Every regime takes a scalar or an array x, each element summed or cut on
-its own.  ml_neg evaluates one x; _ml_neg_minus_pair serves the radial
-integral: a whole array of nodes in ml_neg's regimes, with the damped pair
-taken out.
+its own, and one function, _ml_neg_parts, chooses them.  ml_neg evaluates
+one x; _ml_neg_minus_pair serves the radial integral: a whole array of
+nodes in ml_neg's regimes, with the damped pair taken out.
 
 The orders are those of the fractional wave equation, 1 <= alpha <= 2.
 Every path works in double precision and returns an error estimate.  A
@@ -283,11 +284,11 @@ _FINE_K_LO, _FINE_K_HI = -4, 7
 def _branch_cut_mesh(alpha: float, k_lo: int,
                      k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The GK15 mesh of the branch-cut weight w(r) (_branch_cut_weight) on
-    [2^k_lo, 2^k_hi]: the nodes and w times the K15 weights (flat), and w
-    times the K15 - G7 weights (one row per cell).  ml_neg's intermediate
-    regime (_branch_cut_integral) and quadrature.g_spectral integrate w
-    against their kernels on it, each with its own ends and tail bounds.
-    Built once per (alpha, k_lo, k_hi), lazily, and cached read-only.
+    [2^k_lo, 2^k_hi]: the nodes, w times the K15 weights and w times the
+    K15 - G7 weights, one row of 15 per cell.  _branch_cut_integral and
+    quadrature.g_spectral integrate w against their kernels on it
+    (_mesh_sums), each with its own ends and tail bounds.  Built once per
+    (alpha, k_lo, k_hi), lazily, and cached read-only.
 
     The edges are powers of 2, so the meshes of nested ends nest.  The cells
     are geometric, with ratio sqrt(2) on [2^-4, 2^7] and ratio 2 elsewhere:
@@ -330,14 +331,34 @@ def _branch_cut_mesh(alpha: float, k_lo: int,
             wx = _branch_cut_weight(alpha, x)
         rows.append((x, w * wx, d * wx))
     nodes, w, d = (np.concatenate(col) for col in zip(*rows))
-    nodes, w = nodes.ravel(), w.ravel()
     for arr in (nodes, w, d):
         arr.flags.writeable = False
     return nodes, w, d
 
 
-# Entries of one (points x mesh nodes) temporary of the branch-cut integral.
-_BRANCH_CUT_BLOCK = 1 << 16
+# Entries of one (points x mesh nodes) temporary of _mesh_sums.
+_MESH_BLOCK = 1 << 16
+
+
+def _mesh_sums(kernel, points: np.ndarray, mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The integral of w(r) kernel(p, r) on a _branch_cut_mesh at each of
+    the points p, and its sum over the cells of |K15 - G7|.  kernel maps
+    points of shape (points, 1, 1) and the (cells, 15) nodes to (points,
+    cells, 15) values, at most _MESH_BLOCK at once.  Each cell's K15 and
+    K15 - G7 sums are one contraction, and the cells are summed pairwise:
+    for kernels >= 0 within 1.8 eps of the value against math.fsum, where
+    one BLAS dot product over the ~1900 nodes near alpha = 1 reached 6.9 eps.
+    """
+    nodes, w, d = mesh
+    value, cell_err = np.empty(points.size), np.empty(points.size)
+    step = max(1, _MESH_BLOCK // nodes.size)
+    for i in range(0, points.size, step):
+        f = kernel(points[i:i + step, None, None], nodes)
+        value[i:i + step] = np.einsum("pcj,cj->pc", f, w).sum(axis=1)
+        cell_err[i:i + step] = np.abs(np.einsum("pcj,cj->pc", f, d)).sum(axis=1)
+    return value, cell_err
+
+
 # The upper end of the branch-cut integral's mesh, and the bound that sets
 # its lower end (_branch_cut_integral).
 _BRANCH_CUT_K_HI = 7
@@ -355,9 +376,8 @@ def _branch_cut_integral(alpha: float, x):
     spike of 1/D at r0 = (-cos(pi*alpha))^(1/alpha), of width
     |sin(pi*alpha)|, in the variable of _spike_zone.
 
-    The mesh depends on alpha only, so the x-dependence is one exponential
-    of the product of the x^(1/alpha) and the mesh nodes, formed in blocks
-    of at most _BRANCH_CUT_BLOCK entries.  Its ends bound the two tails.
+    The mesh depends on alpha only, so the x-dependence is the kernel
+    exp(-r x^(1/alpha)) of _mesh_sums.  Its ends bound the two tails.
     Below r^alpha = 1/4, D >= 1/2, so the integral over [0, lo] is at most
     2 |sin(pi alpha)|/(pi alpha) lo^alpha, and lo is the largest power of 2
     that keeps this below _BRANCH_CUT_LOWER_TAIL, and at most 2^-4, where
@@ -371,38 +391,20 @@ def _branch_cut_integral(alpha: float, x):
     """
     scale = 2.0 * abs(_cos_sin_pi(alpha)[1]) / (math.pi * alpha)
     k_lo = min(_FINE_K_LO, math.floor(math.log2(_BRANCH_CUT_LOWER_TAIL / scale) / alpha))
-    nodes, w, d = _branch_cut_mesh(alpha, k_lo, _BRANCH_CUT_K_HI)
+
+    def decay(p, r):  # exp(-p r), in place
+        e = -p * r
+        return np.exp(e, out=e)
+
     x = np.asarray(x, dtype=float)
     tt = x.ravel() ** (1.0 / alpha)
-    value, cell_err = np.empty(tt.size), np.empty(tt.size)
-    step = max(1, _BRANCH_CUT_BLOCK // nodes.size)
-    for i in range(0, tt.size, step):
-        decay = np.multiply.outer(-tt[i:i + step], nodes)
-        np.exp(decay, out=decay)
-        value[i:i + step] = decay @ w
-        cell_err[i:i + step] = np.abs(
-            np.einsum("pcj,cj->pc", decay.reshape(decay.shape[0], *d.shape), d)).sum(axis=1)
+    value, cell_err = _mesh_sums(decay, tt, _branch_cut_mesh(alpha, k_lo, _BRANCH_CUT_K_HI))
     hi = math.ldexp(1.0, _BRANCH_CUT_K_HI)
     tails = scale * (math.ldexp(1.0, k_lo) ** alpha + 2.0 * hi ** -alpha * np.exp(-tt * hi))
     # Every K15 weight carries the sign of sin(pi alpha), so |value| also
     # bounds the sum of the magnitudes.
     err = cell_err + tails + 4.0 * _EPS * np.abs(value)
     return value.reshape(x.shape)[()], err.reshape(x.shape)[()]
-
-
-def _intermediate_part(alpha: float, x, pair, pair_err):
-    """The branch-cut integral at x, and the est_error of the intermediate
-    regime's value, the integral plus the pair given with its error."""
-    bc, err = _branch_cut_integral(alpha, x)
-    return bc, err + 4.0 * _EPS * (np.abs(pair) + np.abs(bc)) + pair_err
-
-
-def _ml_intermediate(alpha: float, x, tol: float):
-    """Exact exponential-pair + branch-cut evaluation (any x > 0, a scalar
-    or an array)."""
-    pair, pair_err = _exp_pair(alpha, x, tol)
-    bc, est = _intermediate_part(alpha, x, pair, pair_err)
-    return pair + bc, est
 
 
 # Cap on the length of the inverse-power series.  Short of the envelope
@@ -475,10 +477,10 @@ def _inverse_power_terms(alpha: float, x: float) -> tuple[np.ndarray, np.ndarray
             float(_envelope(table.log_gamma[k_end], k_end + 1, log_x)))
 
 
-def _asymptotic_part(alpha: float, x, tol: float, pair, pair_err):
+def _asymptotic_part(alpha: float, x, tol: float):
     """The inverse-power series of E_alpha(-x) at a scalar or an array
-    x > 1, and the est_error of the asymptotic regime's value, the series
-    plus the pair given with its error.
+    x > 1, and its est_error: the omitted terms and the rounding of the
+    first, ~1/x.  _ml_neg_parts adds the share of the pair and of the sum.
 
     The terms of _inverse_power_terms are summed, from the cached table, only
     until the omitted part is below 1e-3 tol, each x cut on its own.  After
@@ -513,34 +515,81 @@ def _asymptotic_part(alpha: float, x, tol: float, pair, pair_err):
             live, log_x, k_end, floor, total = (live[keep], log_x[keep], k_end[keep],
                                                 floor[keep], total[keep])
     value, omitted = value.reshape(x.shape), omitted.reshape(x.shape)
-    est = omitted + 4.0 * _EPS * (np.abs(value) + np.abs(pair) + abs(table.coef[0]) / x) + pair_err
-    return value[()], est[()]
+    return value[()], (omitted + 4.0 * _EPS * abs(table.coef[0]) / x)[()]
 
 
-def _ml_asymptotic(alpha: float, x, tol: float):
-    """Inverse-power expansion plus the exponential pair, at a scalar or an
-    array x > 1 (_asymptotic_part)."""
-    pair, pair_err = _exp_pair(alpha, x, tol)
-    total, est = _asymptotic_part(alpha, x, tol, pair, pair_err)
-    return pair + total, est
-
-
-def _cos_sqrt(x: float, tol: float) -> tuple[float, float]:
-    """E_2(-x) = cos(sqrt(x)) and its error.
+def _cos_sqrt(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """E_2(-x) = cos(sqrt(x)) and its error, at an array x >= 0.
 
     In double precision the phase s = sqrt(x) carries an absolute rounding
     error of up to s eps / 2.  Above 0.1 tol the phase is evaluated with
     mpmath at 30 + log10(s) digits instead, 30 digits after the point.
     """
-    s = math.sqrt(x)
-    err = _EPS * (0.5 * s + 1.0)
-    if err <= 0.1 * tol:
-        return math.cos(s), err
-    import mpmath as mp
+    s = np.sqrt(x)
+    value, err = np.cos(s), _EPS * (0.5 * s + 1.0)
+    precise = np.flatnonzero(err > 0.1 * tol)
+    if precise.size:
+        import mpmath as mp
 
-    with mp.workdps(31 + max(0, int(math.log10(s)))):
-        value = float(mp.cos(mp.sqrt(mp.mpf(x))))
-    return value, _EPS * abs(value) + 1e-30
+        for i in precise:
+            with mp.workdps(31 + max(0, int(math.log10(s[i])))):
+                value[i] = float(mp.cos(mp.sqrt(mp.mpf(float(x[i])))))
+            err[i] = _EPS * abs(value[i]) + 1e-30
+    return value, err
+
+
+def _ml_neg_parts(alpha: float, x: np.ndarray, tol: float):
+    """The regime of E_alpha(-x) at each element of an array of finite
+    x >= 0, 1 <= alpha <= 2: the only code that chooses one, and that raises
+    NonConvergence where none attains tol.  Returns, each of x's shape:
+    * part: the Taylor sum where the series serves (x <= 1, and x <= 2 where
+      the other regimes miss tol), else the inverse-power sum (from
+      asymptotic_cutoff(alpha, tol) on, where it attains tol), else the
+      branch-cut integral, these two without the damped pair (_exp_pair);
+    * est: the est_error of the Taylor sum, or of the part plus the pair,
+      which adds the pair's error and 4 eps (|part| + |pair|);
+    * series, asym: the masks of the Taylor and inverse-power sums;
+    * subtract: the pair on the series elements, 0 elsewhere.
+    Only subtract takes the pair at 30 digits where _exp_pair does; its
+    double-precision value and error (_exp_pair_double) decide the rest.
+    At alpha = 1 and 2 every part is the exact exp(-x) or cos(sqrt(x)), with
+    the regime of x's range: the other parts degenerate there, and at
+    alpha = 2 the pair's damping s cos(pi/2) rounds to 6e-17 s, not 0.
+    """
+    series, asym = x <= SERIES_CUTOFF, x >= asymptotic_cutoff(alpha, tol)
+    subtract = np.zeros(x.shape)
+    if alpha == 1.0:
+        part = np.exp(-x)
+        est = 4.0 * _EPS * (1.0 + part)
+    elif alpha == 2.0:
+        part, est = _cos_sqrt(x, tol)
+    else:
+        pair, pair_err, precise = _exp_pair_double(alpha, x, tol)
+        part, est = np.empty(x.shape), np.full(x.shape, math.inf)
+
+        def add(mask, part_and_err):
+            part[mask], err = part_and_err
+            est[mask] = err + 4.0 * _EPS * (np.abs(part[mask]) + np.abs(pair[mask])) \
+                + pair_err[mask]
+
+        if asym.any():
+            add(asym, _asymptotic_part(alpha, x[asym], tol))
+            asym &= est <= tol
+        mid = ~series & ~asym
+        if mid.any():
+            add(mid, _branch_cut_integral(alpha, x[mid]))
+        tried = np.flatnonzero(series | ((est > tol) & (x <= 2.0 * SERIES_CUTOFF)))
+        if tried.size:
+            taylor, taylor_est = _taylor_kahan(alpha, x[tried])
+            take = series[tried] | (taylor_est <= tol)
+            idx = tried[take]
+            part[idx], est[idx], series[idx] = taylor[take], taylor_est[take], True
+            subtract[idx] = _exp_pair(alpha, x[idx], tol)[0] if precise[idx].any() else pair[idx]
+            est[x == 0.0] = 0.0  # E_alpha(0) = 1 exactly
+    if np.any(est > tol):
+        raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, "
+                             f"x={x[est > tol].flat[0]}")
+    return part, est, series, asym, subtract
 
 
 def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
@@ -552,6 +601,8 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
     and NonConvergence if no regime can attain the requested tolerance.
     Every regime works in double precision: a tol below 1e-13 fails for some
     inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
+    Outside the series the pair is added to _ml_neg_parts's part, except at
+    alpha = 2, where the part is all pair.
     """
     check_window(alpha, 1.0, 2.0, hi_open=False, what="Mittag-Leffler order")
     if not (x >= 0.0 and 0.0 < tol < math.inf and (x < math.inf or alpha < 2.0)):
@@ -561,86 +612,26 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
         return MLResult(1.0, REGIME_SERIES, 0.0)
     if x == math.inf:
         return MLResult(0.0, REGIME_ASYMPTOTIC, 0.0)
-
-    if x <= SERIES_CUTOFF:
-        regime = REGIME_SERIES
-    elif x >= asymptotic_cutoff(alpha, tol):
-        regime = REGIME_ASYMPTOTIC
-    else:
-        regime = REGIME_INTERMEDIATE
-
-    if alpha == 1.0:
-        # exact identity E_1(-x) = exp(-x); the power asymptotics and the
-        # branch-cut decomposition both degenerate at alpha = 1.
-        value = math.exp(-x)
-        est = 4.0 * _EPS * (1.0 + value)
-    elif alpha == 2.0:
-        # exact identity E_2(-x) = cos(sqrt(x)); the exponential pair's
-        # damping s cos(pi/2) rounds to 6e-17 s, not 0, and overflows.
-        value, est = _cos_sqrt(x, tol)
-    elif regime == REGIME_SERIES:
-        value, est = _taylor_kahan(alpha, x)
-    else:
-        if regime == REGIME_ASYMPTOTIC:
-            value, est = _ml_asymptotic(alpha, x, tol)
-        if regime == REGIME_INTERMEDIATE or est > tol:
-            # the asymptotic truncation floor is too high: fall through
-            regime = REGIME_INTERMEDIATE
-            value, est = _ml_intermediate(alpha, x, tol)
-        if est > tol and x <= 2.0 * SERIES_CUTOFF:
-            # just above the cutoff the Taylor sum can still meet a tol that
-            # the branch-cut rule misses
-            series_value, series_est = _taylor_kahan(alpha, x)
-            if series_est <= tol:
-                regime, value, est = REGIME_SERIES, series_value, series_est
-    if est > tol:
-        raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, x={x}")
-    return MLResult(float(value), regime, float(est))
+    part, est, series, asym, _ = _ml_neg_parts(alpha, np.array([x], dtype=float), tol)
+    if series[0]:
+        return MLResult(float(part[0]), REGIME_SERIES, float(est[0]))
+    value = part[0] if alpha == 2.0 else part[0] + _exp_pair(alpha, x, tol)[0]
+    return MLResult(float(value), REGIME_ASYMPTOTIC if asym[0] else REGIME_INTERMEDIATE,
+                    float(est[0]))
 
 
 def _ml_neg_minus_pair(alpha: float, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """E_alpha(-x) minus its damped pair (_exp_pair) on an array of finite
     x >= 0 for 1 <= alpha < 2, each element in the regime that
-    ml_neg(alpha, x, tol) chooses for it, and a bound on its rounding.
+    ml_neg(alpha, x, tol) chooses for it (_ml_neg_parts), and a bound on its
+    rounding.
 
-    Where ml_neg takes the Taylor sum (x <= 1, and the fallback at x <= 2),
-    the value is that sum minus the pair.  Elsewhere it is the branch-cut
-    integral or the inverse-power sum itself: the pair is neither added nor
-    subtracted, and its double-precision value and error only decide the
-    regime, as in ml_neg, so it is never evaluated at 30 digits.  The
-    rounding bound is that of the subtraction, 4 eps (|E_alpha| + |pair|),
-    where the pair is subtracted and 4 eps |value| elsewhere.  Raises
-    NonConvergence where ml_neg would.
+    It is the part minus subtract: the Taylor sum minus the pair on the
+    series elements, and the branch-cut integral or the inverse-power sum
+    itself elsewhere, where the pair is neither added nor subtracted, so it
+    is never evaluated at 30 digits there.  The rounding bound is that of
+    the subtraction, 4 eps (|part| + |subtract|).  Raises NonConvergence
+    where ml_neg would.
     """
-    x = np.asarray(x, dtype=float)
-    if alpha == 1.0:
-        # E_1(-x) = exp(-x), as in ml_neg; there is no pair
-        value = np.exp(-x)
-        est = 4.0 * _EPS * (1.0 + value)
-        subtracted = 0.0
-    else:
-        pair, pair_err, precise = _exp_pair_double(alpha, x, tol)
-        value, est = np.empty(x.shape), np.full(x.shape, math.inf)
-        subtracted = np.zeros(x.shape)
-        asym = x >= asymptotic_cutoff(alpha, tol)
-        if asym.any():
-            value[asym], est[asym] = _asymptotic_part(alpha, x[asym], tol, pair[asym],
-                                                      pair_err[asym])
-        series = x <= SERIES_CUTOFF
-        mid = ~series & (est > tol)
-        if mid.any():
-            value[mid], est[mid] = _intermediate_part(alpha, x[mid], pair[mid], pair_err[mid])
-        tried = np.flatnonzero(series | ((est > tol) & (x <= 2.0 * SERIES_CUTOFF)))
-        if tried.size:
-            ml, ml_est = _taylor_kahan(alpha, x[tried])
-            take = series[tried] | (ml_est <= tol)
-            idx, ml = tried[take], ml[take]
-            est[idx] = ml_est[take]
-            subtracted[idx] = _exp_pair(alpha, x[idx], tol)[0] if precise[idx].any() else pair[idx]
-            value[idx] = ml - subtracted[idx]
-            est[x == 0.0] = 0.0  # E_alpha(0) = 1 exactly, as ml_neg returns it
-    if np.any(est > tol):
-        raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, "
-                             f"x={x[est > tol].flat[0]}")
-    return value, 4.0 * _EPS * (np.abs(value + subtracted) + np.abs(subtracted))
-
+    part, _, _, _, subtract = _ml_neg_parts(alpha, np.asarray(x, dtype=float), tol)
+    return part - subtract, 4.0 * _EPS * (np.abs(part) + np.abs(subtract))

@@ -27,8 +27,6 @@ from fracwave.special import (
     _exp_pair,
     _inverse_power_table,
     _inverse_power_terms,
-    _ml_asymptotic,
-    _ml_intermediate,
     _ml_neg_minus_pair,
     _taylor_kahan,
 )
@@ -69,15 +67,33 @@ def ml_asymptotic_oracle(alpha, x, dps=60):
 
 
 def full_sum_asymptotic(alpha, x, tol):
-    """The asymptotic regime with the inverse-power series summed all the way
-    to its envelope minimum, bounded by twice the envelope past it: the
-    reference for the regime's tolerance-driven stop."""
-    pair, pair_err = _exp_pair(alpha, x, tol)
-    _, terms, _, envelope = _inverse_power_terms(alpha, x)
-    total = float(np.sum(terms))
+    """_asymptotic_part with the inverse-power series summed all the way to
+    its envelope minimum, bounded by twice the envelope past it: the
+    reference for the regime's tolerance-driven stop.  x is the 1-element
+    array that ml_neg passes."""
+    _, terms, _, envelope = _inverse_power_terms(alpha, float(x[0]))
     first_term_scale = abs(_inverse_power_table(alpha).coef[0]) / x
-    est = 2.0 * envelope + 4.0 * _EPS * (abs(total) + abs(pair) + first_term_scale) + pair_err
-    return pair + total, est
+    return float(np.sum(terms)), 2.0 * envelope + 4.0 * _EPS * first_term_scale
+
+
+def with_pair(alpha, x, tol, part, err):
+    """A regime's value of E_alpha(-x) as ml_neg forms it, the part plus the
+    damped pair, and its est_error: the part's, the pair's and the rounding
+    of the sum."""
+    pair, pair_err = _exp_pair(alpha, x, tol)
+    return pair + part, err + 4.0 * _EPS * (abs(pair) + abs(part)) + pair_err
+
+
+def intermediate(alpha, x, tol):
+    """ml_neg's intermediate regime at a scalar x: the branch-cut integral
+    plus the pair."""
+    return with_pair(alpha, x, tol, *_branch_cut_integral(alpha, x))
+
+
+def asymptotic(alpha, x, tol):
+    """ml_neg's asymptotic regime at a scalar x: the inverse-power sum plus
+    the pair."""
+    return with_pair(alpha, x, tol, *_asymptotic_part(alpha, x, tol))
 
 
 # Values frozen from ml_series_oracle (dps=220).
@@ -187,7 +203,7 @@ class TestRegimes:
         tol = DEFAULT_TOL
         for x in np.geomspace(0.5, 2.0, 1000):
             v1, e1 = _taylor_kahan(alpha, float(x))
-            v2, e2 = _ml_intermediate(alpha, float(x), tol)
+            v2, e2 = intermediate(alpha, float(x), tol)
             assert abs(v1 - v2) <= 2.0 * tol + e1 + e2
 
     @pytest.mark.parametrize("alpha", [1.3, 1.7])
@@ -195,8 +211,8 @@ class TestRegimes:
         tol = DEFAULT_TOL
         xa = asymptotic_cutoff(alpha, tol)
         for x in np.geomspace(0.95 * xa, 1.05 * xa, 1000):
-            v1, e1 = _ml_asymptotic(alpha, float(x), tol)
-            v2, e2 = _ml_intermediate(alpha, float(x), tol)
+            v1, e1 = asymptotic(alpha, float(x), tol)
+            v2, e2 = intermediate(alpha, float(x), tol)
             assert abs(v1 - v2) <= 2.0 * tol + e1 + e2
 
     def test_tail_product_approaches_reciprocal_gamma(self):
@@ -217,14 +233,14 @@ class TestBranchCutRule:
         # to the asymptotic cutoff
         tol = 1e-13
         for x in np.geomspace(0.5, asymptotic_cutoff(alpha, tol), 40):
-            value, est = _ml_intermediate(alpha, float(x), tol)
+            value, est = intermediate(alpha, float(x), tol)
             assert est <= tol
             assert abs(value - ml_series_oracle(alpha, float(x))) <= est + 1e-15
 
     def test_mesh_is_built_once_per_alpha_for_any_tol(self):
-        _ml_intermediate(1.37, 3.0, 1e-13)
+        intermediate(1.37, 3.0, 1e-13)
         before = _branch_cut_mesh.cache_info()
-        _ml_intermediate(1.37, 7.5, 1e-10)
+        intermediate(1.37, 7.5, 1e-10)
         after = _branch_cut_mesh.cache_info()
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
@@ -233,8 +249,28 @@ class TestBranchCutRule:
         maxsize = _branch_cut_mesh.cache_info().maxsize
         assert maxsize is not None
         for alpha in np.linspace(1.1, 1.9, maxsize + 3):
-            _ml_intermediate(float(alpha), 3.0, 1e-13)
+            intermediate(float(alpha), 3.0, 1e-13)
         assert _branch_cut_mesh.cache_info().currsize <= maxsize
+
+    @pytest.mark.parametrize("alpha", [1.0005, 1.001, 1.01, 1.5, 1.999])
+    def test_sum_rounds_within_its_charge(self, alpha, monkeypatch):
+        # the integral charges 4 eps |value| for its rounding; math.fsum of
+        # the same products of exponentials and weights is their exact sum.
+        # Near alpha = 1 the mesh has ~1800 nodes, and a BLAS dot product
+        # over them rounded up to 6.9 eps |value|.
+        meshes = []
+
+        def spy(*args):
+            meshes.append(_branch_cut_mesh(*args))
+            return meshes[-1]
+
+        monkeypatch.setattr(special, "_branch_cut_mesh", spy)
+        xs = np.geomspace(0.5, asymptotic_cutoff(alpha, 1e-13), 300)
+        value, _ = _branch_cut_integral(alpha, xs)
+        nodes, w, _ = meshes[0]
+        for p, v in zip(xs ** (1.0 / alpha), value):
+            exact = math.fsum(np.exp(-p * nodes.ravel()) * w.ravel())
+            assert abs(v - exact) <= 4.0 * _EPS * abs(v)
 
 
 class TestIntermediateRegime:
@@ -337,16 +373,16 @@ class TestTolDrivenSum:
                     ml_neg(alpha, x, tol)
                 continue
             with monkeypatch.context() as m:
-                m.setattr(special, "_ml_asymptotic", full_sum_asymptotic)
+                m.setattr(special, "_asymptotic_part", full_sum_asymptotic)
                 ref = ml_neg(alpha, x, tol)
             got = ml_neg(alpha, x, tol)
             assert got.regime == ref.regime
             assert abs(got.value - ref.value) <= got.est_error + ref.est_error
 
     def test_table_is_built_once_per_alpha(self):
-        _ml_asymptotic(1.37, 200.0, 1e-13)
+        asymptotic(1.37, 200.0, 1e-13)
         before = _inverse_power_table.cache_info()
-        _ml_asymptotic(1.37, 900.0, 1e-10)
+        asymptotic(1.37, 900.0, 1e-10)
         _inverse_power_terms(1.37, 300.0)
         after = _inverse_power_table.cache_info()
         assert after.hits == before.hits + 2
@@ -356,7 +392,7 @@ class TestTolDrivenSum:
         maxsize = _inverse_power_table.cache_info().maxsize
         assert maxsize is not None
         for alpha in np.linspace(1.1, 1.9, maxsize + 3):
-            _ml_asymptotic(float(alpha), 500.0, 1e-13)
+            asymptotic(float(alpha), 500.0, 1e-13)
         assert _inverse_power_table.cache_info().currsize <= maxsize
 
 
@@ -389,12 +425,11 @@ class TestArrayKernel:
     def own_part(alpha, x, tol):
         """ml_neg's value without the pair, from the parts of its own regime."""
         r = ml_neg(alpha, x, tol)
-        pair = _exp_pair(alpha, x, tol)[0]
         if r.regime == "intermediate":
             return _branch_cut_integral(alpha, x)[0]
         if r.regime == "asymptotic":
-            return _asymptotic_part(alpha, x, tol, pair, 0.0)[0]
-        return r.value - pair
+            return _asymptotic_part(alpha, x, tol)[0]
+        return r.value - _exp_pair(alpha, x, tol)[0]
 
     # tol 3e-15 at alpha = 1.25 takes the series fallback on (1, 2], and no
     # regime attains it on (2, x_a)
@@ -421,8 +456,8 @@ class TestArrayKernel:
         xa = asymptotic_cutoff(alpha, tol)
         real = special._asymptotic_part
 
-        def high_floor(alpha, x, tol, pair, pair_err):
-            value, est = real(alpha, x, tol, pair, pair_err)
+        def high_floor(alpha, x, tol):
+            value, est = real(alpha, x, tol)
             return value, est + np.where(np.asarray(x) < 1.1 * xa, 2.0 * tol, 0.0)
 
         monkeypatch.setattr(special, "_asymptotic_part", high_floor)

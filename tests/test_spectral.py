@@ -93,6 +93,24 @@ def test_returns_where_the_contour_raises():
     assert np.isfinite(g_spectral(1.9999, 2, 1.0, 1.0).value)
 
 
+# Below r/t ~ 1e-144, x = rho t / r overflows x^2 at the mesh's upper
+# nodes.  The n = 1 kernel x / (x^2 + 1) is ~1/x there, which the r^-1 scale
+# makes O(1): set to 0, it left the value 0.21 off (alpha = 1.5,
+# r/t = 1e-160) with est_error 4e-6.
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiny_radius_within_est_error_or_raises(alpha, n):
+    for rho in (1e-150, 1e-154, 1e-160, 1e-250, 1e-300):
+        try:
+            res = g_spectral(alpha, n, rho, 1.0)
+        except NonConvergence:
+            continue
+        if n == 2:
+            assert np.isfinite(res.value)
+        else:
+            assert abs(res.value - (g1 if n == 1 else g3)(alpha, rho, 1.0)) <= res.est_error
+
+
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_origin_1d_is_g_origin(alpha):
     assert g_spectral(alpha, 1, 0.0, 2.0).value == g_origin(alpha, 1, 2.0)
