@@ -10,6 +10,12 @@ The argument parser is built once per process, on the first call of `main`
 (not at import), and every later call reuses it.  Each call looks up its
 `cmd_<command>` function by name when it runs, so a wrapper or test double
 installed on a `cmd_*` attribute after that first call is still the one called.
+
+Importing this module loads numpy and no scipy module.  The closed forms,
+the spectral route, `velocity`, `moments` and `solve1d` run on numpy alone;
+`scipy.special` (~0.2 s to import) is loaded on first use by
+`--method integral` (and so by `crosscheck`) and by `--method mellin` at
+`--dim 2`, and `scipy.integrate` by `moments --check-numeric`.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import OriginDivergence, check_finite, check_positive, check_window
 from .special import ml_neg
@@ -64,9 +63,11 @@ def _closed_form(what: str, alpha: float, r, t, j: int, k: int, rational):
         y2 = y * y
         m = sigma * ((alpha + sigma) * y2 - 2.0 * alpha * c * y - (alpha - sigma) * (s * s))
         part = rational(sigma, v, y2 + s * s, m)
-        # r^e t^-(e+k) = 2^n exp(f); below -1e4 (r = 0: -inf) every value is 0
+        # r^e t^-(e+k) = 2^n exp(f); below -1e4 (r = 0, e > 0: -inf) every
+        # value is 0.  At e = 0, r^0 = 1 also at r = 0: log(r + 1) keeps
+        # e log(.) at 0 there, and adding False leaves every other r exact.
         e = sigma * alpha - j
-        log_p = np.maximum(xlogy(e, r) - (e + k) * np.log(t), -1e4)
+        log_p = np.maximum(e * np.log(r + (e == 0.0)) - (e + k) * np.log(t), -1e4)
         n = np.rint(log_p / _LN2)
         val = s * np.ldexp(part * np.exp(log_p - n * _LN2), n.astype(int))
     check_finite(what, val)

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import loggamma as _loggamma, rgamma, sindg
 
 from .errors import (InvalidInput, NonConvergence, check_dimension, check_finite, check_positive,
                      check_window)
@@ -53,6 +52,15 @@ _BLOCK = 1 << 20  # entries of one (points x nodes) temporary
 # The tail bound must stay within this, the last step halving within this
 # or the rounding bound.
 _STEP_TOL = 1e-10
+
+
+def _loggamma(z):
+    """scipy.special.loggamma, imported on its first call.  _log_kernel_terms
+    looks this name up on every call, so a wrapper installed on it (the
+    benchmark's point counter) sees every point."""
+    from scipy.special import loggamma
+
+    return loggamma(z)
 
 
 def _log_sin(z: np.ndarray) -> np.ndarray:
@@ -96,6 +104,8 @@ def mb_kernel(alpha: float, n: int, s: complex) -> complex:
         raise NonConvergence(f"kernel pole at s = {x} = alpha * {round(x / alpha)}")
     # On the axis K is an entire numerator over sin(pi s/alpha), with exact
     # zeros; the log form would meet log 0 times a pole of Gamma(1 - s/2).
+    from scipy.special import rgamma, sindg
+
     if n == 2:
         num = math.pi ** 1.5 * rgamma(0.5 * x) * rgamma(0.5 * (1.0 - x))
     else:

@@ -39,8 +39,6 @@ import numpy as np
 from .closed_form import g1
 from .errors import (InvalidInput, NonConvergence, OriginDivergence, check_dimension,
                      check_finite, check_positive, check_window)
-from scipy.special import j0 as _bessel_j0
-
 from .special import (_EPS, _branch_cut_mesh, _cos_sin_pi, _gk15_cells, _inverse_power_terms,
                       _mesh_sums, _ml_neg_minus_pair, asymptotic_cutoff)
 
@@ -152,6 +150,8 @@ def _make_integrand(alpha: float, n: int, r: float, t: float, ml_tol: float):
     added to, above.
     """
     pref = _prefactor(n, r)
+    if n == 2:
+        from scipy.special import j0  # on first use (special's docstring)
 
     def f(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore"):  # checked below
@@ -160,7 +160,7 @@ def _make_integrand(alpha: float, n: int, r: float, t: float, ml_tol: float):
         reduced, rounding = _ml_neg_minus_pair(alpha, xs, ml_tol)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             kern = pref * (np.cos(taus * r) if n == 1 else
-                           taus * (_bessel_j0(taus * r) if n == 2 else np.sin(taus * r)))
+                           taus * (j0(taus * r) if n == 2 else np.sin(taus * r)))
             values = reduced * kern
         check_finite("the radial integrand", values)
         return values, rounding * np.abs(kern)

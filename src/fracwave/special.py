@@ -32,6 +32,10 @@ The orders are those of the fractional wave equation, 1 <= alpha <= 2.
 Every path works in double precision and returns an error estimate.  A
 tolerance that the regimes cannot meet raises NonConvergence: below 1e-13 for
 some inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
+
+scipy.special takes ~0.2 s to import, so the package imports it only inside
+the functions that call it, here and in quadrature and mellin_barnes: the
+closed forms and the spectral route never load it.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.special import rgamma as _scipy_rgamma
 
 from .errors import InvalidInput, NonConvergence, check_window
 
@@ -89,6 +91,8 @@ def _taylor_kahan(alpha: float, x):
     An element whose next term would overflow, or that is still short of its
     stop after 10000 terms, gets est_error inf.
     """
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=float)
     value = np.empty(x.size)
     est = np.full(x.size, math.inf)
@@ -159,17 +163,24 @@ def _exp_pair(alpha: float, x, tol: float):
     0.1 tol the pair is evaluated at 30 digits instead (~0.1 ms each).
     """
     value, err, precise = _exp_pair_double(alpha, x, tol)
-    if precise.any():
-        import mpmath as mp
+    return _pair_30_digits(alpha, x, value, precise)[()], err[()]
 
-        x, value = np.asarray(x, dtype=float), np.array(value)
-        with mp.workdps(30):
-            a = mp.mpf(alpha)
-            for i in np.flatnonzero(precise):
-                s = mp.mpf(float(x.flat[i])) ** (1 / a)
-                value.flat[i] = float(2 / a * mp.exp(s * mp.cos(mp.pi / a))
-                                      * mp.cos(s * mp.sin(mp.pi / a)))
-    return value[()], err[()]
+
+def _pair_30_digits(alpha: float, x, value, which):
+    """value, the double-precision pair at x (_exp_pair_double), with the
+    elements of the mask which evaluated at 30 digits in a copy."""
+    if not which.any():
+        return value
+    import mpmath as mp
+
+    x, value = np.asarray(x, dtype=float), np.array(value)
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        for i in np.flatnonzero(which):
+            s = mp.mpf(float(x.flat[i])) ** (1 / a)
+            value.flat[i] = float(2 / a * mp.exp(s * mp.cos(mp.pi / a))
+                                  * mp.cos(s * mp.sin(mp.pi / a)))
+    return value
 
 
 # The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk15): the one panel
@@ -429,8 +440,10 @@ class _InversePowerTable:
 @functools.lru_cache(maxsize=16)
 def _inverse_power_table(alpha: float) -> _InversePowerTable:
     """The inverse-power table of one alpha, built once, lazily, and cached."""
+    from scipy.special import gammaln, rgamma
+
     ks = np.arange(1, _INV_POWER_MAX_TERMS + 2, dtype=float)
-    coef = np.where(ks % 2 == 1, 1.0, -1.0) * _scipy_rgamma(1.0 - alpha * ks)
+    coef = np.where(ks % 2 == 1, 1.0, -1.0) * rgamma(1.0 - alpha * ks)
     log_gamma = gammaln(alpha * ks)
     for arr in (coef, log_gamma):
         arr.flags.writeable = False
@@ -549,15 +562,17 @@ def _ml_neg_parts(alpha: float, x: np.ndarray, tol: float):
     * est: the est_error of the Taylor sum, or of the part plus the pair,
       which adds the pair's error and 4 eps (|part| + |pair|);
     * series, asym: the masks of the Taylor and inverse-power sums;
-    * subtract: the pair on the series elements, 0 elsewhere.
-    Only subtract takes the pair at 30 digits where _exp_pair does; its
-    double-precision value and error (_exp_pair_double) decide the rest.
+    * pair, precise: the pair in double precision (_exp_pair_double), 0 at
+      alpha = 1 and 2, and the mask where _exp_pair takes it at 30 digits
+      instead.  A caller upgrades those elements (_pair_30_digits) only
+      where it adds or subtracts the pair; the double-precision value and
+      error decide the rest.
     At alpha = 1 and 2 every part is the exact exp(-x) or cos(sqrt(x)), with
     the regime of x's range: the other parts degenerate there, and at
     alpha = 2 the pair's damping s cos(pi/2) rounds to 6e-17 s, not 0.
     """
     series, asym = x <= SERIES_CUTOFF, x >= asymptotic_cutoff(alpha, tol)
-    subtract = np.zeros(x.shape)
+    pair, precise = np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
     if alpha == 1.0:
         part = np.exp(-x)
         est = 4.0 * _EPS * (1.0 + part)
@@ -584,12 +599,11 @@ def _ml_neg_parts(alpha: float, x: np.ndarray, tol: float):
             take = series[tried] | (taylor_est <= tol)
             idx = tried[take]
             part[idx], est[idx], series[idx] = taylor[take], taylor_est[take], True
-            subtract[idx] = _exp_pair(alpha, x[idx], tol)[0] if precise[idx].any() else pair[idx]
             est[x == 0.0] = 0.0  # E_alpha(0) = 1 exactly
     if np.any(est > tol):
         raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, "
                              f"x={x[est > tol].flat[0]}")
-    return part, est, series, asym, subtract
+    return part, est, series, asym, pair, precise
 
 
 def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
@@ -601,8 +615,8 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
     and NonConvergence if no regime can attain the requested tolerance.
     Every regime works in double precision: a tol below 1e-13 fails for some
     inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
-    Outside the series the pair is added to _ml_neg_parts's part, except at
-    alpha = 2, where the part is all pair.
+    Outside the series the pair is added to _ml_neg_parts's part (it is 0 at
+    alpha = 2, where the part is all pair).
     """
     check_window(alpha, 1.0, 2.0, hi_open=False, what="Mittag-Leffler order")
     if not (x >= 0.0 and 0.0 < tol < math.inf and (x < math.inf or alpha < 2.0)):
@@ -612,10 +626,11 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
         return MLResult(1.0, REGIME_SERIES, 0.0)
     if x == math.inf:
         return MLResult(0.0, REGIME_ASYMPTOTIC, 0.0)
-    part, est, series, asym, _ = _ml_neg_parts(alpha, np.array([x], dtype=float), tol)
+    xs = np.array([x], dtype=float)
+    part, est, series, asym, pair, precise = _ml_neg_parts(alpha, xs, tol)
     if series[0]:
         return MLResult(float(part[0]), REGIME_SERIES, float(est[0]))
-    value = part[0] if alpha == 2.0 else part[0] + _exp_pair(alpha, x, tol)[0]
+    value = part[0] + _pair_30_digits(alpha, xs, pair, precise)[0]
     return MLResult(float(value), REGIME_ASYMPTOTIC if asym[0] else REGIME_INTERMEDIATE,
                     float(est[0]))
 
@@ -633,5 +648,7 @@ def _ml_neg_minus_pair(alpha: float, x: np.ndarray, tol: float) -> tuple[np.ndar
     the subtraction, 4 eps (|part| + |subtract|).  Raises NonConvergence
     where ml_neg would.
     """
-    part, _, _, _, subtract = _ml_neg_parts(alpha, np.asarray(x, dtype=float), tol)
+    x = np.asarray(x, dtype=float)
+    part, _, series, _, pair, precise = _ml_neg_parts(alpha, x, tol)
+    subtract = np.where(series, _pair_30_digits(alpha, x, pair, precise & series), 0.0)
     return part - subtract, 4.0 * _EPS * (np.abs(part) + np.abs(subtract))

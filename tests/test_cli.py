@@ -24,6 +24,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_python(code, cwd=None):
+    """stdout of code run by a new interpreter that imports this checkout's
+    fracwave: its sys.modules holds nothing the test session imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fracwave.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], env=env,
+                          cwd=cwd, capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_import_leaves_scipy_integrate_out():
     # scipy.integrate adds ~0.2 s to every start and only moment_numeric needs
     # it; mpmath, scipy.optimize and scipy.sparse are not needed at import either.
@@ -33,6 +41,77 @@ def test_cli_import_leaves_scipy_integrate_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+    # nor any other scipy module: scipy.special alone took ~0.25 s of a 0.42 s import
+    for module in ("fracwave", "fracwave.cli"):
+        probe = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])"
+        assert fresh_python(probe).strip() == "[]", module
+
+
+# Commands that need numpy only: the closed forms, the spectral route, the
+# velocity curves, the moment formulas and the Green convolution.
+SCIPY_FREE_COMMANDS = [
+    "eval --alpha 1.5 --dim 1 --r 0.7 --t 1",
+    "eval --alpha 1.5 --dim 3 --r 0.7 --t 1",
+    "eval --alpha 1.5 --dim 2 --r 0.7 --t 1",
+    "profile --alpha 1.5 --dim 1 --t 1 --rmin 0 --rmax 3 --points 20 --out -",
+    "profile --alpha 1.5 --dim 3 --t 1 --rmin 0.1 --rmax 3 --points 20 --out -",
+    "profile --alpha 1.5 --dim 2 --t 1 --rmin 0.1 --rmax 3 --points 20 --out -",
+    "velocity --dim 3 --alpha-min 1.1 --alpha-max 1.9 --steps 5 --which phase",
+    "velocity --dim 1 --alpha-min 1.1 --alpha-max 1.9 --steps 5 --which gravity",
+    "moments --alpha 1.5 --dim 3 --beta 1.5 --t 2",
+    "solve1d --alpha 1.5 --t 0.5 --phi phi.csv --out -",
+]
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    (tmp_path / "phi.csv").write_text("x,phi\n-1,0\n0,1\n1,0\n", encoding="utf-8")
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "from fracwave.cli import main",
+        f"for command in {SCIPY_FREE_COMMANDS!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = main(command.split())",
+        "    print(code, [m for m in sys.modules if m.startswith('scipy')])",
+    ])
+    lines = fresh_python(probe, cwd=tmp_path).splitlines()
+    assert lines == ["0 []"] * len(SCIPY_FREE_COMMANDS)
+
+
+def test_routes_import_scipy_on_first_use():
+    """Every lazy scipy.special import runs in a process that had none: the
+    integral route for n = 1, 2, 3 (j0 at n = 2), the contour (loggamma),
+    ml_neg in each regime (gammaln, rgamma) and mb_kernel on the real axis
+    (sindg at n = 1, rgamma at n = 2), with the values of this session."""
+    evals = [f"eval --alpha 1.5 --dim {n} --r 0.7 --t 1 --method integral" for n in (1, 2, 3)]
+    evals.append("eval --alpha 1.5 --dim 2 --r 0.7 --t 1 --method mellin")
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import fracwave",
+        "from fracwave.cli import main",
+        f"for command in {evals!r}:",
+        "    out = io.StringIO()",
+        "    with contextlib.redirect_stdout(out):",
+        "        assert main(command.split()) == 0",
+        "    print(out.getvalue().strip())",
+        "for x in (0.5, 5.0, 1e4):",
+        "    r = fracwave.ml_neg(1.5, x)",
+        "    print(r.regime, repr(r.value), repr(r.est_error))",
+        "for n in (1, 2):",
+        "    print(repr(fracwave.mb_kernel(1.5, n, 0.7)))",
+        "print('scipy.special' in sys.modules)",
+    ])
+    lines = fresh_python(probe).splitlines()
+    for command, line in zip(evals, lines):
+        args = command.split()
+        n, method = int(args[args.index("--dim") + 1]), args[-1]
+        res = (g_integral if method == "integral" else g_mellin_barnes)(1.5, n, 0.7, 1.0)
+        assert line == f"{res.value:.15g} {res.est_error:.15g}", command
+    mls = [fracwave.ml_neg(1.5, x) for x in (0.5, 5.0, 1e4)]
+    assert [r.regime for r in mls] == ["series", "intermediate", "asymptotic"]
+    assert lines[len(evals):len(evals) + 3] == [f"{r.regime} {r.value!r} {r.est_error!r}"
+                                                for r in mls]
+    assert lines[len(evals) + 3:] == [repr(fracwave.mb_kernel(1.5, n, 0.7)) for n in (1, 2)] \
+        + ["True"]
 
 
 class TestSharedParser:

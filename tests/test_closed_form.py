@@ -82,6 +82,48 @@ class TestG1:
             g1(1.5, -1.0, 1.0)
 
 
+class TestOriginLimits:
+    """r^e at r = 0, taken in logs as e log r with 0 log 0 = 0: at alpha = 1,
+    e = 0 for r <= t, and g1 and g1_dt reach their Cauchy limits 1/(pi t)
+    and -1/(pi t^2); above alpha = 1, r^(alpha-1) -> 0.  No RuntimeWarning."""
+
+    TS = (1e-200, 1e-3, 1.0, 7.3, 1e150)
+
+    @staticmethod
+    def quiet(form, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return form(*args)
+
+    @pytest.mark.parametrize("t", TS)
+    def test_cauchy_peak(self, t):
+        value = self.quiet(g1, 1.0, 0.0, t)
+        assert value == pytest.approx(1.0 / (math.pi * t), rel=1e-13)
+        assert np.all(self.quiet(g1, 1.0, np.array([0.0, 0.0]), t) == value)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_cauchy_peak_exact_at_powers_of_two(self, t):
+        assert self.quiet(g1, 1.0, 0.0, t) == 1.0 / (math.pi * t)
+        assert self.quiet(g1_dt, 1.0, 0.0, t) == -1.0 / (math.pi * t * t)
+
+    @pytest.mark.parametrize("t", TS[1:])
+    def test_cauchy_time_derivative(self, t):
+        assert self.quiet(g1_dt, 1.0, 0.0, t) == pytest.approx(-1.0 / (math.pi * t * t),
+                                                               rel=1e-13)
+
+    def test_time_derivative_overflow_raises(self):
+        # -1/(pi t^2) at t = 1e-200 is beyond the double range
+        with pytest.raises(NonConvergence):
+            self.quiet(g1_dt, 1.0, 0.0, 1e-200)
+
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-7, 1.2, 1.5, 1.9, 2.0 - 1e-7])
+    @pytest.mark.parametrize("t", TS)
+    def test_zero_above_alpha_one(self, alpha, t):
+        assert self.quiet(g1, alpha, 0.0, t) == 0.0
+        dt = self.quiet(g1_dt, alpha, 0.0, t)
+        assert dt == 0.0 and math.copysign(1.0, dt) == -1.0  # -0.0, as the power underflows
+
+
 class TestDerivatives:
     def test_dr_vanishes_at_maximum(self):
         for a in (1.2, 1.5, 1.8):

@@ -179,6 +179,29 @@ class TestMlNeg:
         with pytest.raises(NonConvergence):
             ml_neg(alpha, 0.5, tol=1e-17)
 
+    # (1.9999, 1e6) takes the pair at 30 digits
+    @pytest.mark.parametrize("alpha,x", [(1.5, 1.5), (1.5, 5.0), (1.5, 100.0), (1.5, 1000.0),
+                                         (1.9999, 1e6)])
+    def test_pair_formed_once(self, alpha, x, monkeypatch):
+        # outside the series ml_neg adds the pair whose double-precision
+        # value and error _ml_neg_parts formed, rather than forming them again
+        calls = []
+        real = special._exp_pair_double
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(special, "_exp_pair_double", counting)
+        r = ml_neg(alpha, x)
+        assert r.regime != "series"
+        assert len(calls) == 1
+        monkeypatch.undo()
+        part = (_asymptotic_part(alpha, x, DEFAULT_TOL) if r.regime == "asymptotic"
+                else _branch_cut_integral(alpha, x))[0]
+        assert r.value == part + _exp_pair(alpha, x, DEFAULT_TOL)[0]
+        assert special._exp_pair_double(alpha, x, DEFAULT_TOL)[2] == (alpha > 1.99)
+
     def test_limit_at_infinity(self):
         for alpha in (1.0, 1.5, 1.9):
             assert ml_neg(alpha, math.inf) == MLResult(0.0, "asymptotic", 0.0)
