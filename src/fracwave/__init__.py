@@ -22,8 +22,7 @@ from .analysis import (
     ExtremumReport,
     gravity_center_velocity,
     max_location,
-    moment_1d,
-    moment_3d,
+    moment,
     moment_numeric,
     phase_velocity,
     sign_profile_3d,
@@ -51,6 +50,6 @@ __all__ = [
     "OriginDivergence", "QuadResult", "g1", "g1_dr", "g1_dt", "g3", "g3_via_g1_spatial",
     "g3_via_g1_temporal", "g_hat", "g_integral", "g_mellin_barnes", "g_origin", "g_spectral",
     "gravity_center_velocity", "l_aux", "max_location", "mb_kernel", "ml_neg",
-    "moment_1d", "moment_3d", "moment_numeric", "phase_velocity", "sign_profile_3d",
+    "moment", "moment_numeric", "phase_velocity", "sign_profile_3d",
     "solve_ivp_1d", "velocity_curve", "zero_crossing_z",
 ]

@@ -1,15 +1,14 @@
 """Derived wave quantities: extremum locations, phase and gravity-center
-velocities, moments of the 1D and 3D fundamental solutions, and the 3D sign
-structure.
+velocities, radial moments of the 1D, 2D and 3D fundamental solutions, and
+the 3D sign structure.
 
 Key closed forms:
 
 * zero crossing  z_alpha = ((-cos(pi a/2) + sqrt(a^2 - sin^2(pi a/2)))/(a+1))^(1/a),
   the sign change of the 3D solution and the unique maximum of the 1D one;
-* 1D moments     int_0^inf G_{a,1} r^b dr = t^b sin(pi b/2)/(a sin(pi b/a)),
-  finite for |b| < a (contract window -1 < b < a);
-* 3D "moments"   I_{a,b}(t) = t^(b-2)(b-1)/(2 a pi) * sin(pi b/2)/sin(pi(2-b)/a),
-  finite for 2-a < b < 2+a (plain integrals; the 3D solution is signed).
+* moments        int_0^inf G_{a,n}(r, t) r^b dr = t^(b+1-n) K_n(n - 1 - b) / (a pi^(n/2)),
+  the radial Mellin transform, with K_n the contour kernel of mellin_barnes at
+  a real point; finite for -1 < b < a at n = 1, n - 1 - a < b < n - 1 + a at n = 2, 3.
 
 The 3D maximum location at t = 1 solves d/dw log G_{a,3}(w, 1) = 0, a quartic
 in q = w^a whose one real root right of z_alpha^a is taken (within ~1e-8 of
@@ -29,6 +28,8 @@ from numpy.polynomial.polynomial import polymul, polyroots
 from .closed_form import _power, g1, g3, order_trig
 from .errors import (InvalidInput, NonConvergence, check_dimension, check_finite, check_positive,
                      check_window)
+from .mellin_barnes import _real_kernel
+from .quadrature import g_spectral
 
 KIND_MAXIMUM = "maximum"
 _ZERO_TOL = 1e-9  # |G3| t^3 and |r/t - z_alpha| at or below this count as sign 0
@@ -122,40 +123,20 @@ def velocity_curve(n: int, alphas, which: str = "phase") -> list[tuple[float, fl
     raise InvalidInput(f"unknown velocity kind {which!r}")
 
 
-def moment_1d(alpha: float, beta: float, t: float) -> float:
-    """Half-line moment int_0^inf G_{alpha,1}(r,t) r^beta dr for -1 < beta < alpha.
-
-    beta = 0 returns the half-line mass 1/2 (the solution is an even unit-mass
-    density); other removable points do not occur inside the window.
-    """
-    check_window(alpha, 1.0, 2.0)
+def moment(alpha: float, n: int, beta: float, t: float) -> float:
+    """Radial moment int_0^inf G_{alpha,n}(r, t) r^beta dr = t^(beta+1-n)
+    K_n(n - 1 - beta) / (alpha pi^(n/2)), n in {1, 2, 3}, for -1 < beta < alpha
+    at n = 1 and n - 1 - alpha < beta < n - 1 + alpha (alpha > 1) at n = 2, 3;
+    plain integrals, signed for n >= 2.  The removable point beta = n - 1 gives
+    Gamma(n/2)/(2 pi^(n/2)): 1/2, 1/(2 pi) and 1/(4 pi), the unit mass."""
+    check_dimension(n)
+    check_window(alpha, 1.0, 2.0, lo_open=n > 1, what=f"order for n = {n}")
     check_positive("t", t)
-    check_window(beta, -1.0, alpha, lo_open=True, what="1D moment order")
-    if beta == 0.0:
-        return 0.5
-    value = _power(t, beta) * math.sin(math.pi * beta / 2.0) \
-        / (alpha * math.sin(math.pi * beta / alpha))
-    check_finite("the 1D moment", value)
-    return value
-
-
-def moment_3d(alpha: float, beta: float, t: float) -> float:
-    """Signed radial integral I_{alpha,beta}(t) = int_0^inf r^beta G_{alpha,3} dr
-    for 2 - alpha < beta < 2 + alpha.
-
-    Exact particular cases: I_{alpha,1} = 0, I_{alpha,2} = 1/(4 pi), and
-    I_{alpha,3}(t) = t/(alpha pi sin(pi/alpha)); beta = 2 is the removable
-    0/0 point of the general formula and is handled by its limit.
-    """
-    check_window(alpha, 1.0, 2.0, lo_open=True)
-    check_positive("t", t)
-    check_window(beta, 2.0 - alpha, 2.0 + alpha, lo_open=True, what="3D moment order")
-    if beta == 2.0:
-        return 1.0 / (4.0 * math.pi)
-    value = (_power(t, beta - 2.0) * (beta - 1.0) / (2.0 * alpha * math.pi)
-             * math.sin(math.pi * beta / 2.0)
-             / math.sin(math.pi * (2.0 - beta) / alpha))
-    check_finite("the 3D moment", value)
+    check_window(beta, -1.0 if n == 1 else n - 1.0 - alpha, n - 1.0 + alpha, lo_open=True,
+                 what=f"{n}D moment order")
+    value = _power(t, beta - (n - 1.0)) * _real_kernel(alpha, n, -beta, n - 1) \
+        / (alpha * math.pi ** (0.5 * n))
+    check_finite(f"the {n}D moment", value)
     return value
 
 
@@ -163,25 +144,18 @@ _MOMENT_R_MAX = 1e6  # moment_numeric's quadrature stops at r/t = _MOMENT_R_MAX
 
 
 def moment_numeric(alpha: float, n: int, beta: float, t: float) -> float:
-    """Independent numerical moment: quadrature of the closed form at t = 1 on
-    a log grid truncated at R = _MOMENT_R_MAX, plus the analytic power-law tail
-    (integrand ~ r^(beta - alpha - n) for large r), scaled by t^(beta + 1 - n):
-    G_{alpha,n}(r, t) = t^(-n) G_{alpha,n}(r/t, 1).  Takes the orders and
-    times of moment_1d (n = 1) and moment_3d (n = 3)."""
-    # Imported here, its only use: scipy.integrate would add ~0.2 s to every
-    # start of the CLI.
+    """Independent numerical moment, for the orders and times of moment:
+    quadrature of G_{alpha,n}(r, 1) (g_spectral for n = 2) truncated at
+    R = _MOMENT_R_MAX, plus the analytic power-law tail, scaled by
+    t^(beta + 1 - n): G_{alpha,n}(r, t) = t^(-n) G_{alpha,n}(r/t, 1)."""
+    # Imported here, its only use: it would add ~0.2 s to every CLI start.
     from scipy.integrate import IntegrationWarning, quad
 
-    check_dimension(n, (1, 3))
-    (moment_1d if n == 1 else moment_3d)(alpha, beta, t)  # raises outside its windows
-    fn = g1 if n == 1 else g3
+    moment(alpha, n, beta, t)  # raises outside its windows
 
-    def integrand_r(r):
-        return float(fn(alpha, r, 1.0)) * r ** beta
-
-    def integrand_log(u):
-        r = math.exp(u)
-        return float(fn(alpha, r, 1.0)) * r ** (beta + 1.0)  # extra r from du
+    def g(r):  # G_{alpha,n}(r, 1)
+        return float(g1(alpha, r, 1.0) if n == 1 else g3(alpha, r, 1.0) if n == 3
+                     else g_spectral(alpha, 2, r, 1.0).value)
 
     # Near field in r (resolves the signed region around the zero crossing
     # exactly; QUADPACK handles the integrable endpoint singularity at 0),
@@ -193,27 +167,23 @@ def moment_numeric(alpha: float, n: int, beta: float, t: float) -> float:
         # the endpoint singularity r^(beta+alpha-n) trips QUADPACK's
         # slow-convergence heuristic; the dual-route tests bound the error
         warnings.simplefilter("ignore", IntegrationWarning)
-        near, _ = quad(integrand_r, 0.0, r_mid, limit=800,
+        near, _ = quad(lambda r: g(r) * r ** beta, 0.0, r_mid, limit=800,
                        epsabs=1e-13, epsrel=1e-11, points=pts)
-        far, _ = quad(integrand_log, math.log(r_mid), math.log(_MOMENT_R_MAX),
-                      limit=400, epsabs=1e-14, epsrel=1e-11)
-    # Tail from the large-r asymptotics of the closed forms.
-    s = order_trig(alpha)[1]
-    if n == 1:
-        c_tail = s / math.pi
-        expo = beta - alpha
-    else:
-        c_tail = s * (alpha + 1.0) / (2.0 * math.pi ** 2)
-        expo = beta - alpha - 2.0
+        far, _ = quad(lambda u: g(math.exp(u)) * math.exp(u) ** (beta + 1.0), math.log(r_mid),
+                      math.log(_MOMENT_R_MAX), limit=400, epsabs=1e-14, epsrel=1e-11)
+    # G_{alpha,n}(r, 1) ~ c r^(-n-alpha) at large r: the residue of K_n at s = -alpha
+    c_tail = order_trig(alpha)[1] * math.gamma(0.5 * (n + alpha)) \
+        / (math.pi ** (0.5 * (n + 1)) * math.gamma(0.5 * (1.0 + alpha)))
+    expo = beta - alpha - (n - 1.0)
     tail = -c_tail * _MOMENT_R_MAX ** expo / expo  # expo < 0 inside the moment window
-    value = (near + far + tail) * _power(t, beta + 1.0 - n)
+    value = (near + far + tail) * _power(t, beta - (n - 1.0))
     check_finite("the numerical moment", value)
     return value
 
 
 def gravity_center_velocity(alpha: float) -> float:
     """Velocity 2/(alpha sin(pi/alpha)) of the half-line gravity center
-    moment_1d(alpha,1,t)/moment_1d(alpha,0,t); diverges as alpha -> 1."""
+    moment(alpha, 1, 1, t)/moment(alpha, 1, 0, t); diverges as alpha -> 1."""
     check_window(alpha, 1.0, 2.0, lo_open=True)  # no mean at alpha = 1
     return 2.0 / (alpha * math.sin(math.pi / alpha))
 

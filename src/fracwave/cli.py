@@ -12,7 +12,8 @@ The argument parser is built once per process, on the first call of `main`
 installed on a `cmd_*` attribute after that first call is still the one called.
 
 Importing this module loads numpy and no scipy module.  The closed forms,
-the spectral route, `velocity`, `moments` and `solve1d` run on numpy alone;
+the spectral route, `velocity`, `moments` (one kernel formula for `--dim`
+1, 2 and 3) and `solve1d` run on numpy alone;
 `scipy.special` (~0.2 s to import) is loaded on first use by
 `--method integral` (and so by `crosscheck`) and by `--method mellin` at
 `--dim 2`, and `scipy.integrate` by `moments --check-numeric`.
@@ -185,8 +186,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    moment = analysis.moment_1d if args.dim == 1 else analysis.moment_3d
-    value = moment(args.alpha, args.beta, args.t)
+    value = analysis.moment(args.alpha, args.dim, args.beta, args.t)
     print(f"formula {value:.15g}")
     if args.check_numeric:
         num = analysis.moment_numeric(args.alpha, args.dim, args.beta, args.t)
@@ -259,9 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-6)
 
-    p = sub.add_parser("moments", help="moment formulas with optional numeric check")
+    p = sub.add_parser("moments", help="moment formula with optional numeric check")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--dim", type=int, required=True, choices=(1, 3))
+    p.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--check-numeric", action="store_true", dest="check_numeric")

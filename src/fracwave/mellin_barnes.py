@@ -12,7 +12,8 @@ Third, independent route:
 by Euler's reflection and Legendre's duplication formulas (Paris & Kaminski,
 "Asymptotics and Mellin-Barnes Integrals", CUP 2001).  The Gamma ratio is 1
 for n = 1 and (1 - s)/2 for n = 3; K is regular at s = 0, and its only poles
-are simple, at s = alpha k, k != 0.  L is a vertical line Re s = sigma inside
+are simple, at s = alpha k, k != 0.  At real s it is the radial Mellin
+transform of G (analysis.moment).  L is a vertical line Re s = sigma inside
 the pole-free strip 0 < sigma < min(alpha, n).  Along the line K decays like
 exp(-mu |Im s|) with mu = (pi/2)(2/alpha - 1) > 0 for alpha < 2, so a
 truncated line integral with a tail bound suffices.  Schwarz reflection
@@ -81,6 +82,47 @@ def _log_kernel_terms(alpha: float, n: int, s: np.ndarray | complex) -> tuple[np
     return terms
 
 
+def _sin_pi(x: float, a: float, m: int = 0) -> float:
+    """sin(pi (m + x)/a) for real x, integer m, a > 0, with m + x reduced exactly
+    (x by fmod, then m + x by k a, |k| <= 2): it keeps its digits at any x, also
+    where m + x would round, and is exactly 0 at m + x = k a."""
+    y = math.fmod(x, 2.0 * a)
+    k = round((m + y) / a)
+    return math.sin(math.pi * ((m - k * a) + y) / a) * (-1.0 if k % 2 else 1.0)
+
+
+# Gamma(z + 1/2)/Gamma(z) ~ sqrt(z) sum_k c_k z^-k (Abramowitz & Stegun 6.1.47)
+_HALF_RATIO_SERIES = (1.0, -1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144, 869 / 4194304)
+
+
+def _gamma_half_ratio(z: float) -> float:
+    """Gamma(z + 1/2)/Gamma(z) for z > 0, by the series past z = 170 (terms left out < 1e-17);
+    from z = 1 on at w = z + 1/2 and w - 1/2 (exact), so w's rounding moves both alike."""
+    if z >= 170.0:
+        return math.sqrt(z) * sum(c / z ** k for k, c in enumerate(_HALF_RATIO_SERIES))
+    w = z + 0.5
+    return math.gamma(w) / math.gamma(w - 0.5 if z >= 1.0 else z)
+
+
+def _real_kernel(alpha: float, n: int, x: float, m: int = 0) -> float:
+    """K(s) at s = m + x (m an integer; alpha, n checked): a numerator over
+    sin(pi s/alpha), alpha Gamma(n/2)/2 at s = 0, NonConvergence at s = alpha k != 0.
+    The numerator is sqrt(pi) sin(pi s/2) times 1 (n = 1) or (1 - s)/2 (n = 3).  For
+    n = 2, pi^(3/2)/(Gamma(s/2) Gamma((1 - s)/2)) = sqrt(pi) sin(pi s/2) R((1 - s)/2)
+    for s < 0 and sqrt(pi) cos(pi s/2) R(s/2) for s > 0, R(z) = Gamma(z + 1/2)/Gamma(z)."""
+    s = m + x
+    if s == 0.0:
+        return 0.5 * alpha * math.gamma(0.5 * n)
+    if s / alpha == round(s / alpha):
+        raise NonConvergence(f"kernel pole at s = {s} = alpha * {round(s / alpha)}")
+    if n == 2:
+        num = (_sin_pi(x, 2.0, m) * _gamma_half_ratio(0.5 * ((1 - m) - x)) if s < 0.0
+               else _sin_pi(-x, 2.0, 1 - m) * _gamma_half_ratio(0.5 * s))
+    else:
+        num = _sin_pi(x, 2.0, m) * (1.0 if n == 1 else 0.5 * ((1 - m) - x))
+    return math.sqrt(math.pi) * num / _sin_pi(x, alpha, m)
+
+
 def mb_kernel(alpha: float, n: int, s: complex) -> complex:
     """Kernel K of the contour representation at a single point.
 
@@ -93,24 +135,12 @@ def mb_kernel(alpha: float, n: int, s: complex) -> complex:
     check_finite("s", s, exc=InvalidInput)
     if s.imag < 0.0:  # Schwarz reflection: _log_sin serves Im s >= 0 only
         return mb_kernel(alpha, n, s.conjugate()).conjugate()
-    if s.imag != 0.0:
-        value = complex(np.exp(sum(_log_kernel_terms(alpha, n, s))))
-        check_finite("the kernel", value)
-        return value
-    x = s.real
-    if x == 0.0:
-        return complex(0.5 * alpha * math.gamma(0.5 * n))
-    if x / alpha == round(x / alpha):
-        raise NonConvergence(f"kernel pole at s = {x} = alpha * {round(x / alpha)}")
-    # On the axis K is an entire numerator over sin(pi s/alpha), with exact
-    # zeros; the log form would meet log 0 times a pole of Gamma(1 - s/2).
-    from scipy.special import rgamma, sindg
-
-    if n == 2:
-        num = math.pi ** 1.5 * rgamma(0.5 * x) * rgamma(0.5 * (1.0 - x))
-    else:
-        num = math.sqrt(math.pi) * sindg(90.0 * x) * (1.0 if n == 1 else 0.5 * (1.0 - x))
-    return complex(num / math.sin(math.pi * x / alpha))
+    if s.imag == 0.0:
+        # the log form would meet log 0 times a pole of Gamma(1 - s/2)
+        return complex(_real_kernel(alpha, n, s.real))
+    value = complex(np.exp(sum(_log_kernel_terms(alpha, n, s))))
+    check_finite("the kernel", value)
+    return value
 
 
 def _phase_sum(log_rho: np.ndarray, sigma: float, y0: float, dy: float,

@@ -12,8 +12,7 @@ import pytest
 
 from fracwave.analysis import (
     gravity_center_velocity,
-    moment_1d,
-    moment_3d,
+    moment,
     moment_numeric,
     phase_velocity,
     zero_crossing_z,
@@ -104,20 +103,20 @@ def test_criterion_04_moments():
                       "exact 3D constants to 1e-12"):
         for a in (1.1, 1.5, 1.9):
             for b in (0.5, 1.0, 0.95 * a):
-                f = moment_1d(a, b, 1.0)
+                f = moment(a, 1, b, 1.0)
                 n = moment_numeric(a, 1, b, 1.0)
                 assert abs(f - n) <= 1e-5 * abs(f)
             for b in (2.0, 3.0):
-                f = moment_3d(a, b, 1.0)
+                f = moment(a, 3, b, 1.0)
                 n = moment_numeric(a, 3, b, 1.0)
                 assert abs(f - n) <= 1e-5 * abs(f)
             # the signed mean cancels exactly; compare on the universal scale
             num_mean = moment_numeric(a, 3, 1.0, 1.0)
-            assert abs(num_mean) <= 1e-5 * max(1.0, moment_3d(a, 2.0, 1.0))
-            assert abs(moment_3d(a, 1.0, 1.0)) <= 1e-12
-            assert abs(moment_3d(a, 2.0, 1.0) - 1.0 / (4.0 * math.pi)) <= 1e-12
+            assert abs(num_mean) <= 1e-5 * max(1.0, moment(a, 3, 2.0, 1.0))
+            assert abs(moment(a, 3, 1.0, 1.0)) <= 1e-12
+            assert abs(moment(a, 3, 2.0, 1.0) - 1.0 / (4.0 * math.pi)) <= 1e-12
             ref3 = 1.0 / (a * math.pi * math.sin(math.pi / a))
-            assert abs(moment_3d(a, 3.0, 1.0) - ref3) <= 1e-12
+            assert abs(moment(a, 3, 3.0, 1.0) - ref3) <= 1e-12
 
 
 def test_criterion_05_normalization_and_positivity():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,8 +10,7 @@ from fracwave.analysis import (
     ExtremumReport,
     gravity_center_velocity,
     max_location,
-    moment_1d,
-    moment_3d,
+    moment,
     moment_numeric,
     phase_velocity,
     sign_profile_3d,
@@ -145,36 +145,72 @@ class TestPhaseVelocity:
 
 class TestMoments1d:
     def test_known_values(self):
-        assert moment_1d(1.5, 1.0, 1.0) == pytest.approx(0.769800358919501, abs=1e-12)
-        assert moment_1d(1.3, 0.0, 5.0) == 0.5
+        assert moment(1.5, 1, 1.0, 1.0) == pytest.approx(0.769800358919501, abs=1e-12)
+        assert moment(1.3, 1, 0.0, 5.0) == 0.5
 
     def test_against_numerical_integration(self):
         for a in (1.1, 1.5, 1.9):
             for b in (0.5, 1.0 if a > 1.0 else 0.8, 0.95 * a):
-                f = moment_1d(a, b, 1.0)
+                f = moment(a, 1, b, 1.0)
                 n = moment_numeric(a, 1, b, 1.0)
                 assert abs(f - n) <= 1e-5 * abs(f)
 
     def test_time_scaling(self):
-        assert moment_1d(1.5, 1.0, 3.0) == pytest.approx(3.0 * moment_1d(1.5, 1.0, 1.0),
+        assert moment(1.5, 1, 1.0, 3.0) == pytest.approx(3.0 * moment(1.5, 1, 1.0, 1.0),
                                                          rel=1e-14)
 
     def test_out_of_range(self):
         with pytest.raises(InvalidInput, match="moment order"):
-            moment_1d(1.2, 1.5, 1.0)
+            moment(1.2, 1, 1.5, 1.0)
         with pytest.raises(InvalidInput, match="moment order"):
-            moment_1d(1.2, -1.0, 1.0)
+            moment(1.2, 1, -1.0, 1.0)
+
+
+class TestMoments2d:
+    """int_0^inf G_2 r^beta dr for 1 - alpha < beta < 1 + alpha, against the
+    quadrature of g_spectral, 0.02 from both ends of the window and inside."""
+
+    @pytest.mark.parametrize("a", [1.05, 1.5, 1.95])
+    def test_against_numerical_integration(self, a):
+        for b in (1.02 - a, 0.5, 1.0, 1.5, 0.98 + a):
+            f = moment(a, 2, b, 1.0)
+            n = moment_numeric(a, 2, b, 1.0)
+            assert abs(f - n) <= 1e-8 * abs(f), b
+
+    def test_unit_mass(self):
+        # 2 pi int_0^inf r G_2 dr = 1 at every order and time
+        for a in (1.05, 1.5, 1.95):
+            for t in (0.3, 1.0, 7.0):
+                assert moment(a, 2, 1.0, t) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+
+    @pytest.mark.parametrize("a", [1.05, 1.5, 1.95])
+    def test_signed_integral_vanishes(self, a):
+        # int_0^inf G_2 dr = 0: the 2D solution is signed
+        for t in (0.3, 1.0, 7.0):
+            assert moment(a, 2, 0.0, t) == 0.0
+        assert abs(moment_numeric(a, 2, 0.0, 1.0)) <= 1e-12
+
+    def test_out_of_range(self):
+        with pytest.raises(InvalidInput, match="moment order"):
+            moment(1.5, 2, -0.5, 1.0)
+        with pytest.raises(InvalidInput, match="moment order"):
+            moment(1.5, 2, 2.5, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_alpha_one_refused(self, n):
+        with pytest.raises(InvalidInput, match="order"):
+            moment(1.0, n, n - 1.0, 1.0)
 
 
 class TestMoments3d:
     def test_mean_vanishes_identically(self):
         for a in (1.1, 1.5, 1.9):
             for t in (0.3, 1.0, 7.0):
-                assert abs(moment_3d(a, 1.0, t)) <= 1e-12
+                assert abs(moment(a, 3, 1.0, t)) <= 1e-12
 
     def test_second_moment_universal(self):
         ref = 1.0 / (4.0 * math.pi)
-        vals = [moment_3d(a, 2.0, t)
+        vals = [moment(a, 3, 2.0, t)
                 for a in np.linspace(1.05, 1.95, 5)
                 for t in np.geomspace(0.1, 10.0, 5)]
         assert max(abs(v - ref) for v in vals) <= 1e-12
@@ -182,21 +218,59 @@ class TestMoments3d:
     def test_third_moment(self):
         for a in (1.1, 1.5, 1.9):
             ref = 1.0 / (a * math.pi * math.sin(math.pi / a))
-            assert abs(moment_3d(a, 3.0, 1.0) - ref) <= 1e-12
+            assert abs(moment(a, 3, 3.0, 1.0) - ref) <= 1e-12
 
     def test_against_numerical_integration(self):
         for a in (1.1, 1.5, 1.9):
             for b in (1.0, 2.0, 3.0):
-                f = moment_3d(a, b, 1.0)
+                f = moment(a, 3, b, 1.0)
                 n = moment_numeric(a, 3, b, 1.0)
                 scale = max(abs(f), 1e-2)
                 assert abs(f - n) <= 1e-5 * scale
 
     def test_out_of_range(self):
         with pytest.raises(InvalidInput, match="moment order"):
-            moment_3d(1.5, 0.4, 1.0)
+            moment(1.5, 3, 0.4, 1.0)
         with pytest.raises(InvalidInput, match="moment order"):
-            moment_3d(1.5, 3.6, 1.0)
+            moment(1.5, 3, 3.6, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moment_refuses_bad_input_at_every_dimension(n):
+    """The bad values of the contract's moment row (taken there at n = 3), at
+    each n; alpha = 1 is valid at n = 1 only."""
+    valid = {"alpha": 1.5, "n": n, "beta": n - 0.5, "t": 1.0}
+    bad = {"alpha": [math.nan, math.inf, 0.5, 2.0, 2.5] + ([1.0] if n > 1 else []),
+           "beta": [math.nan, math.inf, 5.0], "t": [math.nan, math.inf, -math.inf, 0.0, -1.0]}
+    for arg, values in bad.items():
+        for value in values:
+            with pytest.raises(InvalidInput):
+                moment(**{**valid, arg: value})
+    if n == 1:
+        # the Cauchy kernel: int_0^inf r^(1/2) / (pi (1 + r^2)) dr = sin(pi/4)
+        assert moment(1.0, 1, 0.5, 1.0) == pytest.approx(math.sin(math.pi / 4), rel=1e-15)
+
+
+def mellin_moment(a, n, beta):
+    """int_0^inf G_{a,n}(r, 1) r^beta dr = K_n(n - 1 - beta)/(a pi^(n/2)) at 40
+    digits, from the five-Gamma kernel with the double beta taken exactly."""
+    with mpmath.workdps(40):
+        a, s = mpmath.mpf(a), n - 1 - mpmath.mpf(beta)
+        kernel = (mpmath.gamma(s / a) * mpmath.gamma(1 - s / a) * mpmath.gamma((n - s) / 2)
+                  / (mpmath.gamma(1 - s) * mpmath.power(2, s) * mpmath.gamma(s / 2)))
+        return float(kernel / (a * mpmath.pi ** (mpmath.mpf(n) / 2)))
+
+
+@pytest.mark.parametrize("a", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moment_accurate_at_the_removable_point(a, n):
+    """Near beta = n - 1, where sin(pi s/2) and sin(pi s/alpha) vanish together
+    (s = n - 1 - beta); a sine of pi beta/2 near a multiple of pi keeps only
+    the absolute accuracy of its argument there."""
+    for d in (1e-6, 1e-10, -1e-10, 1e-13):
+        beta = n - 1.0 + d
+        ref = mellin_moment(a, n, beta)
+        assert abs(moment(a, n, beta, 1.0) - ref) <= 1e-14 * abs(ref), d
 
 
 class TestGravityCenterVelocity:
@@ -205,7 +279,7 @@ class TestGravityCenterVelocity:
 
     def test_matches_moment_ratio_slope(self):
         a = 1.4
-        v = (moment_1d(a, 1.0, 2.0) / 0.5 - moment_1d(a, 1.0, 1.0) / 0.5) / 1.0
+        v = (moment(a, 1, 1.0, 2.0) / 0.5 - moment(a, 1, 1.0, 1.0) / 0.5) / 1.0
         assert gravity_center_velocity(a) == pytest.approx(v, rel=1e-12)
 
     def test_approaches_one_at_two(self):

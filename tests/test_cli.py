@@ -58,6 +58,8 @@ SCIPY_FREE_COMMANDS = [
     "profile --alpha 1.5 --dim 2 --t 1 --rmin 0.1 --rmax 3 --points 20 --out -",
     "velocity --dim 3 --alpha-min 1.1 --alpha-max 1.9 --steps 5 --which phase",
     "velocity --dim 1 --alpha-min 1.1 --alpha-max 1.9 --steps 5 --which gravity",
+    "moments --alpha 1.5 --dim 1 --beta 0.5 --t 2",
+    "moments --alpha 1.5 --dim 2 --beta 0.5 --t 2",
     "moments --alpha 1.5 --dim 3 --beta 1.5 --t 2",
     "solve1d --alpha 1.5 --t 0.5 --phi phi.csv --out -",
 ]
@@ -79,9 +81,9 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
 
 def test_routes_import_scipy_on_first_use():
     """Every lazy scipy.special import runs in a process that had none: the
-    integral route for n = 1, 2, 3 (j0 at n = 2), the contour (loggamma),
-    ml_neg in each regime (gammaln, rgamma) and mb_kernel on the real axis
-    (sindg at n = 1, rgamma at n = 2), with the values of this session."""
+    integral route for n = 1, 2, 3 (j0 at n = 2), the contour (loggamma) and
+    ml_neg in each regime (gammaln, rgamma), with the values of this session;
+    mb_kernel on the real axis at n = 1 and 2 (on math alone) gives them too."""
     evals = [f"eval --alpha 1.5 --dim {n} --r 0.7 --t 1 --method integral" for n in (1, 2, 3)]
     evals.append("eval --alpha 1.5 --dim 2 --r 0.7 --t 1 --method mellin")
     probe = "\n".join([
@@ -566,6 +568,12 @@ class TestMoments:
         code, out, _ = run(capsys, "moments", "--alpha", "1.3", "--dim", "3",
                            "--beta", "1", "--t", "2")
         assert float(out.split()[1]) == 0.0
+
+    def test_unit_mass_2d(self, capsys):
+        code, out, _ = run(capsys, "moments", "--alpha", "1.5", "--dim", "2",
+                           "--beta", "1", "--t", "3")
+        assert code == 0
+        assert abs(float(out.split()[1]) - 1.0 / (2.0 * math.pi)) <= 1e-15
 
     def test_numeric_check(self, capsys):
         code, out, _ = run(capsys, "moments", "--alpha", "1.5", "--dim", "1",

@@ -66,10 +66,8 @@ TABLE = {
     "mb_kernel": ({"alpha": 1.5, "n": 2, "s": 0.5}, {"alpha": "alpha(1,2)", "s": "finite"}),
     "ml_neg": ({"alpha": 1.5, "x": 2.0, "tol": 1e-12},
                {"alpha": "alpha[1,2]", "x": "x", "tol": "tol"}),
-    "moment_1d": ({"alpha": 1.5, "beta": 0.5, "t": 1.0},
-                  {"alpha": "alpha", "beta": "beta", "t": "t"}),
-    "moment_3d": ({"alpha": 1.5, "beta": 2.5, "t": 1.0},
-                  {"alpha": "alpha(1,2)", "beta": "beta", "t": "t"}),
+    "moment": ({"alpha": 1.5, "n": 3, "beta": 2.5, "t": 1.0},
+               {"alpha": "alpha(1,2)", "beta": "beta", "t": "t"}),
     "moment_numeric": ({"alpha": 1.5, "n": 1, "beta": 0.5, "t": 1.0},
                        {"alpha": "alpha", "beta": "beta", "t": "t"}),
     "phase_velocity": ({"alpha": 1.5, "n": 1}, {"alpha": "alpha"}),
@@ -233,10 +231,10 @@ def test_g_integral_tiny_r_follows_the_power_law(r):
 # OverflowError or numpy's ValueError, or returned inf.
 NEAR_TWO = [float(a) for a in 2.0 - np.geomspace(1e-3, 1e-15, 200)]
 EXTREMES = [
-    ("moment_1d", (1.5, 1.49, 1e300)),
-    ("moment_1d", (1.5, -0.99, 1e-320)),
-    ("moment_3d", (1.5, 0.6, 1e-300)),
-    ("moment_3d", (1.5, 3.4, 1e300)),
+    ("moment", (1.5, 1, 1.49, 1e300)),
+    ("moment", (1.5, 1, -0.99, 1e-320)),
+    ("moment", (1.5, 3, 0.6, 1e-300)),
+    ("moment", (1.5, 3, 3.4, 1e300)),
     ("moment_numeric", (1.5, 1, -0.9, 1e-300)),
     ("moment_numeric", (1.5, 3, 2.5, 1e100)),
     ("moment_numeric", (1.5, 1, 0.5, 1.7e308)),
@@ -301,8 +299,10 @@ CONTRACTS = {
     "solve_ivp_1d": (ivp_args(), 1.0),
     "max_location": (st.tuples(ORDER, st.sampled_from([1, 3]), LOG_T), 1.0),
     "phase_velocity": (st.tuples(ORDER, st.sampled_from([1, 3])), 1.0),
-    "moment_numeric": (st.tuples(ORDER, st.sampled_from([1, 3]), st.floats(-1.0, 4.0), LOG_T),
-                       2.0),
+    "moment": (st.tuples(ORDER, st.sampled_from([1, 2, 3]), st.floats(-1.0, 4.0), LOG_T), 1.0),
+    "moment_numeric": (st.tuples(ORDER, st.sampled_from([1, 2, 3]), st.floats(-1.0, 4.0),
+                                 LOG_T), 2.0),
+    "mb_kernel": (st.tuples(ORDER, st.sampled_from([1, 2, 3]), st.floats(-1e6, 1e6)), 1.0),
     "sign_profile_3d": (st.tuples(ORDER, LOG_T, st.lists(LOG_R, min_size=1, max_size=10)), 1.0),
     "velocity_curve": (st.tuples(st.sampled_from([1, 3]),
                                  st.lists(ORDER, min_size=1, max_size=5, unique=True).map(sorted),
@@ -328,6 +328,8 @@ def test_finite_result_or_fracwave_error(name, data):
     assert time.perf_counter() - start < seconds
     if isinstance(result, fracwave.ExtremumReport):
         result = (result.location, result.value)
+    if isinstance(result, complex):
+        result = (result.real, result.imag)
     if result is not None:
         assert np.all(np.isfinite(np.asarray(result, dtype=float)))
 

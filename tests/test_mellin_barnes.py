@@ -96,6 +96,18 @@ class TestKernel:
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] <= 1e-8
 
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_far_real_axis(self, alpha, n):
+        """Far out on the real axis the Gammas of the n = 2 numerator leave
+        the double range (1/Gamma(s/2) underflowed and 1/Gamma((1 - s)/2)
+        overflowed to nan from |s| ~ 343), and sin(pi s/alpha) keeps its
+        digits only if s is reduced exactly."""
+        for s in (171.3, 400.3, 1e6 + 0.1):
+            for x in (s, -s):
+                ref = gamma_quotient(alpha, n, x).real
+                assert abs(mb_kernel(alpha, n, x) - ref) <= 1e-11 * abs(ref), x
+
     def test_pole_error_on_numerator_poles(self):
         with pytest.raises(NonConvergence, match="kernel pole"):
             mb_kernel(1.5, 1, -1.5)  # s/alpha = -1
