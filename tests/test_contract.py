@@ -41,7 +41,9 @@ BAD = {
     "grid": [[0.0, NAN, 1.0], [0.0, 0.5, INF]],
 }
 
-# Public name -> (valid keyword arguments, {argument: kind of its bad values}).
+# Row -> (valid keyword arguments, {argument: kind of its bad values}).  A row
+# is named after the public function it calls, or listed in FUNCTION_OF where
+# one function has a row per dimension: its order window depends on n.
 TABLE = {
     "g1": ({"alpha": 1.5, "r": 1.0, "t": 1.0}, {"alpha": "alpha", "r": "r", "t": "t"}),
     "g1_dr": ({"alpha": 1.5, "r": 1.0, "t": 1.0}, {"alpha": "alpha", "r": "r+", "t": "t"}),
@@ -66,8 +68,12 @@ TABLE = {
     "mb_kernel": ({"alpha": 1.5, "n": 2, "s": 0.5}, {"alpha": "alpha(1,2)", "s": "finite"}),
     "ml_neg": ({"alpha": 1.5, "x": 2.0, "tol": 1e-12},
                {"alpha": "alpha[1,2]", "x": "x", "tol": "tol"}),
-    "moment": ({"alpha": 1.5, "n": 3, "beta": 2.5, "t": 1.0},
-               {"alpha": "alpha(1,2)", "beta": "beta", "t": "t"}),
+    "moment_1d": ({"alpha": 1.5, "n": 1, "beta": 0.5, "t": 1.0},
+                  {"alpha": "alpha", "beta": "beta", "t": "t"}),
+    "moment_2d": ({"alpha": 1.5, "n": 2, "beta": 1.5, "t": 1.0},
+                  {"alpha": "alpha(1,2)", "beta": "beta", "t": "t"}),
+    "moment_3d": ({"alpha": 1.5, "n": 3, "beta": 2.5, "t": 1.0},
+                  {"alpha": "alpha(1,2)", "beta": "beta", "t": "t"}),
     "moment_numeric": ({"alpha": 1.5, "n": 1, "beta": 0.5, "t": 1.0},
                        {"alpha": "alpha", "beta": "beta", "t": "t"}),
     "phase_velocity": ({"alpha": 1.5, "n": 1}, {"alpha": "alpha"}),
@@ -80,6 +86,13 @@ TABLE = {
     "velocity_curve": ({"n": 3, "alphas": [1.2, 1.5]}, {"alphas": "alphas", "which": "which"}),
     "zero_crossing_z": ({"alpha": 1.5}, {"alpha": "alpha[1,2]"}),
 }
+
+FUNCTION_OF = {"moment_1d": "moment", "moment_2d": "moment", "moment_3d": "moment"}
+
+
+def function_of(row):
+    return getattr(fracwave, FUNCTION_OF.get(row, row))
+
 
 CASES = [pytest.param(name, arg, bad, id=f"{name}-{arg}={bad!r}")
          for name, (_, kinds) in TABLE.items()
@@ -100,11 +113,11 @@ def assert_fracwave_error_at_once(call):
 def test_every_public_function_has_a_row():
     public = {name for name in fracwave.__all__
               if inspect.isfunction(getattr(fracwave, name))}
-    assert public == set(TABLE)
-    for name in public:  # every setting a caller may leave out has bad values checked
-        params = inspect.signature(getattr(fracwave, name)).parameters.values()
+    assert public == {FUNCTION_OF.get(row, row) for row in TABLE}
+    for row, (_, kinds) in TABLE.items():  # every setting a caller may leave out
+        params = inspect.signature(function_of(row)).parameters.values()  # is checked
         defaulted = {p.name for p in params if p.default is not inspect.Parameter.empty}
-        assert defaulted <= set(TABLE[name][1]), name
+        assert defaulted <= set(kinds), row
 
 
 def test_every_order_window_refuses_orders_below_one():
@@ -122,7 +135,7 @@ AT_ORIGIN = [("g3", "r", 0.0), ("sign_profile_3d", "r_grid", 0.0)]
 @pytest.mark.parametrize("name,arg,bad", CASES)
 def test_bad_input_raises_fracwave_error(name, arg, bad):
     valid, _ = TABLE[name]
-    exc = assert_fracwave_error_at_once(lambda: getattr(fracwave, name)(**{**valid, arg: bad}))
+    exc = assert_fracwave_error_at_once(lambda: function_of(name)(**{**valid, arg: bad}))
     if (name, arg, bad) in AT_ORIGIN:
         assert type(exc) is OriginDivergence
     else:
@@ -132,7 +145,7 @@ def test_bad_input_raises_fracwave_error(name, arg, bad):
 @pytest.mark.parametrize("name", list(TABLE))
 def test_valid_row_returns(name):
     valid, _ = TABLE[name]
-    getattr(fracwave, name)(**valid)
+    function_of(name)(**valid)
 
 
 def test_invalid_input_is_a_value_error():
