@@ -104,23 +104,28 @@ def _gamma_half_ratio(z: float) -> float:
     return math.gamma(w) / math.gamma(w - 0.5 if z >= 1.0 else z)
 
 
-def _real_kernel(alpha: float, n: int, x: float, m: int = 0) -> float:
-    """K(s) at s = m + x (m an integer; alpha, n checked): a numerator over
-    sin(pi s/alpha), alpha Gamma(n/2)/2 at s = 0, NonConvergence at s = alpha k != 0.
-    The numerator is sqrt(pi) sin(pi s/2) times 1 (n = 1) or (1 - s)/2 (n = 3).  For
-    n = 2, pi^(3/2)/(Gamma(s/2) Gamma((1 - s)/2)) = sqrt(pi) sin(pi s/2) R((1 - s)/2)
+def _real_numerator(n: int, x: float, m: int = 0) -> float:
+    """K's numerator K(s) sin(pi s/alpha) at a real s = m + x != 0 (m an integer):
+    sqrt(pi) sin(pi s/2) times 1 (n = 1) or (1 - s)/2 (n = 3).  For n = 2,
+    pi^(3/2)/(Gamma(s/2) Gamma((1 - s)/2)) = sqrt(pi) sin(pi s/2) R((1 - s)/2)
     for s < 0 and sqrt(pi) cos(pi s/2) R(s/2) for s > 0, R(z) = Gamma(z + 1/2)/Gamma(z)."""
+    if n == 2:
+        num = (_sin_pi(x, 2.0, m) * _gamma_half_ratio(0.5 * ((1 - m) - x)) if m + x < 0.0
+               else _sin_pi(-x, 2.0, 1 - m) * _gamma_half_ratio(0.5 * (m + x)))
+    else:
+        num = _sin_pi(x, 2.0, m) * (1.0 if n == 1 else 0.5 * ((1 - m) - x))
+    return math.sqrt(math.pi) * num
+
+
+def _real_kernel(alpha: float, n: int, x: float, m: int = 0) -> float:
+    """K(s) at s = m + x (m an integer; alpha, n checked): _real_numerator over
+    sin(pi s/alpha), alpha Gamma(n/2)/2 at s = 0, NonConvergence at s = alpha k != 0."""
     s = m + x
     if s == 0.0:
         return 0.5 * alpha * math.gamma(0.5 * n)
     if s / alpha == round(s / alpha):
         raise NonConvergence(f"kernel pole at s = {s} = alpha * {round(s / alpha)}")
-    if n == 2:
-        num = (_sin_pi(x, 2.0, m) * _gamma_half_ratio(0.5 * ((1 - m) - x)) if s < 0.0
-               else _sin_pi(-x, 2.0, 1 - m) * _gamma_half_ratio(0.5 * s))
-    else:
-        num = _sin_pi(x, 2.0, m) * (1.0 if n == 1 else 0.5 * ((1 - m) - x))
-    return math.sqrt(math.pi) * num / _sin_pi(x, alpha, m)
+    return _real_numerator(n, x, m) / _sin_pi(x, alpha, m)
 
 
 def mb_kernel(alpha: float, n: int, s: complex) -> complex:

@@ -227,9 +227,14 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
     est_error sums the per-cell |K15 - G7|, the pair's rounding bound, 8 eps
     times sum |w P_n| and analytic bounds on the two tails past the mesh
     (w <= 2 |sin(pi alpha)|/pi rho^(alpha-1) below it, 4 |sin(pi alpha)|/pi
-    rho^(-alpha-1) above it; P_n(r, s) <= c_n r^(-n) min(s/r, (s/r)^(-n))).
-    r = 0 gives g_origin for n = 1 and raises OriginDivergence for n >= 2; a
-    value or a mesh outside the double range raises NonConvergence.
+    rho^(-alpha-1) above it; P_n(r, s) <= c_n r^(-n) min(s/r, (s/r)^(-n))),
+    and a bound on what underflow takes from the branch-cut sum.  The r^(-n)
+    scale is applied in exponent form, so the value may lie where r^n leaves
+    the double range: every r/t >= 1e-150 returns.  Where that underflow
+    bound passes eps times the sum (from r/t ~ 1e-150 to 1e-300, by n and
+    alpha) the call raises NonConvergence.  r = 0 gives g_origin for n = 1 and
+    raises OriginDivergence for n >= 2; a value or a mesh outside the double
+    range raises NonConvergence.
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=n > 1, what=f"order for n = {n}")
@@ -263,18 +268,38 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
                 x = nodes / q
                 return 1.0 / (x + 1.0 / x) * (1.0 / (x * x + 1.0)) ** (0.5 * (n - 1))
 
-        branch, cell_err = _mesh_sums(poisson, rho, _branch_cut_mesh(alpha, k_lo, k_hi))
+        mesh = _branch_cut_mesh(alpha, k_lo, k_hi)
+        branch, cell_err = _mesh_sums(poisson, rho, mesh)
         lo, hi = math.ldexp(1.0, k_lo), math.ldexp(1.0, k_hi)
         s_abs = abs(_cos_sin_pi(alpha)[1]) / math.pi
         tails = s_abs * (2.0 * lo ** (alpha + 1.0) / ((alpha + 1.0) * rho)
                          + 4.0 * (rho / hi) ** n * hi ** -alpha / (alpha + n))
+        # What underflow can take from the sum: up to 2^-1073 per node where
+        # a weight, f or their product falls below the normal range; and at
+        # n = 2, f = 0 where x^2 overflows (x > 2^511, f < 2^-1022 there),
+        # over nodes whose |w| sums to at most 2/alpha - 1, and to at most
+        # 4 |sin(pi alpha)|/(pi alpha) v^-alpha above v = 2^511 r/t >= 2.
+        underflow = mesh[0].size * 2.0 ** -1073
+        if n == 2:
+            with np.errstate(over="ignore"):
+                v = np.ldexp(rho, 511)
+                underflow = underflow + 2.0 ** -1022 * np.where(
+                    v >= 2.0, 4.0 * s_abs / alpha * v ** -alpha, 2.0 / alpha - 1.0)
+        # Every weight carries the sign of sin(pi alpha) and f >= 0,
+        # so |branch| is also the sum of the magnitudes.
+        lost = np.flatnonzero(_EPS * np.abs(branch) < underflow)
+        if lost.size:
+            raise NonConvergence(f"the spectral sum at r/t = {rho[lost[0]]:.3g} has lost digits "
+                                 "to underflow")
         pair, pair_err = _pair_transform(alpha, n, rs, ts)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-            scale = math.gamma(0.5 * (n + 1)) / math.pi ** (0.5 * (n + 1)) / rs ** n
-            # Every weight carries the sign of sin(pi alpha) and f >= 0,
-            # so |branch| is also the sum of the magnitudes.
-            value[~origin] = pair + scale * branch
-            est[~origin] = pair_err + scale * (cell_err + 8.0 * _EPS * np.abs(branch) + tails)
+        # c_n r^-n in exponent form, r = m 2^e: r^n may leave the double
+        # range where the value does not
+        m, e = np.frexp(rs)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            scale = math.gamma(0.5 * (n + 1)) / math.pi ** (0.5 * (n + 1)) / m ** n
+            value[~origin] = pair + np.ldexp(scale * branch, -n * e)
+            est[~origin] = pair_err + np.ldexp(
+                scale * (cell_err + 8.0 * _EPS * np.abs(branch) + tails + underflow), -n * e)
     check_finite("the spectral value or its est_error", value, est)
     if value.ndim == 0:
         return QuadResult(float(value), float(est), 0)

@@ -17,8 +17,8 @@ from fracwave.analysis import (
     velocity_curve,
     zero_crossing_z,
 )
-from fracwave.closed_form import g1, g3
-from fracwave.errors import InvalidInput
+from fracwave.closed_form import g1, g3, order_trig
+from fracwave.errors import InvalidInput, NonConvergence
 
 Z_15 = 0.87036519258771611936
 
@@ -143,6 +143,66 @@ class TestPhaseVelocity:
             velocity_curve(3, [1.2, 1.3], "bogus")
 
 
+def _polyroots_velocity_3d(alpha):
+    """c(alpha, 3) one order at a time: numpy's polyroots on the quartic of
+    analysis._max_location_3d, with its root selection."""
+    from numpy.polynomial.polynomial import polymul, polyroots
+
+    c = order_trig(alpha)[0]
+    p = np.array([1.0, 2.0 * c, 1.0])
+    m = np.array([1.0 - alpha, 2.0 * c, alpha + 1.0])
+    wp = 2.0 * alpha * np.array([0.0, c, 1.0])
+    wm = 2.0 * alpha * np.array([0.0, c, alpha + 1.0])
+    roots = polyroots(polymul((alpha - 3.0) * m + wm, p) - 2.0 * polymul(wp, m))
+    real = np.abs(roots.imag) <= 4.0 * math.sqrt(np.finfo(float).eps) * np.abs(roots)
+    q = roots.real[real & (roots.real > zero_crossing_z(alpha) ** alpha)]
+    return float(q.min() ** (1.0 / alpha))
+
+
+class TestVelocityCurve3d:
+    """velocity_curve(3, ...) solves all quartics in one stacked eigenvalue call."""
+
+    def test_matches_per_order_polyroots(self):
+        alphas = np.linspace(1.01, 1.99, 99)
+        curve = velocity_curve(3, alphas)
+        assert [a for a, _ in curve] == alphas.tolist()
+        for a, v in curve:
+            want = _polyroots_velocity_3d(a)
+            assert abs(v - want) <= 1e-14 * want, a
+
+    def test_one_code_path(self):
+        for a, v in velocity_curve(3, [1.05, 1.575, 1.95]):
+            assert v == phase_velocity(a, 3) == max_location(a, 3, 1.0).location
+
+    def test_near_two_raises_at_first_unresolved(self):
+        # the band of tests/test_contract.py where the two roots near q = 1 merge
+        near_two = np.unique(2.0 - np.geomspace(1e-3, 1e-15, 200)).tolist()
+        first = None
+        for a in near_two:
+            try:
+                phase_velocity(a, 3)
+            except NonConvergence as exc:
+                first, message = a, str(exc)
+                break
+        assert first is not None
+        with pytest.raises(NonConvergence) as info:
+            velocity_curve(3, [1.5, *near_two])
+        assert str(info.value) == message
+        # an unresolved order ahead of an invalid one raises first, as one by one
+        with pytest.raises(NonConvergence) as info:
+            velocity_curve(3, [1.5, first, 2.0])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("alphas", [[1.0, 1.5], [1.5, 2.0], [1.2, 1.5, 2.0, 2.5],
+                                        [0.5, 1.5], [1.5, math.nan]])
+    def test_invalid_order_raises(self, alphas):
+        with pytest.raises(InvalidInput, match="order must lie in"):
+            velocity_curve(3, alphas)
+
+    def test_empty(self):
+        assert velocity_curve(3, []) == []
+
+
 class TestMoments1d:
     def test_known_values(self):
         assert moment(1.5, 1, 1.0, 1.0) == pytest.approx(0.769800358919501, abs=1e-12)
@@ -176,6 +236,16 @@ class TestMoments2d:
             f = moment(a, 2, b, 1.0)
             n = moment_numeric(a, 2, b, 1.0)
             assert abs(f - n) <= 1e-8 * abs(f), b
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", [1.05, 1.5, 1.95])
+    def test_next_to_the_lower_window_end(self, n, a):
+        # r^(beta + alpha - n) is barely integrable there: the origin series
+        # carries the integral below r0 that quadrature toward 0 cannot reach
+        for d in (1e-4, 1e-5, 1e-8):
+            b = n - 1.0 - a + d
+            f = moment(a, n, b, 1.0)
+            assert abs(f - moment_numeric(a, n, b, 1.0)) <= 1e-8 * abs(f), d
 
     def test_unit_mass(self):
         # 2 pi int_0^inf r G_2 dr = 1 at every order and time

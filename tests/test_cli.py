@@ -1,6 +1,8 @@
 """Command-line interface: output formats, exit codes, CSV round-trips."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracwave
 from fracwave import cli
@@ -288,6 +292,31 @@ class TestProfile:
             f"{a:.17g},{b:.17g}\n" for a, b in zip(col, col[::-1]))
         assert edge.read_text().split("\n")[1] == "-0,0.10000000000000001"
 
+    @settings(max_examples=60, deadline=None)
+    @given(columns=st.integers(1, 3),
+           rows=st.one_of(st.sampled_from([0, 1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK,
+                                           cli._CSV_BLOCK + 1, 2 * cli._CSV_BLOCK + 1]),
+                          st.integers(0, 2 * cli._CSV_BLOCK + 1)),
+           seed=st.integers(0, 2 ** 32 - 1),
+           specials=st.lists(st.tuples(st.integers(0), st.sampled_from(
+               [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                math.nan, math.inf, -math.inf])), max_size=20))
+    def test_block_writer_matches_per_row_format(self, columns, rows, seed, specials):
+        # the values are raw bit patterns, so every exponent and NaN payload
+        # occurs; the specials land on drawn cells
+        table = np.random.default_rng(seed).integers(
+            0, 2 ** 64, size=(rows, columns), dtype=np.uint64, endpoint=False).view(float)
+        for cell, value in specials:
+            if table.size:
+                table.flat[cell % table.size] = value
+        cols = [table[:, j] for j in range(columns)]
+        row = ",".join(["%.17g"] * columns) + "\n"
+        want = "h\n" + "".join(row % values for values in zip(*(c.tolist() for c in cols)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _write_csv("-", "h", *cols)
+        assert out.getvalue() == want
+
     def test_mirrored_1d_profile(self, capsys, tmp_path):
         # evenness in x: a symmetric window produces a symmetric profile
         out_file = tmp_path / "m.csv"
@@ -465,6 +494,19 @@ class TestVelocity:
         assert code == 2
         assert out == ""
         assert "--steps" in err
+
+    @pytest.mark.parametrize("lo, hi, steps, code", [
+        ("1.5", "2.0", "3", 2), ("1.0", "1.5", "3", 2), ("nan", "1.5", "2", 2),
+        ("1.9999999999", "1.99999999995", "2", 3), ("1.5", "1.99999999999", "2", 0)])
+    def test_3d_exit_codes(self, capsys, lo, hi, steps, code):
+        # an order outside (1, 2) is a usage error, one whose maximum is not
+        # resolved from the zero crossing a numerical failure, with no row written
+        got, out, err = run(capsys, "velocity", "--dim", "3", "--alpha-min", lo,
+                            "--alpha-max", hi, "--steps", steps)
+        assert got == code
+        assert (out == "") == (code != 0)
+        assert ("order must lie in" in err) == (code == 2)
+        assert ("not resolved" in err) == (code == 3)
 
     def test_gravity_requires_dim_1(self, capsys):
         code, _, _ = run(capsys, "velocity", "--dim", "3",

@@ -1,11 +1,13 @@
 """Spectral route g_spectral: the closed forms for n = 1, 3, the contour and
 40-digit values for n = 2, the origin, and broadcast profiles."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
-from fracwave.closed_form import g1, g3
+from fracwave.closed_form import g1, g3, order_trig
 from fracwave.errors import InvalidInput, NonConvergence, OriginDivergence
 from fracwave.mellin_barnes import g_mellin_barnes
 from fracwave.quadrature import g_origin, g_spectral
@@ -109,6 +111,31 @@ def test_tiny_radius_within_est_error_or_raises(alpha, n):
             assert np.isfinite(res.value)
         else:
             assert abs(res.value - (g1 if n == 1 else g3)(alpha, rho, 1.0)) <= res.est_error
+
+
+def origin_law_2d(alpha, rho):
+    """G2(rho, 1) ~ cos(pi a/2) Gamma((1+a)/2) / (pi^(3/2) Gamma(a/2)) rho^(a-2), the
+    first term of its origin series; the next is rho^a times smaller."""
+    return (order_trig(alpha)[0] * math.gamma(0.5 * (1.0 + alpha))
+            / (math.pi ** 1.5 * math.gamma(0.5 * alpha)) * rho ** (alpha - 2.0))
+
+
+# r^-n is applied in exponent form, so the value may lie far beyond where r^n
+# leaves the double range; where the branch-cut sum itself has lost digits to
+# underflow the route raises.  Down to r/t = 1e-150 every point returns.
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiny_radius_sweep(alpha, n):
+    reference = {1: lambda rho: g1(alpha, rho, 1.0), 2: lambda rho: origin_law_2d(alpha, rho),
+                 3: lambda rho: g3(alpha, rho, 1.0)}[n]
+    for e in range(20, 320):
+        rho = 10.0 ** -e
+        try:
+            res = g_spectral(alpha, n, rho, 1.0)
+        except NonConvergence:
+            assert e > 150, rho
+            continue
+        assert abs(res.value - reference(rho)) <= res.est_error, rho
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
