@@ -40,7 +40,7 @@ from .closed_form import g1
 from .errors import (InvalidInput, NonConvergence, OriginDivergence, check_dimension,
                      check_finite, check_positive, check_window)
 from .special import (_EPS, _branch_cut_mesh, _cos_sin_pi, _gk15_cells, _inverse_power_terms,
-                      _mesh_sums, _ml_neg_minus_pair, asymptotic_cutoff)
+                      _mesh_sums, _ml_neg_minus_pair, _pair_angle, asymptotic_cutoff)
 
 # Order of the Wynn epsilon acceleration: each estimate uses the last
 # 2 * _ACCEL_ORDER + 1 partial sums of the lobe series.
@@ -177,13 +177,13 @@ def _pair_transform(alpha: float, n: int, r, t) -> tuple[np.ndarray, np.ndarray]
     units of t and t^2.  Im q < 0, so the principal branch is the
     continuation from real p.  Near alpha = 2 and r = t, q cancels; it is
     formed from the exact r - t and 2 - alpha as
-    q = (r - t)(r + t) - 2i t^2 sin(d) e^{i d}, d = pi (2 - alpha)/(2 alpha).
+    q = (r - t)(r + t) - 2i t^2 sin(d) e^{i d}, d = special._pair_angle(alpha).
     At alpha = 1 there is no pair.
     """
     if alpha == 1.0:
         zero = np.zeros(np.broadcast(r, t).shape)
         return zero, zero
-    d = 0.5 * math.pi * (2.0 - alpha) / alpha
+    d = _pair_angle(alpha)
     p = complex(math.sin(d), -math.cos(d))
     power = 0.5 * (n + 1)
     with np.errstate(all="ignore"):  # the callers check that both are finite
@@ -217,9 +217,9 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
     not oscillate, on one GK15 mesh that all points share: that of ml_neg's
     branch-cut integral (special._branch_cut_mesh), with ends at powers of 2
     from below 1e-10 min(1, r/t) to above 1e10 max(1, r/t), summed by the
-    same code (special._mesh_sums).  Its kernel is formed so that no
-    x^2 = (rho t / r)^2 overflows: for n = 1 the kernel falls off like 1/x
-    there, which the r^-1 scale makes O(1) once r/t < ~1e-144.  At alpha = 1
+    same code (special._mesh_sums).  Its kernel is formed without squaring
+    x = rho t / r, so it keeps its x^-n fall-off where x^2 would overflow:
+    for n = 1 the r^-1 scale makes it O(1) once r/t < ~1e-144.  At alpha = 1
     (n = 1 only) w is a delta at rho = 1 and G = P_1(r, t).
 
     r and t are scalars or arrays that broadcast together; scalar input gives
@@ -262,11 +262,12 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
 
         def poisson(q, nodes):
             # P_n(r, rho t) = c_n r^(-n) f(x), x = rho t / r, f(x) = x / (x^2 + 1)^((n+1)/2),
-            # formed as s c^((n-1)/2), s = 1/(x + 1/x), c = 1/(x^2 + 1): s keeps its ~1/x
-            # where x^2 overflows, and x = 0 or inf gives f = 0, its limit
+            # formed as s h^(1-n), s = 1/(x + 1/x), h = hypot(x, 1): neither squares x,
+            # so both keep their ~1/x where x^2 overflows, and x = 0 or inf gives
+            # f = 0, its limit
             with np.errstate(over="ignore", divide="ignore"):
                 x = nodes / q
-                return 1.0 / (x + 1.0 / x) * (1.0 / (x * x + 1.0)) ** (0.5 * (n - 1))
+                return 1.0 / (x + 1.0 / x) * np.hypot(x, 1.0) ** (1 - n)
 
         mesh = _branch_cut_mesh(alpha, k_lo, k_hi)
         branch, cell_err = _mesh_sums(poisson, rho, mesh)
@@ -275,16 +276,8 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
         tails = s_abs * (2.0 * lo ** (alpha + 1.0) / ((alpha + 1.0) * rho)
                          + 4.0 * (rho / hi) ** n * hi ** -alpha / (alpha + n))
         # What underflow can take from the sum: up to 2^-1073 per node where
-        # a weight, f or their product falls below the normal range; and at
-        # n = 2, f = 0 where x^2 overflows (x > 2^511, f < 2^-1022 there),
-        # over nodes whose |w| sums to at most 2/alpha - 1, and to at most
-        # 4 |sin(pi alpha)|/(pi alpha) v^-alpha above v = 2^511 r/t >= 2.
+        # a weight, f or their product falls below the normal range.
         underflow = mesh[0].size * 2.0 ** -1073
-        if n == 2:
-            with np.errstate(over="ignore"):
-                v = np.ldexp(rho, 511)
-                underflow = underflow + 2.0 ** -1022 * np.where(
-                    v >= 2.0, 4.0 * s_abs / alpha * v ** -alpha, 2.0 / alpha - 1.0)
         # Every weight carries the sign of sin(pi alpha) and f >= 0,
         # so |branch| is also the sum of the magnitudes.
         lost = np.flatnonzero(_EPS * np.abs(branch) < underflow)

@@ -8,7 +8,9 @@ the fractional wave propagator in Fourier space.  Three regimes are used:
                        the intermediate regime misses tol;
 * ``intermediate``  -- the exact decomposition into a pair of exponentially
                        damped oscillations (residues of the Laplace
-                       inversion, present for 1 < alpha <= 2) plus a
+                       inversion, present for 1 < alpha <= 2, and all of
+                       E_2(-x) = cos(sqrt(x)) at alpha = 2, where the
+                       other parts vanish) plus a
                        completely monotone branch-cut integral on a GK15
                        mesh of its weight that is built once per alpha and
                        cached (_branch_cut_mesh) and summed cell by cell
@@ -29,7 +31,9 @@ one x; _ml_neg_minus_pair serves the radial integral: a whole array of
 nodes in ml_neg's regimes, with the damped pair taken out.
 
 The orders are those of the fractional wave equation, 1 <= alpha <= 2.
-Every path works in double precision and returns an error estimate.  A
+Every path works in double precision and returns an error estimate, but for
+the barely damped pair near alpha = 2, whose phase mpmath takes to 30 digits
+after the point where its rounding would approach tol (_pair_30_digits).  A
 tolerance that the regimes cannot meet raises NonConvergence: below 1e-13 for
 some inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
 
@@ -130,56 +134,58 @@ def _taylor_kahan(alpha: float, x):
     return value.reshape(x.shape)[()], est.reshape(x.shape)[()]
 
 
+def _pair_angle(alpha: float) -> float:
+    """d = pi (2 - alpha)/(2 alpha), the angle of the damped pair's poles
+    e^(+-i pi/alpha) = -sin(d) +- i cos(d) past the imaginary axis, formed
+    from the exact 2 - alpha: d is exactly 0 at alpha = 2, where pi/alpha
+    would round and leave cos(pi/alpha) = 6e-17 of false damping."""
+    return 0.5 * math.pi * (2.0 - alpha) / alpha
+
+
 def _exp_pair_double(alpha: float, x, tol: float):
-    """The oscillatory residue contribution of _exp_pair in double precision
-    at a scalar or an array x >= 0, the error ml_neg's regimes charge for
-    it, and the mask of the elements that _exp_pair evaluates at 30 digits
-    instead (charged eps times the amplitude).  See _exp_pair."""
+    """The damped pair of E_alpha(-x), 1 < alpha <= 2, the residues of the
+    Laplace inversion at the poles e^(+-i pi/alpha):
+
+        (2/alpha) e^(-s sin(d)) cos(s cos(d)),  s = x^(1/alpha), d = _pair_angle(alpha),
+
+    at a scalar or an array x >= 0, in double precision.  At alpha = 2 it is
+    E_2(-x) = cos(sqrt(x)) itself.  Returns the value, the error ml_neg's
+    regimes charge for it and the mask of the elements to be taken at 30
+    digits instead (_pair_30_digits, charged eps times the amplitude).
+
+    The phase and damping carry an absolute rounding error of about
+    s (4 + |ln x|/alpha) eps, which the amplitude scales.  Near alpha = 2,
+    where the pair is barely damped while s grows, that error can approach
+    tol, which no double-precision regime could then meet: the mask holds
+    the elements where it passes 0.1 tol.
+    """
     x = np.asarray(x, dtype=float)
-    if alpha <= 1.0:
-        zero = np.zeros(x.shape)
-        return zero, zero, zero.astype(bool)
     s = x ** (1.0 / alpha)
-    th = math.pi / alpha
-    damp = s * math.cos(th)
+    d = _pair_angle(alpha)
+    damp = -s * math.sin(d)
     amp = np.where(damp >= -745.0, (2.0 / alpha) * np.exp(damp), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: s |ln x| -> 0
         err = amp * _EPS * np.where(x > 0.0, s * (4.0 + np.abs(np.log(x)) / alpha), 0.0)
     precise = err > 0.1 * tol
-    return amp * np.cos(s * math.sin(th)), np.where(precise, _EPS * amp, err), precise
-
-
-def _exp_pair(alpha: float, x, tol: float):
-    """Oscillatory residue contribution (2/alpha) e^{s cos(pi/a)} cos(s sin(pi/a)),
-    s = x^(1/alpha), and its rounding error, at a scalar or an array x >= 0.
-    Exact for 1 < alpha <= 2; 0 at alpha = 1, where the poles e^(+-i pi/alpha)
-    merge at -1.
-
-    In double precision the phase and damping, s sin(pi/alpha) and
-    s cos(pi/alpha), carry an absolute rounding error of about
-    s (4 + |ln x|/alpha) eps, which the pair's amplitude scales.  Near
-    alpha = 2, where the pair is barely damped while s grows, that error can
-    approach tol, which no double-precision regime could then meet; above
-    0.1 tol the pair is evaluated at 30 digits instead (~0.1 ms each).
-    """
-    value, err, precise = _exp_pair_double(alpha, x, tol)
-    return _pair_30_digits(alpha, x, value, precise)[()], err[()]
+    return amp * np.cos(s * math.cos(d)), np.where(precise, _EPS * amp, err), precise
 
 
 def _pair_30_digits(alpha: float, x, value, which):
     """value, the double-precision pair at x (_exp_pair_double), with the
-    elements of the mask which evaluated at 30 digits in a copy."""
+    elements of the mask which evaluated by mpmath in a copy: at
+    31 + log10(s) digits, 30 after the point of the phase s cos(d)
+    (~0.1 ms each)."""
     if not which.any():
         return value
     import mpmath as mp
 
     x, value = np.asarray(x, dtype=float), np.array(value)
-    with mp.workdps(30):
-        a = mp.mpf(alpha)
-        for i in np.flatnonzero(which):
-            s = mp.mpf(float(x.flat[i])) ** (1 / a)
-            value.flat[i] = float(2 / a * mp.exp(s * mp.cos(mp.pi / a))
-                                  * mp.cos(s * mp.sin(mp.pi / a)))
+    for i in np.flatnonzero(which):
+        xi = float(x.flat[i])
+        with mp.workdps(31 + max(0, int(math.log10(xi) / alpha))):
+            a = mp.mpf(alpha)
+            s, d = mp.mpf(xi) ** (1 / a), mp.pi * (2 - a) / (2 * a)
+            value.flat[i] = float(2 / a * mp.exp(-s * mp.sin(d)) * mp.cos(s * mp.cos(d)))
     return value
 
 
@@ -401,7 +407,9 @@ def _branch_cut_integral(alpha: float, x):
     roundoff.
     """
     scale = 2.0 * abs(_cos_sin_pi(alpha)[1]) / (math.pi * alpha)
-    k_lo = min(_FINE_K_LO, math.floor(math.log2(_BRANCH_CUT_LOWER_TAIL / scale) / alpha))
+    # scale = 0 at alpha = 2, where w = 0 and any lower end serves
+    k_lo = _FINE_K_LO if scale == 0.0 else min(
+        _FINE_K_LO, math.floor(math.log2(_BRANCH_CUT_LOWER_TAIL / scale) / alpha))
 
     def decay(p, r):  # exp(-p r), in place
         e = -p * r
@@ -531,26 +539,6 @@ def _asymptotic_part(alpha: float, x, tol: float):
     return value[()], (omitted + 4.0 * _EPS * abs(table.coef[0]) / x)[()]
 
 
-def _cos_sqrt(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """E_2(-x) = cos(sqrt(x)) and its error, at an array x >= 0.
-
-    In double precision the phase s = sqrt(x) carries an absolute rounding
-    error of up to s eps / 2.  Above 0.1 tol the phase is evaluated with
-    mpmath at 30 + log10(s) digits instead, 30 digits after the point.
-    """
-    s = np.sqrt(x)
-    value, err = np.cos(s), _EPS * (0.5 * s + 1.0)
-    precise = np.flatnonzero(err > 0.1 * tol)
-    if precise.size:
-        import mpmath as mp
-
-        for i in precise:
-            with mp.workdps(31 + max(0, int(math.log10(s[i])))):
-                value[i] = float(mp.cos(mp.sqrt(mp.mpf(float(x[i])))))
-            err[i] = _EPS * abs(value[i]) + 1e-30
-    return value, err
-
-
 def _ml_neg_parts(alpha: float, x: np.ndarray, tol: float):
     """The regime of E_alpha(-x) at each element of an array of finite
     x >= 0, 1 <= alpha <= 2: the only code that chooses one, and that raises
@@ -558,26 +546,26 @@ def _ml_neg_parts(alpha: float, x: np.ndarray, tol: float):
     * part: the Taylor sum where the series serves (x <= 1, and x <= 2 where
       the other regimes miss tol), else the inverse-power sum (from
       asymptotic_cutoff(alpha, tol) on, where it attains tol), else the
-      branch-cut integral, these two without the damped pair (_exp_pair);
+      branch-cut integral, these two without the damped pair;
     * est: the est_error of the Taylor sum, or of the part plus the pair,
       which adds the pair's error and 4 eps (|part| + |pair|);
     * series, asym: the masks of the Taylor and inverse-power sums;
     * pair, precise: the pair in double precision (_exp_pair_double), 0 at
-      alpha = 1 and 2, and the mask where _exp_pair takes it at 30 digits
+      alpha = 1, and the mask of the elements to be taken at 30 digits
       instead.  A caller upgrades those elements (_pair_30_digits) only
       where it adds or subtracts the pair; the double-precision value and
       error decide the rest.
-    At alpha = 1 and 2 every part is the exact exp(-x) or cos(sqrt(x)), with
-    the regime of x's range: the other parts degenerate there, and at
-    alpha = 2 the pair's damping s cos(pi/2) rounds to 6e-17 s, not 0.
+    At alpha = 1 every part is the exact exp(-x), with the regime of x's
+    range: the pair's poles merge at -1 there.  At alpha = 2,
+    sin(2 pi) = 0 and 1/Gamma(1 - 2k) = 0 leave no branch-cut integral
+    and no inverse-power series, so outside the series the value is all
+    pair, cos(sqrt(x)).
     """
     series, asym = x <= SERIES_CUTOFF, x >= asymptotic_cutoff(alpha, tol)
     pair, precise = np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
     if alpha == 1.0:
         part = np.exp(-x)
         est = 4.0 * _EPS * (1.0 + part)
-    elif alpha == 2.0:
-        part, est = _cos_sqrt(x, tol)
     else:
         pair, pair_err, precise = _exp_pair_double(alpha, x, tol)
         part, est = np.empty(x.shape), np.full(x.shape, math.inf)
@@ -615,8 +603,8 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
     and NonConvergence if no regime can attain the requested tolerance.
     Every regime works in double precision: a tol below 1e-13 fails for some
     inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
-    Outside the series the pair is added to _ml_neg_parts's part (it is 0 at
-    alpha = 2, where the part is all pair).
+    Outside the series the pair is added to _ml_neg_parts's part (the part
+    is 0 at alpha = 2, where the value is all pair).
     """
     check_window(alpha, 1.0, 2.0, hi_open=False, what="Mittag-Leffler order")
     if not (x >= 0.0 and 0.0 < tol < math.inf and (x < math.inf or alpha < 2.0)):
@@ -636,7 +624,7 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
 
 
 def _ml_neg_minus_pair(alpha: float, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """E_alpha(-x) minus its damped pair (_exp_pair) on an array of finite
+    """E_alpha(-x) minus its damped pair (_exp_pair_double) on an array of finite
     x >= 0 for 1 <= alpha < 2, each element in the regime that
     ml_neg(alpha, x, tol) chooses for it (_ml_neg_parts), and a bound on its
     rounding.

@@ -24,10 +24,11 @@ from fracwave.special import (
     _asymptotic_part,
     _branch_cut_integral,
     _branch_cut_mesh,
-    _exp_pair,
+    _exp_pair_double,
     _inverse_power_table,
     _inverse_power_terms,
     _ml_neg_minus_pair,
+    _pair_30_digits,
     _taylor_kahan,
 )
 
@@ -76,11 +77,18 @@ def full_sum_asymptotic(alpha, x, tol):
     return float(np.sum(terms)), 2.0 * envelope + 4.0 * _EPS * first_term_scale
 
 
+def exp_pair(alpha, x, tol):
+    """The damped pair as ml_neg adds it, in double precision but for the
+    elements _exp_pair_double flags, taken at 30 digits, and its error."""
+    value, err, precise = _exp_pair_double(alpha, x, tol)
+    return _pair_30_digits(alpha, x, value, precise)[()], err[()]
+
+
 def with_pair(alpha, x, tol, part, err):
     """A regime's value of E_alpha(-x) as ml_neg forms it, the part plus the
     damped pair, and its est_error: the part's, the pair's and the rounding
     of the sum."""
-    pair, pair_err = _exp_pair(alpha, x, tol)
+    pair, pair_err = exp_pair(alpha, x, tol)
     return pair + part, err + 4.0 * _EPS * (abs(pair) + abs(part)) + pair_err
 
 
@@ -179,9 +187,10 @@ class TestMlNeg:
         with pytest.raises(NonConvergence):
             ml_neg(alpha, 0.5, tol=1e-17)
 
-    # (1.9999, 1e6) takes the pair at 30 digits
+    # (1.9999, 1e6) and (2.0, 1e30) take the pair at 30 digits; at alpha = 2
+    # the pair is all of the value
     @pytest.mark.parametrize("alpha,x", [(1.5, 1.5), (1.5, 5.0), (1.5, 100.0), (1.5, 1000.0),
-                                         (1.9999, 1e6)])
+                                         (1.9999, 1e6), (2.0, 1e30)])
     def test_pair_formed_once(self, alpha, x, monkeypatch):
         # outside the series ml_neg adds the pair whose double-precision
         # value and error _ml_neg_parts formed, rather than forming them again
@@ -199,8 +208,8 @@ class TestMlNeg:
         monkeypatch.undo()
         part = (_asymptotic_part(alpha, x, DEFAULT_TOL) if r.regime == "asymptotic"
                 else _branch_cut_integral(alpha, x))[0]
-        assert r.value == part + _exp_pair(alpha, x, DEFAULT_TOL)[0]
-        assert special._exp_pair_double(alpha, x, DEFAULT_TOL)[2] == (alpha > 1.99)
+        assert r.value == part + exp_pair(alpha, x, DEFAULT_TOL)[0]
+        assert _exp_pair_double(alpha, x, DEFAULT_TOL)[2] == (alpha > 1.99)
 
     def test_limit_at_infinity(self):
         for alpha in (1.0, 1.5, 1.9):
@@ -452,7 +461,7 @@ class TestArrayKernel:
             return _branch_cut_integral(alpha, x)[0]
         if r.regime == "asymptotic":
             return _asymptotic_part(alpha, x, tol)[0]
-        return r.value - _exp_pair(alpha, x, tol)[0]
+        return r.value - exp_pair(alpha, x, tol)[0]
 
     # tol 3e-15 at alpha = 1.25 takes the series fallback on (1, 2], and no
     # regime attains it on (2, x_a)
@@ -515,6 +524,26 @@ class TestOrderTwo:
             ref = mp.cos(mp.sqrt(mp.mpf(x)))
             assert abs(mp.mpf(r.value) - ref) <= r.est_error
         assert r.est_error <= DEFAULT_TOL
+
+    def test_cosine_is_honest_over_the_double_range(self):
+        for x in np.geomspace(1e-6, 1e300, 400).tolist():
+            r = ml_neg(2.0, x)
+            with mp.workdps(80 + max(0, int(math.log10(x) / 2))):
+                assert abs(mp.mpf(r.value) - mp.cos(mp.sqrt(mp.mpf(x)))) <= r.est_error, x
+
+    # next to alpha = 2 the pair's phase s cos(d) needs log10(s) digits
+    # before the point as well as 30 after it
+    @pytest.mark.parametrize("x", [1e28, 1e30, 1e31])
+    @pytest.mark.parametrize("alpha", [float(np.nextafter(2.0, 0.0)), 2.0 - 1e-15, 2.0 - 1e-14])
+    def test_next_to_two_is_honest(self, alpha, x):
+        r = ml_neg(alpha, x)
+        assert r.regime == "asymptotic"
+        with mp.workdps(80):
+            a = mp.mpf(alpha)
+            s = mp.mpf(x) ** (1 / a)
+            pair = 2 / a * mp.exp(s * mp.cos(mp.pi / a)) * mp.cos(s * mp.sin(mp.pi / a))
+            ref = pair + mp.mpf(_asymptotic_part(alpha, x, DEFAULT_TOL)[0])
+            assert abs(mp.mpf(r.value) - ref) <= r.est_error
 
 
 def assert_finite_result_or_fracwave_error(alpha, x, tol, seconds):

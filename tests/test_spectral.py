@@ -138,6 +138,13 @@ def test_tiny_radius_sweep(alpha, n):
         assert abs(res.value - reference(rho)) <= res.est_error, rho
 
 
+def test_2d_kernel_keeps_nodes_past_the_square_overflow():
+    # at r/t = 1e-200 the kernel's nodes reach x = rho t / r > 2^512, where
+    # x^2 overflows; formed without it, they keep their x^-2
+    res = g_spectral(1.5, 2, 1e-200, 1.0)
+    assert abs(res.value - origin_law_2d(1.5, 1e-200)) <= res.est_error
+
+
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_origin_1d_is_g_origin(alpha):
     assert g_spectral(alpha, 1, 0.0, 2.0).value == g_origin(alpha, 1, 2.0)
