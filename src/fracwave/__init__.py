@@ -1,7 +1,10 @@
 """Fundamental solution of the multi-dimensional fractional wave equation.
 
-Four evaluation routes for G_{alpha,n}(r, t), 1 <= alpha < 2,
-n in {1, 2, 3}:
+Four evaluation routes for G_{alpha,n}(r, t), n in {1, 2, 3}, all on the one
+order window 1 <= alpha < 2 at every n.  At alpha = 1, E_1(-x) = e^(-x) and
+G is the Poisson kernel P_n(r, t) = c_n t / (t^2 + r^2)^((n+1)/2), finite at
+r = 0 for every n; above alpha = 1 the origin is 0 for n = 1 and a
+divergence (OriginDivergence) for n >= 2 (``g_origin``).  The routes:
 
 * closed elementary-function forms for n = 1 and n = 3 (``g1``, ``g3``);
 * the spectral route for any n (``g_spectral``): the radial integral taken in

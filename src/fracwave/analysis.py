@@ -112,13 +112,13 @@ def max_location(alpha: float, n: int, t: float) -> ExtremumReport:
     The location is c(alpha, n) * t: z_alpha * t for n = 1; for n = 3, c is
     the root right of z_alpha of d/dw log G_{alpha,3}(w, 1) = 0, a quartic in
     w^alpha (_max_location_3d).  n = 2 is refused: that profile has multiple
-    extrema.  Raises NonConvergence where c^alpha and z_alpha^alpha are one
-    double (alpha within ~1e-8 of 2).
+    extrema.  The order window is 1 < alpha < 2: at alpha = 1, G is the
+    Poisson kernel, whose maximum sits at the origin.  Raises NonConvergence
+    where c^alpha and z_alpha^alpha are one double (alpha within ~1e-8 of 2).
     """
     if n == 2:
         raise InvalidInput("the 2D solution has multiple local extrema")
     check_dimension(n, (1, 3))
-    # at alpha = 1 the maximum degenerates to the origin
     check_window(alpha, 1.0, 2.0, lo_open=True)
     check_positive("t", t)
     if n == 1:
@@ -132,7 +132,8 @@ def phase_velocity(alpha: float, n: int) -> float:
     """Propagation velocity of the maximum location; constant in time.
 
     n = 1: equals z_alpha (0 at alpha = 1).  n = 3: c(alpha, 3), the maximum
-    location at t = 1.
+    location at t = 1, for 1 < alpha < 2: at alpha = 1 the maximum of the
+    Poisson kernel P_3 sits at the origin.
     """
     if n == 2:
         raise InvalidInput("no single phase velocity for the 2D solution")
@@ -169,7 +170,13 @@ def moment(alpha: float, n: int, beta: float, t: float) -> float:
     K_n(n - 1 - beta) / (alpha pi^(n/2)), n in {1, 2, 3}, for -1 < beta < alpha
     at n = 1 and n - 1 - alpha < beta < n - 1 + alpha (alpha > 1) at n = 2, 3;
     plain integrals, signed for n >= 2.  The removable point beta = n - 1 gives
-    Gamma(n/2)/(2 pi^(n/2)): 1/2, 1/(2 pi) and 1/(4 pi), the unit mass."""
+    Gamma(n/2)/(2 pi^(n/2)): 1/2, 1/(2 pi) and 1/(4 pi), the unit mass.
+
+    alpha = 1 stays refused at n = 2, 3: there the origin term r^(alpha - n),
+    whose coefficient has the factor cos(pi alpha/2), vanishes, so the window
+    is wider (-1 < beta < n), and on it the poles of K_n's 1/sin(pi s) meet
+    zeros of its numerator at integer s, which _real_kernel's pole test would
+    report as poles."""
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=n > 1, what=f"order for n = {n}")
     check_positive("t", t)
@@ -241,8 +248,9 @@ def moment_numeric(alpha: float, n: int, beta: float, t: float) -> float:
 
 def gravity_center_velocity(alpha: float) -> float:
     """Velocity 2/(alpha sin(pi/alpha)) of the half-line gravity center
-    moment(alpha, 1, 1, t)/moment(alpha, 1, 0, t); diverges as alpha -> 1."""
-    check_window(alpha, 1.0, 2.0, lo_open=True)  # no mean at alpha = 1
+    moment(alpha, 1, 1, t)/moment(alpha, 1, 0, t); diverges as alpha -> 1,
+    so alpha = 1, where the Cauchy kernel has no half-line mean, is refused."""
+    check_window(alpha, 1.0, 2.0, lo_open=True)
     return 2.0 / (alpha * math.sin(math.pi / alpha))
 
 
@@ -252,6 +260,8 @@ def sign_profile_3d(alpha: float, t: float, r_grid) -> list[int]:
 
     Both tests are made in the scaled variables, on t^3 G_{alpha,3}(r, t) =
     G_{alpha,3}(r/t, 1) and r/t - z_alpha, so the signs do not depend on t.
+    The order window is 1 < alpha < 2: at alpha = 1, z_alpha = 0, and the
+    Poisson kernel P_3 is positive everywhere, with its maximum at the origin.
     """
     check_window(alpha, 1.0, 2.0, lo_open=True)
     check_positive("t", t)

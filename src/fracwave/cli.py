@@ -1,6 +1,11 @@
 """Command-line front end: scalar evaluation, CSV profiles, velocity curves,
 cross-route checks, moments, and the 1D initial-value solver.
 
+Every command that evaluates G takes --alpha in the one order window
+[1, 2) at every --dim; at alpha = 1 each route gives the Poisson kernel P_n,
+whose centre c_n t^-n at r = 0 is finite (the contour, as at every order,
+takes r > 0 only).
+
 Exit codes: 0 success, 1 cross-check tolerance breach, 2 usage/domain error,
 3 numerical failure.  CSV output is UTF-8 with LF line endings, a mandatory
 header row, and floats with 17 significant digits (%.17g), which round-trip
@@ -50,12 +55,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _note_extrapolated(alpha: float, n: int) -> None:
-    if alpha == 1.0 and n == 3:
-        print("note: alpha=1 with dim=3 lies outside the established range; "
-              "value extrapolated from the closed formula", file=sys.stderr)
-
-
 def _evaluate(alpha: float, n: int, r, t, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate G_{alpha,n} on r and t, scalars or arrays that broadcast
     together; returns (value, est_error) arrays of the broadcast shape, with
@@ -71,7 +70,6 @@ def _evaluate(alpha: float, n: int, r, t, method: str) -> tuple[np.ndarray, np.n
                 "the default), the radial Bessel integral (--method integral) or the "
                 "Mellin-Barnes contour (--method mellin)",
                 EXIT_USAGE)
-        _note_extrapolated(alpha, n)
         value = np.asarray(closed_form.g1(alpha, r, t) if n == 1
                            else closed_form.g3(alpha, r, t))
         return value, np.zeros_like(value)

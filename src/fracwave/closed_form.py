@@ -74,6 +74,33 @@ def _closed_form(what: str, alpha: float, r, t, j: int, k: int, rational):
     return float(val) if np.ndim(val) == 0 else val
 
 
+def _poisson_kernel(n: int, r, t) -> float | np.ndarray:
+    """The Poisson kernel P_n(r, t) = c_n t / (t^2 + r^2)^((n+1)/2),
+    c_n = Gamma((n+1)/2) / pi^((n+1)/2), which is G_{1,n}(r, t) for every n:
+    E_1(-x) = e^(-x), and e^(-t |kappa|) transforms to P_n (Stein & Weiss,
+    "Introduction to Fourier Analysis on Euclidean Spaces", 1971, ch. II).
+    At r = 0 it is c_n t^-n.
+
+    r and t (r >= 0, t > 0, arrays that broadcast or scalars) are scaled by
+    2^-e, 2^e the binade of max(r, t), exactly unless the smaller one falls
+    below the normal range, where the value does too; the power 2^(-n e) is
+    applied by ldexp.  So nothing leaves the double range where the value
+    does not, and the value is within 4 eps relative.  closed_form's exit
+    rule holds: a value beyond the double range raises NonConvergence, one
+    below it is 0.
+    """
+    r = np.asarray(r, dtype=float)[()]
+    t = np.asarray(t, dtype=float)[()]
+    e = np.frexp(np.maximum(r, t))[1]
+    r, t = np.ldexp(r, -e), np.ldexp(t, -e)
+    power = 0.5 * (n + 1)
+    with np.errstate(over="ignore"):  # checked below
+        val = np.ldexp(math.gamma(power) / math.pi ** power * t / np.hypot(r, t) ** (n + 1),
+                       -n * e)
+    check_finite("the Poisson kernel", val)
+    return float(val) if np.ndim(val) == 0 else val
+
+
 def g1(alpha: float, r, t) -> float | np.ndarray:
     """1D fundamental solution G_{alpha,1}(r, t); a probability density in r.
 
@@ -107,15 +134,18 @@ def g1_dt(alpha: float, r, t) -> float | np.ndarray:
 
 
 def g3(alpha: float, r, t) -> float | np.ndarray:
-    """3D fundamental solution G_{alpha,3}(r, t) for r > 0.
+    """3D fundamental solution G_{alpha,3}(r, t).
 
     Negative for r < z_alpha t, zero at r = z_alpha t, positive beyond;
-    unbounded at the origin.  alpha = 1 is accepted (the formula remains
-    finite) but lies outside the range established for the 3D solution.
+    unbounded at the origin (OriginDivergence) for 1 < alpha < 2.  At
+    alpha = 1 it is the Poisson kernel P_3(r, t) = t / (pi^2 (t^2 + r^2)^2)
+    (_poisson_kernel), positive and finite also at r = 0.
     """
     check_window(alpha, 1.0, 2.0)
     check_positive("t", t)
     check_positive("r", r, zero_ok=True)
+    if alpha == 1.0:
+        return _poisson_kernel(3, r, t)
     if (r == 0.0 if isinstance(r, float) else np.any(np.asarray(r) == 0.0)):
         raise OriginDivergence("G_{alpha,3} is unbounded at r = 0")
     return _closed_form("G_{alpha,3}", alpha, r, t, 3, 3,

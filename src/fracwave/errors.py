@@ -13,8 +13,8 @@ of three FracWaveErrors:
 * a result that would not be finite, a mesh too large to build, a kernel
   pole or a contour that cannot reach its step tolerance raises
   NonConvergence;
-* a solution evaluated at the origin where it is unbounded (n >= 2) raises
-  OriginDivergence.
+* a solution evaluated at the origin where it is unbounded (n >= 2 and
+  alpha > 1) raises OriginDivergence.
 
 The message names the check that failed.  Documented limits stay valid
 inputs: ml_neg(alpha, inf) = 0 for alpha < 2 and g_hat = 1 at t = 0.
@@ -40,7 +40,7 @@ class NonConvergence(FracWaveError):
 
 
 class OriginDivergence(FracWaveError):
-    """Fundamental solution unbounded at the spatial origin for n >= 2."""
+    """Fundamental solution unbounded at the spatial origin: n >= 2, alpha > 1."""
 
 
 def check_window(x, lo: float, hi: float, *, lo_open: bool = False, hi_open: bool = True,

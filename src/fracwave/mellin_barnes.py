@@ -117,11 +117,20 @@ def _real_numerator(n: int, x: float, m: int = 0) -> float:
     return math.sqrt(math.pi) * num
 
 
+# Below this |s|, K(s) is K(0) to rounding (_real_kernel).
+_KERNEL_FLAT = 1e-17
+
+
 def _real_kernel(alpha: float, n: int, x: float, m: int = 0) -> float:
     """K(s) at s = m + x (m an integer; alpha, n checked): _real_numerator over
-    sin(pi s/alpha), alpha Gamma(n/2)/2 at s = 0, NonConvergence at s = alpha k != 0."""
+    sin(pi s/alpha), NonConvergence at s = alpha k != 0, and the limit
+    K(0) = alpha Gamma(n/2)/2 wherever |s| < _KERNEL_FLAT = 1e-17.  There
+    K(s)/K(0) - 1 is at most |s| (its slope at 0 is 0, (psi(1/2) - psi(1))/2
+    = -0.69 and -1 for n = 1, 2, 3; the curvature adds below 1e-33), under
+    eps/8, and the general form would meet subnormal s, which pi s and
+    Gamma(s/2) do not survive."""
     s = m + x
-    if s == 0.0:
+    if abs(s) < _KERNEL_FLAT:
         return 0.5 * alpha * math.gamma(0.5 * n)
     if s / alpha == round(s / alpha):
         raise NonConvergence(f"kernel pole at s = {s} = alpha * {round(s / alpha)}")
@@ -132,7 +141,13 @@ def mb_kernel(alpha: float, n: int, s: complex) -> complex:
     """Kernel K of the contour representation at a single point.
 
     Raises NonConvergence at its poles, the real s = alpha k with k != 0.  At
-    s = 0 it returns the limit alpha Gamma(n/2) / 2, at its zeros 0.
+    s = 0, and wherever |s| < 1e-17, it returns the limit alpha Gamma(n/2) / 2
+    (_real_kernel), at its zeros 0.  The order window is
+    1 < alpha < 2: at alpha = 1 the poles of 1/sin(pi s) at integer s meet
+    zeros of the numerator (at even s for n = 1), which _real_kernel's test
+    s/alpha == round(s/alpha) would report as poles.  g_mellin_barnes takes
+    alpha = 1: its line Re s = sigma lies inside the pole-free strip, and it
+    forms K in log form.
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=True)
@@ -140,8 +155,9 @@ def mb_kernel(alpha: float, n: int, s: complex) -> complex:
     check_finite("s", s, exc=InvalidInput)
     if s.imag < 0.0:  # Schwarz reflection: _log_sin serves Im s >= 0 only
         return mb_kernel(alpha, n, s.conjugate()).conjugate()
-    if s.imag == 0.0:
-        # the log form would meet log 0 times a pole of Gamma(1 - s/2)
+    if s.imag == 0.0 or abs(s) < _KERNEL_FLAT:
+        # the log form would meet log 0 times a pole of Gamma(1 - s/2) on the
+        # real axis, and lose its digits near s = 0, where K is K(0)
         return complex(_real_kernel(alpha, n, s.real))
     value = complex(np.exp(sum(_log_kernel_terms(alpha, n, s))))
     check_finite("the kernel", value)
@@ -281,10 +297,15 @@ def g_mellin_barnes(alpha: float, n: int, r, t, sigma: float | None = None) -> Q
     sigma = None takes its middle.  The truncation height is derived from the
     kernel decay rate with a safety factor of 10 (_auto_y_max).  A tail bound
     above the step tolerance at the height cap, step halvings that do not
-    converge, or a value that is not finite raise NonConvergence.
+    converge, or a value that is not finite raise NonConvergence.  The order
+    window is 1 <= alpha < 2 for every n: at alpha = 1 the strip is (0, 1),
+    the kernel decays like exp(-pi |Im s|/2), and the value is the Poisson
+    kernel P_n(r, t).  r = 0 is refused (InvalidInput) at every order: the
+    route forms G as r^-n times a line integral that vanishes there;
+    g_origin gives the value at the origin.
     """
     check_dimension(n)
-    check_window(alpha, 1.0, 2.0, lo_open=True)
+    check_window(alpha, 1.0, 2.0)
     if sigma is None:
         sigma = min(alpha, float(n)) / 2.0
     check_window(sigma, 0.0, min(alpha, float(n)), lo_open=True, what="sigma")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import g1
+from .closed_form import _poisson_kernel, g1
 from .errors import (InvalidInput, NonConvergence, OriginDivergence, check_dimension,
                      check_finite, check_positive, check_window)
 from .special import (_EPS, _branch_cut_mesh, _cos_sin_pi, _gk15_cells, _inverse_power_terms,
@@ -220,7 +220,8 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
     same code (special._mesh_sums).  Its kernel is formed without squaring
     x = rho t / r, so it keeps its x^-n fall-off where x^2 would overflow:
     for n = 1 the r^-1 scale makes it O(1) once r/t < ~1e-144.  At alpha = 1
-    (n = 1 only) w is a delta at rho = 1 and G = P_1(r, t).
+    there is no pair and w is a delta at rho = 1, so G = P_n(r, t) for every
+    n and r >= 0 (closed_form._poisson_kernel), with est_error 4 eps G.
 
     r and t are scalars or arrays that broadcast together; scalar input gives
     float value and est_error, array input arrays of the broadcast shape.  The
@@ -232,24 +233,24 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
     scale is applied in exponent form, so the value may lie where r^n leaves
     the double range: every r/t >= 1e-150 returns.  Where that underflow
     bound passes eps times the sum (from r/t ~ 1e-150 to 1e-300, by n and
-    alpha) the call raises NonConvergence.  r = 0 gives g_origin for n = 1 and
-    raises OriginDivergence for n >= 2; a value or a mesh outside the double
-    range raises NonConvergence.
+    alpha) the call raises NonConvergence.  r = 0 gives what g_origin gives:
+    c_n t^-n at alpha = 1, 0 for n = 1 above it, OriginDivergence for n >= 2
+    above it.  A value or a mesh outside the double range raises
+    NonConvergence.
     """
     check_dimension(n)
-    check_window(alpha, 1.0, 2.0, lo_open=n > 1, what=f"order for n = {n}")
+    check_window(alpha, 1.0, 2.0)
     r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
     check_positive("r", r, zero_ok=True)
     check_positive("t", t)
     origin = r == 0.0
-    if n >= 2 and np.any(origin):
+    if n >= 2 and alpha > 1.0 and np.any(origin):
         raise OriginDivergence(f"G_{{alpha,{n}}} diverges at r = 0")
     value, est = np.zeros(r.shape), np.zeros(r.shape)
-    value[origin] = g_origin(alpha, 1, 1.0) / t[origin]
     rs, ts = r[~origin], t[~origin]
     if alpha == 1.0:
-        value[~origin] = ts / np.hypot(rs, ts) / (math.pi * np.hypot(rs, ts))
-        est[~origin] = 4.0 * _EPS * value[~origin]
+        value[...] = _poisson_kernel(n, r, t)
+        est = 4.0 * _EPS * value
     elif rs.size:
         with np.errstate(over="ignore", divide="ignore"):  # r/t out of the double range
             rho = rs / ts
@@ -313,19 +314,21 @@ def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> Q
     Every call sums at least _FIRST_LOBES lobes; their cells are integrated
     in one call of the integrand, later lobes one at a time.
 
-    Raises OriginDivergence for r = 0 with n >= 2 and NonConvergence once the
-    error that no further lobe can lower exceeds the target, or after
-    _MAX_LOBES lobes.
+    At r = 0 with n >= 2 it returns g_origin's value, c_n t^-n at alpha = 1
+    with est_error 4 eps times it, and raises OriginDivergence above
+    alpha = 1.  It raises NonConvergence once the error that no further lobe
+    can lower exceeds the target, or after _MAX_LOBES lobes.
     """
     check_dimension(n)
-    check_window(alpha, 1.0, 2.0, lo_open=n > 1, what=f"order for n = {n}")
+    check_window(alpha, 1.0, 2.0)
     check_positive("t", t)
     check_positive("r", r, zero_ok=True)
     check_positive("tol", tol)
     ml_tol = min(1e-13, 0.01 * tol)
     if r == 0.0:
         if n >= 2:
-            raise OriginDivergence(f"G_{{alpha,{n}}} diverges at r = 0")
+            value = g_origin(alpha, n, t)
+            return QuadResult(value, float(4.0 * _EPS * value), 0)
         return _integral_origin_1d(alpha, t, tol, ml_tol)
 
     f = _make_integrand(alpha, n, r, t, ml_tol)
@@ -404,23 +407,25 @@ def _integral_origin_1d(alpha: float, t: float, tol: float, ml_tol: float) -> Qu
 
 
 def g_origin(alpha: float, n: int, t: float) -> float:
-    """Value of G_{alpha,n} at the spatial origin.
+    """Value of G_{alpha,n} at the spatial origin, as g_spectral, g_integral
+    and closed_form.g3 also give it.
 
-    Zero for n = 1 and 1 < alpha < 2, the Cauchy-kernel center 1/(pi t) at
-    alpha = 1; unbounded (OriginDivergence) for n >= 2 because the Mellin
-    convergence window 0 < n < alpha is empty there.
+    At alpha = 1, G is the Poisson kernel P_n (closed_form._poisson_kernel),
+    whose centre c_n t^-n (1/(pi t), 1/(2 pi t^2), 1/(pi^2 t^3)) is finite
+    for every n.  Above alpha = 1 it is zero for n = 1 and unbounded
+    (OriginDivergence) for n >= 2, because the Mellin convergence window
+    0 < n < alpha is empty there.  A centre beyond the double range raises
+    NonConvergence.
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0)
     check_positive("t", t)
+    if alpha == 1.0:
+        return _poisson_kernel(n, 0.0, t)
     if n >= 2:
         raise OriginDivergence(
             f"G_{{alpha,{n}}}(0, t) diverges: the window 0 < n < alpha is empty for n = {n}"
         )
-    if alpha == 1.0:
-        value = 1.0 / (math.pi * t)
-        check_finite("G at the origin", value)
-        return value
     return 0.0
 
 
@@ -436,7 +441,8 @@ def solve_ivp_1d(alpha: float, xs, phis, t: float, out_grid) -> np.ndarray:
     kernel values (N g1 evaluations, mirrored) and one discrete convolution.
     Any other out_grid is summed directly, N g1 values per output point.
     Raises InvalidInput for unsorted, non-uniform or non-finite sample grids
-    and non-finite samples or output points.
+    and non-finite samples or output points, and NonConvergence where a
+    weighted sum leaves the double range.
     """
     check_window(alpha, 1.0, 2.0)
     check_positive("t", t)
@@ -456,13 +462,15 @@ def solve_ivp_1d(alpha: float, xs, phis, t: float, out_grid) -> np.ndarray:
     w = np.full_like(phis, h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    if np.array_equal(out, xs):
-        # mean spacing: the rounding in h = x_1 - x_0 would grow k-fold in k h
-        g = g1(alpha, (xs[-1] - xs[0]) / (xs.size - 1) * np.arange(xs.size), t)
-        u = np.convolve(np.concatenate((g[:0:-1], g)), w * phis, mode="valid")
-    else:
-        u = np.empty_like(out)
-        for i, x in enumerate(out):
-            u[i] = float(np.dot(w * phis, g1(alpha, np.abs(x - xs), t)))
+    # samples near the double range's end can overflow the weighted sums
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if np.array_equal(out, xs):
+            # mean spacing: the rounding in h = x_1 - x_0 would grow k-fold in k h
+            g = g1(alpha, (xs[-1] - xs[0]) / (xs.size - 1) * np.arange(xs.size), t)
+            u = np.convolve(np.concatenate((g[:0:-1], g)), w * phis, mode="valid")
+        else:
+            u = np.empty_like(out)
+            for i, x in enumerate(out):
+                u[i] = float(np.dot(w * phis, g1(alpha, np.abs(x - xs), t)))
     check_finite("the solution", u)
     return u

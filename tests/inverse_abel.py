@@ -12,6 +12,9 @@ with the elementary 1D form
 
 It shares no code and no representation with either fracwave route for
 n = 2 (the radial Bessel integral and the Mellin-Barnes contour).
+
+At alpha = 1 the pair closes in elementary form: G1 is the Cauchy kernel and
+G_n the Poisson kernel P_n for every n (poisson_mp).
 """
 
 import math
@@ -78,3 +81,15 @@ def g2_abel_mp(alpha, rho, dps=40):
                     | {w0})
         us = [mp.mpf(0)] + [mp.acosh(w / r) for w in ws if r < w < 1e8] + [mp.inf]
         return float(-mp.quad(lambda u: g1_dx_mp(r * mp.cosh(u)), us) / mp.pi)
+
+
+def poisson_mp(n, r, t, dps=40):
+    """G_{1,n}(r, t) = P_n(r, t) = c_n t / (t^2 + r^2)^((n+1)/2),
+    c_n = Gamma((n+1)/2) / pi^((n+1)/2), to about dps digits in the exact
+    binary values of r and t."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        h = mp.mpf(n + 1) / 2
+        r, t = mp.mpf(r), mp.mpf(t)
+        return float(mp.gamma(h) / mp.pi ** h * t / (t * t + r * r) ** h)

@@ -179,11 +179,16 @@ def test_criterion_08_asymptotic_slopes():
 
 def test_criterion_09_origin_behavior():
     with criterion(9, "origin value: 0 for n=1 (1<alpha<2), 1/(pi t) at alpha=1, "
-                      "divergence for n=2,3"):
+                      "divergence for n=2,3 (1<alpha<2), 1/(2 pi t^2) and "
+                      "1/(pi^2 t^3) for n=2,3 at alpha=1"):
         assert g_origin(1.5, 1, 7.3) == 0.0
         assert g_origin(1.7, 1, 0.2) == 0.0
         for t in (0.5, 2.0):
             assert abs(g_origin(1.0, 1, t) - 1.0 / (math.pi * t)) <= 1e-16
+            assert g_origin(1.0, 2, t) == pytest.approx(1.0 / (2.0 * math.pi * t ** 2),
+                                                        rel=1e-15)
+            assert g_origin(1.0, 3, t) == pytest.approx(1.0 / (math.pi ** 2 * t ** 3),
+                                                        rel=1e-15)
         for n in (2, 3):
             with pytest.raises(OriginDivergence):
                 g_origin(1.5, n, 1.0)

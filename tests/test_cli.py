@@ -250,18 +250,12 @@ class TestEval:
                          "--r", "1", "--t", "1")
         assert code == 2
 
-    def test_extrapolation_note_for_alpha_one_3d(self, capsys):
-        code, out, err = run(capsys, "eval", "--alpha", "1.0", "--dim", "3",
-                             "--r", "1", "--t", "1", "--method", "closed")
-        assert code == 0
-        assert "extrapolated" in err
-
-    def test_extrapolation_note_once_per_profile(self, capsys):
-        code, _, err = run(capsys, "profile", "--alpha", "1.0", "--dim", "3",
-                           "--t", "1", "--rmin", "0.5", "--rmax", "2.0",
-                           "--points", "7", "--method", "closed", "--out", "-")
-        assert code == 0
-        assert err.count("extrapolated") == 1
+    def test_poisson_centre_at_alpha_one_3d(self, capsys):
+        # G_{1,3} is the Poisson kernel P_3, finite at the origin: 1/(pi^2 t^3)
+        code, out, err = run(capsys, "eval", "--alpha", "1", "--dim", "3",
+                             "--r", "0", "--t", "2")
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(1.0 / (8.0 * math.pi ** 2), rel=1e-15)
 
 
 class TestProfile:
@@ -519,6 +513,13 @@ class TestCrosscheck:
     def test_1d_routes_within_tolerance(self, capsys):
         code, out, _ = run(capsys, "crosscheck", "--alpha", "1.5", "--dim", "1",
                            "--t", "1", "--points", "3")
+        assert code == 0
+        assert "PASS" in out
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_alpha_one_passes(self, capsys, dim):
+        code, out, _ = run(capsys, "crosscheck", "--alpha", "1.0", "--dim", str(dim),
+                           "--t", "1.3")
         assert code == 0
         assert "PASS" in out
 

@@ -177,6 +177,9 @@ class TestG3:
     def test_origin_divergence(self):
         with pytest.raises(OriginDivergence):
             g3(1.5, 0.0, 1.0)
+        # at alpha = 1, G3 is the Poisson kernel, whose centre 1/(pi^2 t^3) is finite
+        assert g3(1.0, 0.0, 2.0) == pytest.approx(1.0 / (8.0 * math.pi ** 2), rel=1e-15)
+        assert np.all(g3(1.0, np.array([0.0, 0.0]), 2.0) == g3(1.0, 0.0, 2.0))
 
     def test_self_similar_scaling(self):
         rng = np.random.default_rng(23)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracwave.analysis import moment
 from fracwave.closed_form import g1, g3
 from fracwave.errors import InvalidInput, NonConvergence
 from fracwave.mellin_barnes import (
@@ -19,14 +20,14 @@ from fracwave.mellin_barnes import (
     mb_kernel,
 )
 from fracwave.quadrature import g_integral, g_spectral
-from inverse_abel import g2_abel
+from inverse_abel import g2_abel, poisson_mp
 
 Z_15 = 0.87036519258771611936
 
 # Dense est_error-honesty grid: r/t over [0.01, 100], with 1 itself and the
 # points either side of it, where rho^(iy) hardly oscillates and the tail
 # bound is at its tightest.
-HONESTY_ALPHAS = (1.05, 1.3, 1.6, 1.9)
+HONESTY_ALPHAS = (1.0, 1.05, 1.3, 1.6, 1.9)
 HONESTY_RHOS = np.concatenate((np.geomspace(0.01, 100.0, 25), [0.99, 1.01]))
 
 # Frozen from 40-digit Gamma-quotient evaluation.
@@ -89,6 +90,18 @@ class TestKernel:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_value_at_zero(self, n):
         assert mb_kernel(1.5, n, 0.0) == pytest.approx(0.75 * math.gamma(0.5 * n), rel=1e-15)
+
+    def test_limit_at_subnormal_s(self):
+        # Gamma(s/2) overflowed (n = 2) and pi s lost its digits (n = 1, 3) at
+        # subnormal s, and the log form off the axis returned 1.0 at n = 2,
+        # s = 5e-324 i: the limit holds to rounding for |s| < 1e-17
+        for alpha in (1.5, 1.9):
+            for n in (1, 2, 3):
+                lim = 0.5 * alpha * math.gamma(0.5 * n)
+                for s in (5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585e-313, 5e-324j,
+                          1e-310 + 1e-310j):
+                    assert mb_kernel(alpha, n, s) == pytest.approx(lim, rel=1e-15), (n, s)
+        assert moment(1.5, 1, 5e-324, 1.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_vanishes_at_denominator_pole(self):
         # Gamma(s/2) pole at s = -2 is not cancelled: the kernel tends to 0.
@@ -223,7 +236,10 @@ class TestContour:
 
     def test_invalid_order_and_point(self):
         with pytest.raises(InvalidInput, match="order"):
-            g_mellin_barnes(1.0, 1, 1.0, 1.0)
+            g_mellin_barnes(0.99, 1, 1.0, 1.0)
+        for n in (1, 2, 3):  # the window starts at alpha = 1, where G = P_n
+            res = g_mellin_barnes(1.0, n, 1.0, 1.0)
+            assert abs(res.value - poisson_mp(n, 1.0, 1.0)) <= res.est_error
         with pytest.raises(InvalidInput, match="dimension"):
             g_mellin_barnes(1.5, 4, 1.0, 1.0)
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from inverse_abel import g2_abel
+from inverse_abel import g2_abel, poisson_mp
 from scipy.special import voigt_profile
 
 from fracwave.closed_form import g1, g3
@@ -43,6 +43,16 @@ class TestRouteAgreement:
             ref = g1(alpha, ratio, 1.0) if n == 1 else g3(alpha, ratio, 1.0)
             assert abs(res.value - ref) <= 1e-6
             assert abs(res.value - ref) <= res.est_error
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_poisson_kernel_at_alpha_one(self, n):
+        # E_1(-x) = e^-x: no pair, and G = P_n for every n
+        for t in (0.5, 2.0):
+            for r in np.geomspace(1e-3, 1e3, 41) * t:
+                start = time.perf_counter()
+                res = g_integral(1.0, n, float(r), t)
+                assert time.perf_counter() - start < 1.0
+                assert abs(res.value - poisson_mp(n, r, t)) <= res.est_error, (r, t)
 
     def test_scaled_time(self):
         res = g_integral(1.5, 3, 0.6, 2.0)
@@ -240,7 +250,7 @@ class TestConfigValidation:
 
     def test_rejects_bad_domain(self):
         with pytest.raises(InvalidInput, match="order"):
-            g_integral(1.0, 2, 1.0, 1.0)  # n >= 2 needs alpha > 1
+            g_integral(0.99, 2, 1.0, 1.0)
         with pytest.raises(InvalidInput, match="order"):
             g_integral(2.0, 1, 1.0, 1.0)
         with pytest.raises(InvalidInput, match="dimension"):
@@ -262,6 +272,10 @@ class TestOrigin:
             g_origin(1.5, n, 1.0)
         with pytest.raises(OriginDivergence):
             g_integral(1.5, n, 0.0, 1.0)
+        # but not at alpha = 1, where G is the Poisson kernel: c_n t^-n
+        for t in (0.5, 2.0):
+            assert g_integral(1.0, n, 0.0, t).value == g_origin(1.0, n, t) \
+                == poisson_mp(n, 0.0, t)
 
     @pytest.mark.parametrize("alpha", [1.0, 1.1, 1.11, 1.17, 1.33, 1.5, 1.67, 1.9, 1.99])
     def test_integral_route_at_origin(self, alpha):

@@ -11,7 +11,7 @@ from fracwave.closed_form import g1, g3, order_trig
 from fracwave.errors import InvalidInput, NonConvergence, OriginDivergence
 from fracwave.mellin_barnes import g_mellin_barnes
 from fracwave.quadrature import g_origin, g_spectral
-from inverse_abel import g2_abel_mp
+from inverse_abel import g2_abel_mp, poisson_mp
 
 # 405 r/t over [0.01, 100], with the wavefront band 0.99-1.01 sampled densely.
 RHOS = np.unique(np.concatenate((np.geomspace(0.01, 100.0, 385), np.linspace(0.99, 1.01, 21))))
@@ -159,8 +159,21 @@ def test_origin_diverges_for_n_above_one(n):
         g_spectral(1.5, n, 0.0, 1.0)
     with pytest.raises(OriginDivergence):
         g_spectral(1.5, n, np.array([0.5, 0.0]), 1.0)
-    with pytest.raises(InvalidInput):
-        g_spectral(1.0, n, 0.5, 1.0)
+    # at alpha = 1 the origin is the Poisson kernel's finite centre
+    res = g_spectral(1.0, n, np.array([0.5, 0.0]), 1.0)
+    assert res.value[1] == g_origin(1.0, n, 1.0) == poisson_mp(n, 0.0, 1.0)
+    assert abs(res.value[0] - poisson_mp(n, 0.5, 1.0)) <= res.est_error[0]
+
+
+# alpha = 1: G = P_n for every n, E_1(-x) = e^-x having no pair and its
+# branch-cut weight a delta at rho = 1.
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_alpha_one_is_the_poisson_kernel(n):
+    rho = np.geomspace(1e-3, 1e3, 200)
+    for t in (0.5, 2.0):
+        res = g_spectral(1.0, n, np.append(rho * t, 0.0), t)
+        truth = np.array([poisson_mp(n, r, t) for r in rho * t] + [poisson_mp(n, 0.0, t)])
+        assert np.all(np.abs(res.value - truth) <= res.est_error)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
