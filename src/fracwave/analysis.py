@@ -29,7 +29,7 @@ import numpy as np
 
 from .closed_form import _power, g1, g3, order_trig
 from .errors import (InvalidInput, NonConvergence, check_dimension, check_finite, check_positive,
-                     check_window)
+                     check_scalar, check_window)
 from .mellin_barnes import _real_kernel, _real_numerator
 from .quadrature import g_spectral
 
@@ -120,6 +120,7 @@ def max_location(alpha: float, n: int, t: float) -> ExtremumReport:
         raise InvalidInput("the 2D solution has multiple local extrema")
     check_dimension(n, (1, 3))
     check_window(alpha, 1.0, 2.0, lo_open=True)
+    check_scalar(t=t)
     check_positive("t", t)
     if n == 1:
         loc = zero_crossing_z(alpha) * t
@@ -179,6 +180,7 @@ def moment(alpha: float, n: int, beta: float, t: float) -> float:
     report as poles."""
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=n > 1, what=f"order for n = {n}")
+    check_scalar(t=t)
     check_positive("t", t)
     check_window(beta, -1.0 if n == 1 else n - 1.0 - alpha, n - 1.0 + alpha, lo_open=True,
                  what=f"{n}D moment order")
@@ -264,6 +266,7 @@ def sign_profile_3d(alpha: float, t: float, r_grid) -> list[int]:
     Poisson kernel P_3 is positive everywhere, with its maximum at the origin.
     """
     check_window(alpha, 1.0, 2.0, lo_open=True)
+    check_scalar(t=t)
     check_positive("t", t)
     r = np.atleast_1d(r_grid).astype(float)
     check_positive("r", r, zero_ok=True)

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import OriginDivergence, check_finite, check_positive, check_window
+from .errors import OriginDivergence, check_finite, check_positive, check_scalar, check_window
 from .special import ml_neg
 
 _LN2 = math.log(2.0)
@@ -183,6 +183,7 @@ def g_hat(alpha: float, kappa_abs: float, t: float) -> float:
     """Fourier-space solution E_alpha(-|kappa|^alpha t^alpha) to ml_neg's tol 1e-12; 1 at t = 0
     and 0, the limit, where (|kappa| t)^alpha leaves the double range."""
     check_window(alpha, 1.0, 2.0)
+    check_scalar(kappa_abs=kappa_abs, t=t)
     check_positive("|kappa|", kappa_abs, zero_ok=True)
     check_positive("t", t, zero_ok=True)
     if t == 0.0 or kappa_abs == 0.0:

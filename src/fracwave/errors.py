@@ -9,7 +9,8 @@ of three FracWaveErrors:
   also a ValueError: NaN, an infinite t, r or tol, t <= 0 (t < 0 where t = 0
   is documented as valid), r < 0 (r <= 0 on the routes that need r > 0),
   tol <= 0, an order, moment order or contour abscissa outside its window,
-  an unsupported dimension, a non-finite or non-uniform sample grid;
+  an unsupported dimension, a non-finite or non-uniform sample grid, an
+  array or a list where one number is documented;
 * a result that would not be finite, a mesh too large to build, a kernel
   pole or a contour that cannot reach its step tolerance raises
   NonConvergence;
@@ -43,10 +44,18 @@ class OriginDivergence(FracWaveError):
     """Fundamental solution unbounded at the spatial origin: n >= 2, alpha > 1."""
 
 
+def check_scalar(**args) -> None:
+    """Raise InvalidInput unless every argument, given by name, is one number."""
+    for name, x in args.items():
+        if not isinstance(x, (int, float)) and np.ndim(x) != 0:
+            raise InvalidInput(f"{name} must be one number, got {x!r}")
+
+
 def check_window(x, lo: float, hi: float, *, lo_open: bool = False, hi_open: bool = True,
                  what: str = "order") -> None:
-    """Raise InvalidInput unless lo <= x < hi; lo_open and hi_open make an end
-    strict or inclusive.  NaN lies in no window."""
+    """Raise InvalidInput unless x is one number and lo <= x < hi; lo_open and
+    hi_open make an end strict or inclusive.  NaN lies in no window."""
+    check_scalar(**{what: x})
     if not ((lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
         raise InvalidInput(f"{what} must lie in {'(' if lo_open else '['}{lo}, {hi}"
                            f"{')' if hi_open else ']'}, got {x}")

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .errors import (InvalidInput, NonConvergence, check_dimension, check_finite, check_positive,
-                     check_window)
+                     check_scalar, check_window)
 from .quadrature import QuadResult
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -151,6 +151,7 @@ def mb_kernel(alpha: float, n: int, s: complex) -> complex:
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0, lo_open=True)
+    check_scalar(s=s)
     s = complex(s)
     check_finite("s", s, exc=InvalidInput)
     if s.imag < 0.0:  # Schwarz reflection: _log_sin serves Im s >= 0 only
@@ -327,6 +328,7 @@ def g_mellin_barnes(alpha: float, n: int, r, t, sigma: float | None = None) -> Q
 
 def l_aux(alpha: float, n: int, rho: float) -> float:
     """Profile L_{alpha,n}(rho) = rho^n G_{alpha,n}(rho, 1), so G = r^(-n) L_{alpha,n}(r/t)."""
+    check_scalar(rho=rho)
     value = g_mellin_barnes(alpha, n, rho, 1.0).value * rho ** n
     check_finite("L_{alpha,n}", value)
     return value

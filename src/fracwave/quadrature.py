@@ -3,29 +3,20 @@
     G_{alpha,n}(r,t) = r^(1-n/2)/(2 pi)^(n/2)
                        * int_0^inf E_alpha(-(tau t)^alpha) tau^(n/2) J_{n/2-1}(tau r) dtau:
 
-the spectral route g_spectral, which takes the tau-integral in closed form
-and leaves one non-oscillatory integral over the branch cut of E_alpha, all
-points at once (see its docstring), and the oscillatory quadrature
-g_integral, one point per call.  For 1 < alpha < 2,
+the spectral route g_spectral, all points at once, and the oscillatory
+quadrature g_integral, one point per call.  For 1 < alpha < 2,
 E_alpha(-(tau t)^alpha) is a damped oscillating pair (2/alpha) Re exp(-p tau),
-p = -t e^{i pi/alpha}, plus a completely monotone branch-cut part, which is
-how special.ml_neg computes it.  The branch-cut part is an integral of one
-weight w(rho), and one GK15 mesh of it, special._branch_cut_mesh, with one
-sum over it, special._mesh_sums, serves both ml_neg and g_spectral.  Both
-parts are mixtures of exp(-s tau), so their parts of G are mixtures of the
-Poisson kernel P_n(r, s), one formula for every n (g_spectral).  Both routes add the pair's part in closed form.  g_integral
-integrates E_alpha minus the pair (special._ml_neg_minus_pair, on whole
-arrays of nodes in ml_neg's regimes) against its kernel (cos for n = 1,
-tau J_0 for n = 2, tau sin for n = 3), split at the zeros of the kernel
-(McMahon's leading term for those of J_0).  Each lobe is integrated by the
-GK15 rule on a geometric mesh of cells (graded towards the branch point at
+p = -t e^{i pi/alpha}, plus a completely monotone branch-cut part, as
+special.ml_neg computes it, and both routes add the pair's part of G in
+closed form (_pair_transform).  g_spectral takes the branch-cut part's
+tau-integral in closed form too (see its docstring).  g_integral integrates
+E_alpha minus the pair (special._ml_neg_minus_pair) against its kernel,
+split at the kernel's zeros into lobes; each lobe is integrated by the GK15
+rule on a geometric mesh of cells (graded towards the branch point at
 tau = 0 in lobe 0), and the lobe series, which alternates in sign from
-lobe 0, is summed by Wynn's epsilon algorithm.
-
-g_integral's error estimate combines the acceleration increments, the cell
-error estimates, the per-node rounding bound of E_alpha minus the pair
-(4 eps (|E_alpha| + |pair|) where the pair is subtracted, 4 eps times the
-value elsewhere), and the rounding of the closed-form term.
+lobe 0, is summed by Wynn's epsilon algorithm.  Its error estimate combines
+the acceleration increments, the cell error estimates, the per-node rounding
+bound of E_alpha minus the pair and the rounding of the closed-form term.
 """
 
 from __future__ import annotations
@@ -38,10 +29,14 @@ import numpy as np
 
 from .closed_form import _poisson_kernel, g1
 from .errors import (InvalidInput, NonConvergence, OriginDivergence, check_dimension,
-                     check_finite, check_positive, check_window)
-from .special import (_EPS, _branch_cut_mesh, _cos_sin_pi, _gk15_cells, _inverse_power_terms,
-                      _mesh_sums, _ml_neg_minus_pair, _pair_angle, asymptotic_cutoff)
+                     check_finite, check_positive, check_scalar, check_window)
+from .special import (_EPS, _branch_cut_mesh, _cos_sin_pi, _gk15_cells, _mesh_sums,
+                      _ml_neg_minus_pair, _pair_angle)
 
+# g_integral's one target: an est_error within _TOL max(1, |value|), with
+# E_alpha minus the pair taken in ml_neg's regimes at _ML_TOL.
+_TOL = 1e-8
+_ML_TOL = 1e-13
 # Order of the Wynn epsilon acceleration: each estimate uses the last
 # 2 * _ACCEL_ORDER + 1 partial sums of the lobe series.
 _ACCEL_ORDER = 8
@@ -71,24 +66,13 @@ def _lobe_edge(n: int, r: float, k: int) -> float:
 def _wynn_epsilon(sums: list[float]) -> list[float]:
     """Even-column tail of Wynn's epsilon table: successive accelerations of
     the partial-sum sequence, lowest order first."""
-    prev = [0.0] * (len(sums) + 1)
-    cur = list(sums)
-    out = [cur[-1]]
-    col = 0
-    while len(cur) >= 2:
-        nxt = []
-        ok = True
-        for i in range(len(cur) - 1):
-            d = cur[i + 1] - cur[i]
-            if d == 0.0 or not math.isfinite(d):
-                ok = False
-                break
-            nxt.append(prev[i + 1] + 1.0 / d)
-        if not ok:
+    prev, cur, out = [0.0] * (len(sums) + 1), list(sums), [sums[-1]]
+    for col in range(1, len(sums)):  # column col has len(sums) - col entries
+        diffs = [b - a for a, b in zip(cur, cur[1:])]
+        if not all(d != 0.0 and math.isfinite(d) for d in diffs):
             break
-        prev, cur = cur, nxt
-        col += 1
-        if col % 2 == 0 and cur:
+        prev, cur = cur, [p + 1.0 / d for p, d in zip(prev[1:], diffs)]
+        if col % 2 == 0:
             out.append(cur[-1])
     return out
 
@@ -126,30 +110,20 @@ def _integrate_lobes(f, meshes) -> tuple[np.ndarray, np.ndarray]:
     return values, errors
 
 
-def _integrate(f, edges: np.ndarray) -> tuple[float, float]:
-    """GK15 over every cell of one mesh (_integrate_lobes): (value, error)."""
-    values, errors = _integrate_lobes(f, [edges])
-    return float(values[0]), float(errors[0])
-
-
-def _prefactor(n: int, r: float) -> float:
-    """Constant factor of the radial integrand, whose kernel is cos(tau r)
-    for n = 1, tau J_0(tau r) for n = 2 and tau sin(tau r) for n = 3."""
-    return 1.0 / (math.pi, 2.0 * math.pi, 2.0 * math.pi ** 2 * r)[n - 1]
-
-
-def _make_integrand(alpha: float, n: int, r: float, t: float, ml_tol: float):
+def _make_integrand(alpha: float, n: int, r: float, t: float):
     """Vectorized integrand of the radial representation with the damped
-    pair taken out, including the prefactor.  Returns its values and a
+    pair taken out: E_alpha minus the pair times the kernel, cos(tau r) / pi
+    for n = 1, tau J_0(tau r) / (2 pi) for n = 2 and
+    tau sin(tau r) / (2 pi^2 r) for n = 3.  Returns its values and a
     per-node bound on their rounding.
 
     E_alpha minus the pair comes from special._ml_neg_minus_pair in one call
-    over all nodes, in the regimes ml_neg chooses at ml_tol: the Taylor sum
+    over all nodes, in the regimes ml_neg chooses at _ML_TOL: the Taylor sum
     minus the pair at x <= 1 (and x <= 2 where the sum is the fallback), and
     the branch-cut integral or the inverse-power sum, which the pair is not
     added to, above.
     """
-    pref = _prefactor(n, r)
+    pref = 1.0 / (math.pi, 2.0 * math.pi, 2.0 * math.pi ** 2 * r)[n - 1]
     if n == 2:
         from scipy.special import j0  # on first use (special's docstring)
 
@@ -157,7 +131,7 @@ def _make_integrand(alpha: float, n: int, r: float, t: float, ml_tol: float):
         with np.errstate(over="ignore"):  # checked below
             xs = (taus * t) ** alpha
         check_finite("(tau t)^alpha on the radial mesh", xs)
-        reduced, rounding = _ml_neg_minus_pair(alpha, xs, ml_tol)
+        reduced, rounding = _ml_neg_minus_pair(alpha, xs, _ML_TOL)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             kern = pref * (np.cos(taus * r) if n == 1 else
                            taus * (j0(taus * r) if n == 2 else np.sin(taus * r)))
@@ -300,38 +274,26 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
     return QuadResult(value, est, 0)
 
 
-def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> QuadResult:
-    """Evaluate G_{alpha,n}(r,t) from the oscillatory radial integral, to an
-    est_error within max(tol, tol * |value|).
-
-    Keep tol >= ~3e-9 (the default is 1e-8).  Measured for n = 3 at
-    r/t in [1e-8, 1e-2], alpha in [1.5, 1.99]: at tol = 1e-9 the error reaches
-    1.6 est_error and at 3e-10 6 est_error, and from ~1e-10 on the
-    |K15 - G7| estimates of lobe 0's cells, which overstate their error, can
-    exceed the target alone and raise NonConvergence.  g_spectral, with no
-    tolerance to set, is within 1e-9 relative or better.
-
-    Every call sums at least _FIRST_LOBES lobes; their cells are integrated
-    in one call of the integrand, later lobes one at a time.
-
-    At r = 0 with n >= 2 it returns g_origin's value, c_n t^-n at alpha = 1
-    with est_error 4 eps times it, and raises OriginDivergence above
-    alpha = 1.  It raises NonConvergence once the error that no further lobe
-    can lower exceeds the target, or after _MAX_LOBES lobes.
+def g_integral(alpha: float, n: int, r: float, t: float) -> QuadResult:
+    """Evaluate G_{alpha,n}(r,t) at one point from the oscillatory radial
+    integral, to an est_error within 1e-8 max(1, |value|) (_TOL); g_spectral
+    is the route for more digits.  It sums at least _FIRST_LOBES lobes, in
+    one call of the integrand, and later lobes one per call.  At r = 0 it
+    gives g_origin's value, with est_error 4 eps times it, for every n.  It
+    raises NonConvergence once the error that no further lobe can lower
+    exceeds the target (the floor 1e-8 does not scale with t^-n, so at small
+    t and tiny r/t that error alone can pass it), or after _MAX_LOBES lobes.
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0)
+    check_scalar(r=r, t=t)
     check_positive("t", t)
     check_positive("r", r, zero_ok=True)
-    check_positive("tol", tol)
-    ml_tol = min(1e-13, 0.01 * tol)
     if r == 0.0:
-        if n >= 2:
-            value = g_origin(alpha, n, t)
-            return QuadResult(value, float(4.0 * _EPS * value), 0)
-        return _integral_origin_1d(alpha, t, tol, ml_tol)
+        value = g_origin(alpha, n, t)
+        return QuadResult(value, float(4.0 * _EPS * value), 0)
 
-    f = _make_integrand(alpha, n, r, t, ml_tol)
+    f = _make_integrand(alpha, n, r, t)
     pair, fixed_err = map(float, _pair_transform(alpha, n, r, t))
     check_finite("the damped pair's part of G or its rounding bound", pair, fixed_err)
     # fixed_err, which only grows: closed-form rounding, cell errors, integrand rounding
@@ -344,7 +306,8 @@ def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> Q
         if k < _FIRST_LOBES:
             v, e = next(first)
         else:
-            v, e = _integrate(f, _cells(t, _lobe_edge(n, r, k - 1), _lobe_edge(n, r, k)))
+            (v,), (e,) = _integrate_lobes(f, [_cells(t, _lobe_edge(n, r, k - 1),
+                                                     _lobe_edge(n, r, k))])
         fixed_err += float(e)
         partials.append((partials[-1] if partials else 0.0) + float(v))
         if len(partials) < _FIRST_ACCEL:
@@ -360,7 +323,7 @@ def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> Q
         if len(evens) >= 2:
             accel_est += 0.25 * abs(evens[-1] - evens[-2])
         est = 3.0 * accel_est + fixed_err + 1e-16 * abs(value)
-        target = max(tol, tol * abs(value))
+        target = _TOL * max(1.0, abs(value))
         if est <= target:
             check_finite("the radial integral or its est_error", value, est)
             return QuadResult(value, est, k + 1)
@@ -369,41 +332,8 @@ def g_integral(alpha: float, n: int, r: float, t: float, tol: float = 1e-8) -> Q
                                  f"{target:.2e} after {k + 1} lobes "
                                  f"(alpha={alpha}, n={n}, r={r}, t={t})")
 
-    raise NonConvergence(
-        f"lobe acceleration did not stabilize within {_MAX_LOBES} lobes "
-        f"(alpha={alpha}, n={n}, r={r}, t={t})"
-    )
-
-
-def _integral_origin_1d(alpha: float, t: float, tol: float, ml_tol: float) -> QuadResult:
-    """n = 1 integral at r = 0: (1/pi) int_0^inf E_alpha(-(tau t)^alpha) dtau.
-
-    No kernel oscillation.  The damped pair integrates to (1/pi) (2/alpha)
-    Re(1/p) (_pair_transform); the rest is integrated to where the
-    inverse-power expansion of E_alpha holds, and the analytic tail of that
-    expansion is added.  It counts as one lobe.
-    """
-    x_a = asymptotic_cutoff(alpha, 1e-10)
-    tau_cut = x_a ** (1.0 / alpha) / t
-    val, err = _integrate(_make_integrand(alpha, 1, 0.0, t, ml_tol), _cells(t, 0.0, tau_cut))
-    pair, pair_err = map(float, _pair_transform(alpha, 1, 0.0, t))
-
-    # Analytic tail.  Term k of the inverse-power series at x_a integrates
-    # over [tau_cut, inf) to term_k * tau_cut / (alpha k - 1), and the
-    # truncation bound 2 * envelope likewise.  At alpha = 1, E_1(-x) =
-    # exp(-x) has neither a pair nor a power part.
-    if alpha > 1.0:
-        ks, terms, k_end, envelope = _inverse_power_terms(alpha, x_a)
-        tail = tau_cut * float(np.sum(terms / (alpha * ks - 1.0)))
-        tail_err = 2.0 * envelope * tau_cut / (alpha * (k_end + 1) - 1.0)
-    else:
-        tail, tail_err = math.exp(-tau_cut * t) / t, 0.0
-    value = float(val + pair + tail / math.pi)
-    est = err + pair_err + tail_err / math.pi + 1e-15
-    check_finite("the origin integral or its est_error", value, est)
-    if est > max(tol, tol * abs(value)):
-        raise NonConvergence("origin integral tail estimate above tolerance")
-    return QuadResult(value, est, 1)
+    raise NonConvergence(f"lobe acceleration did not stabilize within {_MAX_LOBES} lobes "
+                         f"(alpha={alpha}, n={n}, r={r}, t={t})")
 
 
 def g_origin(alpha: float, n: int, t: float) -> float:
@@ -419,6 +349,7 @@ def g_origin(alpha: float, n: int, t: float) -> float:
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0)
+    check_scalar(t=t)
     check_positive("t", t)
     if alpha == 1.0:
         return _poisson_kernel(n, 0.0, t)
@@ -445,6 +376,7 @@ def solve_ivp_1d(alpha: float, xs, phis, t: float, out_grid) -> np.ndarray:
     weighted sum leaves the double range.
     """
     check_window(alpha, 1.0, 2.0)
+    check_scalar(t=t)
     check_positive("t", t)
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)

@@ -1,41 +1,31 @@
 """Special-function kernel: Mittag-Leffler on the negative real axis.
 
-The central object is ``ml_neg(alpha, x)`` = E_alpha(-x), the Mittag-Leffler
-function evaluated on the negative axis, which carries all time dependence of
-the fractional wave propagator in Fourier space.  Three regimes are used:
+ml_neg(alpha, x) = E_alpha(-x), 1 <= alpha <= 2, carries all time dependence
+of the fractional wave propagator in Fourier space.  It has three regimes,
+each on a scalar or an array x, and one function, _ml_neg_parts, chooses them:
 
-* ``series``        -- compensated Taylor sum, x <= 1, and for x <= 2 where
-                       the intermediate regime misses tol;
-* ``intermediate``  -- the exact decomposition into a pair of exponentially
-                       damped oscillations (residues of the Laplace
-                       inversion, present for 1 < alpha <= 2, and all of
-                       E_2(-x) = cos(sqrt(x)) at alpha = 2, where the
-                       other parts vanish) plus a
-                       completely monotone branch-cut integral on a GK15
-                       mesh of its weight that is built once per alpha and
-                       cached (_branch_cut_mesh) and summed cell by cell
-                       (_mesh_sums), both of which also serve
+* ``series``        -- compensated Taylor sum of a fixed _TAYLOR_TERMS terms,
+                       x <= 1, and x <= 2 where the intermediate regime
+                       misses tol;
+* ``intermediate``  -- the damped pair of oscillations (the residues of the
+                       Laplace inversion, 1 < alpha <= 2; all of
+                       E_2(-x) = cos(sqrt(x))) plus the completely monotone
+                       branch-cut integral, on a GK15 mesh of its weight
+                       built once per alpha (_branch_cut_mesh) and summed
+                       cell by cell (_mesh_sums), both shared by
                        quadrature.g_spectral;
-* ``asymptotic``    -- inverse-power expansion plus the same exponential
-                       pair, summed from a cached per-alpha coefficient table
-                       only until the omitted part is below 1e-3 tol: the
-                       terms still short of the envelope minimum, each at
-                       most the envelope at the first omitted term, plus
-                       twice the envelope past the minimum.  Engaged only
-                       once that truncation floor ~exp(-x^(1/alpha)) is
-                       below tolerance.
+* ``asymptotic``    -- the inverse-power expansion plus the same pair, from a
+                       cached per-alpha table, cut once the omitted part is
+                       below 1e-3 tol (_asymptotic_part); engaged once its
+                       floor ~exp(-x^(1/alpha)) is below tol.
 
-Every regime takes a scalar or an array x, each element summed or cut on
-its own, and one function, _ml_neg_parts, chooses them.  ml_neg evaluates
-one x; _ml_neg_minus_pair serves the radial integral: a whole array of
-nodes in ml_neg's regimes, with the damped pair taken out.
-
-The orders are those of the fractional wave equation, 1 <= alpha <= 2.
-Every path works in double precision and returns an error estimate, but for
-the barely damped pair near alpha = 2, whose phase mpmath takes to 30 digits
-after the point where its rounding would approach tol (_pair_30_digits).  A
-tolerance that the regimes cannot meet raises NonConvergence: below 1e-13 for
-some inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
+ml_neg evaluates one x; _ml_neg_minus_pair serves the radial integral, on
+whole arrays of nodes, with the damped pair taken out.  Every path works in
+double precision, but for the barely damped pair near alpha = 2, whose phase
+mpmath takes to 30 digits where its rounding would approach tol
+(_pair_30_digits).  A tol that the regimes cannot meet raises
+NonConvergence: below 1e-13 for some inputs, and below ~1e-15 (4 eps) for
+every 0 < x <= 1 at alpha < 2.
 
 scipy.special takes ~0.2 s to import, so the package imports it only inside
 the functions that call it, here and in quadrature and mellin_barnes: the
@@ -50,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NonConvergence, check_window
+from .errors import InvalidInput, NonConvergence, check_scalar, check_window
 
 DEFAULT_TOL = 1e-12
 
@@ -86,52 +76,41 @@ def asymptotic_cutoff(alpha: float, tol: float = DEFAULT_TOL) -> float:
     return max(15.0, (math.log(20.0) - math.log(tol)) ** alpha)
 
 
-def _taylor_kahan(alpha: float, x):
-    """Compensated Taylor summation of E_alpha(-x) at a scalar or an array
-    x >= 0, every element stopping on its own.
+# Terms k = 0 .. _TAYLOR_TERMS - 1 of the Taylor sum.  At x <= 2 the first
+# term left out is at most 2^42 / Gamma(43) ~ 3e-39.
+_TAYLOR_TERMS = 42
 
-    Returns (value, est_error) of x's shape; est_error includes the roundoff
-    bound eps * max|term|, which is what invalidates this path for large x.
-    An element whose next term would overflow, or that is still short of its
-    stop after 10000 terms, gets est_error inf.
-    """
+
+@functools.lru_cache(maxsize=16)
+def _taylor_log_gamma(alpha: float) -> np.ndarray:
+    """log Gamma(1 + alpha k), k = 0 .. _TAYLOR_TERMS, cached read-only per alpha."""
     from scipy.special import gammaln
 
+    table = gammaln(1.0 + alpha * np.arange(_TAYLOR_TERMS + 1))
+    table.flags.writeable = False
+    return table
+
+
+def _taylor_kahan(alpha: float, x):
+    """Compensated Taylor sum of E_alpha(-x), the terms
+    (-x)^k / Gamma(1 + alpha k) for k < _TAYLOR_TERMS, at a scalar or an array
+    0 <= x <= 2.  Returns (value, est_error) of x's shape: est_error is the
+    first term left out plus the rounding bound 4 eps max|term| + eps |value|."""
     x = np.asarray(x, dtype=float)
-    value = np.empty(x.size)
-    est = np.full(x.size, math.inf)
-    live = np.arange(x.size)
-    with np.errstate(divide="ignore"):  # log 0 = -inf: every later term is 0
+    with np.errstate(divide="ignore"):  # log 0 = -inf: every term past the first is 0
         log_x = np.log(x.ravel())
-    s = x.ravel() ** (1.0 / alpha)
-    total, comp, max_term, term = (np.zeros(x.size), np.zeros(x.size),
-                                   np.zeros(x.size), np.ones(x.size))
-    lg_prev = 0.0  # log Gamma(1 + alpha*k) at k
-    for k in range(1, 10001):
-        if not live.size:
-            break
+    lg = _taylor_log_gamma(alpha)[:, None]
+    # row k - 1: term k, from term k - 1 times -x Gamma(1 + alpha (k-1)) / Gamma(1 + alpha k)
+    terms = np.cumprod(-np.exp(log_x + lg[:-1] - lg[1:]), axis=0)
+    total, comp, max_term = np.ones(x.size), np.zeros(x.size), np.ones(x.size)
+    for term in terms[:-1]:
         y = term - comp
         t_new = total + y
         comp = (t_new - total) - y
         total = t_new
         max_term = np.maximum(max_term, np.abs(term))
-        lg_next = gammaln(1.0 + alpha * k)
-        log_ratio = log_x + lg_prev - lg_next
-        lg_prev = lg_next
-        with np.errstate(over="ignore"):  # beyond _LOG_MAX: est inf below
-            term = -term * np.exp(log_ratio)
-        overflow = log_ratio > _LOG_MAX
-        done = overflow | ((np.abs(term) < 1e-18 * (1.0 + np.abs(total))) & (alpha * k > s))
-        if done.any():
-            idx = live[done]
-            value[idx] = total[done]
-            est[idx] = np.where(overflow[done], math.inf, np.abs(term[done])
-                                + 4.0 * _EPS * max_term[done] + _EPS * np.abs(total[done]))
-            keep = ~done
-            live, log_x, s = live[keep], log_x[keep], s[keep]
-            total, comp, max_term, term = total[keep], comp[keep], max_term[keep], term[keep]
-    value[live] = total + term  # not converged: est stays inf
-    return value.reshape(x.shape)[()], est.reshape(x.shape)[()]
+    est = np.abs(terms[-1]) + 4.0 * _EPS * max_term + _EPS * np.abs(total)
+    return total.reshape(x.shape)[()], est.reshape(x.shape)[()]
 
 
 def _pair_angle(alpha: float) -> float:
@@ -472,45 +451,20 @@ def _envelope(log_gamma, k, log_x):
     return np.exp(np.minimum(log_gamma - k * log_x - _LOG_PI, _LOG_MAX))
 
 
-def _inverse_power_terms(alpha: float, x: float) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Inverse-power series of E_alpha(-x), x > 1, cut at its envelope
-    minimum: (ks, terms, k_end, envelope).
-
-    Terms (-1)^(k+1) x^(-k) / Gamma(1 - alpha k).  Their magnitudes are
-    modulated by sin(pi alpha k) through the reflection formula, so the
-    truncation point must come from the smooth envelope
-    Gamma(alpha k) x^(-k) / pi, minimized at alpha k = x^(1/alpha); stopping
-    at the first raw-magnitude uptick would quit at a sin dip with an error
-    far above the envelope floor.  k_end is that minimum, at most
-    _INV_POWER_MAX_TERMS; twice the envelope at k_end + 1 bounds the
-    truncation.  Terms whose factors over- and underflow lie below
-    exp(-171): left out.  _asymptotic_part sums the same table only as far
-    as its tolerance needs.
-    """
-    table = _inverse_power_table(alpha)
-    log_x = math.log(x)
-    k_end = int(_envelope_minimum(alpha, x))
-    ks = np.arange(1, k_end + 1, dtype=float)
-    with np.errstate(under="ignore", invalid="ignore", over="ignore"):
-        terms = table.coef[:k_end] * np.exp(-ks * log_x)
-    finite = np.isfinite(terms)
-    return (ks[finite], terms[finite], k_end,
-            float(_envelope(table.log_gamma[k_end], k_end + 1, log_x)))
-
-
 def _asymptotic_part(alpha: float, x, tol: float):
     """The inverse-power series of E_alpha(-x) at a scalar or an array
     x > 1, and its est_error: the omitted terms and the rounding of the
     first, ~1/x.  _ml_neg_parts adds the share of the pair and of the sum.
 
-    The terms of _inverse_power_terms are summed, from the cached table, only
-    until the omitted part is below 1e-3 tol, each x cut on its own.  After
-    term K that part is at most (k_end - K) env(K + 1) + 2 env(k_end + 1):
-    the envelope decreases on [1, k_end], so it bounds each omitted term by
-    env(K + 1), and twice its value past the minimum bounds the optimal
-    remainder.  Near the asymptotic cutoff the envelope ratio is close to 1,
-    so the omitted terms are not a geometric tail.  If the bound stays above
-    1e-3 tol, the sum runs to k_end and the bound is 2 env(k_end + 1).
+    The terms (-1)^(k+1) x^(-k) / Gamma(1 - alpha k) dip at the zeros of
+    sin(pi alpha k), so the cut comes from their smooth envelope
+    env(k) = Gamma(alpha k) x^(-k) / pi, which falls until its minimum k_end
+    (_envelope_minimum) and bounds each omitted term short of it; twice its
+    value past k_end bounds the optimal remainder.  The terms are summed from
+    the cached table, each x on its own, until the omitted part after term
+    K, at most (k_end - K) env(K + 1) + 2 env(k_end + 1), is below 1e-3 tol,
+    or else to k_end.  Near the asymptotic cutoff the envelope ratio is close
+    to 1, so that part is not a geometric tail.
     """
     table = _inverse_power_table(alpha)
     x = np.asarray(x, dtype=float)
@@ -607,6 +561,7 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
     is 0 at alpha = 2, where the value is all pair).
     """
     check_window(alpha, 1.0, 2.0, hi_open=False, what="Mittag-Leffler order")
+    check_scalar(x=x, tol=tol)
     if not (x >= 0.0 and 0.0 < tol < math.inf and (x < math.inf or alpha < 2.0)):
         raise InvalidInput(f"ml_neg requires x >= 0 (finite at alpha = 2: E_2(-x) = "
                            f"cos(sqrt(x)) has no limit) and finite tol > 0, got x={x}, tol={tol}")

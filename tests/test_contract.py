@@ -20,26 +20,32 @@ from fracwave.cli import main
 
 NAN, INF = math.nan, math.inf
 
+# Where one number is documented, an array or a list is bad for its shape
+# alone: 1.25 is valid for every such argument of the table below.
+NOT_SCALAR = [np.array([1.25, 1.25]), np.array([1.25]), [1.25]]
+
 # Bad values by kind of argument.  A kind lists only values the functions
 # taking it document as invalid: t = 0 is valid for g_hat ("t0"), x = inf
-# for ml_neg ("x").
+# for ml_neg ("x").  The kinds "one t", "one r" and "one r+" are t, r and r+
+# where the function takes one number, not an array.
 BAD = {
     "t": [NAN, INF, -INF, 0.0, -1.0],
-    "t0": [NAN, INF, -INF, -1.0],
+    "t0": [NAN, INF, -INF, -1.0, *NOT_SCALAR],
     "r": [NAN, INF, -1.0],
     "r+": [NAN, INF, -1.0, 0.0],
-    "x": [NAN, -1.0],
-    "finite": [NAN, INF, complex(0.5, INF)],
-    "tol": [NAN, INF, 0.0, -1.0],
-    "sigma": [NAN, INF, 0.0, -1.0, 1.5],          # strip (0, min(alpha, n)) = (0, 1.5)
+    "x": [NAN, -1.0, *NOT_SCALAR],
+    "finite": [NAN, INF, complex(0.5, INF), *NOT_SCALAR],
+    "tol": [NAN, INF, 0.0, -1.0, *NOT_SCALAR],
+    "sigma": [NAN, INF, 0.0, -1.0, 1.5, *NOT_SCALAR],   # strip (0, min(alpha, n)) = (0, 1.5)
     "which": ["bogus"],
-    "alpha": [NAN, INF, 0.5, 2.0, 2.5],          # window [1, 2)
-    "alpha(1,2)": [NAN, INF, 0.5, 1.0, 2.0, 2.5],
-    "alpha[1,2]": [NAN, INF, -1.0, 0.0, 0.5, 2.5],
-    "beta": [NAN, INF, 5.0],
+    "alpha": [NAN, INF, 0.5, 2.0, 2.5, *NOT_SCALAR],   # window [1, 2)
+    "alpha(1,2)": [NAN, INF, 0.5, 1.0, 2.0, 2.5, *NOT_SCALAR],
+    "alpha[1,2]": [NAN, INF, -1.0, 0.0, 0.5, 2.5, *NOT_SCALAR],
+    "beta": [NAN, INF, 5.0, *NOT_SCALAR],
     "alphas": [[1.2, NAN], [1.2, 2.5], [1.5, 1.2]],
     "grid": [[0.0, NAN, 1.0], [0.0, 0.5, INF]],
 }
+BAD.update({f"one {kind}": BAD[kind] + NOT_SCALAR for kind in ("t", "r", "r+")})
 
 # Row -> (valid keyword arguments, {argument: kind of its bad values}).  A row
 # is named after the public function it calls, or listed in FUNCTION_OF where
@@ -54,34 +60,34 @@ TABLE = {
     "g3_via_g1_temporal": ({"alpha": 1.5, "r": 1.0, "t": 1.0},
                            {"alpha": "alpha", "r": "r+", "t": "t"}),
     "g_hat": ({"alpha": 1.5, "kappa_abs": 1.0, "t": 1.0},
-              {"alpha": "alpha", "kappa_abs": "r", "t": "t0"}),
+              {"alpha": "alpha", "kappa_abs": "one r", "t": "t0"}),
     "g_integral": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
-                   {"alpha": "alpha", "r": "r", "t": "t", "tol": "tol"}),
+                   {"alpha": "alpha", "r": "one r", "t": "one t"}),
     "g_mellin_barnes": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
                         {"alpha": "alpha", "r": "r+", "t": "t", "sigma": "sigma"}),
-    "g_origin": ({"alpha": 1.5, "n": 1, "t": 1.0}, {"alpha": "alpha", "t": "t"}),
+    "g_origin": ({"alpha": 1.5, "n": 1, "t": 1.0}, {"alpha": "alpha", "t": "one t"}),
     "g_spectral": ({"alpha": 1.5, "n": 2, "r": 1.0, "t": 1.0},
                    {"alpha": "alpha", "r": "r", "t": "t"}),
     "gravity_center_velocity": ({"alpha": 1.5}, {"alpha": "alpha(1,2)"}),
-    "l_aux": ({"alpha": 1.5, "n": 2, "rho": 1.0}, {"alpha": "alpha", "rho": "r+"}),
-    "max_location": ({"alpha": 1.5, "n": 3, "t": 1.0}, {"alpha": "alpha(1,2)", "t": "t"}),
+    "l_aux": ({"alpha": 1.5, "n": 2, "rho": 1.0}, {"alpha": "alpha", "rho": "one r+"}),
+    "max_location": ({"alpha": 1.5, "n": 3, "t": 1.0}, {"alpha": "alpha(1,2)", "t": "one t"}),
     "mb_kernel": ({"alpha": 1.5, "n": 2, "s": 0.5}, {"alpha": "alpha(1,2)", "s": "finite"}),
     "ml_neg": ({"alpha": 1.5, "x": 2.0, "tol": 1e-12},
                {"alpha": "alpha[1,2]", "x": "x", "tol": "tol"}),
     "moment_1d": ({"alpha": 1.5, "n": 1, "beta": 0.5, "t": 1.0},
-                  {"alpha": "alpha", "beta": "beta", "t": "t"}),
+                  {"alpha": "alpha", "beta": "beta", "t": "one t"}),
     "moment_2d": ({"alpha": 1.5, "n": 2, "beta": 1.5, "t": 1.0},
-                  {"alpha": "alpha(1,2)", "beta": "beta", "t": "t"}),
+                  {"alpha": "alpha(1,2)", "beta": "beta", "t": "one t"}),
     "moment_3d": ({"alpha": 1.5, "n": 3, "beta": 2.5, "t": 1.0},
-                  {"alpha": "alpha(1,2)", "beta": "beta", "t": "t"}),
+                  {"alpha": "alpha(1,2)", "beta": "beta", "t": "one t"}),
     "moment_numeric": ({"alpha": 1.5, "n": 1, "beta": 0.5, "t": 1.0},
-                       {"alpha": "alpha", "beta": "beta", "t": "t"}),
+                       {"alpha": "alpha", "beta": "beta", "t": "one t"}),
     "phase_velocity": ({"alpha": 1.5, "n": 1}, {"alpha": "alpha"}),
     "sign_profile_3d": ({"alpha": 1.5, "t": 1.0, "r_grid": [0.5, 1.0]},
-                        {"alpha": "alpha(1,2)", "t": "t", "r_grid": "r+"}),
+                        {"alpha": "alpha(1,2)", "t": "one t", "r_grid": "r+"}),
     "solve_ivp_1d": ({"alpha": 1.5, "xs": [0.0, 0.5, 1.0], "phis": [0.0, 1.0, 0.0], "t": 1.0,
                       "out_grid": [0.0, 0.5, 1.0]},
-                     {"alpha": "alpha", "t": "t", "xs": "grid", "phis": "grid",
+                     {"alpha": "alpha", "t": "one t", "xs": "grid", "phis": "grid",
                       "out_grid": "grid"}),
     "velocity_curve": ({"n": 3, "alphas": [1.2, 1.5]}, {"alphas": "alphas", "which": "which"}),
     "zero_crossing_z": ({"alpha": 1.5}, {"alpha": "alpha[1,2]"}),

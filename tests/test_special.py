@@ -24,9 +24,10 @@ from fracwave.special import (
     _asymptotic_part,
     _branch_cut_integral,
     _branch_cut_mesh,
+    _envelope,
+    _envelope_minimum,
     _exp_pair_double,
     _inverse_power_table,
-    _inverse_power_terms,
     _ml_neg_minus_pair,
     _pair_30_digits,
     _taylor_kahan,
@@ -67,12 +68,29 @@ def ml_asymptotic_oracle(alpha, x, dps=60):
         return float(total + pair)
 
 
+def inverse_power_terms(alpha, x):
+    """Inverse-power series of E_alpha(-x), x > 1, from the cached table and
+    cut at its envelope minimum k_end (at most _INV_POWER_MAX_TERMS): (ks,
+    terms, k_end, envelope).  Twice the envelope Gamma(alpha k) x^(-k) / pi at
+    k_end + 1 bounds the truncation.  Terms whose factors over- and underflow
+    lie below exp(-171): left out."""
+    table = _inverse_power_table(alpha)
+    log_x = math.log(x)
+    k_end = int(_envelope_minimum(alpha, x))
+    ks = np.arange(1, k_end + 1, dtype=float)
+    with np.errstate(under="ignore", invalid="ignore", over="ignore"):
+        terms = table.coef[:k_end] * np.exp(-ks * log_x)
+    finite = np.isfinite(terms)
+    return (ks[finite], terms[finite], k_end,
+            float(_envelope(table.log_gamma[k_end], k_end + 1, log_x)))
+
+
 def full_sum_asymptotic(alpha, x, tol):
     """_asymptotic_part with the inverse-power series summed all the way to
     its envelope minimum, bounded by twice the envelope past it: the
     reference for the regime's tolerance-driven stop.  x is the 1-element
     array that ml_neg passes."""
-    _, terms, _, envelope = _inverse_power_terms(alpha, float(x[0]))
+    _, terms, _, envelope = inverse_power_terms(alpha, float(x[0]))
     first_term_scale = abs(_inverse_power_table(alpha).coef[0]) / x
     return float(np.sum(terms)), 2.0 * envelope + 4.0 * _EPS * first_term_scale
 
@@ -415,7 +433,7 @@ class TestTolDrivenSum:
         asymptotic(1.37, 200.0, 1e-13)
         before = _inverse_power_table.cache_info()
         asymptotic(1.37, 900.0, 1e-10)
-        _inverse_power_terms(1.37, 300.0)
+        inverse_power_terms(1.37, 300.0)
         after = _inverse_power_table.cache_info()
         assert after.hits == before.hits + 2
         assert after.misses == before.misses
