@@ -180,8 +180,8 @@ def _power(x: float, y: float) -> float:
 
 
 def g_hat(alpha: float, kappa_abs: float, t: float) -> float:
-    """Fourier-space solution E_alpha(-|kappa|^alpha t^alpha) to ml_neg's tol 1e-12; 1 at t = 0
-    and 0, the limit, where (|kappa| t)^alpha leaves the double range."""
+    """Fourier-space solution E_alpha(-|kappa|^alpha t^alpha), to ml_neg's target 1e-13; 1 at
+    t = 0 and 0, the limit, where (|kappa| t)^alpha leaves the double range."""
     check_window(alpha, 1.0, 2.0)
     check_scalar(kappa_abs=kappa_abs, t=t)
     check_positive("|kappa|", kappa_abs, zero_ok=True)

@@ -6,9 +6,9 @@ finite value (with an honest est_error, where it reports one) or raises one
 of three FracWaveErrors:
 
 * an argument outside its documented domain raises InvalidInput, which is
-  also a ValueError: NaN, an infinite t, r or tol, t <= 0 (t < 0 where t = 0
-  is documented as valid), r < 0 (r <= 0 on the routes that need r > 0),
-  tol <= 0, an order, moment order or contour abscissa outside its window,
+  also a ValueError: NaN, an infinite t or r, t <= 0 (t < 0 where t = 0 is
+  documented as valid), r < 0 (r <= 0 on the routes that need r > 0), an
+  order, moment order or contour abscissa outside its window,
   an unsupported dimension, a non-finite or non-uniform sample grid, an
   array or a list where one number is documented;
 * a result that would not be finite, a mesh too large to build, a kernel
@@ -37,7 +37,7 @@ class InvalidInput(FracWaveError, ValueError):
 
 
 class NonConvergence(FracWaveError):
-    """A numerical scheme failed to reach the requested tolerance."""
+    """A numerical scheme failed to reach its tolerance or target."""
 
 
 class OriginDivergence(FracWaveError):

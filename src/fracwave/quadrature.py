@@ -27,16 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _poisson_kernel, g1
+from .closed_form import _poisson_kernel, _power, g1
 from .errors import (InvalidInput, NonConvergence, OriginDivergence, check_dimension,
                      check_finite, check_positive, check_scalar, check_window)
 from .special import (_EPS, _branch_cut_mesh, _cos_sin_pi, _gk15_cells, _mesh_sums,
                       _ml_neg_minus_pair, _pair_angle)
 
-# g_integral's one target: an est_error within _TOL max(1, |value|), with
-# E_alpha minus the pair taken in ml_neg's regimes at _ML_TOL.
+# g_integral's one target: an est_error within _TOL max(t^-n, |value|), t^-n
+# the scale of G.
 _TOL = 1e-8
-_ML_TOL = 1e-13
 # Order of the Wynn epsilon acceleration: each estimate uses the last
 # 2 * _ACCEL_ORDER + 1 partial sums of the lobe series.
 _ACCEL_ORDER = 8
@@ -118,10 +117,9 @@ def _make_integrand(alpha: float, n: int, r: float, t: float):
     per-node bound on their rounding.
 
     E_alpha minus the pair comes from special._ml_neg_minus_pair in one call
-    over all nodes, in the regimes ml_neg chooses at _ML_TOL: the Taylor sum
-    minus the pair at x <= 1 (and x <= 2 where the sum is the fallback), and
-    the branch-cut integral or the inverse-power sum, which the pair is not
-    added to, above.
+    over all nodes, in the regimes ml_neg chooses: the Taylor sum minus the
+    pair at x <= 1, and the branch-cut integral or the inverse-power sum,
+    which the pair is not added to, above.
     """
     pref = 1.0 / (math.pi, 2.0 * math.pi, 2.0 * math.pi ** 2 * r)[n - 1]
     if n == 2:
@@ -131,7 +129,7 @@ def _make_integrand(alpha: float, n: int, r: float, t: float):
         with np.errstate(over="ignore"):  # checked below
             xs = (taus * t) ** alpha
         check_finite("(tau t)^alpha on the radial mesh", xs)
-        reduced, rounding = _ml_neg_minus_pair(alpha, xs, _ML_TOL)
+        reduced, rounding = _ml_neg_minus_pair(alpha, xs)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             kern = pref * (np.cos(taus * r) if n == 1 else
                            taus * (j0(taus * r) if n == 2 else np.sin(taus * r)))
@@ -276,13 +274,13 @@ def g_spectral(alpha: float, n: int, r, t) -> QuadResult:
 
 def g_integral(alpha: float, n: int, r: float, t: float) -> QuadResult:
     """Evaluate G_{alpha,n}(r,t) at one point from the oscillatory radial
-    integral, to an est_error within 1e-8 max(1, |value|) (_TOL); g_spectral
+    integral, to an est_error within 1e-8 max(t^-n, |value|) (_TOL): G is
+    t^-n times a function of r/t, so the target scales with it.  g_spectral
     is the route for more digits.  It sums at least _FIRST_LOBES lobes, in
     one call of the integrand, and later lobes one per call.  At r = 0 it
     gives g_origin's value, with est_error 4 eps times it, for every n.  It
     raises NonConvergence once the error that no further lobe can lower
-    exceeds the target (the floor 1e-8 does not scale with t^-n, so at small
-    t and tiny r/t that error alone can pass it), or after _MAX_LOBES lobes.
+    exceeds the target, or after _MAX_LOBES lobes.
     """
     check_dimension(n)
     check_window(alpha, 1.0, 2.0)
@@ -294,6 +292,7 @@ def g_integral(alpha: float, n: int, r: float, t: float) -> QuadResult:
         return QuadResult(value, float(4.0 * _EPS * value), 0)
 
     f = _make_integrand(alpha, n, r, t)
+    scale = _power(t, -n)  # inf beyond the double range: any finite est_error is within it
     pair, fixed_err = map(float, _pair_transform(alpha, n, r, t))
     check_finite("the damped pair's part of G or its rounding bound", pair, fixed_err)
     # fixed_err, which only grows: closed-form rounding, cell errors, integrand rounding
@@ -323,7 +322,7 @@ def g_integral(alpha: float, n: int, r: float, t: float) -> QuadResult:
         if len(evens) >= 2:
             accel_est += 0.25 * abs(evens[-1] - evens[-2])
         est = 3.0 * accel_est + fixed_err + 1e-16 * abs(value)
-        target = _TOL * max(1.0, abs(value))
+        target = _TOL * max(scale, abs(value))
         if est <= target:
             check_finite("the radial integral or its est_error", value, est)
             return QuadResult(value, est, k + 1)

@@ -1,12 +1,13 @@
 """Special-function kernel: Mittag-Leffler on the negative real axis.
 
 ml_neg(alpha, x) = E_alpha(-x), 1 <= alpha <= 2, carries all time dependence
-of the fractional wave propagator in Fourier space.  It has three regimes,
-each on a scalar or an array x, and one function, _ml_neg_parts, chooses them:
+of the fractional wave propagator in Fourier space.  It works to one fixed
+target, an absolute est_error of at most _TOL = 1e-13, in three regimes,
+each on a scalar or an array x, which one function, _ml_neg_parts, chooses
+by x alone:
 
 * ``series``        -- compensated Taylor sum of a fixed _TAYLOR_TERMS terms,
-                       x <= 1, and x <= 2 where the intermediate regime
-                       misses tol;
+                       x <= 1;
 * ``intermediate``  -- the damped pair of oscillations (the residues of the
                        Laplace inversion, 1 < alpha <= 2; all of
                        E_2(-x) = cos(sqrt(x))) plus the completely monotone
@@ -16,16 +17,17 @@ each on a scalar or an array x, and one function, _ml_neg_parts, chooses them:
                        quadrature.g_spectral;
 * ``asymptotic``    -- the inverse-power expansion plus the same pair, from a
                        cached per-alpha table, cut once the omitted part is
-                       below 1e-3 tol (_asymptotic_part); engaged once its
-                       floor ~exp(-x^(1/alpha)) is below tol.
+                       below 1e-3 _TOL (_asymptotic_part); from
+                       asymptotic_cutoff(alpha) on, where its floor
+                       ~exp(-x^(1/alpha)) is below _TOL.
 
 ml_neg evaluates one x; _ml_neg_minus_pair serves the radial integral, on
 whole arrays of nodes, with the damped pair taken out.  Every path works in
 double precision, but for the barely damped pair near alpha = 2, whose phase
-mpmath takes to 30 digits where its rounding would approach tol
-(_pair_30_digits).  A tol that the regimes cannot meet raises
-NonConvergence: below 1e-13 for some inputs, and below ~1e-15 (4 eps) for
-every 0 < x <= 1 at alpha < 2.
+mpmath takes to 30 digits where its rounding would approach _TOL
+(_pair_30_digits).  An est_error above _TOL raises NonConvergence, a check
+on the result that no x of a sweep over [1e-6, 1e300] reaches at 39 orders
+from 1 to 2, 1 + 1e-15 and 2 - 1e-15 among them.
 
 scipy.special takes ~0.2 s to import, so the package imports it only inside
 the functions that call it, here and in quadrature and mellin_barnes: the
@@ -42,9 +44,11 @@ import numpy as np
 
 from .errors import InvalidInput, NonConvergence, check_scalar, check_window
 
-DEFAULT_TOL = 1e-12
+# The one target of every regime: an absolute est_error of at most _TOL.
+_TOL = 1e-13
 
-# Regime boundaries: series below SERIES_CUTOFF; asymptotic above x_a(alpha, tol).
+# Regime boundaries: series up to SERIES_CUTOFF; asymptotic from
+# asymptotic_cutoff(alpha) on.
 SERIES_CUTOFF = 1.0
 
 _EPS = np.finfo(float).eps
@@ -65,15 +69,14 @@ class MLResult:
     est_error: float
 
 
-def asymptotic_cutoff(alpha: float, tol: float = DEFAULT_TOL) -> float:
+def asymptotic_cutoff(alpha: float) -> float:
     """Smallest x from which the optimally truncated inverse-power expansion
-    (with the exponential pair included) can reach ``tol``.
+    (with the exponential pair included) reaches _TOL.
 
-    The truncation floor decays like exp(-x^(1/alpha)), so the cutoff grows
-    like log(1/tol)^alpha; the floor of 15 keeps the window conventional for
-    loose tolerances.
+    The truncation floor decays like exp(-x^(1/alpha)), so the cutoff is
+    log(20/_TOL)^alpha, 32.9^alpha.
     """
-    return max(15.0, (math.log(20.0) - math.log(tol)) ** alpha)
+    return (math.log(20.0) - math.log(_TOL)) ** alpha
 
 
 # Terms k = 0 .. _TAYLOR_TERMS - 1 of the Taylor sum.  At x <= 2 the first
@@ -121,7 +124,7 @@ def _pair_angle(alpha: float) -> float:
     return 0.5 * math.pi * (2.0 - alpha) / alpha
 
 
-def _exp_pair_double(alpha: float, x, tol: float):
+def _exp_pair_double(alpha: float, x):
     """The damped pair of E_alpha(-x), 1 < alpha <= 2, the residues of the
     Laplace inversion at the poles e^(+-i pi/alpha):
 
@@ -135,8 +138,8 @@ def _exp_pair_double(alpha: float, x, tol: float):
     The phase and damping carry an absolute rounding error of about
     s (4 + |ln x|/alpha) eps, which the amplitude scales.  Near alpha = 2,
     where the pair is barely damped while s grows, that error can approach
-    tol, which no double-precision regime could then meet: the mask holds
-    the elements where it passes 0.1 tol.
+    _TOL, which no double-precision regime could then meet: the mask holds
+    the elements where it passes 0.1 _TOL.
     """
     x = np.asarray(x, dtype=float)
     s = x ** (1.0 / alpha)
@@ -145,7 +148,7 @@ def _exp_pair_double(alpha: float, x, tol: float):
     amp = np.where(damp >= -745.0, (2.0 / alpha) * np.exp(damp), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: s |ln x| -> 0
         err = amp * _EPS * np.where(x > 0.0, s * (4.0 + np.abs(np.log(x)) / alpha), 0.0)
-    precise = err > 0.1 * tol
+    precise = err > 0.1 * _TOL
     return amp * np.cos(s * math.cos(d)), np.where(precise, _EPS * amp, err), precise
 
 
@@ -380,10 +383,8 @@ def _branch_cut_integral(alpha: float, x):
     the sqrt(2) cells begin.  Above hi = 2^7, D >= r^(2 alpha)/2, so the
     integral over [hi, inf) is at most
     4 |sin(pi alpha)|/(pi alpha) hi^-alpha exp(-x^(1/alpha) hi), below
-    exp(-64) from x = 1/2, where ml_neg's series regime overlaps.  Neither
-    end depends on tol, so one mesh serves every tol.  The error estimate
-    sums the per-cell |K15 - G7| at each x, the two tail bounds and the
-    roundoff.
+    exp(-64) from x = 1/2.  The error estimate sums the per-cell |K15 - G7|
+    at each x, the two tail bounds and the roundoff.
     """
     scale = 2.0 * abs(_cos_sin_pi(alpha)[1]) / (math.pi * alpha)
     # scale = 0 at alpha = 2, where w = 0 and any lower end serves
@@ -451,7 +452,7 @@ def _envelope(log_gamma, k, log_x):
     return np.exp(np.minimum(log_gamma - k * log_x - _LOG_PI, _LOG_MAX))
 
 
-def _asymptotic_part(alpha: float, x, tol: float):
+def _asymptotic_part(alpha: float, x):
     """The inverse-power series of E_alpha(-x) at a scalar or an array
     x > 1, and its est_error: the omitted terms and the rounding of the
     first, ~1/x.  _ml_neg_parts adds the share of the pair and of the sum.
@@ -462,7 +463,7 @@ def _asymptotic_part(alpha: float, x, tol: float):
     (_envelope_minimum) and bounds each omitted term short of it; twice its
     value past k_end bounds the optimal remainder.  The terms are summed from
     the cached table, each x on its own, until the omitted part after term
-    K, at most (k_end - K) env(K + 1) + 2 env(k_end + 1), is below 1e-3 tol,
+    K, at most (k_end - K) env(K + 1) + 2 env(k_end + 1), is below 1e-3 _TOL,
     or else to k_end.  Near the asymptotic cutoff the envelope ratio is close
     to 1, so that part is not a geometric tail.
     """
@@ -473,7 +474,7 @@ def _asymptotic_part(alpha: float, x, tol: float):
     log_x = np.log(x.ravel())
     k_end = _envelope_minimum(alpha, x.ravel())
     floor = 2.0 * _envelope(table.log_gamma[k_end], k_end + 1, log_x)
-    goal = 1e-3 * tol
+    goal = 1e-3 * _TOL
     total = np.zeros(x.size)
     k = 0
     while live.size:
@@ -493,14 +494,14 @@ def _asymptotic_part(alpha: float, x, tol: float):
     return value[()], (omitted + 4.0 * _EPS * abs(table.coef[0]) / x)[()]
 
 
-def _ml_neg_parts(alpha: float, x: np.ndarray, tol: float):
+def _ml_neg_parts(alpha: float, x: np.ndarray):
     """The regime of E_alpha(-x) at each element of an array of finite
-    x >= 0, 1 <= alpha <= 2: the only code that chooses one, and that raises
-    NonConvergence where none attains tol.  Returns, each of x's shape:
-    * part: the Taylor sum where the series serves (x <= 1, and x <= 2 where
-      the other regimes miss tol), else the inverse-power sum (from
-      asymptotic_cutoff(alpha, tol) on, where it attains tol), else the
-      branch-cut integral, these two without the damped pair;
+    x >= 0, 1 <= alpha <= 2: the only code that chooses one, by x alone, and
+    that raises NonConvergence where an est_error exceeds _TOL.  Returns,
+    each of x's shape:
+    * part: the Taylor sum at x <= SERIES_CUTOFF, the inverse-power sum from
+      asymptotic_cutoff(alpha) on and the branch-cut integral between them,
+      these two without the damped pair;
     * est: the est_error of the Taylor sum, or of the part plus the pair,
       which adds the pair's error and 4 eps (|part| + |pair|);
     * series, asym: the masks of the Taylor and inverse-power sums;
@@ -515,62 +516,49 @@ def _ml_neg_parts(alpha: float, x: np.ndarray, tol: float):
     and no inverse-power series, so outside the series the value is all
     pair, cos(sqrt(x)).
     """
-    series, asym = x <= SERIES_CUTOFF, x >= asymptotic_cutoff(alpha, tol)
+    series, asym = x <= SERIES_CUTOFF, x >= asymptotic_cutoff(alpha)
     pair, precise = np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
     if alpha == 1.0:
         part = np.exp(-x)
         est = 4.0 * _EPS * (1.0 + part)
     else:
-        pair, pair_err, precise = _exp_pair_double(alpha, x, tol)
-        part, est = np.empty(x.shape), np.full(x.shape, math.inf)
-
-        def add(mask, part_and_err):
-            part[mask], err = part_and_err
-            est[mask] = err + 4.0 * _EPS * (np.abs(part[mask]) + np.abs(pair[mask])) \
-                + pair_err[mask]
-
-        if asym.any():
-            add(asym, _asymptotic_part(alpha, x[asym], tol))
-            asym &= est <= tol
-        mid = ~series & ~asym
-        if mid.any():
-            add(mid, _branch_cut_integral(alpha, x[mid]))
-        tried = np.flatnonzero(series | ((est > tol) & (x <= 2.0 * SERIES_CUTOFF)))
-        if tried.size:
-            taylor, taylor_est = _taylor_kahan(alpha, x[tried])
-            take = series[tried] | (taylor_est <= tol)
-            idx = tried[take]
-            part[idx], est[idx], series[idx] = taylor[take], taylor_est[take], True
-            est[x == 0.0] = 0.0  # E_alpha(0) = 1 exactly
-    if np.any(est > tol):
-        raise NonConvergence(f"no regime attains tol={tol} for alpha={alpha}, "
-                             f"x={x[est > tol].flat[0]}")
+        pair, pair_err, precise = _exp_pair_double(alpha, x)
+        part, est = np.empty(x.shape), np.empty(x.shape)
+        for mask, regime in ((series, _taylor_kahan), (~series & ~asym, _branch_cut_integral),
+                             (asym, _asymptotic_part)):
+            if mask.any():
+                part[mask], est[mask] = regime(alpha, x[mask])
+        out = ~series
+        est[out] = est[out] + 4.0 * _EPS * (np.abs(part[out]) + np.abs(pair[out])) + pair_err[out]
+        est[x == 0.0] = 0.0  # E_alpha(0) = 1 exactly
+    if np.any(est > _TOL):
+        raise NonConvergence(f"est_error {est.max():.2e} exceeds the target {_TOL} for "
+                             f"alpha={alpha}, x={x[est > _TOL].flat[0]}")
     return part, est, series, asym, pair, precise
 
 
-def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
-    """Evaluate E_alpha(-x) for x >= 0 and 1 <= alpha <= 2 to absolute error <= tol.
+def ml_neg(alpha: float, x: float) -> MLResult:
+    """Evaluate E_alpha(-x) for x >= 0 and 1 <= alpha <= 2 to an absolute
+    est_error of at most _TOL = 1e-13.
 
     E_alpha(-inf) = 0 for alpha < 2; at alpha = 2, E_2(-x) = cos(sqrt(x)) has
-    no limit and x = inf raises InvalidInput, as do NaN, x < 0 and a tol that
-    is not finite and positive.  Raises InvalidInput for alpha outside [1, 2]
-    and NonConvergence if no regime can attain the requested tolerance.
-    Every regime works in double precision: a tol below 1e-13 fails for some
-    inputs, and below ~1e-15 (4 eps) for every 0 < x <= 1 at alpha < 2.
-    Outside the series the pair is added to _ml_neg_parts's part (the part
-    is 0 at alpha = 2, where the value is all pair).
+    no limit and x = inf raises InvalidInput, as do NaN and x < 0.  Raises
+    InvalidInput for alpha outside [1, 2], and NonConvergence should an
+    est_error exceed _TOL (_ml_neg_parts).  Outside the series the pair is
+    added to _ml_neg_parts's part (the part is 0 at alpha = 2, where the
+    value is all pair).
     """
     check_window(alpha, 1.0, 2.0, hi_open=False, what="Mittag-Leffler order")
-    check_scalar(x=x, tol=tol)
-    if not (x >= 0.0 and 0.0 < tol < math.inf and (x < math.inf or alpha < 2.0)):
+    check_scalar(x=x)
+    if not (x >= 0.0 and (x < math.inf or alpha < 2.0)):
         raise InvalidInput(f"ml_neg requires x >= 0 (finite at alpha = 2: E_2(-x) = "
-                           f"cos(sqrt(x)) has no limit) and finite tol > 0, got x={x}, tol={tol}")
+                           f"cos(sqrt(x)) has no limit), got x={x}")
     if x == 0.0:
         return MLResult(1.0, REGIME_SERIES, 0.0)
     if x == math.inf:
         return MLResult(0.0, REGIME_ASYMPTOTIC, 0.0)
     xs = np.array([x], dtype=float)
-    part, est, series, asym, pair, precise = _ml_neg_parts(alpha, xs, tol)
+    part, est, series, asym, pair, precise = _ml_neg_parts(alpha, xs)
     if series[0]:
         return MLResult(float(part[0]), REGIME_SERIES, float(est[0]))
     value = part[0] + _pair_30_digits(alpha, xs, pair, precise)[0]
@@ -578,11 +566,10 @@ def ml_neg(alpha: float, x: float, tol: float = DEFAULT_TOL) -> MLResult:
                     float(est[0]))
 
 
-def _ml_neg_minus_pair(alpha: float, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _ml_neg_minus_pair(alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E_alpha(-x) minus its damped pair (_exp_pair_double) on an array of finite
-    x >= 0 for 1 <= alpha < 2, each element in the regime that
-    ml_neg(alpha, x, tol) chooses for it (_ml_neg_parts), and a bound on its
-    rounding.
+    x >= 0 for 1 <= alpha < 2, each element in the regime that ml_neg
+    chooses for it (_ml_neg_parts), and a bound on its rounding.
 
     It is the part minus subtract: the Taylor sum minus the pair on the
     series elements, and the branch-cut integral or the inverse-power sum
@@ -592,6 +579,6 @@ def _ml_neg_minus_pair(alpha: float, x: np.ndarray, tol: float) -> tuple[np.ndar
     where ml_neg would.
     """
     x = np.asarray(x, dtype=float)
-    part, _, series, _, pair, precise = _ml_neg_parts(alpha, x, tol)
+    part, _, series, _, pair, precise = _ml_neg_parts(alpha, x)
     subtract = np.where(series, _pair_30_digits(alpha, x, pair, precise & series), 0.0)
     return part - subtract, 4.0 * _EPS * (np.abs(part) + np.abs(subtract))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from inverse_abel import g2_abel, poisson_mp
 from scipy.special import voigt_profile
 
+from fracwave import quadrature
 from fracwave.closed_form import g1, g3
 from fracwave.errors import FracWaveError, InvalidInput, NonConvergence, OriginDivergence
 from fracwave.mellin_barnes import g_mellin_barnes
@@ -23,6 +24,7 @@ from fracwave.quadrature import (
     _pair_transform,
     g_integral,
     g_origin,
+    g_spectral,
     solve_ivp_1d,
 )
 
@@ -174,14 +176,28 @@ class TestSmallRadius:
             ref = g1(alpha, ratio, 1.0) if n == 1 else g2_abel(alpha, ratio, 1.0)[0]
             assert abs(res.value - ref) <= res.est_error
 
+    def test_target_scales_with_t(self):
+        # G is t^-n times a function of r/t, and so is the error of the
+        # cells of lobe 0, ~1.3e-11 / t at r/t = 1e-13: at t = 1e-3 it would
+        # pass a target of 1e-8 that did not scale with t^-n
+        for r, t in ((1e-16, 1e-3), (1e-13, 1.0), (1e-10, 1e3)):
+            res = g_integral(1.2, 1, r, t)
+            ref = g_spectral(1.2, 1, r, t)
+            assert res.est_error <= 1e-8 * max(1.0 / t, abs(res.value))
+            assert abs(res.value - ref.value) <= res.est_error + ref.est_error
+
 
 class TestUnreachableTolerance:
-    def test_cell_error_above_target_fails_fast(self):
+    def test_cell_error_above_target_fails_fast(self, monkeypatch):
         # the cell error and the rounding bounds only grow and est_error
         # includes them, so once they alone exceed the target no further
-        # lobe can meet it; at t = 1e-3 the value is ~7.6e-1 and the target
-        # 1e-8, while the cells of lobe 0, which reaches tau = 1.6e16 here,
-        # add up to ~1.3e-8 after the first 10 lobes
+        # lobe can meet it.  At the target 1e-8 max(t^-n, |G|) no point of a
+        # sweep over alpha in [1, 1.99], n = 1-3, r in [1e-300, 1e-16] and
+        # [1e6, 1e200] and t in {1e-3, 1, 1e3} reaches that; at 1e-12 the
+        # cells of lobe 0,
+        # which reaches tau = 1.6e16 at r = 1e-16, add up to ~1.3e-8 after
+        # the first 10 lobes, and the target is 1e-9 at t = 1e-3
+        monkeypatch.setattr(quadrature, "_TOL", 1e-12)
         start = time.perf_counter()
         with pytest.raises(NonConvergence, match="cell and rounding error"):
             g_integral(1.2, 1, 1e-16, 1e-3)
@@ -217,7 +233,7 @@ class TestNearAlphaTwo:
        log10_rho=st.floats(-12.0, 2.0), log10_t=st.floats(-1.0, 1.0))
 def test_finite_result_or_fracwave_error(alpha, n, log10_rho, log10_t):
     """Every call returns a finite value with est_error within the
-    tolerance, or raises a FracWaveError, within 2 s."""
+    target 1e-8 max(t^-n, |value|), or raises a FracWaveError, within 2 s."""
     t = 10.0 ** log10_t
     start = time.perf_counter()
     try:
@@ -227,7 +243,7 @@ def test_finite_result_or_fracwave_error(alpha, n, log10_rho, log10_t):
     assert time.perf_counter() - start < 2.0
     if res is not None:
         assert math.isfinite(res.value)
-        assert res.est_error <= max(1e-8, 1e-8 * abs(res.value))
+        assert res.est_error <= 1e-8 * max(t ** -n, abs(res.value))
 
 
 class TestConfigValidation:

@@ -14,13 +14,13 @@ from scipy.special import gamma as scipy_gamma
 from fracwave import special
 from fracwave.errors import FracWaveError, InvalidInput, NonConvergence
 from fracwave.special import (
-    DEFAULT_TOL,
     MLResult,
     asymptotic_cutoff,
     ml_neg,
 )
 from fracwave.special import (
     _EPS,
+    _TOL,
     _asymptotic_part,
     _branch_cut_integral,
     _branch_cut_mesh,
@@ -29,6 +29,7 @@ from fracwave.special import (
     _exp_pair_double,
     _inverse_power_table,
     _ml_neg_minus_pair,
+    _ml_neg_parts,
     _pair_30_digits,
     _taylor_kahan,
 )
@@ -85,41 +86,41 @@ def inverse_power_terms(alpha, x):
             float(_envelope(table.log_gamma[k_end], k_end + 1, log_x)))
 
 
-def full_sum_asymptotic(alpha, x, tol):
+def full_sum_asymptotic(alpha, x):
     """_asymptotic_part with the inverse-power series summed all the way to
     its envelope minimum, bounded by twice the envelope past it: the
-    reference for the regime's tolerance-driven stop.  x is the 1-element
+    reference for the regime's target-driven stop.  x is the 1-element
     array that ml_neg passes."""
     _, terms, _, envelope = inverse_power_terms(alpha, float(x[0]))
     first_term_scale = abs(_inverse_power_table(alpha).coef[0]) / x
     return float(np.sum(terms)), 2.0 * envelope + 4.0 * _EPS * first_term_scale
 
 
-def exp_pair(alpha, x, tol):
+def exp_pair(alpha, x):
     """The damped pair as ml_neg adds it, in double precision but for the
     elements _exp_pair_double flags, taken at 30 digits, and its error."""
-    value, err, precise = _exp_pair_double(alpha, x, tol)
+    value, err, precise = _exp_pair_double(alpha, x)
     return _pair_30_digits(alpha, x, value, precise)[()], err[()]
 
 
-def with_pair(alpha, x, tol, part, err):
+def with_pair(alpha, x, part, err):
     """A regime's value of E_alpha(-x) as ml_neg forms it, the part plus the
     damped pair, and its est_error: the part's, the pair's and the rounding
     of the sum."""
-    pair, pair_err = exp_pair(alpha, x, tol)
+    pair, pair_err = exp_pair(alpha, x)
     return pair + part, err + 4.0 * _EPS * (abs(pair) + abs(part)) + pair_err
 
 
-def intermediate(alpha, x, tol):
+def intermediate(alpha, x):
     """ml_neg's intermediate regime at a scalar x: the branch-cut integral
     plus the pair."""
-    return with_pair(alpha, x, tol, *_branch_cut_integral(alpha, x))
+    return with_pair(alpha, x, *_branch_cut_integral(alpha, x))
 
 
-def asymptotic(alpha, x, tol):
+def asymptotic(alpha, x):
     """ml_neg's asymptotic regime at a scalar x: the inverse-power sum plus
     the pair."""
-    return with_pair(alpha, x, tol, *_asymptotic_part(alpha, x, tol))
+    return with_pair(alpha, x, *_asymptotic_part(alpha, x))
 
 
 # Values frozen from ml_series_oracle (dps=220).
@@ -165,8 +166,8 @@ class TestMlNeg:
     def test_est_error_within_tolerance(self):
         for alpha in (1.1, 1.5, 1.9):
             for x in (0.5, 3.0, 20.0, 300.0):
-                r = ml_neg(alpha, x, tol=1e-12)
-                assert r.est_error <= 1e-12
+                r = ml_neg(alpha, x)
+                assert r.est_error <= _TOL
                 assert r.regime in ("series", "intermediate", "asymptotic")
 
     def test_result_type(self):
@@ -181,29 +182,6 @@ class TestMlNeg:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             ml_neg(1.5, -1.0)
-        with pytest.raises(ValueError):
-            ml_neg(1.5, 1.0, tol=0.0)
-
-    def test_pathological_tolerance_raises(self):
-        with pytest.raises(NonConvergence):
-            ml_neg(1.5, 2.0, tol=1e-320)
-
-    @pytest.mark.parametrize("alpha,x,tol", [
-        (0.2, 5.0, 1e-15), (0.107, 3.89, 1e-15), (1.5, 0.5, 1e-15),
-        (0.001, 3.0, DEFAULT_TOL)])
-    def test_unmet_tolerance_raises_at_once(self, alpha, x, tol):
-        # no double-precision regime meets these tolerances; the orders
-        # below 1 lie outside the window [1, 2]
-        start = time.perf_counter()
-        with pytest.raises(NonConvergence if alpha >= 1.0 else InvalidInput):
-            ml_neg(alpha, x, tol)
-        assert time.perf_counter() - start < 1.0
-
-    @pytest.mark.parametrize("alpha", [1.0, 2.0])
-    def test_exact_identities_respect_tol(self, alpha):
-        # exp(-x) and cos(sqrt(x)) carry a few eps of rounding
-        with pytest.raises(NonConvergence):
-            ml_neg(alpha, 0.5, tol=1e-17)
 
     # (1.9999, 1e6) and (2.0, 1e30) take the pair at 30 digits; at alpha = 2
     # the pair is all of the value
@@ -224,10 +202,10 @@ class TestMlNeg:
         assert r.regime != "series"
         assert len(calls) == 1
         monkeypatch.undo()
-        part = (_asymptotic_part(alpha, x, DEFAULT_TOL) if r.regime == "asymptotic"
+        part = (_asymptotic_part(alpha, x) if r.regime == "asymptotic"
                 else _branch_cut_integral(alpha, x))[0]
-        assert r.value == part + exp_pair(alpha, x, DEFAULT_TOL)[0]
-        assert _exp_pair_double(alpha, x, DEFAULT_TOL)[2] == (alpha > 1.99)
+        assert r.value == part + exp_pair(alpha, x)[0]
+        assert _exp_pair_double(alpha, x)[2] == (alpha > 1.99)
 
     def test_limit_at_infinity(self):
         for alpha in (1.0, 1.5, 1.9):
@@ -245,25 +223,23 @@ class TestRegimes:
 
     def test_asymptotic_regime_engaged(self):
         alpha = 1.3
-        x = asymptotic_cutoff(alpha, DEFAULT_TOL) * 1.5
+        x = asymptotic_cutoff(alpha) * 1.5
         assert ml_neg(alpha, x).regime == "asymptotic"
 
     @pytest.mark.parametrize("alpha", [1.3, 1.7])
     def test_continuity_at_series_boundary(self, alpha):
-        tol = DEFAULT_TOL
         for x in np.geomspace(0.5, 2.0, 1000):
             v1, e1 = _taylor_kahan(alpha, float(x))
-            v2, e2 = intermediate(alpha, float(x), tol)
-            assert abs(v1 - v2) <= 2.0 * tol + e1 + e2
+            v2, e2 = intermediate(alpha, float(x))
+            assert abs(v1 - v2) <= 2.0 * _TOL + e1 + e2
 
     @pytest.mark.parametrize("alpha", [1.3, 1.7])
     def test_continuity_at_asymptotic_boundary(self, alpha):
-        tol = DEFAULT_TOL
-        xa = asymptotic_cutoff(alpha, tol)
+        xa = asymptotic_cutoff(alpha)
         for x in np.geomspace(0.95 * xa, 1.05 * xa, 1000):
-            v1, e1 = asymptotic(alpha, float(x), tol)
-            v2, e2 = intermediate(alpha, float(x), tol)
-            assert abs(v1 - v2) <= 2.0 * tol + e1 + e2
+            v1, e1 = asymptotic(alpha, float(x))
+            v2, e2 = intermediate(alpha, float(x))
+            assert abs(v1 - v2) <= 2.0 * _TOL + e1 + e2
 
     def test_tail_product_approaches_reciprocal_gamma(self):
         # x * E_alpha(-x) -> 1/Gamma(1-alpha).  The 5/x bound is provable only
@@ -281,16 +257,15 @@ class TestBranchCutRule:
     def test_error_estimate_is_honest(self, alpha):
         # the whole x-range the cached mesh serves, from the series overlap
         # to the asymptotic cutoff
-        tol = 1e-13
-        for x in np.geomspace(0.5, asymptotic_cutoff(alpha, tol), 40):
-            value, est = intermediate(alpha, float(x), tol)
-            assert est <= tol
+        for x in np.geomspace(0.5, asymptotic_cutoff(alpha), 40):
+            value, est = intermediate(alpha, float(x))
+            assert est <= _TOL
             assert abs(value - ml_series_oracle(alpha, float(x))) <= est + 1e-15
 
-    def test_mesh_is_built_once_per_alpha_for_any_tol(self):
-        intermediate(1.37, 3.0, 1e-13)
+    def test_mesh_is_built_once_per_alpha(self):
+        intermediate(1.37, 3.0)
         before = _branch_cut_mesh.cache_info()
-        intermediate(1.37, 7.5, 1e-10)
+        intermediate(1.37, 7.5)
         after = _branch_cut_mesh.cache_info()
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
@@ -299,7 +274,7 @@ class TestBranchCutRule:
         maxsize = _branch_cut_mesh.cache_info().maxsize
         assert maxsize is not None
         for alpha in np.linspace(1.1, 1.9, maxsize + 3):
-            intermediate(float(alpha), 3.0, 1e-13)
+            intermediate(float(alpha), 3.0)
         assert _branch_cut_mesh.cache_info().currsize <= maxsize
 
     @pytest.mark.parametrize("alpha", [1.0005, 1.001, 1.01, 1.5, 1.999])
@@ -315,7 +290,7 @@ class TestBranchCutRule:
             return meshes[-1]
 
         monkeypatch.setattr(special, "_branch_cut_mesh", spy)
-        xs = np.geomspace(0.5, asymptotic_cutoff(alpha, 1e-13), 300)
+        xs = np.geomspace(0.5, asymptotic_cutoff(alpha), 300)
         value, _ = _branch_cut_integral(alpha, xs)
         nodes, w, _ = meshes[0]
         for p, v in zip(xs ** (1.0 / alpha), value):
@@ -335,50 +310,33 @@ class TestIntermediateRegime:
     def oracle(alpha, x):
         return ml_series_oracle(alpha, x, dps=80)
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
-    def test_error_estimate_is_honest(self, tol):
+    def test_error_estimate_is_honest(self):
         for alpha in self.ALPHAS:
-            for x in self.XS[self.XS < asymptotic_cutoff(alpha, tol)]:
-                r = ml_neg(alpha, float(x), tol)
+            for x in self.XS[self.XS < asymptotic_cutoff(alpha)]:
+                r = ml_neg(alpha, float(x))
                 assert r.regime == "intermediate"
-                assert r.est_error <= tol
+                assert r.est_error <= _TOL
                 assert abs(r.value - self.oracle(alpha, float(x))) <= r.est_error
 
-
-class TestSeriesFallback:
-    # Just above the series cutoff the branch-cut integral's estimate on its
-    # mesh is 2e-15 to 6e-15 at alpha = 1.05-1.5: it meets tol 1e-14, and
-    # at 3e-15 the Taylor sum takes the x where it misses.
-    XS = np.concatenate((np.linspace(1.0, 1.2, 41)[1:], np.linspace(1.2, 2.0, 21)[1:]))
-
+    # just above the series cutoff, where the branch-cut integral's estimate
+    # on its mesh is 2e-15 to 6e-15 at alpha = 1.05-1.5
     @pytest.mark.parametrize("alpha", [1.05, 1.25, 1.5, 1.75, 1.95])
-    def test_tight_tol_returns_honest_value(self, alpha):
-        for x in self.XS:
-            r = ml_neg(alpha, float(x), 1e-14)
-            assert r.est_error <= 1e-14
+    def test_above_the_series_cutoff_is_honest(self, alpha):
+        for x in np.concatenate((np.linspace(1.0, 1.2, 41)[1:], np.linspace(1.2, 2.0, 21)[1:])):
+            r = ml_neg(alpha, float(x))
+            assert r.regime == "intermediate"
             assert abs(r.value - ml_series_oracle(alpha, float(x), dps=60)) <= r.est_error
-
-    @pytest.mark.parametrize("alpha", [1.05, 1.25, 1.5])
-    def test_tighter_tol_falls_back_to_the_series(self, alpha):
-        regimes = set()
-        for x in self.XS:
-            r = ml_neg(alpha, float(x), 3e-15)
-            regimes.add(r.regime)
-            assert r.est_error <= 3e-15
-            assert abs(r.value - ml_series_oracle(alpha, float(x), dps=60)) <= r.est_error
-        assert "series" in regimes
 
 
 class TestAsymptoticRegime:
     @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 1.8, 1.9, 1.95, 1.98, 1.99, 1.995])
     def test_error_estimate_is_honest(self, alpha):
         # near alpha = 2 the barely damped pair's phase rounding dominates;
-        # at 1.995 only the 30-digit pair keeps the regime within tol
-        tol = 1e-13
-        for x in np.geomspace(asymptotic_cutoff(alpha, tol), 1e5, 60):
-            r = ml_neg(alpha, float(x), tol)
+        # at 1.995 only the 30-digit pair keeps the regime within the target
+        for x in np.geomspace(asymptotic_cutoff(alpha), 1e5, 60):
+            r = ml_neg(alpha, float(x))
             assert r.regime == "asymptotic"
-            assert r.est_error <= tol
+            assert r.est_error <= _TOL
             assert abs(r.value - ml_asymptotic_oracle(alpha, float(x))) <= r.est_error
 
     @pytest.mark.parametrize("x", [15.0, 1e3])
@@ -393,46 +351,44 @@ class TestAsymptoticRegime:
 class TestTolDrivenSum:
     """The asymptotic regime sums its inverse-power series only until the
     omitted part, (k_end - K) env(K + 1) + 2 env(k_end + 1), is below
-    1e-3 tol.  At alpha = 1.05 and x = 1e8 the envelope minimum k_end
+    1e-3 _TOL.  At alpha = 1.05 and x = 1e8 the envelope minimum k_end
     ~ 4e7 lies far past _INV_POWER_MAX_TERMS: the term cap is exercised."""
 
     ALPHAS = (1.05, 1.3, 1.6, 1.9, 1.99)
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_error_estimate_is_honest(self, alpha, tol):
-        xs = list(np.geomspace(asymptotic_cutoff(alpha, tol), 1e8, 25))
-        if (alpha, tol) == (1.05, 1e-13):
+    def test_error_estimate_is_honest(self, alpha):
+        xs = list(np.geomspace(asymptotic_cutoff(alpha), 1e8, 25))
+        if alpha == 1.05:
             # the envelope ratio is near 1 here: 2 env(K + 1) alone
             # under-reports the omitted terms
             xs.append(44.79)
         for x in xs:
-            r = ml_neg(alpha, float(x), tol)
+            r = ml_neg(alpha, float(x))
             assert r.regime == "asymptotic"
-            assert r.est_error <= tol
+            assert r.est_error <= _TOL
             assert abs(r.value - ml_asymptotic_oracle(alpha, float(x))) <= r.est_error
 
     def test_regime_labels_match_the_full_sum(self, monkeypatch):
         rng = np.random.default_rng(20151)
         for _ in range(300):
             alpha = float(rng.uniform(0.1, 2.0))
-            tol = float(10.0 ** rng.uniform(-13.0, -6.0))
-            x = float(asymptotic_cutoff(alpha, tol) * 10.0 ** rng.uniform(-0.2, 4.0))
+            x = float(asymptotic_cutoff(alpha) * 10.0 ** rng.uniform(-0.2, 4.0))
             if alpha < 1.0:  # outside the window [1, 2]
                 with pytest.raises(InvalidInput):
-                    ml_neg(alpha, x, tol)
+                    ml_neg(alpha, x)
                 continue
             with monkeypatch.context() as m:
                 m.setattr(special, "_asymptotic_part", full_sum_asymptotic)
-                ref = ml_neg(alpha, x, tol)
-            got = ml_neg(alpha, x, tol)
+                ref = ml_neg(alpha, x)
+            got = ml_neg(alpha, x)
             assert got.regime == ref.regime
             assert abs(got.value - ref.value) <= got.est_error + ref.est_error
 
     def test_table_is_built_once_per_alpha(self):
-        asymptotic(1.37, 200.0, 1e-13)
+        asymptotic(1.37, 200.0)
         before = _inverse_power_table.cache_info()
-        asymptotic(1.37, 900.0, 1e-10)
+        asymptotic(1.37, 900.0)
         inverse_power_terms(1.37, 300.0)
         after = _inverse_power_table.cache_info()
         assert after.hits == before.hits + 2
@@ -442,8 +398,30 @@ class TestTolDrivenSum:
         maxsize = _inverse_power_table.cache_info().maxsize
         assert maxsize is not None
         for alpha in np.linspace(1.1, 1.9, maxsize + 3):
-            asymptotic(float(alpha), 500.0, 1e-13)
+            asymptotic(float(alpha), 500.0)
         assert _inverse_power_table.cache_info().currsize <= maxsize
+
+
+# Orders next to the ends of the window and across it
+SWEEP_ALPHAS = [1.0, 1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.01,
+                *np.linspace(1.02, 1.98, 25).tolist(),
+                1.99, 1.999, 2.0 - 1e-6, 2.0 - 1e-9, 2.0 - 1e-12, 2.0 - 1e-15, 2.0]
+
+
+def test_every_regime_meets_the_fixed_target():
+    # each regime's est_error is within _TOL wherever x alone puts it: x = 0,
+    # the tiny x, 3000 x over [1e-6, 1e300], 200 x in (1, 2], just above the
+    # series cutoff, and 2000 x over [x_a, 1e6 x_a], next to the asymptotic
+    # cutoff.  Should a coarser mesh or a shorter sum push an estimate past
+    # the target, _ml_neg_parts raises here
+    for alpha in SWEEP_ALPHAS:
+        xa = asymptotic_cutoff(alpha)
+        xs = np.concatenate(([0.0, 1e-300, 1e-10], np.geomspace(1e-6, 1e300, 3000),
+                             np.linspace(1.0, 2.0, 201)[1:], xa * np.geomspace(1.0, 1e6, 2000)))
+        part, est, series, asym, _, _ = _ml_neg_parts(alpha, xs)
+        assert np.all(np.isfinite(part)) and np.all(est <= _TOL), alpha
+        assert np.array_equal(series, xs <= 1.0), alpha
+        assert np.array_equal(asym, xs >= xa), alpha
 
 
 def pair_oracle(alpha, x, dps=40):
@@ -463,71 +441,53 @@ class TestArrayKernel:
     ALPHAS = (1.001, 1.05, 1.5, 1.9, 1.999)
 
     @staticmethod
-    def mixed_xs(alpha, tol, intermediate=True):
+    def mixed_xs(alpha):
         """x = 0, x <= 1, x in (1, 2], the intermediate range, and x from
         the asymptotic cutoff on, in one array."""
-        xa = asymptotic_cutoff(alpha, tol)
+        xa = asymptotic_cutoff(alpha)
         return np.concatenate(([0.0], np.geomspace(1e-3, 1.0, 4), np.linspace(1.1, 2.0, 4),
-                               np.geomspace(3.0, 0.95 * xa, 4 if intermediate else 0),
-                               xa * np.array([1.0, 1.02, 3.0])))
+                               np.geomspace(3.0, 0.95 * xa, 4), xa * np.array([1.0, 1.02, 3.0])))
 
     @staticmethod
-    def own_part(alpha, x, tol):
+    def own_part(alpha, x):
         """ml_neg's value without the pair, from the parts of its own regime."""
-        r = ml_neg(alpha, x, tol)
+        r = ml_neg(alpha, x)
         if r.regime == "intermediate":
             return _branch_cut_integral(alpha, x)[0]
         if r.regime == "asymptotic":
-            return _asymptotic_part(alpha, x, tol)[0]
-        return r.value - exp_pair(alpha, x, tol)[0]
-
-    # tol 3e-15 at alpha = 1.25 takes the series fallback on (1, 2], and no
-    # regime attains it on (2, x_a)
-    @pytest.mark.parametrize("alpha,tol,intermediate",
-                             [(a, 1e-13, True) for a in ALPHAS]
-                             + [(1.05, 1e-14, True), (1.25, 3e-15, False)])
-    def test_every_regime_against_mpmath(self, alpha, tol, intermediate):
-        xs = self.mixed_xs(alpha, tol, intermediate)
-        xa = asymptotic_cutoff(alpha, tol)
-        value, rounding = _ml_neg_minus_pair(alpha, xs, tol)
-        assert value.shape == rounding.shape == xs.shape
-        for x, v, bound in zip(xs.tolist(), value, rounding):
-            assert abs(v - self.own_part(alpha, x, tol)) <= 8.0 * _EPS * abs(v)
-            oracle = ml_asymptotic_oracle(alpha, x) if x >= xa else ml_series_oracle(alpha, x)
-            assert abs(v - (oracle - pair_oracle(alpha, x))) <= tol + bound
+            return _asymptotic_part(alpha, x)[0]
+        return r.value - exp_pair(alpha, x)[0]
 
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_asymptotic_fallback(self, alpha, monkeypatch):
-        # no tolerance these tests reach makes the asymptotic regime miss it
-        # above the cutoff, so a truncation floor raised by 2 tol below
-        # 1.1 x_a stands in: there both calls fall back to the intermediate
-        # regime
-        tol = 1e-13
-        xa = asymptotic_cutoff(alpha, tol)
-        real = special._asymptotic_part
+    def test_every_regime_against_mpmath(self, alpha):
+        xs = self.mixed_xs(alpha)
+        xa = asymptotic_cutoff(alpha)
+        value, rounding = _ml_neg_minus_pair(alpha, xs)
+        assert value.shape == rounding.shape == xs.shape
+        for x, v, bound in zip(xs.tolist(), value, rounding):
+            assert abs(v - self.own_part(alpha, x)) <= 8.0 * _EPS * abs(v)
+            oracle = ml_asymptotic_oracle(alpha, x) if x >= xa else ml_series_oracle(alpha, x)
+            assert abs(v - (oracle - pair_oracle(alpha, x))) <= _TOL + bound
 
-        def high_floor(alpha, x, tol):
-            value, est = real(alpha, x, tol)
-            return value, est + np.where(np.asarray(x) < 1.1 * xa, 2.0 * tol, 0.0)
+    def test_unreachable_element_raises(self, monkeypatch):
+        # no input reaches the final check of _ml_neg_parts, so each part's
+        # est_error in turn, raised past the target at one x, stands in
+        alpha, xs = 1.5, np.array([0.0, 0.5, 5.0, 1e4])
+        for name, x in (("_taylor_kahan", 0.5), ("_branch_cut_integral", 5.0),
+                        ("_asymptotic_part", 1e4)):
+            real = getattr(special, name)
 
-        monkeypatch.setattr(special, "_asymptotic_part", high_floor)
-        xs = xa * np.array([1.0, 1.05, 1.2, 2.0])
-        value, _ = _ml_neg_minus_pair(alpha, xs, tol)
-        assert [ml_neg(alpha, x, tol).regime for x in xs.tolist()] == \
-            ["intermediate", "intermediate", "asymptotic", "asymptotic"]
-        for x, v in zip(xs.tolist(), value):
-            assert abs(v - self.own_part(alpha, x, tol)) <= 8.0 * _EPS * abs(v)
+            def above_target(alpha, at, real=real, x=x):
+                value, est = real(alpha, at)
+                return value, est + np.where(np.asarray(at) == x, 2.0 * _TOL, 0.0)
 
-    def test_unreachable_element_raises(self):
-        # at tol 1e-15 the Taylor sum's rounding bound misses at x = 0.5
-        alpha, tol, xs = 1.5, 1e-15, np.array([0.0, 1e4, 0.5])
-        ml_neg(alpha, 0.0, tol)
-        ml_neg(alpha, 1e4, tol)
-        with pytest.raises(NonConvergence):
-            ml_neg(alpha, 0.5, tol)
-        with pytest.raises(NonConvergence):
-            _ml_neg_minus_pair(alpha, xs, tol)
-        _ml_neg_minus_pair(alpha, xs[:2], tol)
+            with monkeypatch.context() as m:
+                m.setattr(special, name, above_target)
+                with pytest.raises(NonConvergence, match="exceeds the target"):
+                    ml_neg(alpha, x)
+                with pytest.raises(NonConvergence, match="exceeds the target"):
+                    _ml_neg_minus_pair(alpha, xs)
+                _ml_neg_minus_pair(alpha, xs[xs != x])
 
 
 class TestOrderTwo:
@@ -541,7 +501,7 @@ class TestOrderTwo:
         with mp.workdps(80 + int(math.log10(x) / 2)):
             ref = mp.cos(mp.sqrt(mp.mpf(x)))
             assert abs(mp.mpf(r.value) - ref) <= r.est_error
-        assert r.est_error <= DEFAULT_TOL
+        assert r.est_error <= _TOL
 
     def test_cosine_is_honest_over_the_double_range(self):
         for x in np.geomspace(1e-6, 1e300, 400).tolist():
@@ -560,36 +520,35 @@ class TestOrderTwo:
             a = mp.mpf(alpha)
             s = mp.mpf(x) ** (1 / a)
             pair = 2 / a * mp.exp(s * mp.cos(mp.pi / a)) * mp.cos(s * mp.sin(mp.pi / a))
-            ref = pair + mp.mpf(_asymptotic_part(alpha, x, DEFAULT_TOL)[0])
+            ref = pair + mp.mpf(_asymptotic_part(alpha, x)[0])
             assert abs(mp.mpf(r.value) - ref) <= r.est_error
 
 
-def assert_finite_result_or_fracwave_error(alpha, x, tol, seconds):
-    """The call returns a finite value with est_error <= tol, or raises a
+def assert_finite_result_or_fracwave_error(alpha, x, seconds):
+    """The call returns a finite value with est_error <= _TOL, or raises a
     FracWaveError, within the given wall time; an order below 1 raises
     InvalidInput."""
     start = time.perf_counter()
     try:
-        r = ml_neg(alpha, x, tol)
+        r = ml_neg(alpha, x)
     except FracWaveError as exc:
         assert alpha >= 1.0 or type(exc) is InvalidInput
     else:
         assert alpha >= 1.0
         assert math.isfinite(r.value)
-        assert r.est_error <= tol
+        assert r.est_error <= _TOL
     assert time.perf_counter() - start < seconds
 
 
 @settings(max_examples=50, deadline=None, database=None)
 @given(alpha=st.floats(1e-4, 2.0),
-       x=st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e)),
-       log10_tol=st.floats(-16.0, -6.0))
-def test_finite_result_or_fracwave_error(alpha, x, log10_tol):
-    assert_finite_result_or_fracwave_error(alpha, x, 10.0 ** log10_tol, 3.0)
+       x=st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e)))
+def test_finite_result_or_fracwave_error(alpha, x):
+    assert_finite_result_or_fracwave_error(alpha, x, 3.0)
 
 
 @pytest.mark.parametrize("x", [1.5, 5.0, 100.0])
 @pytest.mark.parametrize("alpha", [1e-4, 1e-3, 3e-3, 0.01])
 def test_tiny_order_is_bounded(alpha, x):
     # outside the window [1, 2], where x^(1/alpha) would leave the double range
-    assert_finite_result_or_fracwave_error(alpha, x, DEFAULT_TOL, 1.0)
+    assert_finite_result_or_fracwave_error(alpha, x, 1.0)
