@@ -26,8 +26,9 @@ rho = r/t; only rho^s does.  One call therefore builds one table of
 K(sigma + i j h) for all its points and sums it against rho^(sigma + i j h) at
 every rho.  On these uniform nodes the phase rho^(i j h) of J nodes splits into
 two tables of about sqrt(J) columns each, so a point costs O(sqrt(J))
-exponentials rather than J (_phase_sum).  It halves h from 0.2, adding only
-the odd nodes, until at every rho the h and h/2 sums agree to _STEP_TOL or to
+exponentials rather than J (_phase_sum).  It halves h from 0.2, or from
+1/max|log rho| where that is smaller (|log rho| > 5), adding only the odd
+nodes, until at every rho the h and h/2 sums agree to _STEP_TOL or to
 the rounding bound of the terms, below which more halvings cannot lower the
 error; past a fixed number of halvings it raises NonConvergence.  The error
 estimate is the h vs h/2 difference, the tail bound and that rounding bound.
@@ -261,7 +262,9 @@ def _mb_core(alpha: float, n: int, rho: np.ndarray,
         return line.real, sizes
 
     # Nodes j h on [0, m h].  A halving adds the odd multiples of h/2 only.
-    h = _H0
+    # Past |log rho| h0 ~ pi the h0 and h0/2 sums share their dominant alias
+    # and agree, however far both are off: h0 keeps |log rho| h0 <= 1.
+    h = _H0 / max(1.0, _H0 * float(np.max(np.abs(log_rho))))
     m = math.ceil(y_max / h)
     y = h * np.arange(m + 1)
     w = np.ones(y.size)
@@ -329,6 +332,8 @@ def g_mellin_barnes(alpha: float, n: int, r, t, sigma: float | None = None) -> Q
 def l_aux(alpha: float, n: int, rho: float) -> float:
     """Profile L_{alpha,n}(rho) = rho^n G_{alpha,n}(rho, 1), so G = r^(-n) L_{alpha,n}(r/t)."""
     check_scalar(rho=rho)
-    value = g_mellin_barnes(alpha, n, rho, 1.0).value * rho ** n
+    from .closed_form import _power
+
+    value = g_mellin_barnes(alpha, n, rho, 1.0).value * _power(rho, n)
     check_finite("L_{alpha,n}", value)
     return value

@@ -15,10 +15,10 @@ by x alone:
                        built once per alpha (_branch_cut_mesh) and summed
                        cell by cell (_mesh_sums), both shared by
                        quadrature.g_spectral;
-* ``asymptotic``    -- the inverse-power expansion plus the same pair, from a
-                       cached per-alpha table, cut once the omitted part is
-                       below 1e-3 _TOL (_asymptotic_part); from
-                       asymptotic_cutoff(alpha) on, where its floor
+* ``asymptotic``    -- the inverse-power expansion plus the same pair, to a
+                       fixed K = floor(log(20/_TOL)/alpha) terms (16 to 32)
+                       from a cached per-alpha table (_asymptotic_part);
+                       from asymptotic_cutoff(alpha) on, where its floor
                        ~exp(-x^(1/alpha)) is below _TOL.
 
 ml_neg evaluates one x; _ml_neg_minus_pair serves the radial integral, on
@@ -48,12 +48,11 @@ from .errors import InvalidInput, NonConvergence, check_scalar, check_window
 _TOL = 1e-13
 
 # Regime boundaries: series up to SERIES_CUTOFF; asymptotic from
-# asymptotic_cutoff(alpha) on.
+# asymptotic_cutoff(alpha) = _LOG_CUT^alpha on.
 SERIES_CUTOFF = 1.0
+_LOG_CUT = math.log(20.0) - math.log(_TOL)
 
 _EPS = np.finfo(float).eps
-# Largest exponent that is safely a finite double under exp.
-_LOG_MAX = 700.0
 
 REGIME_SERIES = "series"
 REGIME_INTERMEDIATE = "intermediate"
@@ -76,11 +75,11 @@ def asymptotic_cutoff(alpha: float) -> float:
     The truncation floor decays like exp(-x^(1/alpha)), so the cutoff is
     log(20/_TOL)^alpha, 32.9^alpha.
     """
-    return (math.log(20.0) - math.log(_TOL)) ** alpha
+    return _LOG_CUT ** alpha
 
 
-# Terms k = 0 .. _TAYLOR_TERMS - 1 of the Taylor sum.  At x <= 2 the first
-# term left out is at most 2^42 / Gamma(43) ~ 3e-39.
+# Terms k = 0 .. _TAYLOR_TERMS - 1 of the Taylor sum.  At x <= 1 the first
+# term left out is at most 1 / Gamma(43) ~ 7e-52.
 _TAYLOR_TERMS = 42
 
 
@@ -97,7 +96,7 @@ def _taylor_log_gamma(alpha: float) -> np.ndarray:
 def _taylor_kahan(alpha: float, x):
     """Compensated Taylor sum of E_alpha(-x), the terms
     (-x)^k / Gamma(1 + alpha k) for k < _TAYLOR_TERMS, at a scalar or an array
-    0 <= x <= 2.  Returns (value, est_error) of x's shape: est_error is the
+    0 <= x <= 1.  Returns (value, est_error) of x's shape: est_error is the
     first term left out plus the rounding bound 4 eps max|term| + eps |value|."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):  # log 0 = -inf: every term past the first is 0
@@ -139,36 +138,31 @@ def _exp_pair_double(alpha: float, x):
     s (4 + |ln x|/alpha) eps, which the amplitude scales.  Near alpha = 2,
     where the pair is barely damped while s grows, that error can approach
     _TOL, which no double-precision regime could then meet: the mask holds
-    the elements where it passes 0.1 _TOL.
+    the elements where it passes 0.1 _TOL.  At x <= 1, where s |ln x|/alpha
+    <= 1/e and the amplitude is at most 2, it is at most 2 eps (4 + 1/e),
+    and the mask holds none.
     """
     x = np.asarray(x, dtype=float)
     s = x ** (1.0 / alpha)
     d = _pair_angle(alpha)
     damp = -s * math.sin(d)
     amp = np.where(damp >= -745.0, (2.0 / alpha) * np.exp(damp), 0.0)
+    # amp first: s (4 + |ln x|/alpha) overflows near x = 1.7e308, where amp = 0
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: s |ln x| -> 0
-        err = amp * _EPS * np.where(x > 0.0, s * (4.0 + np.abs(np.log(x)) / alpha), 0.0)
+        err = np.where(x > 0.0, amp * _EPS * s * (4.0 + np.abs(np.log(x)) / alpha), 0.0)
     precise = err > 0.1 * _TOL
     return amp * np.cos(s * math.cos(d)), np.where(precise, _EPS * amp, err), precise
 
 
-def _pair_30_digits(alpha: float, x, value, which):
-    """value, the double-precision pair at x (_exp_pair_double), with the
-    elements of the mask which evaluated by mpmath in a copy: at
-    31 + log10(s) digits, 30 after the point of the phase s cos(d)
-    (~0.1 ms each)."""
-    if not which.any():
-        return value
+def _pair_30_digits(alpha: float, x: float) -> float:
+    """The damped pair at x (_exp_pair_double) by mpmath, at
+    31 + log10(s) digits, 30 after the point of the phase s cos(d) (~0.1 ms)."""
     import mpmath as mp
 
-    x, value = np.asarray(x, dtype=float), np.array(value)
-    for i in np.flatnonzero(which):
-        xi = float(x.flat[i])
-        with mp.workdps(31 + max(0, int(math.log10(xi) / alpha))):
-            a = mp.mpf(alpha)
-            s, d = mp.mpf(xi) ** (1 / a), mp.pi * (2 - a) / (2 * a)
-            value.flat[i] = float(2 / a * mp.exp(-s * mp.sin(d)) * mp.cos(s * mp.cos(d)))
-    return value
+    with mp.workdps(31 + max(0, int(math.log10(x) / alpha))):
+        a = mp.mpf(alpha)
+        s, d = mp.mpf(x) ** (1 / a), mp.pi * (2 - a) / (2 * a)
+        return float(2 / a * mp.exp(-s * mp.sin(d)) * mp.cos(s * mp.cos(d)))
 
 
 # The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk15): the one panel
@@ -406,92 +400,52 @@ def _branch_cut_integral(alpha: float, x):
     return value.reshape(x.shape)[()], err.reshape(x.shape)[()]
 
 
-# Cap on the length of the inverse-power series.  Short of the envelope
-# minimum, the envelope at k is below about exp(-alpha k).
-_INV_POWER_MAX_TERMS = 2000
-_LOG_PI = math.log(math.pi)
-
-
-@dataclass(frozen=True)
-class _InversePowerTable:
-    """The x-independent factors of the inverse-power series of E_alpha(-x)
-    for one alpha, at k = 1 .. _INV_POWER_MAX_TERMS + 1 (entry k - 1):
-    coef, the signed coefficients (-1)^(k+1) / Gamma(1 - alpha k) of x^(-k),
-    and log_gamma, log Gamma(alpha k), the x-independent part of the
-    envelope Gamma(alpha k) x^(-k) / pi.  Read-only float arrays, indexed by
-    k for every x that has not yet reached its cut."""
-
-    coef: np.ndarray
-    log_gamma: np.ndarray
-
-
 @functools.lru_cache(maxsize=16)
-def _inverse_power_table(alpha: float) -> _InversePowerTable:
-    """The inverse-power table of one alpha, built once, lazily, and cached."""
-    from scipy.special import gammaln, rgamma
+def _inverse_power_coefficients(alpha: float) -> np.ndarray:
+    """The coefficients (-1)^(k+1) / Gamma(1 - alpha k) of x^(-k) in the
+    inverse-power series of E_alpha(-x) for k = 1 .. floor(log(20/_TOL)/alpha),
+    32 terms at alpha = 1 and 16 at 2, cached read-only per alpha.  They are
+    (-1)^(k+1) sin(pi alpha k) Gamma(alpha k) / pi, with the sine formed from
+    the exact u = alpha - c, c = 1 or 2, as (-1)^(c k + n) sin(pi (k u - n)),
+    n the integer nearest k u: rgamma(1 - alpha k) lost up to 13 % of a
+    coefficient to the rounding of alpha k next to alpha = 1 and 2."""
+    from scipy.special import gamma
 
-    ks = np.arange(1, _INV_POWER_MAX_TERMS + 2, dtype=float)
-    coef = np.where(ks % 2 == 1, 1.0, -1.0) * rgamma(1.0 - alpha * ks)
-    log_gamma = gammaln(alpha * ks)
-    for arr in (coef, log_gamma):
-        arr.flags.writeable = False
-    return _InversePowerTable(coef, log_gamma)
-
-
-def _envelope_minimum(alpha: float, x):
-    """Where the inverse-power envelope is least, alpha k = x^(1/alpha), at
-    most _INV_POWER_MAX_TERMS (also where x^(1/alpha) would overflow), at a
-    scalar or an array x > 0."""
-    with np.errstate(over="ignore"):  # x^(1/alpha) = inf: the cap
-        k = np.floor(np.asarray(x, dtype=float) ** (1.0 / alpha) / alpha)
-    return np.clip(k, 1, _INV_POWER_MAX_TERMS).astype(int)
-
-
-def _envelope(log_gamma, k, log_x):
-    """The envelope Gamma(alpha k) x^(-k) / pi at k, given log Gamma(alpha k)."""
-    return np.exp(np.minimum(log_gamma - k * log_x - _LOG_PI, _LOG_MAX))
+    ks = np.arange(1.0, math.floor(_LOG_CUT / alpha) + 1.0)
+    c = 1.0 if alpha < 1.5 else 2.0
+    ku = ks * (alpha - c)
+    n = np.round(ku)
+    sign = np.where((ks * (c + 1.0) + n) % 2 == 1, 1.0, -1.0)
+    coef = sign * np.sin(math.pi * (ku - n)) * gamma(alpha * ks) / math.pi
+    coef.flags.writeable = False
+    return coef
 
 
 def _asymptotic_part(alpha: float, x):
     """The inverse-power series of E_alpha(-x) at a scalar or an array
-    x > 1, and its est_error: the omitted terms and the rounding of the
-    first, ~1/x.  _ml_neg_parts adds the share of the pair and of the sum.
+    x >= asymptotic_cutoff(alpha), summed to its fixed K terms
+    (_inverse_power_coefficients), and its est_error: the omitted part, the
+    rounding of the first term, ~1/x, and one subnormal unit per term for
+    x > 2^1022, where 1/x is subnormal.  _ml_neg_parts adds the share of the
+    pair and of the sum.
 
-    The terms (-1)^(k+1) x^(-k) / Gamma(1 - alpha k) dip at the zeros of
-    sin(pi alpha k), so the cut comes from their smooth envelope
-    env(k) = Gamma(alpha k) x^(-k) / pi, which falls until its minimum k_end
-    (_envelope_minimum) and bounds each omitted term short of it; twice its
-    value past k_end bounds the optimal remainder.  The terms are summed from
-    the cached table, each x on its own, until the omitted part after term
-    K, at most (k_end - K) env(K + 1) + 2 env(k_end + 1), is below 1e-3 _TOL,
-    or else to k_end.  Near the asymptotic cutoff the envelope ratio is close
-    to 1, so that part is not a geometric tail.
+    Each term is at most env(k) = Gamma(alpha k) x^(-k) / pi, which is
+    log-convex in k and falls until k_end = floor(x^(1/alpha) / alpha), K at
+    the cutoff.  So the terms K < k <= k_end add at most (k_end - K) env(K + 1),
+    and the optimal remainder past k_end, 2 env(k_end + 1), is below
+    3 env(K + 1) by Wendel's bound on Gamma(z + alpha) / Gamma(z).  The
+    powers come from np.power: exp(-k log x) carried ~k |log x| eps of
+    relative error, far above that bound at large x.
     """
-    table = _inverse_power_table(alpha)
+    coef = _inverse_power_coefficients(alpha)
     x = np.asarray(x, dtype=float)
-    value, omitted = np.empty(x.size), np.empty(x.size)
-    live = np.arange(x.size)
-    log_x = np.log(x.ravel())
-    k_end = _envelope_minimum(alpha, x.ravel())
-    floor = 2.0 * _envelope(table.log_gamma[k_end], k_end + 1, log_x)
-    goal = 1e-3 * _TOL
-    total = np.zeros(x.size)
-    k = 0
-    while live.size:
-        k += 1
-        with np.errstate(under="ignore", invalid="ignore", over="ignore"):
-            term = table.coef[k - 1] * np.exp(-k * log_x)
-        total += np.where(np.isfinite(term), term, 0.0)
-        bound = (k_end - k) * _envelope(table.log_gamma[k], k + 1, log_x) + floor
-        done = (bound <= goal) | (k == k_end)
-        if done.any():
-            idx = live[done]
-            value[idx], omitted[idx] = total[done], bound[done]
-            keep = ~done
-            live, log_x, k_end, floor, total = (live[keep], log_x[keep], k_end[keep],
-                                                floor[keep], total[keep])
-    value, omitted = value.reshape(x.shape), omitted.reshape(x.shape)
-    return value[()], (omitted + 4.0 * _EPS * abs(table.coef[0]) / x)[()]
+    xs = x.ravel()
+    powers = np.power(xs, -np.arange(1.0, coef.size + 2.0)[:, None])
+    k_end = np.floor(xs ** (1.0 / alpha) / alpha)
+    env = math.gamma(alpha * (coef.size + 1)) / math.pi * powers[-1]
+    est = (np.maximum(k_end - coef.size, 0.0) + 3.0) * env \
+        + 4.0 * _EPS * abs(coef[0]) / xs + coef.size * math.ulp(0.0)
+    return (coef @ powers[:-1]).reshape(x.shape)[()], est.reshape(x.shape)[()]
 
 
 def _ml_neg_parts(alpha: float, x: np.ndarray):
@@ -507,9 +461,9 @@ def _ml_neg_parts(alpha: float, x: np.ndarray):
     * series, asym: the masks of the Taylor and inverse-power sums;
     * pair, precise: the pair in double precision (_exp_pair_double), 0 at
       alpha = 1, and the mask of the elements to be taken at 30 digits
-      instead.  A caller upgrades those elements (_pair_30_digits) only
-      where it adds or subtracts the pair; the double-precision value and
-      error decide the rest.
+      instead, which holds no x <= 1.  ml_neg upgrades those elements
+      (_pair_30_digits) where it adds the pair; the double-precision value
+      and error decide the rest.
     At alpha = 1 every part is the exact exp(-x), with the regime of x's
     range: the pair's poles merge at -1 there.  At alpha = 2,
     sin(2 pi) = 0 and 1/Gamma(1 - 2k) = 0 leave no branch-cut integral
@@ -561,7 +515,7 @@ def ml_neg(alpha: float, x: float) -> MLResult:
     part, est, series, asym, pair, precise = _ml_neg_parts(alpha, xs)
     if series[0]:
         return MLResult(float(part[0]), REGIME_SERIES, float(est[0]))
-    value = part[0] + _pair_30_digits(alpha, xs, pair, precise)[0]
+    value = part[0] + (_pair_30_digits(alpha, xs[0]) if precise[0] else pair[0])
     return MLResult(float(value), REGIME_ASYMPTOTIC if asym[0] else REGIME_INTERMEDIATE,
                     float(est[0]))
 
@@ -573,12 +527,13 @@ def _ml_neg_minus_pair(alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     It is the part minus subtract: the Taylor sum minus the pair on the
     series elements, and the branch-cut integral or the inverse-power sum
-    itself elsewhere, where the pair is neither added nor subtracted, so it
-    is never evaluated at 30 digits there.  The rounding bound is that of
-    the subtraction, 4 eps (|part| + |subtract|).  Raises NonConvergence
-    where ml_neg would.
+    itself elsewhere, where the pair is neither added nor subtracted.  At
+    x <= 1 the pair in double precision is within 2 eps (4 + 1/e) of its
+    value (_exp_pair_double), so it is never taken at 30 digits.  The
+    rounding bound is that of the subtraction, 4 eps (|part| + |subtract|).
+    Raises NonConvergence where ml_neg would.
     """
     x = np.asarray(x, dtype=float)
-    part, _, series, _, pair, precise = _ml_neg_parts(alpha, x)
-    subtract = np.where(series, _pair_30_digits(alpha, x, pair, precise & series), 0.0)
+    part, _, series, _, pair, _ = _ml_neg_parts(alpha, x)
+    subtract = np.where(series, pair, 0.0)
     return part - subtract, 4.0 * _EPS * (np.abs(part) + np.abs(subtract))

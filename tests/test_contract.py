@@ -270,6 +270,9 @@ EXTREMES = [
     # overflowed, and the weighted sums overflowed with a RuntimeWarning
     ("mb_kernel", (1.5, 2, 2.2250738585e-313)),
     ("mb_kernel", (1.5, 2, 2.225073858507203e-309)),
+    # rho^n overflowed: Python's OverflowError leaked out of l_aux
+    ("l_aux", (1.5, 3, 1e110)),
+    ("l_aux", (1.5, 2, 1e160)),
     ("solve_ivp_1d", (1.0, [0.0, 1.0], [1.1295239091784502e+286, 0.0], 1e-23, [0.0])),
     *[("phase_velocity", (alpha, 3)) for alpha in NEAR_TWO],
     *[("max_location", (alpha, 3, 1.0)) for alpha in NEAR_TWO],

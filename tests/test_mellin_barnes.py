@@ -295,6 +295,17 @@ class TestErrorHonesty:
         ref = (g1 if n == 1 else g3)(alpha, HONESTY_RHOS, 1.0)
         assert np.all(np.abs(res.value - ref) <= res.est_error + 1e-13 * np.abs(ref))
 
+    # Far from rho = 1 the first step h = 0.2 once put |log rho| h past ~pi,
+    # where the h and h/2 sums share their dominant alias: the first halving
+    # saw no change and stopped: (1.5, 2, 1e20) gave -3.2e-32 with est_error
+    # 9.0e-40, where G is 1.3e-71.
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_extreme_ratios_against_spectral(self, alpha, n):
+        for rho in (1e-60, 1e-25, 1e18, 1e20, 1e60):
+            res, ref = g_mellin_barnes(alpha, n, rho, 1.0), g_spectral(alpha, n, rho, 1.0)
+            assert abs(res.value - ref.value) <= res.est_error + ref.est_error, rho
+
 
 class TestArrayInput:
     def test_array_matches_scalar_calls(self):

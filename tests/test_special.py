@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as scipy_gamma
+from scipy.special import gammaln
 
 from fracwave import special
 from fracwave.errors import FracWaveError, InvalidInput, NonConvergence
@@ -24,10 +25,8 @@ from fracwave.special import (
     _asymptotic_part,
     _branch_cut_integral,
     _branch_cut_mesh,
-    _envelope,
-    _envelope_minimum,
     _exp_pair_double,
-    _inverse_power_table,
+    _inverse_power_coefficients,
     _ml_neg_minus_pair,
     _ml_neg_parts,
     _pair_30_digits,
@@ -50,57 +49,56 @@ def ml_series_oracle(alpha, x, dps=200):
     raise RuntimeError("oracle did not converge")
 
 
+def inverse_power_terms(alpha, x):
+    """The inverse-power series of E_alpha(-x), x > 1, in mpmath at the
+    working precision: its terms (-1)^(k+1) x^(-k) / Gamma(1 - alpha k)
+    from k = 1, and a bound on the rest of its optimal truncation.  The
+    envelope env(k) = Gamma(alpha k) x^(-k) / pi bounds each term and falls
+    until k_end = floor(x^(1/alpha) / alpha); past k_end the remainder is at
+    most 2 env(k_end + 1).  The terms run to k_end, or stop at the first k
+    where env(k) < 1e-40 / x: the rest is then at most
+    (k_end - k + 3) env(k) < 1e-39."""
+    a, xm = mp.mpf(alpha), mp.mpf(x)
+    k_end = int(xm ** (1 / a) / a)
+    terms = []
+    for k in range(1, k_end + 2):
+        env = mp.gamma(a * k) / (mp.pi * xm ** k)
+        if k > k_end:
+            return terms, 2 * env
+        if env < mp.mpf(10) ** -40 / xm:
+            return terms, (k_end - k + 3) * env
+        terms.append((-1) ** (k + 1) * mp.rgamma(1 - a * k) / xm ** k)
+
+
 def ml_asymptotic_oracle(alpha, x, dps=60):
     """Inverse-power series of E_alpha(-x) cut at its envelope minimum
-    alpha k = x^(1/alpha), plus the exponential pair (present for
+    (inverse_power_terms), plus the exponential pair (present for
     alpha > 1), at dps digits: the asymptotic regime's sum without its
     rounding."""
     with mp.workdps(dps):
         a = mp.mpf(alpha)
-        xm = mp.mpf(x)
-        s = xm ** (1 / a)
-        total = mp.mpf(0)
-        for k in range(1, max(1, int(s / a)) + 1):
-            if mp.gamma(a * k) / (mp.pi * xm ** k) < mp.mpf(10) ** (-40):
-                break  # the envelope falls until the cut: the rest is smaller
-            total += (-1) ** (k + 1) * mp.rgamma(1 - a * k) / xm ** k
+        s = mp.mpf(x) ** (1 / a)
         th = mp.pi / a
         pair = 2 / a * mp.exp(s * mp.cos(th)) * mp.cos(s * mp.sin(th)) if a > 1 else 0
-        return float(total + pair)
-
-
-def inverse_power_terms(alpha, x):
-    """Inverse-power series of E_alpha(-x), x > 1, from the cached table and
-    cut at its envelope minimum k_end (at most _INV_POWER_MAX_TERMS): (ks,
-    terms, k_end, envelope).  Twice the envelope Gamma(alpha k) x^(-k) / pi at
-    k_end + 1 bounds the truncation.  Terms whose factors over- and underflow
-    lie below exp(-171): left out."""
-    table = _inverse_power_table(alpha)
-    log_x = math.log(x)
-    k_end = int(_envelope_minimum(alpha, x))
-    ks = np.arange(1, k_end + 1, dtype=float)
-    with np.errstate(under="ignore", invalid="ignore", over="ignore"):
-        terms = table.coef[:k_end] * np.exp(-ks * log_x)
-    finite = np.isfinite(terms)
-    return (ks[finite], terms[finite], k_end,
-            float(_envelope(table.log_gamma[k_end], k_end + 1, log_x)))
+        return float(mp.fsum(inverse_power_terms(alpha, x)[0]) + pair)
 
 
 def full_sum_asymptotic(alpha, x):
-    """_asymptotic_part with the inverse-power series summed all the way to
-    its envelope minimum, bounded by twice the envelope past it: the
-    reference for the regime's target-driven stop.  x is the 1-element
-    array that ml_neg passes."""
-    _, terms, _, envelope = inverse_power_terms(alpha, float(x[0]))
-    first_term_scale = abs(_inverse_power_table(alpha).coef[0]) / x
-    return float(np.sum(terms)), 2.0 * envelope + 4.0 * _EPS * first_term_scale
+    """_asymptotic_part with the inverse-power series summed at 60 digits
+    all the way to its envelope minimum, bounded by twice the envelope past
+    it and the rounding of the result: the reference for the regime's
+    fixed length.  x is the 1-element array that ml_neg passes."""
+    with mp.workdps(60):
+        terms, rest = inverse_power_terms(alpha, float(x[0]))
+        value = float(mp.fsum(terms))
+        return value, float(rest) + _EPS * abs(value)
 
 
 def exp_pair(alpha, x):
     """The damped pair as ml_neg adds it, in double precision but for the
     elements _exp_pair_double flags, taken at 30 digits, and its error."""
     value, err, precise = _exp_pair_double(alpha, x)
-    return _pair_30_digits(alpha, x, value, precise)[()], err[()]
+    return (_pair_30_digits(alpha, x) if precise else value[()]), err[()]
 
 
 def with_pair(alpha, x, part, err):
@@ -328,12 +326,24 @@ class TestIntermediateRegime:
             assert abs(r.value - ml_series_oracle(alpha, float(x), dps=60)) <= r.est_error
 
 
+# Orders next to the ends of the window and across it
+SWEEP_ALPHAS = [1.0, 1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.01,
+                *np.linspace(1.02, 1.98, 25).tolist(),
+                1.99, 1.999, 2.0 - 1e-6, 2.0 - 1e-9, 2.0 - 1e-12, 2.0 - 1e-15, 2.0]
+
+
 class TestAsymptoticRegime:
-    @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 1.8, 1.9, 1.95, 1.98, 1.99, 1.995])
+    # every order of the sweep but the exact ends, where ml_neg is exp(-x)
+    # and cos(sqrt(x))
+    @pytest.mark.parametrize("alpha", list(dict.fromkeys(
+        [1.05, 1.3, 1.6, 1.8, 1.9, 1.95, 1.98, 1.99, 1.995, *SWEEP_ALPHAS[1:-1]])))
     def test_error_estimate_is_honest(self, alpha):
-        # near alpha = 2 the barely damped pair's phase rounding dominates;
-        # at 1.995 only the 30-digit pair keeps the regime within the target
-        for x in np.geomspace(asymptotic_cutoff(alpha), 1e5, 60):
+        # from the cutoff to the top of the double range, where 1/x is
+        # subnormal.  Near alpha = 2 the barely damped pair's phase rounding
+        # dominates; at 1.995 only the 30-digit pair keeps the regime within
+        # the target.  Powers formed as exp(-k log x) carried ~k |log x| eps
+        # of rounding, up to 32 times the est_error from x ~ 1e22 on this grid
+        for x in np.geomspace(asymptotic_cutoff(alpha), 1.7e308, 60):
             r = ml_neg(alpha, float(x))
             assert r.regime == "asymptotic"
             assert r.est_error <= _TOL
@@ -349,10 +359,10 @@ class TestAsymptoticRegime:
 
 
 class TestTolDrivenSum:
-    """The asymptotic regime sums its inverse-power series only until the
-    omitted part, (k_end - K) env(K + 1) + 2 env(k_end + 1), is below
-    1e-3 _TOL.  At alpha = 1.05 and x = 1e8 the envelope minimum k_end
-    ~ 4e7 lies far past _INV_POWER_MAX_TERMS: the term cap is exercised."""
+    """The asymptotic regime sums its inverse-power series to the fixed
+    length that _TOL sets, K = floor(log(20/_TOL)/alpha), the envelope
+    minimum at the cutoff, and charges (k_end - K + 3) env(K + 1) for the
+    omitted part (_asymptotic_part)."""
 
     ALPHAS = (1.05, 1.3, 1.6, 1.9, 1.99)
 
@@ -385,27 +395,53 @@ class TestTolDrivenSum:
             assert got.regime == ref.regime
             assert abs(got.value - ref.value) <= got.est_error + ref.est_error
 
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-15, 1.0 + 1e-12, 1.3, 1.5, 1.74, 2.0 - 1e-12,
+                                       2.0 - 1e-15])
+    def test_coefficients_against_mpmath(self, alpha):
+        # next to alpha = 1 and 2, rgamma(1 - alpha k) at the rounded
+        # alpha k was up to 13 % off; at 1.5 every even k gives exactly 0
+        coef = _inverse_power_coefficients(alpha)
+        assert coef.size == math.floor(math.log(20.0 / _TOL) / alpha)
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            ref = [float((-1) ** (k + 1) * mp.rgamma(1 - a * k)) for k in range(1, coef.size + 1)]
+        assert np.all(np.abs(coef - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_omitted_bound_covers_the_envelope_sum(self, alpha):
+        # the charge (k_end - K + 3) env(K + 1) is at least the omitted terms
+        # up to k_end, (k_end - K) env(K + 1), plus 2 env(k_end + 1) past it
+        xs = asymptotic_cutoff(alpha) * np.geomspace(1.0, 1e6, 2000)
+        coef = _inverse_power_coefficients(alpha)
+        k = coef.size
+        k_end = np.maximum(np.floor(xs ** (1.0 / alpha) / alpha), k)
+
+        def env(j):
+            return np.exp(gammaln(alpha * j) - j * np.log(xs)) / math.pi
+
+        rounding = 4.0 * _EPS * abs(coef[0]) / xs
+        assert np.all(_asymptotic_part(alpha, xs)[1]
+                      >= (k_end - k) * env(k + 1) + 2.0 * env(k_end + 1) + rounding)
+
     def test_table_is_built_once_per_alpha(self):
         asymptotic(1.37, 200.0)
-        before = _inverse_power_table.cache_info()
+        before = _inverse_power_coefficients.cache_info()
         asymptotic(1.37, 900.0)
-        inverse_power_terms(1.37, 300.0)
-        after = _inverse_power_table.cache_info()
+        _asymptotic_part(1.37, np.array([300.0, 1e4]))
+        after = _inverse_power_coefficients.cache_info()
         assert after.hits == before.hits + 2
         assert after.misses == before.misses
 
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            _inverse_power_coefficients(1.37)[0] = 0.0
+
     def test_cache_is_bounded(self):
-        maxsize = _inverse_power_table.cache_info().maxsize
+        maxsize = _inverse_power_coefficients.cache_info().maxsize
         assert maxsize is not None
         for alpha in np.linspace(1.1, 1.9, maxsize + 3):
             asymptotic(float(alpha), 500.0)
-        assert _inverse_power_table.cache_info().currsize <= maxsize
-
-
-# Orders next to the ends of the window and across it
-SWEEP_ALPHAS = [1.0, 1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.01,
-                *np.linspace(1.02, 1.98, 25).tolist(),
-                1.99, 1.999, 2.0 - 1e-6, 2.0 - 1e-9, 2.0 - 1e-12, 2.0 - 1e-15, 2.0]
+        assert _inverse_power_coefficients.cache_info().currsize <= maxsize
 
 
 def test_every_regime_meets_the_fixed_target():
@@ -422,6 +458,16 @@ def test_every_regime_meets_the_fixed_target():
         assert np.all(np.isfinite(part)) and np.all(est <= _TOL), alpha
         assert np.array_equal(series, xs <= 1.0), alpha
         assert np.array_equal(asym, xs >= xa), alpha
+
+
+def test_pair_is_never_taken_at_30_digits_in_the_series():
+    # at x <= 1 the pair's rounding is at most 2 eps (4 + 1/e), far below
+    # 0.1 _TOL: _ml_neg_minus_pair subtracts the double-precision pair there
+    xs = np.concatenate(([0.0, 1e-300], np.geomspace(1e-12, 1.0, 20000)))
+    for alpha in SWEEP_ALPHAS:
+        _, err, precise = _exp_pair_double(alpha, xs)
+        assert not precise.any(), alpha
+        assert np.all(err <= 2.0 * _EPS * (4.0 + 1.0 / math.e)), alpha
 
 
 def pair_oracle(alpha, x, dps=40):
